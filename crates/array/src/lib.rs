@@ -47,7 +47,7 @@ pub use complex::Complex;
 pub use geometry::ArrayGeometry;
 pub use imperfections::HardwareProfile;
 pub use pattern::GainPattern;
-pub use steering::PhasedArray;
+pub use steering::{DirectionTerms, PhasedArray};
 pub use weights::WeightVector;
 
 /// Carrier frequency of IEEE 802.11ad channel 2 (the Talon default), in Hz.

@@ -13,6 +13,14 @@
 //! where `ε_i` is the element's static error factor and `φ_i` the plane-wave
 //! phase at element `i`. Dividing by the feed power keeps gain comparisons
 //! fair between sectors that switch different numbers of elements on.
+//!
+//! Only `w_i` depends on the excitation. [`PhasedArray::element_factors`]
+//! (the `ε_i`) and [`PhasedArray::direction_terms`] (the `e^{jφ_i(dir)}`,
+//! `G_elem` and shadow towards one direction) precompute the rest, so a
+//! caller evaluating many sectors in one direction pays only the
+//! per-element multiply-accumulate per sector ([`DirectionTerms::gain_dbi`]).
+//! Both paths run the same loop over the same operands and agree bit for
+//! bit.
 
 use crate::complex::Complex;
 use crate::element::ElementModel;
@@ -83,47 +91,107 @@ impl PhasedArray {
         WeightVector::quantized(raw, &self.quantizer)
     }
 
-    /// Complex far-field amplitude (unnormalized array factor including
-    /// element errors) towards `dir` for excitation `w`.
-    pub fn array_factor(&self, w: &WeightVector, dir: &Direction) -> Complex {
-        assert_eq!(
-            w.len(),
-            self.num_elements(),
-            "weight vector length must match element count"
-        );
-        let mut af = Complex::ZERO;
-        for i in 0..self.num_elements() {
-            let wi = w.get(i);
-            if wi.abs2() == 0.0 {
-                continue;
-            }
-            let eps = self.imperfections.element_factor(i);
-            if eps.abs2() == 0.0 {
-                continue;
-            }
-            let phase = Complex::from_phase(self.geometry.phase_at(i, dir));
-            af += wi * eps * phase;
-        }
-        af
-    }
-
     /// Power gain in dBi towards `dir` for excitation `w`.
     ///
     /// Returns a large negative floor (−60 dBi) when the excitation is
     /// entirely off or perfectly nulled, so downstream dB math stays finite.
     pub fn gain_dbi(&self, w: &WeightVector, dir: &Direction) -> f64 {
-        let feed = w.feed_power();
-        if feed <= 0.0 {
-            return -60.0;
+        gain_with(
+            w,
+            self.num_elements(),
+            |i| self.imperfections.element_factor(i),
+            |i| Complex::from_phase(self.geometry.phase_at(i, dir)),
+            self.element.gain_dbi(dir),
+            self.imperfections.shadow_db(dir),
+        )
+    }
+
+    /// Every element's static error factor `ε_i` (zero for dead
+    /// elements): the excitation- and direction-independent input of
+    /// [`DirectionTerms::gain_dbi`].
+    pub fn element_factors(&self) -> Vec<Complex> {
+        (0..self.num_elements())
+            .map(|i| self.imperfections.element_factor(i))
+            .collect()
+    }
+
+    /// The excitation-independent terms of [`PhasedArray::gain_dbi`]
+    /// towards `dir`, for evaluating many excitations in one direction.
+    pub fn direction_terms(&self, dir: &Direction) -> DirectionTerms {
+        DirectionTerms {
+            phasors: (0..self.num_elements())
+                .map(|i| Complex::from_phase(self.geometry.phase_at(i, dir)))
+                .collect(),
+            element_dbi: self.element.gain_dbi(dir),
+            shadow_db: self.imperfections.shadow_db(dir),
         }
-        let af2 = self.array_factor(w, dir).abs2() / feed;
-        let array_gain_db = if af2 > 0.0 {
-            geom::db::linear_to_db(af2)
-        } else {
-            return -60.0;
-        };
-        let g = self.element.gain_dbi(dir) + array_gain_db - self.imperfections.shadow_db(dir);
+    }
+}
+
+/// What [`PhasedArray::gain_dbi`] computes towards one direction before
+/// it looks at the excitation: every element's plane-wave phasor
+/// `e^{jφ_i}`, the element gain and the chassis shadow.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DirectionTerms {
+    phasors: Vec<Complex>,
+    element_dbi: f64,
+    shadow_db: f64,
+}
+
+impl DirectionTerms {
+    /// Power gain in dBi for excitation `w`, given the array's
+    /// [`PhasedArray::element_factors`]. Runs the same accumulation as
+    /// [`PhasedArray::gain_dbi`] with the same operands, so the result is
+    /// bit-identical to it for the direction these terms were built for.
+    pub fn gain_dbi(&self, w: &WeightVector, factors: &[Complex]) -> f64 {
+        gain_with(
+            w,
+            self.phasors.len(),
+            |i| factors[i],
+            |i| self.phasors[i],
+            self.element_dbi,
+            self.shadow_db,
+        )
+    }
+}
+
+/// The gain in dBi of excitation `w` over `n` elements: the array factor
+/// `Σ_i (w_i·ε_i)·e^{jφ_i}`, normalized by the feed power, plus the
+/// element gain, minus the shadow, floored at −60 dBi. This is the one
+/// per-element loop behind every gain evaluation. Elements that are
+/// switched off or dead are skipped, and `factor(i)` / `phasor(i)` are
+/// evaluated only for the elements that are not.
+fn gain_with(
+    w: &WeightVector,
+    n: usize,
+    factor: impl Fn(usize) -> Complex,
+    phasor: impl Fn(usize) -> Complex,
+    element_dbi: f64,
+    shadow_db: f64,
+) -> f64 {
+    let feed = w.feed_power();
+    if feed <= 0.0 {
+        return -60.0;
+    }
+    assert_eq!(w.len(), n, "weight vector length must match element count");
+    let mut af = Complex::ZERO;
+    for i in 0..n {
+        let wi = w.get(i);
+        if wi.abs2() == 0.0 {
+            continue;
+        }
+        let eps = factor(i);
+        if eps.abs2() == 0.0 {
+            continue;
+        }
+        af += wi * eps * phasor(i);
+    }
+    let af2 = af.abs2() / feed;
+    if af2 > 0.0 {
+        let g = element_dbi + geom::db::linear_to_db(af2) - shadow_db;
         g.max(-60.0)
+    } else {
+        -60.0
     }
 }
 
@@ -208,6 +276,31 @@ mod tests {
         let arr = ideal_array();
         let w = WeightVector::uniform(16);
         arr.gain_dbi(&w, &Direction::BROADSIDE);
+    }
+
+    #[test]
+    fn direction_terms_match_gain_dbi_bit_for_bit() {
+        let arr = PhasedArray::talon(3);
+        let factors = arr.element_factors();
+        let excitations = [
+            WeightVector::uniform(32),
+            WeightVector::single_element(32, 12),
+            WeightVector::exact(vec![Complex::ZERO; 32]),
+            arr.quantize(&arr.steering_weights(&Direction::new(-30.0, 10.0))),
+        ];
+        for az in (-180..=180).step_by(15) {
+            for el in [-40.0, 0.0, 25.0] {
+                let dir = Direction::new(az as f64, el);
+                let terms = arr.direction_terms(&dir);
+                for w in &excitations {
+                    assert_eq!(
+                        terms.gain_dbi(w, &factors).to_bits(),
+                        arr.gain_dbi(w, &dir).to_bits(),
+                        "az {az} el {el}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

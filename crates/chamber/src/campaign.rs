@@ -16,7 +16,7 @@ use geom::interp::{fill_gaps_circular, fill_gaps_linear};
 use geom::sphere::SphericalGrid;
 use geom::stats::median;
 use rand::Rng;
-use talon_array::{GainPattern, SectorId};
+use talon_array::{GainPattern, SectorId, WeightVector};
 use talon_channel::{Device, Link};
 
 /// Campaign parameters.
@@ -106,6 +106,10 @@ impl Campaign {
         observer: &Device,
     ) -> SectorPatterns {
         let sectors = dut.codebook.sweep_order();
+        let weights: Vec<WeightVector> = sectors
+            .iter()
+            .map(|&s| dut.sector_weights(s).clone())
+            .collect();
         let mut raw: Vec<Vec<Vec<f64>>> =
             vec![vec![Vec::new(); self.config.grid.len()]; sectors.len()];
 
@@ -117,9 +121,10 @@ impl Campaign {
                 self.head.set_azimuth(-az);
                 dut.orientation = self.head.realized_orientation();
                 let flat = el_i * self.config.grid.az.len() + az_i;
+                let plan = link.plan(dut, observer);
                 for _ in 0..self.config.sweeps_per_position {
-                    for (si, &sector) in sectors.iter().enumerate() {
-                        if let Some(m) = link.probe(rng, dut, sector, observer) {
+                    for (si, w) in weights.iter().enumerate() {
+                        if let Some(m) = plan.probe(rng, w) {
                             raw[si][flat].push(m.snr_db);
                         }
                     }
@@ -146,6 +151,7 @@ impl Campaign {
         dut: &mut Device,
         fixed_tx: &Device,
     ) -> GainPattern {
+        let weights = fixed_tx.sector_weights(SectorId(63));
         let mut raw: Vec<Vec<f64>> = vec![Vec::new(); self.config.grid.len()];
         for el_i in 0..self.config.grid.el.len() {
             let el = self.config.grid.el.value(el_i);
@@ -155,9 +161,10 @@ impl Campaign {
                 self.head.set_azimuth(-az);
                 dut.orientation = self.head.realized_orientation();
                 let flat = el_i * self.config.grid.az.len() + az_i;
+                // The rotating device is now the *receiver*.
+                let plan = link.plan(fixed_tx, dut);
                 for _ in 0..self.config.sweeps_per_position {
-                    // The rotating device is now the *receiver*.
-                    if let Some(m) = link.probe(rng, fixed_tx, SectorId(63), dut) {
+                    if let Some(m) = plan.probe(rng, weights) {
                         raw[flat].push(m.snr_db);
                     }
                 }

@@ -18,7 +18,8 @@
 //!   and missing reports ("sometimes the firmware does not report any
 //!   measurements at all", §5).
 //! * [`link`] — ties a transmit device, a receive device and an environment
-//!   together and produces per-frame probe readings for a given sector.
+//!   together and produces per-frame probe readings for a given sector,
+//!   through a per-geometry [`ProbePlan`] that sweeps reuse.
 //! * [`dynamics`] — time-varying blockage episodes on top of the static
 //!   environments, for mobility/blockage tracking experiments (§7).
 //! * [`rate`] — the 802.11ad SC-PHY MCS table and the probe-SNR → TCP
@@ -40,7 +41,7 @@ pub mod rate;
 
 pub use dynamics::{Blockage, BlockageModel, DynamicEnvironment};
 pub use environment::{Environment, Ray};
-pub use link::{Device, Link, SweepReading};
+pub use link::{Device, Link, ProbePlan, SweepReading};
 pub use linkbudget::LinkBudget;
 pub use measurement::{Measurement, MeasurementModel};
 pub use orientation::Orientation;

@@ -6,6 +6,18 @@
 //! short control-PHY bursts, so we do not model phase-coherent multipath
 //! combining) and pushes the result through the firmware measurement model.
 //!
+//! Almost all of that work does not depend on the transmit sector. A
+//! [`ProbePlan`], built by [`Link::plan`] for one (link, tx, rx) geometry,
+//! holds it: per ray the transmitter's element phasors, element gain and
+//! shadow ([`talon_array::DirectionTerms`]), the receiver's gain and the
+//! path loss, plus the transmitter's element factors. [`ProbePlan::probe`]
+//! then runs only the per-element multiply-accumulate over the sector's
+//! weights, the dB sum over rays and [`MeasurementModel::report`].
+//! [`Link::probe`] is a plan used once; callers that probe many sectors at
+//! one geometry (a sweep half, a rotation position) build the plan once.
+//! Both give the same bits: the plan only moves work, it does not reorder
+//! any arithmetic or RNG draw.
+//!
 //! [`Link::sweep`] produces one full sector sweep transcript: for each
 //! requested transmit sector, the reading the responder's firmware would
 //! put into its ring buffer.
@@ -17,7 +29,7 @@ use crate::orientation::Orientation;
 use geom::db::{db_to_linear, linear_to_db};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use talon_array::{Codebook, PhasedArray, SectorId, WeightVector};
+use talon_array::{Codebook, Complex, DirectionTerms, PhasedArray, SectorId, WeightVector};
 
 /// One physical device: its antenna, its predefined codebook and how it is
 /// currently mounted.
@@ -48,6 +60,18 @@ impl Device {
     pub fn gain_towards_world(&self, weights: &WeightVector, world: &geom::Direction) -> f64 {
         let dev = self.orientation.world_to_device(world);
         self.array.gain_dbi(weights, &dev)
+    }
+
+    /// The excitation of sector `id`.
+    ///
+    /// # Panics
+    /// Panics if the codebook has no such sector.
+    pub fn sector_weights(&self, id: SectorId) -> &WeightVector {
+        &self
+            .codebook
+            .get(id)
+            .expect("transmit sector must exist in the codebook")
+            .weights
     }
 }
 
@@ -82,6 +106,40 @@ impl Link {
         }
     }
 
+    /// Plans probes from `tx` to `rx` at the devices' current orientations,
+    /// with `rx` listening on its quasi-omni receive sector (as every SSW
+    /// probe is received).
+    pub fn plan<'a>(&'a self, tx: &'a Device, rx: &Device) -> ProbePlan<'a> {
+        self.plan_with_rx(tx, rx, &rx.codebook.rx_sector().weights)
+    }
+
+    /// Plans probes from `tx` to `rx`, with `rx` listening on `rx_weights`.
+    pub fn plan_with_rx<'a>(
+        &'a self,
+        tx: &'a Device,
+        rx: &Device,
+        rx_weights: &WeightVector,
+    ) -> ProbePlan<'a> {
+        let rays = self
+            .environment
+            .rays
+            .iter()
+            .map(|ray| PlannedRay {
+                tx: tx
+                    .array
+                    .direction_terms(&tx.orientation.world_to_device(&ray.depart_world)),
+                rx_gain_dbi: rx.gain_towards_world(rx_weights, &ray.arrive_world),
+                loss_db: ray.total_loss_db(&self.budget),
+            })
+            .collect();
+        ProbePlan {
+            link: self,
+            tx,
+            tx_factors: tx.array.element_factors(),
+            rays,
+        }
+    }
+
     /// True received power in dBm at `rx` when `tx` transmits with
     /// `tx_weights` and `rx` listens with `rx_weights`.
     pub fn rx_power_dbm(
@@ -91,20 +149,8 @@ impl Link {
         rx: &Device,
         rx_weights: &WeightVector,
     ) -> f64 {
-        let mut total_mw = 0.0;
-        for ray in &self.environment.rays {
-            let g_tx = tx.gain_towards_world(tx_weights, &ray.depart_world);
-            let g_rx = rx.gain_towards_world(rx_weights, &ray.arrive_world);
-            let p = self
-                .budget
-                .rx_power_dbm(g_tx, g_rx, ray.total_loss_db(&self.budget));
-            total_mw += db_to_linear(p);
-        }
-        if total_mw <= 0.0 {
-            -200.0
-        } else {
-            linear_to_db(total_mw)
-        }
+        self.plan_with_rx(tx, rx, rx_weights)
+            .rx_power_dbm(tx_weights)
     }
 
     /// True SNR in dB for a given sector pair (no measurement noise).
@@ -115,13 +161,7 @@ impl Link {
         rx: &Device,
         rx_weights: &WeightVector,
     ) -> f64 {
-        let tx_weights = &tx
-            .codebook
-            .get(tx_sector)
-            .expect("transmit sector must exist in the codebook")
-            .weights;
-        let p = self.rx_power_dbm(tx, tx_weights, rx, rx_weights);
-        self.budget.snr_db(p)
+        self.plan_with_rx(tx, rx, rx_weights).true_snr_db(tx_sector)
     }
 
     /// Simulates the reception of one SSW probe frame sent on `tx_sector`
@@ -133,15 +173,7 @@ impl Link {
         tx_sector: SectorId,
         rx: &Device,
     ) -> Option<Measurement> {
-        let rx_weights = &rx.codebook.rx_sector().weights;
-        let tx_weights = &tx
-            .codebook
-            .get(tx_sector)
-            .expect("transmit sector must exist in the codebook")
-            .weights;
-        let p = self.rx_power_dbm(tx, tx_weights, rx, rx_weights);
-        let snr = self.budget.snr_db(p);
-        self.model.report(rng, snr, p)
+        self.plan(tx, rx).probe(rng, tx.sector_weights(tx_sector))
     }
 
     /// Simulates one sector sweep over `sectors`, in order, producing the
@@ -153,11 +185,69 @@ impl Link {
         sectors: &[SectorId],
         rx: &Device,
     ) -> Vec<SweepReading> {
+        self.plan(tx, rx).sweep(rng, sectors)
+    }
+}
+
+/// The sector-independent part of the received power for one (link, tx,
+/// rx) geometry; see the module docs. Built by [`Link::plan`]; valid while
+/// neither device moves.
+#[derive(Debug, Clone)]
+pub struct ProbePlan<'a> {
+    link: &'a Link,
+    tx: &'a Device,
+    tx_factors: Vec<Complex>,
+    rays: Vec<PlannedRay>,
+}
+
+/// One environment ray, as seen by a planned geometry.
+#[derive(Debug, Clone)]
+struct PlannedRay {
+    tx: DirectionTerms,
+    rx_gain_dbi: f64,
+    loss_db: f64,
+}
+
+impl ProbePlan<'_> {
+    /// True received power in dBm when the transmitter uses `tx_weights`.
+    pub fn rx_power_dbm(&self, tx_weights: &WeightVector) -> f64 {
+        let mut total_mw = 0.0;
+        for ray in &self.rays {
+            let g_tx = ray.tx.gain_dbi(tx_weights, &self.tx_factors);
+            let p = self
+                .link
+                .budget
+                .rx_power_dbm(g_tx, ray.rx_gain_dbi, ray.loss_db);
+            total_mw += db_to_linear(p);
+        }
+        if total_mw <= 0.0 {
+            -200.0
+        } else {
+            linear_to_db(total_mw)
+        }
+    }
+
+    /// True SNR in dB of transmit sector `tx_sector` (no measurement noise).
+    pub fn true_snr_db(&self, tx_sector: SectorId) -> f64 {
+        let p = self.rx_power_dbm(self.tx.sector_weights(tx_sector));
+        self.link.budget.snr_db(p)
+    }
+
+    /// Simulates the reception of one SSW probe frame sent with
+    /// `tx_weights`.
+    pub fn probe<R: Rng>(&self, rng: &mut R, tx_weights: &WeightVector) -> Option<Measurement> {
+        let p = self.rx_power_dbm(tx_weights);
+        let snr = self.link.budget.snr_db(p);
+        self.link.model.report(rng, snr, p)
+    }
+
+    /// Simulates one sector sweep over `sectors`, in order.
+    pub fn sweep<R: Rng>(&self, rng: &mut R, sectors: &[SectorId]) -> Vec<SweepReading> {
         sectors
             .iter()
             .map(|&s| SweepReading {
                 sector: s,
-                measurement: self.probe(rng, tx, s, rx),
+                measurement: self.probe(rng, self.tx.sector_weights(s)),
             })
             .collect()
     }

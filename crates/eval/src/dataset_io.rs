@@ -179,6 +179,7 @@ mod tests {
 
     #[test]
     fn roundtrip_is_exact() {
+        let _guard = obs::testing::lock();
         let data = tiny_dataset();
         let text = to_text(&data);
         let back = from_text(&text).unwrap();
@@ -193,6 +194,7 @@ mod tests {
 
     #[test]
     fn reanalysis_on_reloaded_data_matches() {
+        let _guard = obs::testing::lock();
         // The Fig. 9 analysis must give identical numbers on the reloaded
         // dataset (the whole point of offline persistence).
         let mut s = EvalScenario::conference_room(Fidelity::Fast, 1201);
@@ -224,6 +226,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
+        let _guard = obs::testing::lock();
         let data = tiny_dataset();
         let dir = std::env::temp_dir().join("talon-dataset-test");
         std::fs::create_dir_all(&dir).unwrap();

@@ -262,12 +262,14 @@ mod tests {
 
     #[test]
     fn results_arrive_in_unit_order() {
+        let _guard = obs::testing::lock();
         let out = par_map(97, 4, || (), |_, i| i * 3);
         assert_eq!(out, (0..97).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn thread_count_does_not_change_results() {
+        let _guard = obs::testing::lock();
         let run = |threads| {
             par_map(
                 50,
@@ -286,6 +288,7 @@ mod tests {
 
     #[test]
     fn worker_state_is_per_thread() {
+        let _guard = obs::testing::lock();
         // Each worker counts its own units; the sum covers every unit once.
         let counts: Vec<usize> = par_map(
             1000,
@@ -301,6 +304,7 @@ mod tests {
 
     #[test]
     fn batched_boundaries_are_thread_invariant() {
+        let _guard = obs::testing::lock();
         // Each unit records which batch it ran in; the grouping must be a
         // pure function of (n_units, batch), not of the thread count.
         let run = |threads| {
@@ -326,6 +330,7 @@ mod tests {
 
     #[test]
     fn batched_handles_ragged_tail_and_zero() {
+        let _guard = obs::testing::lock();
         let out = par_map_batched(10, 4, 3, || (), |_, r| r.map(|i| i * 2).collect());
         assert_eq!(out, (0..10).map(|i| i * 2).collect::<Vec<_>>());
         let empty: Vec<u8> = par_map_batched(0, 4, 3, || (), |_, r| r.map(|_| 0).collect());
@@ -334,6 +339,7 @@ mod tests {
 
     #[test]
     fn workers_publish_scheduler_telemetry() {
+        let _guard = obs::testing::lock();
         par_map(64, 2, || (), |_, i| i);
         let snap = obs::global().snapshot();
         for k in ["0", "1"] {
@@ -371,12 +377,14 @@ mod tests {
 
     #[test]
     fn zero_units_is_fine() {
+        let _guard = obs::testing::lock();
         let out: Vec<u8> = par_map(0, 8, || (), |_, _| 0);
         assert!(out.is_empty());
     }
 
     #[test]
     fn env_override_clamps_to_one() {
+        let _guard = obs::testing::lock();
         // Can't set the env var safely in-process (tests run threaded), but
         // the clamp logic is exercised through par_map's threads argument.
         let out = par_map(5, 0, || (), |_, i| i);

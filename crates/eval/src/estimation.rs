@@ -183,6 +183,7 @@ mod tests {
 
     #[test]
     fn error_decreases_with_more_probes_in_lab() {
+        let _guard = obs::testing::lock();
         let res = run(EvalScenario::lab, 101);
         assert_eq!(res.rows.len(), 3);
         let med_6 = res.rows[0].azimuth.median;
@@ -195,6 +196,7 @@ mod tests {
 
     #[test]
     fn many_probes_give_small_azimuth_error() {
+        let _guard = obs::testing::lock();
         let res = run(EvalScenario::lab, 102);
         let full = res.rows.last().unwrap();
         assert!(
@@ -206,6 +208,7 @@ mod tests {
 
     #[test]
     fn conference_room_errors_are_finite_and_ordered() {
+        let _guard = obs::testing::lock();
         let res = run(EvalScenario::conference_room, 103);
         for row in &res.rows {
             assert!(row.azimuth.p005 <= row.azimuth.median);
@@ -217,6 +220,7 @@ mod tests {
 
     #[test]
     fn elevation_error_bounded_by_grid_when_untilted() {
+        let _guard = obs::testing::lock();
         // The conference-room evaluation keeps elevation at 0; estimates on
         // the measured grid can wander but errors stay within the pattern
         // grid's elevation extent.

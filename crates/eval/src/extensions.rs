@@ -54,6 +54,7 @@ mod tests {
 
     #[test]
     fn both_extension_experiments_run_and_favour_css() {
+        let _guard = obs::testing::lock();
         let s = EvalScenario::conference_room(Fidelity::Fast, 1100);
         let dense_cfg = DenseConfig {
             pair_counts: vec![4, 32],

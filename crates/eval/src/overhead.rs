@@ -80,6 +80,7 @@ mod tests {
 
     #[test]
     fn model_and_simulation_agree() {
+        let _guard = obs::testing::lock();
         let res = training_time(&[6, 14, 22, 34], 1);
         for ((m1, t_model), (m2, t_sim)) in res.model.iter().zip(&res.simulated) {
             assert_eq!(m1, m2);
@@ -92,6 +93,7 @@ mod tests {
 
     #[test]
     fn paper_anchor_points() {
+        let _guard = obs::testing::lock();
         let res = training_time(&[14, 34], 2);
         assert!((res.ssw_ms - 1.2731).abs() < 1e-6);
         assert!((res.css14_ms - 0.5531).abs() < 1e-6);
@@ -104,6 +106,7 @@ mod tests {
 
     #[test]
     fn time_is_linear_in_probes() {
+        let _guard = obs::testing::lock();
         let res = training_time(&[10, 20, 30], 3);
         let t10 = res.model[0].1;
         let t20 = res.model[1].1;

@@ -146,6 +146,7 @@ mod tests {
 
     #[test]
     fn campaign_covers_all_sectors_plus_rx() {
+        let _guard = obs::testing::lock();
         let res = fast_result();
         assert_eq!(res.tx_patterns.len(), 34);
         assert_eq!(res.rx_pattern.grid, *res.tx_patterns.grid());
@@ -153,6 +154,7 @@ mod tests {
 
     #[test]
     fn classification_finds_the_paper_trait_mix() {
+        let _guard = obs::testing::lock();
         let res = fast_result();
         let summary = classify(&res.tx_patterns);
         assert_eq!(summary.len(), 34);
@@ -178,6 +180,7 @@ mod tests {
 
     #[test]
     fn csv_series_is_well_formed() {
+        let _guard = obs::testing::lock();
         let res = fast_result();
         let csv = azimuth_cut_csv(&res.tx_patterns, SectorId(8)).unwrap();
         let lines: Vec<&str> = csv.lines().collect();

@@ -470,8 +470,12 @@ mod tests {
     use geom::rng::sub_rng;
     use talon_channel::{Device, Environment, Link, Orientation};
 
+    // Every test in this crate that runs the pipeline holds
+    // `obs::testing::lock()`, so no other test's events reach the
+    // process-global sink these recordings install.
+
     /// Records a handful of decisions against lab-scenario patterns and
-    /// returns (trace, patterns).
+    /// returns (trace, patterns). The caller holds `obs::testing::lock()`.
     fn recorded_trace(n_sweeps: usize) -> (Trace, SectorPatterns) {
         recorded_trace_with(n_sweeps, EstimatorOptions::default())
     }
@@ -479,7 +483,6 @@ mod tests {
     /// [`recorded_trace`] with explicit estimator options (in particular a
     /// non-default kernel path).
     fn recorded_trace_with(n_sweeps: usize, options: EstimatorOptions) -> (Trace, SectorPatterns) {
-        let _guard = obs::testing::lock();
         let scenario = EvalScenario::lab(Fidelity::Fast, 7);
         let patterns = scenario.patterns.clone();
         let mut css = CompressiveSelection::new(patterns.clone(), CssConfig::paper_default(), 3);
@@ -522,6 +525,7 @@ mod tests {
 
     #[test]
     fn replay_is_bit_exact_at_any_thread_count() {
+        let _guard = obs::testing::lock();
         let (trace, patterns) = recorded_trace(6);
         let mut reference: Option<ReplayReport> = None;
         for threads in [1usize, 2, 8] {
@@ -554,6 +558,7 @@ mod tests {
 
     #[test]
     fn replay_rebuilds_patterns_from_the_context_string() {
+        let _guard = obs::testing::lock();
         let (trace, _) = recorded_trace(2);
         // No override: replay must reconstruct the lab scenario's pattern
         // database from `scenario=lab,fidelity=fast,seed=7` alone.
@@ -565,6 +570,7 @@ mod tests {
 
     #[test]
     fn perturbed_inputs_are_reported_as_divergences() {
+        let _guard = obs::testing::lock();
         let (trace, patterns) = recorded_trace(4);
         let report = replay_trace(
             &trace,
@@ -585,6 +591,7 @@ mod tests {
 
     #[test]
     fn wrong_patterns_fail_the_digest_check_without_comparing() {
+        let _guard = obs::testing::lock();
         let (trace, _) = recorded_trace(2);
         let other = EvalScenario::lab(Fidelity::Fast, 99).patterns;
         let report = replay_trace(
@@ -605,6 +612,7 @@ mod tests {
 
     #[test]
     fn non_replayable_records_are_skipped() {
+        let _guard = obs::testing::lock();
         let mut rec = DecisionRecord::new("sls.iss");
         rec.push_probe(3, Some((10.0, -60.0)));
         let trace = Trace {
@@ -622,6 +630,7 @@ mod tests {
 
     #[test]
     fn quantized_records_replay_through_their_recorded_kernel_path() {
+        let _guard = obs::testing::lock();
         // Decisions made on the f32 / q15 paths stamp that path into the
         // record; replay re-executes the *same* path, so reproduction is
         // bit-exact even though the path itself is only equivalent to the
@@ -659,6 +668,7 @@ mod tests {
 
     #[test]
     fn unknown_kernel_path_is_skipped_not_guessed() {
+        let _guard = obs::testing::lock();
         // A record stamped by a future kernel path must not be silently
         // replayed through some other arithmetic: it is counted as
         // non-replayable instead.

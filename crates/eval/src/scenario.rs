@@ -129,28 +129,21 @@ impl EvalScenario {
         let mut rng = sub_rng(seed, "scenario-record");
         let mut head = RotationHead::paper_setup(seed);
         let sweep_order = self.dut.codebook.sweep_order();
-        let rx_weights = self.fixed.codebook.rx_sector().weights.clone();
         let mut positions = Vec::with_capacity(self.eval_grid.len());
         for (_, truth) in self.eval_grid.iter() {
             head.set_tilt(-truth.el_deg);
             head.set_azimuth(-truth.az_deg);
             self.dut.orientation = head.realized_orientation();
+            // One plan per orientation serves the reference and the sweeps
+            // (both receive on the fixed device's quasi-omni sector).
+            let plan = self.link.plan(&self.dut, &self.fixed);
             // Noise-free reference SNR per sector at this orientation.
             let true_snr: Vec<(SectorId, f64)> = sweep_order
                 .iter()
-                .map(|&s| {
-                    (
-                        s,
-                        self.link
-                            .true_snr_db(&self.dut, s, &self.fixed, &rx_weights),
-                    )
-                })
+                .map(|&s| (s, plan.true_snr_db(s)))
                 .collect();
             let sweeps: Vec<Vec<SweepReading>> = (0..self.sweeps_per_position)
-                .map(|_| {
-                    self.link
-                        .sweep(&mut rng, &self.dut, &sweep_order, &self.fixed)
-                })
+                .map(|_| plan.sweep(&mut rng, &sweep_order))
                 .collect();
             positions.push(RecordedPosition {
                 truth,
@@ -217,6 +210,7 @@ mod tests {
 
     #[test]
     fn fast_lab_scenario_records_expected_shape() {
+        let _guard = obs::testing::lock();
         let mut s = EvalScenario::lab(Fidelity::Fast, 77);
         let data = s.record(77);
         assert_eq!(data.scenario, "lab");
@@ -229,6 +223,7 @@ mod tests {
 
     #[test]
     fn optimal_sector_has_max_true_snr() {
+        let _guard = obs::testing::lock();
         let mut s = EvalScenario::conference_room(Fidelity::Fast, 78);
         let data = s.record(78);
         for p in &data.positions {
@@ -242,6 +237,7 @@ mod tests {
 
     #[test]
     fn frontal_positions_have_usable_link() {
+        let _guard = obs::testing::lock();
         let mut s = EvalScenario::lab(Fidelity::Fast, 79);
         let data = s.record(79);
         // At broadside-ish truth directions the best sector must be strong.
@@ -255,6 +251,7 @@ mod tests {
 
     #[test]
     fn random_subset_draws_m_readings() {
+        let _guard = obs::testing::lock();
         let mut s = EvalScenario::conference_room(Fidelity::Fast, 80);
         let data = s.record(80);
         let sweep = &data.positions[0].sweeps[0];
@@ -269,6 +266,7 @@ mod tests {
 
     #[test]
     fn recording_is_deterministic_per_seed() {
+        let _guard = obs::testing::lock();
         let mut a = EvalScenario::conference_room(Fidelity::Fast, 81);
         let mut b = EvalScenario::conference_room(Fidelity::Fast, 81);
         let da = a.record(5);

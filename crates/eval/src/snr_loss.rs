@@ -147,6 +147,7 @@ mod tests {
 
     #[test]
     fn losses_are_nonnegative() {
+        let _guard = obs::testing::lock();
         let res = run(301);
         assert!(res.ssw_loss_db >= 0.0, "SSW loss {}", res.ssw_loss_db);
         for &(m, l) in &res.css {
@@ -156,6 +157,7 @@ mod tests {
 
     #[test]
     fn ssw_loss_is_small() {
+        let _guard = obs::testing::lock();
         // The stock sweep probes everything; only report noise can mislead
         // it, so its loss must stay around the paper's ≈0.5 dB mark.
         let res = run(302);
@@ -164,6 +166,7 @@ mod tests {
 
     #[test]
     fn css_loss_shrinks_with_probe_count() {
+        let _guard = obs::testing::lock();
         let res = run(303);
         let l4 = res.css[0].1;
         let l30 = res.css[2].1;
@@ -172,6 +175,7 @@ mod tests {
 
     #[test]
     fn css_with_many_probes_is_competitive() {
+        let _guard = obs::testing::lock();
         let res = run(304);
         let l30 = res.css[2].1;
         assert!(

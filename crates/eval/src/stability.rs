@@ -146,6 +146,7 @@ mod tests {
 
     #[test]
     fn stabilities_are_probabilities() {
+        let _guard = obs::testing::lock();
         let res = run(201);
         assert!((0.0..=1.0).contains(&res.ssw_stability));
         for &(_, s) in &res.css {
@@ -155,6 +156,7 @@ mod tests {
 
     #[test]
     fn ssw_is_not_perfectly_stable() {
+        let _guard = obs::testing::lock();
         // Measurement noise makes the stock argmax alternate between
         // similar sectors — the very effect the paper quantifies at 73.9 %.
         let res = run(202);
@@ -168,6 +170,7 @@ mod tests {
 
     #[test]
     fn css_stability_grows_with_probe_count() {
+        let _guard = obs::testing::lock();
         let res = run(203);
         let s4 = res.css[0].1;
         let s30 = res.css[2].1;
@@ -179,6 +182,7 @@ mod tests {
 
     #[test]
     fn css_with_many_probes_beats_ssw() {
+        let _guard = obs::testing::lock();
         let res = run(204);
         let s30 = res.css[2].1;
         assert!(

@@ -82,6 +82,7 @@ mod tests {
 
     #[test]
     fn captured_table_matches_ground_truth_schedules() {
+        let _guard = obs::testing::lock();
         let res = capture_table1(80, 7);
         let beacon = BurstSchedule::talon_beacon();
         let sweep = BurstSchedule::talon_sweep();
@@ -117,6 +118,7 @@ mod tests {
 
     #[test]
     fn capture_has_realistic_miss_rate() {
+        let _guard = obs::testing::lock();
         let res = capture_table1(40, 8);
         assert!(res.frames_captured > 0);
         assert!(res.frames_missed > 0, "weak sectors drop frames");

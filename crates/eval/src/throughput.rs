@@ -141,6 +141,7 @@ mod tests {
 
     #[test]
     fn throughput_rows_cover_requested_azimuths() {
+        let _guard = obs::testing::lock();
         let mut s = EvalScenario::conference_room(Fidelity::Fast, 401);
         let data = s.record(401);
         let res = throughput(
@@ -170,6 +171,7 @@ mod tests {
 
     #[test]
     fn css_throughput_is_competitive_with_ssw() {
+        let _guard = obs::testing::lock();
         let mut s = EvalScenario::conference_room(Fidelity::Fast, 402);
         s.sweeps_per_position = 10;
         let data = s.record(402);

@@ -15,8 +15,13 @@ use eval::stability::selection_stability_par;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
+// Every test holds `obs::testing::lock()`: the trace tests install a
+// process-global sink, and any other test emitting at the same time would
+// leak its events into their capture.
+
 #[test]
 fn estimation_error_is_thread_count_invariant() {
+    let _guard = obs::testing::lock();
     let mut s = EvalScenario::conference_room(Fidelity::Fast, 901);
     let data = s.record(901);
     let renders: Vec<String> = THREAD_COUNTS
@@ -34,6 +39,7 @@ fn estimation_error_is_thread_count_invariant() {
 
 #[test]
 fn batched_estimation_is_thread_count_invariant_per_precision_mode() {
+    let _guard = obs::testing::lock();
     // The batched sweep groups EVAL_BATCH consecutive units per
     // BatchEstimator call; batch boundaries depend only on the unit
     // count, never on the thread count, so even the reduced-precision
@@ -59,6 +65,7 @@ fn batched_estimation_is_thread_count_invariant_per_precision_mode() {
 
 #[test]
 fn snr_loss_is_thread_count_invariant() {
+    let _guard = obs::testing::lock();
     let mut s = EvalScenario::conference_room(Fidelity::Fast, 902);
     let data = s.record(902);
     let renders: Vec<String> = THREAD_COUNTS
@@ -71,6 +78,7 @@ fn snr_loss_is_thread_count_invariant() {
 
 #[test]
 fn selection_stability_is_thread_count_invariant() {
+    let _guard = obs::testing::lock();
     let mut s = EvalScenario::conference_room(Fidelity::Fast, 903);
     let data = s.record(903);
     let renders: Vec<String> = THREAD_COUNTS
@@ -87,11 +95,10 @@ fn selection_stability_is_thread_count_invariant() {
 }
 
 /// Captures every trace event emitted during one `estimation_error_par`
-/// run at the given thread count.
+/// run at the given thread count. The caller holds `obs::testing::lock()`.
 fn capture_eval_trace(threads: usize) -> Vec<obs::Event> {
     let mut s = EvalScenario::conference_room(Fidelity::Fast, 904);
     let data = s.record(904);
-    let _guard = obs::testing::lock();
     let mem = std::sync::Arc::new(obs::MemorySink::new());
     obs::set_sink(mem.clone());
     let _ = estimation_error_par(&data, &s.patterns, &[6, 14], 2, 904, threads);
@@ -101,6 +108,7 @@ fn capture_eval_trace(threads: usize) -> Vec<obs::Event> {
 
 #[test]
 fn eval_traces_are_structurally_thread_count_invariant() {
+    let _guard = obs::testing::lock();
     // Not just results: the *trace* of a parallel eval must be the same
     // tree regardless of worker count. Each work unit gets a reserved
     // trace id on the coordinating thread and its events are captured
@@ -126,6 +134,7 @@ fn eval_traces_are_structurally_thread_count_invariant() {
 
 #[test]
 fn profiling_does_not_perturb_results_or_traces() {
+    let _guard = obs::testing::lock();
     // The sampling profiler must be workload-inert: with a fast sampler
     // running (publishing every span push/pop into the per-thread slots
     // and sampling concurrently), results AND trace structure stay
@@ -179,6 +188,7 @@ fn profiling_does_not_perturb_results_or_traces() {
 
 #[test]
 fn eval_units_root_their_own_traces() {
+    let _guard = obs::testing::lock();
     let events = capture_eval_trace(4);
     let trees = obs::tree::build_trees(&events);
     assert!(!trees.is_empty());

@@ -75,6 +75,8 @@ pub fn associate<R: Rng>(
     let abft = AbftConfig::default();
     let max_intervals = 16;
 
+    // Neither device moves during association: one plan per direction.
+    let bti_plan = link.plan(ap, sta);
     for _ in 0..max_intervals {
         // --- BTI: the AP beacons over its schedule; the station listens
         // quasi-omni and records what decodes.
@@ -84,7 +86,7 @@ pub fn associate<R: Rng>(
             let sector = beacon.frame.ssw.sector_id;
             readings.push(SweepReading {
                 sector,
-                measurement: link.probe(rng, ap, sector, sta),
+                measurement: bti_plan.probe(rng, ap.sector_weights(sector)),
             });
         }
         let decoded = readings.iter().filter(|r| r.measurement.is_some()).count();

@@ -53,9 +53,10 @@ impl MonitorCapture {
         monitor: &Device,
         schedule: &BurstSchedule,
     ) {
+        let plan = link.plan(tx, monitor);
         for (cdown, sector) in schedule.transmissions() {
             // Physical reception at the monitor.
-            if link.probe(rng, tx, sector, monitor).is_none() {
+            if plan.probe(rng, tx.sector_weights(sector)).is_none() {
                 self.frames_missed += 1;
                 continue;
             }

@@ -20,7 +20,7 @@ use crate::schedule::BurstSchedule;
 use crate::timing::{SimDuration, SimTime, SLS_OVERHEAD, SSW_FRAME_TIME};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use talon_array::SectorId;
+use talon_array::{SectorId, WeightVector};
 use talon_channel::{Device, Link, SweepReading};
 
 /// Chooses sectors from sweep measurements and decides what to probe.
@@ -140,11 +140,15 @@ impl<'a> SlsRunner<'a> {
         let mut frames = Vec::new();
 
         // --- Initiator Sector Sweep (ISS) -------------------------------
+        // Nothing moves during a sweep half, so its probes share one plan,
+        // and each probed sector's weights are looked up once.
         let full_i = self.initiator.codebook.sweep_order();
         let iss_sectors = initiator_policy.probe_sectors(&full_i);
         let iss_schedule = BurstSchedule::custom_sweep(&iss_sectors);
+        let iss_plan = self.link.plan(self.initiator, self.responder);
+        let iss_weights = sector_weights(self.initiator, &iss_sectors);
         let mut iss_readings = Vec::with_capacity(iss_sectors.len());
-        for (cdown, sector) in iss_schedule.transmissions() {
+        for ((cdown, sector), weights) in iss_schedule.transmissions().zip(iss_weights) {
             let frame = Frame::Ssw(SswFrame {
                 ra: self.config.responder_addr,
                 ta: self.config.initiator_addr,
@@ -168,7 +172,7 @@ impl<'a> SlsRunner<'a> {
             // The responder's firmware measures the received probe.
             iss_readings.push(SweepReading {
                 sector,
-                measurement: self.link.probe(rng, self.initiator, sector, self.responder),
+                measurement: iss_plan.probe(rng, weights),
             });
         }
 
@@ -184,8 +188,10 @@ impl<'a> SlsRunner<'a> {
         let full_r = self.responder.codebook.sweep_order();
         let rss_sectors = responder_policy.probe_sectors(&full_r);
         let rss_schedule = BurstSchedule::custom_sweep(&rss_sectors);
+        let rss_plan = self.link.plan(self.responder, self.initiator);
+        let rss_weights = sector_weights(self.responder, &rss_sectors);
         let mut rss_readings = Vec::with_capacity(rss_sectors.len());
-        for (cdown, sector) in rss_schedule.transmissions() {
+        for ((cdown, sector), weights) in rss_schedule.transmissions().zip(rss_weights) {
             let frame = Frame::Ssw(SswFrame {
                 ra: self.config.initiator_addr,
                 ta: self.config.responder_addr,
@@ -202,7 +208,7 @@ impl<'a> SlsRunner<'a> {
             now += SSW_FRAME_TIME;
             rss_readings.push(SweepReading {
                 sector,
-                measurement: self.link.probe(rng, self.responder, sector, self.initiator),
+                measurement: rss_plan.probe(rng, weights),
             });
         }
 
@@ -251,6 +257,12 @@ impl<'a> SlsRunner<'a> {
             duration: now.since(SimTime::ZERO),
         }
     }
+}
+
+/// The weights of every sector in `sectors`, in order (a custom sweep
+/// transmits exactly these, in this order).
+fn sector_weights<'d>(device: &'d Device, sectors: &[SectorId]) -> Vec<&'d WeightVector> {
+    sectors.iter().map(|&s| device.sector_weights(s)).collect()
 }
 
 /// Emits the provenance record of one sweep-level selection: which sectors
@@ -327,6 +339,8 @@ mod tests {
     use geom::rng::sub_rng;
     use talon_channel::Environment;
 
+    // Every test that runs an SLS holds `obs::testing::lock()`: a run
+    // emits its sweep decisions into whatever sink another test installed.
     fn setup() -> (Link, Device, Device) {
         (
             Link::new(Environment::anechoic(3.0)),
@@ -337,6 +351,7 @@ mod tests {
 
     #[test]
     fn full_sweep_duration_matches_fig10() {
+        let _guard = obs::testing::lock();
         let (link, ini, res) = setup();
         let runner = SlsRunner::new(&link, &ini, &res);
         let mut rng = sub_rng(1, "sls");
@@ -349,6 +364,7 @@ mod tests {
 
     #[test]
     fn outcome_selects_usable_sectors() {
+        let _guard = obs::testing::lock();
         let (link, ini, res) = setup();
         let runner = SlsRunner::new(&link, &ini, &res);
         let mut rng = sub_rng(2, "sls");
@@ -366,6 +382,7 @@ mod tests {
 
     #[test]
     fn frame_transcript_is_well_formed() {
+        let _guard = obs::testing::lock();
         let (link, ini, res) = setup();
         let runner = SlsRunner::new(&link, &ini, &res);
         let mut rng = sub_rng(3, "sls");
@@ -387,6 +404,7 @@ mod tests {
 
     #[test]
     fn rss_frames_echo_the_initiator_selection() {
+        let _guard = obs::testing::lock();
         let (link, ini, res) = setup();
         let runner = SlsRunner::new(&link, &ini, &res);
         let mut rng = sub_rng(4, "sls");
@@ -403,6 +421,7 @@ mod tests {
 
     #[test]
     fn subset_probing_policy_shortens_training() {
+        let _guard = obs::testing::lock();
         struct Subset;
         impl FeedbackPolicy for Subset {
             fn probe_sectors(&mut self, full: &[SectorId]) -> Vec<SectorId> {

@@ -33,6 +33,11 @@
 //! point of sampling); and a span that was already open when the profiler
 //! started is invisible until the next span starts under it, because only
 //! spans started while profiling publish frames.
+//!
+//! Spans may be dropped out of LIFO order. Each span remembers the stack
+//! index it was pushed at and pops exactly that frame: a frame below the
+//! top becomes a tombstone the sampler skips, and popping the top also
+//! drops the tombstones directly beneath it.
 
 use crate::metrics::Counter;
 use parking_lot::Mutex;
@@ -49,6 +54,10 @@ pub const MAX_FRAMES: usize = 32;
 
 /// Bounded seqlock read retries before a sample is abandoned as torn.
 const TORN_RETRIES: usize = 8;
+
+/// Frame value of a span popped while spans above it were still open.
+/// Interned ids are dense from 0, so no stage ever gets this id.
+const BURIED: u32 = u32::MAX;
 
 /// Profilers currently running. The publish gate: spans publish while this
 /// is non-zero. A count (not a bool) so overlapping profilers compose.
@@ -138,10 +147,10 @@ impl SpanSlot {
         gen
     }
 
-    /// Owner-side push. Relaxed data stores are safe: each frame is a
-    /// single atomic word, and the generation protocol orders them
-    /// against the sampler's reads.
-    fn push(&self, id: u32) {
+    /// Owner-side push; returns the index the frame was pushed at.
+    /// Relaxed data stores are safe: each frame is a single atomic word,
+    /// and the generation protocol orders them against the sampler's reads.
+    fn push(&self, id: u32) -> usize {
         let depth = self.depth.load(Ordering::Relaxed);
         let gen = self.write_begin();
         if depth < MAX_FRAMES {
@@ -151,18 +160,20 @@ impl SpanSlot {
         }
         self.depth.store(depth + 1, Ordering::Relaxed);
         self.generation.store(gen + 2, Ordering::Release);
+        depth
     }
 
-    /// Owner-side pop. Tolerates pops past empty (a span that started
-    /// before the profiler did does not publish, so it must not unpublish
-    /// either — the caller tracks that with [`handle_push`]'s return).
-    fn pop(&self) {
-        let depth = self.depth.load(Ordering::Relaxed);
-        if depth == 0 {
-            return;
-        }
+    /// Owner-side: marks the in-window frame at `index` as popped.
+    fn bury(&self, index: usize) {
         let gen = self.write_begin();
-        self.depth.store(depth - 1, Ordering::Relaxed);
+        self.frames[index].store(BURIED, Ordering::Relaxed);
+        self.generation.store(gen + 2, Ordering::Release);
+    }
+
+    /// Owner-side: shrinks the stack to `depth` frames.
+    fn truncate(&self, depth: usize) {
+        let gen = self.write_begin();
+        self.depth.store(depth, Ordering::Relaxed);
         self.generation.store(gen + 2, Ordering::Release);
     }
 
@@ -177,8 +188,13 @@ impl SpanSlot {
                 continue;
             }
             let depth = self.depth.load(Ordering::Relaxed).min(MAX_FRAMES);
-            for (i, frame) in out.frames.iter_mut().enumerate().take(depth) {
-                *frame = self.frames[i].load(Ordering::Relaxed);
+            let mut live = 0;
+            for frame in &self.frames[..depth] {
+                let id = frame.load(Ordering::Relaxed);
+                if id != BURIED {
+                    out.frames[live] = id;
+                    live += 1;
+                }
             }
             // Acquire fence before re-reading the generation: if any data
             // read above saw a write the owner made after its release
@@ -186,8 +202,8 @@ impl SpanSlot {
             std::sync::atomic::fence(Ordering::Acquire);
             let after = self.generation.load(Ordering::Relaxed);
             if before == after {
-                out.depth = depth as u8;
-                return depth > 0;
+                out.depth = live as u8;
+                return live > 0;
             }
         }
         counters().torn.inc();
@@ -222,6 +238,9 @@ struct ThreadSlot {
     /// same stage — compared by pointer identity (`&'static str` literals
     /// are stable), skipping the map walk entirely.
     last: Option<(&'static str, u32)>,
+    /// Indices past the frame window whose span was popped while spans
+    /// above it were open (the window's own tombstones live in the slot).
+    buried_past_window: Vec<usize>,
 }
 
 impl ThreadSlot {
@@ -232,6 +251,7 @@ impl ThreadSlot {
             slot,
             stage_ids: BTreeMap::new(),
             last: None,
+            buried_past_window: Vec::new(),
         }
     }
 
@@ -252,6 +272,44 @@ impl ThreadSlot {
         self.last = Some((stage, id));
         id
     }
+
+    /// Pops the frame pushed at `index`. Below the top it becomes a
+    /// tombstone; at the top, the stack shrinks past it and every
+    /// tombstone directly beneath it. An index at or past the current
+    /// depth has nothing left to pop.
+    fn pop(&mut self, index: usize) {
+        let depth = self.slot.depth.load(Ordering::Relaxed);
+        if index >= depth {
+            return;
+        }
+        if index + 1 < depth {
+            if index < MAX_FRAMES {
+                self.slot.bury(index);
+            } else {
+                self.buried_past_window.push(index);
+            }
+            return;
+        }
+        let mut top = index;
+        while top > 0 && self.unbury(top - 1) {
+            top -= 1;
+        }
+        self.slot.truncate(top);
+    }
+
+    /// Whether the frame at `index` is a tombstone, forgetting it if so.
+    fn unbury(&mut self, index: usize) -> bool {
+        if index < MAX_FRAMES {
+            return self.slot.frames[index].load(Ordering::Relaxed) == BURIED;
+        }
+        match self.buried_past_window.iter().position(|&i| i == index) {
+            Some(k) => {
+                self.buried_past_window.swap_remove(k);
+                true
+            }
+            None => false,
+        }
+    }
 }
 
 impl Drop for ThreadSlot {
@@ -265,34 +323,33 @@ thread_local! {
 }
 
 /// Span-start hook: publishes `stage` onto this thread's slot when a
-/// profiler is running. Returns whether a frame was pushed — the span
-/// must call [`handle_pop`] on drop iff this returned `true`, so spans
-/// that straddle profiler start/stop stay balanced.
+/// profiler is running. Returns the stack index of the pushed frame — the
+/// span must call [`handle_pop`] with it on drop iff this returned
+/// `Some`, so spans that straddle profiler start/stop stay balanced.
 #[inline]
-pub(crate) fn handle_push(stage: &'static str) -> bool {
+pub(crate) fn handle_push(stage: &'static str) -> Option<usize> {
     if !enabled() {
-        return false;
+        return None;
     }
-    publish_push(stage)
+    Some(publish_push(stage))
 }
 
 /// The out-of-line publish body (kept separate so the disabled path stays
 /// a load + branch).
-fn publish_push(stage: &'static str) -> bool {
+fn publish_push(stage: &'static str) -> usize {
     THREAD_SLOT.with(|cell| {
         let mut cell = cell.borrow_mut();
         let ts = cell.get_or_insert_with(ThreadSlot::register);
         let id = ts.stage_id(stage);
-        ts.slot.push(id);
-        true
+        ts.slot.push(id)
     })
 }
 
-/// Span-drop hook paired with a [`handle_push`] that returned `true`.
-pub(crate) fn handle_pop() {
+/// Span-drop hook: pops the frame [`handle_push`] pushed at `index`.
+pub(crate) fn handle_pop(index: usize) {
     THREAD_SLOT.with(|cell| {
-        if let Some(ts) = cell.borrow_mut().as_ref() {
-            ts.slot.pop();
+        if let Some(ts) = cell.borrow_mut().as_mut() {
+            ts.pop(index);
         }
     });
 }
@@ -371,6 +428,7 @@ struct ProfilerState {
 impl Profiler {
     /// Starts profiling: enables the publish gate and spawns a sampler
     /// thread walking the slots every `period` (clamped to ≥ 10 µs).
+    /// Returns once that thread is running.
     pub fn start(period: Duration) -> Profiler {
         ACTIVE_PROFILERS.fetch_add(1, Ordering::Relaxed);
         let period = period.max(Duration::from_micros(10));
@@ -380,9 +438,11 @@ impl Profiler {
         let stop = Arc::new(AtomicBool::new(false));
         let thread_state = Arc::clone(&state);
         let stop_flag = Arc::clone(&stop);
+        let (started, running) = std::sync::mpsc::channel();
         let thread = std::thread::Builder::new()
             .name("talon-prof".into())
             .spawn(move || {
+                started.send(()).ok();
                 // Sleep in bounded chunks so drop never waits out a long
                 // period, and long periods (idle profilers) stay cheap.
                 let chunk = period.min(Duration::from_millis(50));
@@ -397,6 +457,9 @@ impl Profiler {
                 }
             })
             .expect("spawn profiler thread");
+        // Return only once the sampler runs, so the thread's start-up
+        // (which allocates) is over before the caller's next span.
+        running.recv().ok();
         Profiler {
             state,
             stop,
@@ -510,17 +573,31 @@ impl std::fmt::Debug for Profiler {
 mod tests {
     use super::*;
 
+    // Every test here starts a profiler and so moves the process-global
+    // publish gate: each holds `crate::testing::lock()` (as does every
+    // other test that starts one), so the gate test sees only its own.
+
     /// A long-period profiler whose thread never fires during a test;
     /// every sample is taken deterministically via `sample_now`.
     fn manual_profiler() -> Profiler {
         Profiler::start(Duration::from_secs(3600))
     }
 
+    /// This thread's published stack depth.
+    fn own_depth() -> usize {
+        THREAD_SLOT.with(|cell| {
+            cell.borrow()
+                .as_ref()
+                .map_or(0, |ts| ts.slot.depth.load(Ordering::Relaxed))
+        })
+    }
+
     #[test]
     fn publish_gate_is_off_by_default_and_tracks_profilers() {
-        // Other tests may hold a profiler; tolerate a racing gate but
-        // verify the nesting arithmetic against our own contribution.
+        let _guard = crate::testing::lock();
         let before = ACTIVE_PROFILERS.load(Ordering::Relaxed);
+        assert_eq!(before, 0, "no profiler outlives its test");
+        assert!(!enabled());
         let p1 = manual_profiler();
         let p2 = manual_profiler();
         assert!(enabled());
@@ -533,6 +610,7 @@ mod tests {
 
     #[test]
     fn sampler_sees_the_published_stack() {
+        let _guard = crate::testing::lock();
         let prof = manual_profiler();
         let _outer = crate::span("prof.test.outer");
         let _inner = crate::span("prof.test.inner");
@@ -548,6 +626,7 @@ mod tests {
 
     #[test]
     fn folded_since_reports_only_the_window() {
+        let _guard = crate::testing::lock();
         let prof = manual_profiler();
         {
             let _a = crate::span("prof.test.before");
@@ -576,6 +655,7 @@ mod tests {
 
     #[test]
     fn spans_open_across_profiler_start_do_not_corrupt_the_stack() {
+        let _guard = crate::testing::lock();
         // `outer` starts unprofiled, so its drop must not pop `inner`'s
         // frame (the push/pop pairing is tracked per span).
         let outer = crate::span("prof.test.straddle_outer");
@@ -596,6 +676,7 @@ mod tests {
 
     #[test]
     fn deep_stacks_truncate_without_corruption() {
+        let _guard = crate::testing::lock();
         let prof = manual_profiler();
         let spans: Vec<crate::Span> = (0..MAX_FRAMES + 4)
             .map(|_| crate::span("prof.test.deep"))
@@ -611,11 +692,53 @@ mod tests {
         assert!(deepest > 0, "deep stack not sampled at all: {folded:?}");
         drop(spans);
         // All pops balanced: the slot is empty again.
+        assert_eq!(own_depth(), 0);
         prof.sample_now();
     }
 
     #[test]
+    fn spans_dropped_out_of_order_pop_their_own_frames() {
+        let _guard = crate::testing::lock();
+        let prof = manual_profiler();
+        let a = crate::span("prof.test.fifo_a");
+        let b = crate::span("prof.test.fifo_b");
+        drop(a); // below the top: must not take `b`'s frame with it
+        let c = crate::span("prof.test.fifo_c");
+        prof.sample_now();
+        let folded = prof.folded();
+        assert!(
+            folded
+                .iter()
+                .any(|(path, _)| path.ends_with("prof.test.fifo_b;prof.test.fifo_c")),
+            "live frames lost or reordered: {folded:?}"
+        );
+        assert!(
+            folded.iter().all(|(path, _)| !path.contains("fifo_a")),
+            "a dropped span is still sampled: {folded:?}"
+        );
+        drop(b);
+        drop(c); // the top: unwinds through both tombstones
+        assert_eq!(own_depth(), 0);
+    }
+
+    #[test]
+    fn out_of_order_pops_past_the_window_stay_balanced() {
+        let _guard = crate::testing::lock();
+        let _prof = manual_profiler();
+        let mut spans: Vec<crate::Span> = (0..MAX_FRAMES + 4)
+            .map(|_| crate::span("prof.test.deep_fifo"))
+            .collect();
+        // Drop from the bottom up: every pop but the last is out of order,
+        // in the window and past it.
+        while !spans.is_empty() {
+            drop(spans.remove(0));
+        }
+        assert_eq!(own_depth(), 0);
+    }
+
+    #[test]
     fn sampler_thread_ticks_on_its_own() {
+        let _guard = crate::testing::lock();
         let prof = Profiler::start(Duration::from_millis(1));
         let _held = crate::span("prof.test.ticking");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -627,6 +750,7 @@ mod tests {
 
     #[test]
     fn dead_thread_slots_are_garbage_collected() {
+        let _guard = crate::testing::lock();
         let prof = manual_profiler();
         std::thread::spawn(|| {
             let _s = crate::span("prof.test.transient");

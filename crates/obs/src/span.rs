@@ -42,10 +42,11 @@ pub struct Span {
     start_us: u64,
     ids: Option<SpanIds>,
     fields: Option<BTreeMap<String, f64>>,
-    /// Whether this span published a profiler frame (see [`crate::prof`]);
-    /// only then does the drop pop one, so spans straddling profiler
-    /// start/stop stay balanced.
-    profiled: bool,
+    /// The stack index of the profiler frame this span published, if it
+    /// published one (see [`crate::prof`]); only then does the drop pop,
+    /// and it pops exactly that frame, so spans straddling profiler
+    /// start/stop or dropped out of LIFO order stay balanced.
+    profiled: Option<usize>,
 }
 
 impl Span {
@@ -85,8 +86,8 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.profiled {
-            prof::handle_pop();
+        if let Some(index) = self.profiled {
+            prof::handle_pop(index);
         }
         let dur_us = self.start.elapsed().as_micros() as u64;
         stage_histogram(self.stage).record(dur_us);

@@ -3,20 +3,26 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn talon() -> Command {
     Command::new(env!("CARGO_BIN_EXE_talon"))
 }
 
-fn workdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("talon-cli-test-{}", std::process::id()));
+/// A fresh scratch directory for one use: keyed by `name`, the process id
+/// and a per-process counter, so concurrently running tests never share
+/// (or delete) each other's files.
+fn workdir(name: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("talon-cli-{name}-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
 }
 
 #[test]
 fn full_cli_workflow() {
-    let dir = workdir();
+    let dir = workdir("full_cli_workflow");
     let patterns = dir.join("patterns.txt");
     let dataset = dir.join("dataset.txt");
     let brd = dir.join("codebook.brd");
@@ -148,7 +154,7 @@ fn top_fails_fast_with_one_clear_line_when_endpoint_is_unreachable() {
 
 #[test]
 fn report_json_counts_kernel_paths_across_decisions() {
-    let dir = workdir();
+    let dir = workdir("report_json_counts_kernel_paths_across_decisions");
     let trace = dir.join("kernel-paths.jsonl");
     let out = talon()
         .args([

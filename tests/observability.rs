@@ -16,6 +16,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn talon() -> Command {
     Command::new(env!("CARGO_BIN_EXE_talon"))
@@ -65,15 +66,20 @@ impl Drop for KillOnDrop {
     }
 }
 
-fn workdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("talon-obs-test-{}", std::process::id()));
+/// A fresh scratch directory for one use: keyed by `name`, the process id
+/// and a per-process counter, so concurrently running tests never share
+/// (or delete) each other's files.
+fn workdir(name: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("talon-obs-{name}-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
 }
 
 #[test]
 fn traced_session_builds_one_tree_and_valid_folded_stacks() {
-    let dir = workdir();
+    let dir = workdir("traced_session");
     let trace = dir.join("session.jsonl");
 
     // One compressive training with tracing on.
@@ -341,8 +347,7 @@ fn serve_answers_live_monitor_routes() {
 /// child)`; the thread collects the remaining stdout lines.
 fn spawn_drill(hold_ms: &str) -> (String, std::thread::JoinHandle<Vec<String>>, KillOnDrop) {
     // Flight dumps go to a scratch dir, not the test runner's cwd.
-    let flight_dir = workdir().join("drill-flight");
-    std::fs::create_dir_all(&flight_dir).expect("create flight dir");
+    let flight_dir = workdir("drill-flight");
     let child = talon()
         .args([
             "serve",
@@ -469,8 +474,7 @@ fn drill_exposes_labeled_per_link_series_and_links_rollup() {
 
 #[test]
 fn drill_flight_dump_replays_bit_exactly() {
-    let dir = workdir().join("flight-replay");
-    std::fs::create_dir_all(&dir).expect("create flight dir");
+    let dir = workdir("flight-replay");
 
     // Sessions run with the flight sink already installed, so their
     // decision records are in the ring when the drift alert fires and the
@@ -560,8 +564,7 @@ fn assert_valid_folded(text: &str) {
 
 #[test]
 fn profiled_drill_emits_folded_stacks_and_critical_path() {
-    let dir = workdir().join("profiled-drill");
-    std::fs::create_dir_all(&dir).expect("create dir");
+    let dir = workdir("profiled-drill");
     let trace = dir.join("drill.jsonl");
     let folded = dir.join("drill.folded");
 
@@ -802,8 +805,7 @@ fn injected_drift_flips_healthz_and_is_deterministic() {
     // Run 2: same flags, no polling — the printed alert transition
     // sequence must be byte-identical (the acceptance contract: the
     // pipeline is tick-driven, so wall-clock jitter cannot reorder it).
-    let flight_dir = workdir().join("drill-flight-run2");
-    std::fs::create_dir_all(&flight_dir).expect("create flight dir");
+    let flight_dir = workdir("drill-flight-run2");
     let out = talon()
         .args([
             "serve",
