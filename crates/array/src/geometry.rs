@@ -64,10 +64,19 @@ impl ArrayGeometry {
     ///
     /// `φ_i = k · (r_i · u)` with `k = 2π/λ`.
     pub fn phase_at(&self, i: usize, dir: &Direction) -> f64 {
+        self.phases_towards(dir)(i)
+    }
+
+    /// [`ArrayGeometry::phase_at`] for every element towards one
+    /// direction: computes `u` and `k` once, then the phase of element `i`
+    /// per call, with the same arithmetic.
+    pub(crate) fn phases_towards(&self, dir: &Direction) -> impl Fn(usize) -> f64 + '_ {
         let u = dir.unit_vector();
-        let r = self.positions[i];
         let k = 2.0 * std::f64::consts::PI / wavelength_m();
-        k * (r[0] * u[0] + r[1] * u[1] + r[2] * u[2])
+        move |i| {
+            let r = self.positions[i];
+            k * (r[0] * u[0] + r[1] * u[1] + r[2] * u[2])
+        }
     }
 }
 

@@ -33,9 +33,10 @@ pub struct GainPattern {
 impl GainPattern {
     /// Samples the ground-truth pattern of an excitation on the array.
     pub fn sample(array: &PhasedArray, weights: &WeightVector, grid: &SphericalGrid) -> Self {
+        let excitation = array.excitation(weights);
         let gain_db = grid
             .iter()
-            .map(|(_, dir)| array.gain_dbi(weights, &dir))
+            .map(|(_, dir)| array.excitation_gain_dbi(&excitation, &dir))
             .collect();
         GainPattern {
             grid: grid.clone(),

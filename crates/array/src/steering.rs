@@ -14,13 +14,18 @@
 //! phase at element `i`. Dividing by the feed power keeps gain comparisons
 //! fair between sectors that switch different numbers of elements on.
 //!
-//! Only `w_i` depends on the excitation. [`PhasedArray::element_factors`]
-//! (the `ε_i`) and [`PhasedArray::direction_terms`] (the `e^{jφ_i(dir)}`,
-//! `G_elem` and shadow towards one direction) precompute the rest, so a
-//! caller evaluating many sectors in one direction pays only the
-//! per-element multiply-accumulate per sector ([`DirectionTerms::gain_dbi`]).
-//! Both paths run the same loop over the same operands and agree bit for
-//! bit.
+//! Only `w_i` depends on the excitation, and `ε_i` only on the device.
+//! [`PhasedArray::excitation`] folds the two into an [`Excitation`]: the
+//! products `w_i·ε_i` of the elements that are switched on and alive, and
+//! the feed power. `talon_channel::Device` builds one per codebook sector,
+//! once.
+//! [`PhasedArray::direction_terms`] precomputes what depends only on the
+//! direction (the `e^{jφ_i(dir)}`, `G_elem` and shadow), so a caller
+//! evaluating many sectors in one direction pays only one
+//! multiply-accumulate over the active products per sector
+//! ([`DirectionTerms::gain_dbi`]). Every gain evaluation, including
+//! [`PhasedArray::gain_dbi`], runs that same loop over the same operands,
+//! so all paths agree bit for bit.
 
 use crate::complex::Complex;
 use crate::element::ElementModel;
@@ -81,8 +86,9 @@ impl PhasedArray {
     /// Pass the result through [`PhasedArray::quantize`] to obtain what the
     /// hardware can actually apply.
     pub fn steering_weights(&self, dir: &Direction) -> Vec<Complex> {
+        let phase = self.geometry.phases_towards(dir);
         (0..self.num_elements())
-            .map(|i| Complex::from_phase(-self.geometry.phase_at(i, dir)))
+            .map(|i| Complex::from_phase(-phase(i)))
             .collect()
     }
 
@@ -96,34 +102,107 @@ impl PhasedArray {
     /// Returns a large negative floor (−60 dBi) when the excitation is
     /// entirely off or perfectly nulled, so downstream dB math stays finite.
     pub fn gain_dbi(&self, w: &WeightVector, dir: &Direction) -> f64 {
-        gain_with(
-            w,
-            self.num_elements(),
-            |i| self.imperfections.element_factor(i),
-            |i| Complex::from_phase(self.geometry.phase_at(i, dir)),
+        self.excitation_gain_dbi(&self.excitation(w), dir)
+    }
+
+    /// [`PhasedArray::gain_dbi`] for an excitation already folded by
+    /// [`PhasedArray::excitation`]: only the active elements' phasors are
+    /// computed.
+    pub fn excitation_gain_dbi(&self, x: &Excitation, dir: &Direction) -> f64 {
+        let phase = self.geometry.phases_towards(dir);
+        x.gain_dbi(
+            |i| Complex::from_phase(phase(i)),
             self.element.gain_dbi(dir),
             self.imperfections.shadow_db(dir),
         )
     }
 
-    /// Every element's static error factor `ε_i` (zero for dead
-    /// elements): the excitation- and direction-independent input of
-    /// [`DirectionTerms::gain_dbi`].
-    pub fn element_factors(&self) -> Vec<Complex> {
-        (0..self.num_elements())
-            .map(|i| self.imperfections.element_factor(i))
-            .collect()
+    /// Folds excitation `w` with this array's static error factors `ε_i`:
+    /// the `w_i·ε_i` of every element that is switched on and not dead,
+    /// plus the feed power `Σ_i|w_i|²` (which counts dead elements, as the
+    /// feed network still drives them).
+    ///
+    /// # Panics
+    /// Panics if `w` is not all zero and its length is not the element
+    /// count.
+    pub fn excitation(&self, w: &WeightVector) -> Excitation {
+        let feed_power = w.feed_power();
+        if feed_power <= 0.0 {
+            return Excitation {
+                active: Vec::new(),
+                feed_power,
+            };
+        }
+        assert_eq!(
+            w.len(),
+            self.num_elements(),
+            "weight vector length must match element count"
+        );
+        let active = (0..w.len())
+            .filter_map(|i| {
+                let wi = w.get(i);
+                if wi.abs2() == 0.0 {
+                    return None;
+                }
+                let eps = self.imperfections.element_factor(i);
+                if eps.abs2() == 0.0 {
+                    return None;
+                }
+                Some((i, wi * eps))
+            })
+            .collect();
+        Excitation { active, feed_power }
     }
 
     /// The excitation-independent terms of [`PhasedArray::gain_dbi`]
     /// towards `dir`, for evaluating many excitations in one direction.
     pub fn direction_terms(&self, dir: &Direction) -> DirectionTerms {
+        let phase = self.geometry.phases_towards(dir);
         DirectionTerms {
             phasors: (0..self.num_elements())
-                .map(|i| Complex::from_phase(self.geometry.phase_at(i, dir)))
+                .map(|i| Complex::from_phase(phase(i)))
                 .collect(),
             element_dbi: self.element.gain_dbi(dir),
             shadow_db: self.imperfections.shadow_db(dir),
+        }
+    }
+}
+
+/// An excitation as one array radiates it; built by
+/// [`PhasedArray::excitation`]. Valid only for the array that built it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Excitation {
+    /// `(i, w_i·ε_i)` for every element that is switched on and alive, in
+    /// element order.
+    active: Vec<(usize, Complex)>,
+    feed_power: f64,
+}
+
+impl Excitation {
+    /// Number of elements that contribute (switched on and not dead).
+    pub fn active_elements(&self) -> usize {
+        self.active.len()
+    }
+
+    /// The gain in dBi given each element's plane-wave phasor: the array
+    /// factor `Σ_i (w_i·ε_i)·e^{jφ_i}`, normalized by the feed power, plus
+    /// the element gain, minus the shadow, floored at −60 dBi. This is the
+    /// one per-element loop behind every gain evaluation; `phasor(i)` is
+    /// called only for active elements.
+    fn gain_dbi(&self, phasor: impl Fn(usize) -> Complex, element_dbi: f64, shadow_db: f64) -> f64 {
+        if self.feed_power <= 0.0 {
+            return -60.0;
+        }
+        let mut af = Complex::ZERO;
+        for &(i, x) in &self.active {
+            af += x * phasor(i);
+        }
+        let af2 = af.abs2() / self.feed_power;
+        if af2 > 0.0 {
+            let g = element_dbi + geom::db::linear_to_db(af2) - shadow_db;
+            g.max(-60.0)
+        } else {
+            -60.0
         }
     }
 }
@@ -139,59 +218,11 @@ pub struct DirectionTerms {
 }
 
 impl DirectionTerms {
-    /// Power gain in dBi for excitation `w`, given the array's
-    /// [`PhasedArray::element_factors`]. Runs the same accumulation as
-    /// [`PhasedArray::gain_dbi`] with the same operands, so the result is
-    /// bit-identical to it for the direction these terms were built for.
-    pub fn gain_dbi(&self, w: &WeightVector, factors: &[Complex]) -> f64 {
-        gain_with(
-            w,
-            self.phasors.len(),
-            |i| factors[i],
-            |i| self.phasors[i],
-            self.element_dbi,
-            self.shadow_db,
-        )
-    }
-}
-
-/// The gain in dBi of excitation `w` over `n` elements: the array factor
-/// `Σ_i (w_i·ε_i)·e^{jφ_i}`, normalized by the feed power, plus the
-/// element gain, minus the shadow, floored at −60 dBi. This is the one
-/// per-element loop behind every gain evaluation. Elements that are
-/// switched off or dead are skipped, and `factor(i)` / `phasor(i)` are
-/// evaluated only for the elements that are not.
-fn gain_with(
-    w: &WeightVector,
-    n: usize,
-    factor: impl Fn(usize) -> Complex,
-    phasor: impl Fn(usize) -> Complex,
-    element_dbi: f64,
-    shadow_db: f64,
-) -> f64 {
-    let feed = w.feed_power();
-    if feed <= 0.0 {
-        return -60.0;
-    }
-    assert_eq!(w.len(), n, "weight vector length must match element count");
-    let mut af = Complex::ZERO;
-    for i in 0..n {
-        let wi = w.get(i);
-        if wi.abs2() == 0.0 {
-            continue;
-        }
-        let eps = factor(i);
-        if eps.abs2() == 0.0 {
-            continue;
-        }
-        af += wi * eps * phasor(i);
-    }
-    let af2 = af.abs2() / feed;
-    if af2 > 0.0 {
-        let g = element_dbi + geom::db::linear_to_db(af2) - shadow_db;
-        g.max(-60.0)
-    } else {
-        -60.0
+    /// Power gain in dBi of excitation `x` (built by the same array as
+    /// these terms). Bit-identical to [`PhasedArray::gain_dbi`] for the
+    /// direction these terms were built for.
+    pub fn gain_dbi(&self, x: &Excitation) -> f64 {
+        x.gain_dbi(|i| self.phasors[i], self.element_dbi, self.shadow_db)
     }
 }
 
@@ -281,7 +312,6 @@ mod tests {
     #[test]
     fn direction_terms_match_gain_dbi_bit_for_bit() {
         let arr = PhasedArray::talon(3);
-        let factors = arr.element_factors();
         let excitations = [
             WeightVector::uniform(32),
             WeightVector::single_element(32, 12),
@@ -294,7 +324,7 @@ mod tests {
                 let terms = arr.direction_terms(&dir);
                 for w in &excitations {
                     assert_eq!(
-                        terms.gain_dbi(w, &factors).to_bits(),
+                        terms.gain_dbi(&arr.excitation(w)).to_bits(),
                         arr.gain_dbi(w, &dir).to_bits(),
                         "az {az} el {el}"
                     );

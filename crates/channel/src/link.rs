@@ -6,17 +6,22 @@
 //! short control-PHY bursts, so we do not model phase-coherent multipath
 //! combining) and pushes the result through the firmware measurement model.
 //!
-//! Almost all of that work does not depend on the transmit sector. A
-//! [`ProbePlan`], built by [`Link::plan`] for one (link, tx, rx) geometry,
-//! holds it: per ray the transmitter's element phasors, element gain and
-//! shadow ([`talon_array::DirectionTerms`]), the receiver's gain and the
-//! path loss, plus the transmitter's element factors. [`ProbePlan::probe`]
-//! then runs only the per-element multiply-accumulate over the sector's
-//! weights, the dB sum over rays and [`MeasurementModel::report`].
-//! [`Link::probe`] is a plan used once; callers that probe many sectors at
-//! one geometry (a sweep half, a rotation position) build the plan once.
-//! Both give the same bits: the plan only moves work, it does not reorder
-//! any arithmetic or RNG draw.
+//! Almost all of that work does not depend on the transmit sector, and
+//! what does never changes for a device. Each [`Device`] therefore holds a
+//! sector table, built once by [`Device::new`]: per codebook sector the
+//! [`talon_array::Excitation`], i.e. the `w_i·ε_i` products of its active
+//! elements and its feed power. A [`ProbePlan`], built by [`Link::plan`]
+//! for one (link, tx, rx) geometry, holds the rest: per ray the
+//! transmitter's element phasors, element gain and shadow
+//! ([`talon_array::DirectionTerms`]), the receiver's gain and the path
+//! loss. [`ProbePlan::probe`] then runs only one multiply-accumulate of the
+//! sector's products against each ray's phasors, the dB sum over rays and
+//! [`MeasurementModel::report`]. [`Link::probe`] is a plan used once;
+//! callers that probe many sectors at one geometry (a sweep half, a
+//! rotation position) build the plan once. Both give the same bits as
+//! evaluating [`talon_array::PhasedArray::gain_dbi`] per ray: the table and
+//! the plan only move work, they do not reorder any arithmetic or RNG
+//! draw.
 //!
 //! [`Link::sweep`] produces one full sector sweep transcript: for each
 //! requested transmit sector, the reading the responder's firmware would
@@ -29,30 +34,56 @@ use crate::orientation::Orientation;
 use geom::db::{db_to_linear, linear_to_db};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use talon_array::{Codebook, Complex, DirectionTerms, PhasedArray, SectorId, WeightVector};
+use talon_array::{Codebook, DirectionTerms, Excitation, PhasedArray, SectorId, WeightVector};
 
 /// One physical device: its antenna, its predefined codebook and how it is
 /// currently mounted.
+///
+/// [`Device::new`] is the only constructor: it builds the device's sector
+/// table from `array` and `codebook`, so neither may change afterwards
+/// (the table would go stale). Only `orientation` is meant to be mutated.
 #[derive(Debug, Clone)]
 pub struct Device {
-    /// The phased array with frozen imperfections.
+    /// The phased array with frozen imperfections. Must not change after
+    /// construction.
     pub array: PhasedArray,
-    /// The firmware's predefined sectors.
+    /// The firmware's predefined sectors. Must not change after
+    /// construction.
     pub codebook: Codebook,
     /// Current mounting orientation (mutated by the rotation head).
     pub orientation: Orientation,
+    /// Each codebook sector's excitation on `array`, indexed by raw sector
+    /// ID (the first sector with an ID wins, as in [`Codebook::get`]).
+    sectors: Vec<Option<Excitation>>,
 }
 
 impl Device {
-    /// Builds a Talon-like device with its codebook, from a device seed.
-    pub fn talon(device_seed: u64) -> Self {
-        let array = PhasedArray::talon(device_seed);
-        let codebook = Codebook::talon(&array, device_seed);
+    /// Builds a device at the neutral orientation, folding every codebook
+    /// sector's weights with the array's element factors once.
+    pub fn new(array: PhasedArray, codebook: Codebook) -> Self {
+        let mut sectors: Vec<Option<Excitation>> = Vec::new();
+        for sector in codebook.sectors() {
+            let slot = usize::from(sector.id.raw());
+            if sectors.len() <= slot {
+                sectors.resize(slot + 1, None);
+            }
+            if sectors[slot].is_none() {
+                sectors[slot] = Some(array.excitation(&sector.weights));
+            }
+        }
         Device {
             array,
             codebook,
             orientation: Orientation::NEUTRAL,
+            sectors,
         }
+    }
+
+    /// Builds a Talon-like device with its codebook, from a device seed.
+    pub fn talon(device_seed: u64) -> Self {
+        let array = PhasedArray::talon(device_seed);
+        let codebook = Codebook::talon(&array, device_seed);
+        Device::new(array, codebook)
     }
 
     /// Gain of an excitation towards a world-coordinate direction, taking
@@ -72,6 +103,17 @@ impl Device {
             .get(id)
             .expect("transmit sector must exist in the codebook")
             .weights
+    }
+
+    /// The table entry of sector `id`.
+    ///
+    /// # Panics
+    /// Panics if the codebook has no such sector.
+    fn sector_excitation(&self, id: SectorId) -> &Excitation {
+        self.sectors
+            .get(usize::from(id.raw()))
+            .and_then(Option::as_ref)
+            .expect("sector must exist in the codebook")
     }
 }
 
@@ -110,7 +152,7 @@ impl Link {
     /// with `rx` listening on its quasi-omni receive sector (as every SSW
     /// probe is received).
     pub fn plan<'a>(&'a self, tx: &'a Device, rx: &Device) -> ProbePlan<'a> {
-        self.plan_with_rx(tx, rx, &rx.codebook.rx_sector().weights)
+        self.plan_with_excitation(tx, rx, rx.sector_excitation(SectorId::RX))
     }
 
     /// Plans probes from `tx` to `rx`, with `rx` listening on `rx_weights`.
@@ -120,6 +162,15 @@ impl Link {
         rx: &Device,
         rx_weights: &WeightVector,
     ) -> ProbePlan<'a> {
+        self.plan_with_excitation(tx, rx, &rx.array.excitation(rx_weights))
+    }
+
+    fn plan_with_excitation<'a>(
+        &'a self,
+        tx: &'a Device,
+        rx: &Device,
+        rx_excitation: &Excitation,
+    ) -> ProbePlan<'a> {
         let rays = self
             .environment
             .rays
@@ -128,14 +179,16 @@ impl Link {
                 tx: tx
                     .array
                     .direction_terms(&tx.orientation.world_to_device(&ray.depart_world)),
-                rx_gain_dbi: rx.gain_towards_world(rx_weights, &ray.arrive_world),
+                rx_gain_dbi: rx.array.excitation_gain_dbi(
+                    rx_excitation,
+                    &rx.orientation.world_to_device(&ray.arrive_world),
+                ),
                 loss_db: ray.total_loss_db(&self.budget),
             })
             .collect();
         ProbePlan {
             link: self,
             tx,
-            tx_factors: tx.array.element_factors(),
             rays,
         }
     }
@@ -173,7 +226,7 @@ impl Link {
         tx_sector: SectorId,
         rx: &Device,
     ) -> Option<Measurement> {
-        self.plan(tx, rx).probe(rng, tx.sector_weights(tx_sector))
+        self.plan(tx, rx).probe(rng, tx_sector)
     }
 
     /// Simulates one sector sweep over `sectors`, in order, producing the
@@ -196,7 +249,6 @@ impl Link {
 pub struct ProbePlan<'a> {
     link: &'a Link,
     tx: &'a Device,
-    tx_factors: Vec<Complex>,
     rays: Vec<PlannedRay>,
 }
 
@@ -209,11 +261,16 @@ struct PlannedRay {
 }
 
 impl ProbePlan<'_> {
-    /// True received power in dBm when the transmitter uses `tx_weights`.
+    /// True received power in dBm when the transmitter uses `tx_weights`
+    /// (for excitations that are not codebook sectors).
     pub fn rx_power_dbm(&self, tx_weights: &WeightVector) -> f64 {
+        self.excitation_power_dbm(&self.tx.array.excitation(tx_weights))
+    }
+
+    fn excitation_power_dbm(&self, x: &Excitation) -> f64 {
         let mut total_mw = 0.0;
         for ray in &self.rays {
-            let g_tx = ray.tx.gain_dbi(tx_weights, &self.tx_factors);
+            let g_tx = ray.tx.gain_dbi(x);
             let p = self
                 .link
                 .budget
@@ -229,14 +286,16 @@ impl ProbePlan<'_> {
 
     /// True SNR in dB of transmit sector `tx_sector` (no measurement noise).
     pub fn true_snr_db(&self, tx_sector: SectorId) -> f64 {
-        let p = self.rx_power_dbm(self.tx.sector_weights(tx_sector));
+        let p = self.excitation_power_dbm(self.tx.sector_excitation(tx_sector));
         self.link.budget.snr_db(p)
     }
 
-    /// Simulates the reception of one SSW probe frame sent with
-    /// `tx_weights`.
-    pub fn probe<R: Rng>(&self, rng: &mut R, tx_weights: &WeightVector) -> Option<Measurement> {
-        let p = self.rx_power_dbm(tx_weights);
+    /// Simulates the reception of one SSW probe frame sent on `tx_sector`.
+    ///
+    /// # Panics
+    /// Panics if the transmitter's codebook has no such sector.
+    pub fn probe<R: Rng>(&self, rng: &mut R, tx_sector: SectorId) -> Option<Measurement> {
+        let p = self.excitation_power_dbm(self.tx.sector_excitation(tx_sector));
         let snr = self.link.budget.snr_db(p);
         self.link.model.report(rng, snr, p)
     }
@@ -247,7 +306,7 @@ impl ProbePlan<'_> {
             .iter()
             .map(|&s| SweepReading {
                 sector: s,
-                measurement: self.probe(rng, self.tx.sector_weights(s)),
+                measurement: self.probe(rng, s),
             })
             .collect()
     }
@@ -362,6 +421,78 @@ mod tests {
             p_conf > p_anech + 2.0,
             "conference {p_conf} vs anechoic {p_anech}"
         );
+    }
+
+    /// The gain formula of `PhasedArray::gain_dbi`, written out directly
+    /// from the array's primitives in the same operation order.
+    fn reference_gain_dbi(array: &PhasedArray, w: &WeightVector, dir: &Direction) -> f64 {
+        let feed = w.feed_power();
+        if feed <= 0.0 {
+            return -60.0;
+        }
+        let mut af = talon_array::Complex::ZERO;
+        for i in 0..w.len() {
+            let eps = array.imperfections.element_factor(i);
+            if w.get(i).abs2() == 0.0 || eps.abs2() == 0.0 {
+                continue;
+            }
+            af +=
+                w.get(i) * eps * talon_array::Complex::from_phase(array.geometry.phase_at(i, dir));
+        }
+        let af2 = af.abs2() / feed;
+        if af2 > 0.0 {
+            let g = array.element.gain_dbi(dir) + geom::db::linear_to_db(af2)
+                - array.imperfections.shadow_db(dir);
+            g.max(-60.0)
+        } else {
+            -60.0
+        }
+    }
+
+    #[test]
+    fn sector_table_gain_matches_gain_dbi_bit_for_bit() {
+        // A Talon device with dead elements, and a random-beam device.
+        let array = PhasedArray::talon(12);
+        let codebook = Codebook::pseudo_random(&array, 34, 12);
+        let devices = [Device::talon(11), Device::new(array, codebook)];
+        for dev in &devices {
+            assert!(dev.array.imperfections.dead.iter().any(|&d| d));
+            for az in (-180..=180).step_by(30) {
+                for el in [-40.0, -10.0, 15.0, 45.0] {
+                    let dir = Direction::new(f64::from(az), el);
+                    let terms = dev.array.direction_terms(&dir);
+                    for sector in dev.codebook.sectors() {
+                        let x = dev.sector_excitation(sector.id);
+                        let expected = dev.array.gain_dbi(&sector.weights, &dir);
+                        let at = format!("sector {} az {az} el {el}", sector.id);
+                        assert_eq!(terms.gain_dbi(x).to_bits(), expected.to_bits(), "{at}");
+                        assert_eq!(
+                            dev.array.excitation_gain_dbi(x, &dir).to_bits(),
+                            expected.to_bits(),
+                            "{at}"
+                        );
+                        assert_eq!(
+                            reference_gain_dbi(&dev.array, &sector.weights, &dir).to_bits(),
+                            expected.to_bits(),
+                            "{at}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sector_table_skips_dead_and_switched_off_elements() {
+        let dev = Device::talon(11);
+        let dead = &dev.array.imperfections.dead;
+        for sector in dev.codebook.sectors() {
+            let w = &sector.weights;
+            let alive = (0..w.len())
+                .filter(|&i| w.get(i).abs2() > 0.0 && !dead[i])
+                .count();
+            assert_eq!(dev.sector_excitation(sector.id).active_elements(), alive);
+        }
     }
 
     #[test]

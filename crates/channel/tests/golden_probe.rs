@@ -8,6 +8,7 @@
 //! products, the dB sums, the floors) or in the RNG draw order fails here.
 
 use geom::rng::sub_rng;
+use talon_array::{Codebook, PhasedArray};
 use talon_channel::{Device, Environment, Link, Orientation, SweepReading};
 
 /// (environment, DUT orientation) of each pinned geometry.
@@ -471,4 +472,228 @@ const SWEEP_DIGESTS: [u64; 9] = [
     0xf17a58e48b5dce20,
     0x420c3274de8f590a,
     0xf9fed04041511456,
+];
+
+/// A Talon device with dead elements, and a pseudo-random-beam device
+/// (every element switched on) on an array with dead elements: both
+/// exercise the rule that an element contributes nothing when its weight
+/// or its error factor is zero.
+fn skip_rule_devices() -> [Device; 2] {
+    let array = PhasedArray::talon(RANDOM_BEAM_SEED);
+    let codebook = Codebook::pseudo_random(&array, 34, RANDOM_BEAM_SEED);
+    [
+        Device::talon(DEAD_ELEMENT_SEED),
+        Device::new(array, codebook),
+    ]
+}
+
+/// Talon device seed with dead elements 24 and 29.
+const DEAD_ELEMENT_SEED: u64 = 11;
+/// Array seed of the pseudo-random-beam device (dead elements 11 and 15).
+const RANDOM_BEAM_SEED: u64 = 12;
+
+#[test]
+fn skip_rule_devices_have_dead_elements() {
+    for dut in skip_rule_devices() {
+        let dead = &dut.array.imperfections.dead;
+        assert!(dead.iter().any(|&d| d), "{dead:?}");
+        // Some probed sector switches a dead element on.
+        assert!(dut.codebook.sweep_order().iter().any(|&s| {
+            let w = dut.sector_weights(s);
+            (0..w.len()).any(|i| dead[i] && w.get(i).abs2() > 0.0)
+        }));
+    }
+}
+
+#[test]
+fn skip_rule_devices_match_the_pinned_bits() {
+    let orientations = [Orientation::NEUTRAL, Orientation::new(150.0, -5.0)];
+    let fixed = Device::talon(6);
+    let rxw = fixed.codebook.rx_sector().weights.clone();
+    let link = Link::new(Environment::lab());
+    let mut gi = 0;
+    for mut dut in skip_rule_devices() {
+        for o in orientations {
+            dut.orientation = o;
+            let order = dut.codebook.sweep_order();
+            let plan = link.plan(&dut, &fixed);
+            assert_eq!(order.len(), SKIP_RULE_GOLDEN[gi].len());
+            for (&s, &(id, power, snr)) in order.iter().zip(SKIP_RULE_GOLDEN[gi].iter()) {
+                assert_eq!(s.raw(), id, "case {gi}: sweep order");
+                let w = dut.sector_weights(s);
+                let p = link.rx_power_dbm(&dut, w, &fixed, &rxw);
+                assert_eq!(p.to_bits(), power, "case {gi} sector {s}: power {p}");
+                assert_eq!(
+                    plan.rx_power_dbm(w).to_bits(),
+                    power,
+                    "case {gi} sector {s}"
+                );
+                let t = link.true_snr_db(&dut, s, &fixed, &rxw);
+                assert_eq!(t.to_bits(), snr, "case {gi} sector {s}: SNR {t}");
+                assert_eq!(plan.true_snr_db(s).to_bits(), snr, "case {gi} sector {s}");
+            }
+            let mut rng = sub_rng(99, "golden-probe-extra");
+            let sweep = link.sweep(&mut rng, &dut, &order, &fixed);
+            assert_eq!(digest(&sweep), SKIP_RULE_DIGESTS[gi], "case {gi}");
+            gi += 1;
+        }
+    }
+}
+
+/// Sweep digests of [`skip_rule_devices_match_the_pinned_bits`], per case.
+const SKIP_RULE_DIGESTS: [u64; 4] = [
+    0xb0c23f04bdcc926d,
+    0x86b58e05bc0a2c0d,
+    0xe72622cff05e123a,
+    0xa4d1f891a4b3289f,
+];
+
+/// `(sector, rx_power_dbm bits, true_snr_db bits)` for the dead-element
+/// device then the random-beam device, each at the neutral and the yawed
+/// orientation, in the lab, in sweep order.
+const SKIP_RULE_GOLDEN: [[(u8, u64, u64); 34]; 4] = [
+    [
+        (1, 0xc05150efd16a7264, 0x4001e205d2b1b380),
+        (2, 0xc05183cb628ca746, 0x3ff70d275cd62e80),
+        (3, 0xc04ce063de5a1f79, 0x402b7e708697821c),
+        (4, 0xc050219fa48577b0, 0x401be605b7a88500),
+        (5, 0xc0518787f873444e, 0x3ff61e01e32eec80),
+        (6, 0xc04ce063de5a1f79, 0x402b7e708697821c),
+        (7, 0xc050a9483b0624c6, 0x40136b7c4f9db3a0),
+        (8, 0xc05243e3919a063b, 0xbff8f8e466818ec0),
+        (9, 0xc04cb24b69b8d0e8, 0x402c36d2591cbc60),
+        (10, 0xc0508b25cc3bb3ed, 0x40154da33c44c130),
+        (11, 0xc0532ed8b4d29f28, 0xc014ed8b4d29f280),
+        (12, 0xc04c0941a9a7abd3, 0x402edaf9596150b4),
+        (13, 0xc04e6c92b0809ebe, 0x40254db53dfd8508),
+        (14, 0xc04d46af7ec1d75a, 0x4029e54204f8a298),
+        (15, 0xc0494d18cd920fd4, 0x4034e5ce64dbe058),
+        (16, 0xc04c64d91089aef4, 0x402d6c9bbdd94430),
+        (17, 0xc04d5221e0bcf784, 0x4029b7787d0c21f0),
+        (18, 0xc0494d18cd920fd4, 0x4034e5ce64dbe058),
+        (19, 0xc04b4d27dbb31683, 0x4030e5b04899d2fa),
+        (20, 0xc04d2f95e0244be1, 0x402a41a87f6ed07c),
+        (21, 0xc04bf3b29bc9c10d, 0x402f313590d8fbcc),
+        (22, 0xc04f4872e2cc2e2f, 0x4021de3474cf4744),
+        (23, 0xc050b77ed17645d9, 0x40128812e89ba270),
+        (24, 0xc04debc35ea54572, 0x402750f2856aea38),
+        (25, 0xc0507e5c3a2f3e14, 0x40161a3c5d0c1ec0),
+        (26, 0xc04c49258fb5a9b9, 0x402ddb69c129591c),
+        (27, 0xc0532a970f4ed162, 0xc014a970f4ed1620),
+        (28, 0xc04ee028fb10ee83, 0x40237f5c13bc45f4),
+        (29, 0xc0522dc39727477c, 0xbff370e5c9d1df00),
+        (30, 0xc051101d42f378f8, 0x4009fc57a190e100),
+        (31, 0xc050775b3b36ded9, 0x40168a4c4c921270),
+        (61, 0xc0502d7ddefdfddd, 0x401b282210202230),
+        (62, 0xc04c955a14ba53d5, 0x402caa97ad16b0ac),
+        (63, 0xc047f2c15c1e9dca, 0x40379a7d47c2c46c),
+    ],
+    [
+        (1, 0xc0523959da1d8ea7, 0xbff656768763a9c0),
+        (2, 0xc05289f30a47e73e, 0xc0053e6148fce7c0),
+        (3, 0xc051ba3388ec16d3, 0x3fe2e63b89f49680),
+        (4, 0xc0522ee33f98c13d, 0xbff3b8cfe6304f40),
+        (5, 0xc054f0765c0d4fc8, 0xc02883b2e06a7e40),
+        (6, 0xc051ba3388ec16d3, 0x3fe2e63b89f49680),
+        (7, 0xc051b06eab96da75, 0x3fe7c8aa3492c580),
+        (8, 0xc051d8c5ab5c4f4b, 0x3fbce9528ec2d400),
+        (9, 0xc0523ded1c8f0a35, 0xbff77b4723c28d40),
+        (10, 0xc051d7ab2d327750, 0x3fc0a9a59b116000),
+        (11, 0xc052cfb8c515cb78, 0xc00df718a2b96f00),
+        (12, 0xc052234f3b0551e4, 0xbff0d3cec1547900),
+        (13, 0xc0522d128c13e3ae, 0xbff344a304f8eb80),
+        (14, 0xc053c56dfdbbc765, 0xc01e56dfdbbc7650),
+        (15, 0xc05662cf9c69e84b, 0xc0320b3e71a7a12c),
+        (16, 0xc0559a26a4f9199f, 0xc02dd13527c8ccf8),
+        (17, 0xc056003cb5546bd3, 0xc03080f2d551af4c),
+        (18, 0xc05662cf9c69e84b, 0xc0320b3e71a7a12c),
+        (19, 0xc053f84d78bf565e, 0xc020c26bc5fab2f0),
+        (20, 0xc054709ccab6bd06, 0xc02484e655b5e830),
+        (21, 0xc05378fbbe281d64, 0xc0198fbbe281d640),
+        (22, 0xc054daf525d8610a, 0xc027d7a92ec30850),
+        (23, 0xc055b6cb6de5675d, 0xc02eb65b6f2b3ae8),
+        (24, 0xc053e59cde8b4d1d, 0xc0202ce6f45a68e8),
+        (25, 0xc0545678e54bde8b, 0xc023b3c72a5ef458),
+        (26, 0xc052679ccc9b1a99, 0xc000f39993635320),
+        (27, 0xc05265b89f8e6489, 0xc000b713f1cc9120),
+        (28, 0xc05366107c7f5b33, 0xc0186107c7f5b330),
+        (29, 0xc0546cc6e39668fd, 0xc02466371cb347e8),
+        (30, 0xc05232025fe78d5c, 0xbff48097f9e35700),
+        (31, 0xc052b5728ecf1902, 0xc00aae51d9e32040),
+        (61, 0xc05363ed4941e1fc, 0xc0183ed4941e1fc0),
+        (62, 0xc0540e40aa6c751b, 0xc02172055363a8d8),
+        (63, 0xc05475d184c7bca8, 0xc024ae8c263de540),
+    ],
+    [
+        (1, 0xc0502450a9693956, 0x401bbaf5696c6aa0),
+        (2, 0xc04e3d8973995a9e, 0x402609da319a9588),
+        (3, 0xc04f801be540b7ba, 0x4020ff906afd2118),
+        (4, 0xc05282adbdd3e51d, 0xc00455b7ba7ca3a0),
+        (5, 0xc04d516c15ed0906, 0x4029ba4fa84bdbe8),
+        (6, 0xc04c229a74101b34, 0x402e75962fbf9330),
+        (7, 0xc04c3112b6850add, 0x402e3bb525ebd48c),
+        (8, 0xc04d5dd3b342f0dd, 0x402988b132f43c8c),
+        (9, 0xc0503d9bf2d33611, 0x401a2640d2cc9ef0),
+        (10, 0xc050024580f3170f, 0x401ddba7f0ce8f10),
+        (11, 0xc04ea976b1fde0b9, 0x40245a2538087d1c),
+        (12, 0xc0513148f35d2e1c, 0x4005d6e1945a3c80),
+        (13, 0xc04cf11dc0d5fbfc, 0x402b3b88fca81010),
+        (14, 0xc04f5240f4ab5550, 0x4021b6fc2d52aac0),
+        (15, 0xc0505ee6dbc20d00, 0x4018119243df3000),
+        (16, 0xc05161357a4d3a43, 0x3fffb2a16cb16f40),
+        (17, 0xc04e65b2a7fd764f, 0x40256935600a26c4),
+        (18, 0xc04d5a94c14ff882, 0x402995acfac01df8),
+        (19, 0xc04eb68c0f12c563, 0x402425cfc3b4ea74),
+        (20, 0xc04d47bf87519d28, 0x4029e101e2b98b60),
+        (21, 0xc04f681febb710a6, 0x40215f805123bd68),
+        (22, 0xc04e6bb0db519c5b, 0x4025513c92b98e94),
+        (23, 0xc04ef7d1c635fbc5, 0x402320b8e72810ec),
+        (24, 0xc04f708bf05b742e, 0x40213dd03e922f48),
+        (25, 0xc04f6ba00efe79d0, 0x4021517fc40618c0),
+        (26, 0xc04b8fb51f9ac718, 0x40306095c0ca71d0),
+        (27, 0xc04d07fe22859c10, 0x402ae00775e98fc0),
+        (28, 0xc04fd98effd27972, 0x401f3388016c3470),
+        (29, 0xc04e0d1224cb37aa, 0x4026cbb76cd32158),
+        (30, 0xc050c33269d80204, 0x4011ccd9627fdfc0),
+        (31, 0xc05134c260ed8a97, 0x400567b3e24ead20),
+        (61, 0xc0522d23fc58dc54, 0xbff348ff16371500),
+        (62, 0xc04e0574ed1d7ec1, 0x4026ea2c4b8a04fc),
+        (63, 0xc04d8d6ee800b82b, 0x4028ca445ffd1f54),
+    ],
+    [
+        (1, 0xc0540fed7b648c24, 0xc0217f6bdb246120),
+        (2, 0xc054f0e241b6f5a0, 0xc02887120db7ad00),
+        (3, 0xc05333f99dd8b9f0, 0xc0153f99dd8b9f00),
+        (4, 0xc05372526905bbc3, 0xc0192526905bbc30),
+        (5, 0xc055a00dfcd540be, 0xc02e006fe6aa05f0),
+        (6, 0xc054494dfb9027bb, 0xc0234a6fdc813dd8),
+        (7, 0xc0531162ff0f491b, 0xc013162ff0f491b0),
+        (8, 0xc05358855bb99ae8, 0xc0178855bb99ae80),
+        (9, 0xc053e7fd5afa4b6b, 0xc0203fead7d25b58),
+        (10, 0xc0538e5adb3d25d4, 0xc01ae5adb3d25d40),
+        (11, 0xc0545b27d7a5997e, 0xc023d93ebd2ccbf0),
+        (12, 0xc053d890a674f7fa, 0xc01f890a674f7fa0),
+        (13, 0xc055015d3f8a8928, 0xc0290ae9fc544940),
+        (14, 0xc053d6e94554574e, 0xc01f6e94554574e0),
+        (15, 0xc052bf6306e014e2, 0xc00bec60dc029c40),
+        (16, 0xc0542a0566489563, 0xc022502b3244ab18),
+        (17, 0xc054a3162e565d09, 0xc02618b172b2e848),
+        (18, 0xc05387a0481ba583, 0xc01a7a0481ba5830),
+        (19, 0xc0539b13bddb1648, 0xc01bb13bddb16480),
+        (20, 0xc054d2d9b01ff38b, 0xc02796cd80ff9c58),
+        (21, 0xc052caa5d13418f2, 0xc00d54ba26831e40),
+        (22, 0xc0542fbe37294b88, 0xc0227df1b94a5c40),
+        (23, 0xc0565ddaabd2aa7f, 0xc031f76aaf4aa9fc),
+        (24, 0xc0532b73e841470f, 0xc014b73e841470f0),
+        (25, 0xc053a0acdc590a9c, 0xc01c0acdc590a9c0),
+        (26, 0xc05418aed17828ed, 0xc021c5768bc14768),
+        (27, 0xc054bd687c1a8a7a, 0xc026eb43e0d453d0),
+        (28, 0xc05304d7dfb6788d, 0xc0124d7dfb6788d0),
+        (29, 0xc0557c2f3081fbb2, 0xc02ce179840fdd90),
+        (30, 0xc0536c4b19546cc5, 0xc018c4b19546cc50),
+        (31, 0xc0534af03135ac02, 0xc016af03135ac020),
+        (61, 0xc05355c18d64df42, 0xc0175c18d64df420),
+        (62, 0xc0539257e46798b8, 0xc01b257e46798b80),
+        (63, 0xc053aa82b9ae167a, 0xc01ca82b9ae167a0),
+    ],
 ];

@@ -19,7 +19,7 @@ use chamber::SectorPatterns;
 use geom::sphere::Direction;
 use mac80211ad::sls::{FeedbackPolicy, MaxSnrPolicy};
 use talon_array::{Codebook, PhasedArray, SectorId};
-use talon_channel::{Device, Orientation, SweepReading};
+use talon_channel::{Device, SweepReading};
 
 /// The stock IEEE 802.11ad sector sweep (Eq. 1), as a named policy.
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,11 +41,7 @@ impl FeedbackPolicy for ExhaustiveSweep {
 pub fn random_beam_device(device_seed: u64, count: usize) -> Device {
     let array = PhasedArray::talon(device_seed);
     let codebook = Codebook::pseudo_random(&array, count, device_seed);
-    Device {
-        array,
-        codebook,
-        orientation: Orientation::NEUTRAL,
-    }
+    Device::new(array, codebook)
 }
 
 /// Which phase a hierarchical search is in.

@@ -86,7 +86,7 @@ pub fn associate<R: Rng>(
             let sector = beacon.frame.ssw.sector_id;
             readings.push(SweepReading {
                 sector,
-                measurement: bti_plan.probe(rng, ap.sector_weights(sector)),
+                measurement: bti_plan.probe(rng, sector),
             });
         }
         let decoded = readings.iter().filter(|r| r.measurement.is_some()).count();

@@ -56,7 +56,7 @@ impl MonitorCapture {
         let plan = link.plan(tx, monitor);
         for (cdown, sector) in schedule.transmissions() {
             // Physical reception at the monitor.
-            if plan.probe(rng, tx.sector_weights(sector)).is_none() {
+            if plan.probe(rng, sector).is_none() {
                 self.frames_missed += 1;
                 continue;
             }

@@ -20,7 +20,7 @@ use crate::schedule::BurstSchedule;
 use crate::timing::{SimDuration, SimTime, SLS_OVERHEAD, SSW_FRAME_TIME};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use talon_array::{SectorId, WeightVector};
+use talon_array::SectorId;
 use talon_channel::{Device, Link, SweepReading};
 
 /// Chooses sectors from sweep measurements and decides what to probe.
@@ -140,15 +140,13 @@ impl<'a> SlsRunner<'a> {
         let mut frames = Vec::new();
 
         // --- Initiator Sector Sweep (ISS) -------------------------------
-        // Nothing moves during a sweep half, so its probes share one plan,
-        // and each probed sector's weights are looked up once.
+        // Nothing moves during a sweep half, so its probes share one plan.
         let full_i = self.initiator.codebook.sweep_order();
         let iss_sectors = initiator_policy.probe_sectors(&full_i);
         let iss_schedule = BurstSchedule::custom_sweep(&iss_sectors);
         let iss_plan = self.link.plan(self.initiator, self.responder);
-        let iss_weights = sector_weights(self.initiator, &iss_sectors);
         let mut iss_readings = Vec::with_capacity(iss_sectors.len());
-        for ((cdown, sector), weights) in iss_schedule.transmissions().zip(iss_weights) {
+        for (cdown, sector) in iss_schedule.transmissions() {
             let frame = Frame::Ssw(SswFrame {
                 ra: self.config.responder_addr,
                 ta: self.config.initiator_addr,
@@ -172,7 +170,7 @@ impl<'a> SlsRunner<'a> {
             // The responder's firmware measures the received probe.
             iss_readings.push(SweepReading {
                 sector,
-                measurement: iss_plan.probe(rng, weights),
+                measurement: iss_plan.probe(rng, sector),
             });
         }
 
@@ -189,9 +187,8 @@ impl<'a> SlsRunner<'a> {
         let rss_sectors = responder_policy.probe_sectors(&full_r);
         let rss_schedule = BurstSchedule::custom_sweep(&rss_sectors);
         let rss_plan = self.link.plan(self.responder, self.initiator);
-        let rss_weights = sector_weights(self.responder, &rss_sectors);
         let mut rss_readings = Vec::with_capacity(rss_sectors.len());
-        for ((cdown, sector), weights) in rss_schedule.transmissions().zip(rss_weights) {
+        for (cdown, sector) in rss_schedule.transmissions() {
             let frame = Frame::Ssw(SswFrame {
                 ra: self.config.initiator_addr,
                 ta: self.config.responder_addr,
@@ -208,7 +205,7 @@ impl<'a> SlsRunner<'a> {
             now += SSW_FRAME_TIME;
             rss_readings.push(SweepReading {
                 sector,
-                measurement: rss_plan.probe(rng, weights),
+                measurement: rss_plan.probe(rng, sector),
             });
         }
 
@@ -257,12 +254,6 @@ impl<'a> SlsRunner<'a> {
             duration: now.since(SimTime::ZERO),
         }
     }
-}
-
-/// The weights of every sector in `sectors`, in order (a custom sweep
-/// transmits exactly these, in this order).
-fn sector_weights<'d>(device: &'d Device, sectors: &[SectorId]) -> Vec<&'d WeightVector> {
-    sectors.iter().map(|&s| device.sector_weights(s)).collect()
 }
 
 /// Emits the provenance record of one sweep-level selection: which sectors

@@ -685,6 +685,11 @@ pub fn default_rules() -> Vec<Rule> {
 
 #[cfg(test)]
 mod tests {
+    // Every engine evaluation sets the process-global `alert.firing`
+    // gauges and books `alert.fired` / `health.alert_firing` on firing
+    // edges, so every test here (and in `live` and `serve`) that runs an
+    // engine holds `crate::testing::lock()`: the exact deltas asserted in
+    // `firing_edge_is_accounted` must not see another test's edges.
     use super::*;
     use crate::registry::Snapshot;
     use crate::timeseries::{Sampler, SamplerConfig};
@@ -717,6 +722,7 @@ mod tests {
 
     #[test]
     fn sustain_then_fire_then_hysteresis_clear() {
+        let _guard = crate::testing::lock();
         let mut sampler = Sampler::new(SamplerConfig::default());
         let mut engine = AlertEngine::new(vec![value_rule(3, 2)]);
         // Two hot ticks: pending, not firing.
@@ -742,6 +748,7 @@ mod tests {
 
     #[test]
     fn pending_drops_back_without_firing() {
+        let _guard = crate::testing::lock();
         let mut sampler = Sampler::new(SamplerConfig::default());
         let mut engine = AlertEngine::new(vec![value_rule(3, 1)]);
         assert_eq!(step(&mut sampler, &mut engine, 20)[0].to, "pending");
@@ -760,6 +767,7 @@ mod tests {
 
     #[test]
     fn rate_rule_fires_on_increments_and_ages_out() {
+        let _guard = crate::testing::lock();
         let mut sampler = Sampler::new(SamplerConfig::default());
         let rule = Rule {
             name: "events_seen".into(),
@@ -818,6 +826,7 @@ mod tests {
 
     #[test]
     fn template_rule_fires_independently_per_label_set() {
+        let _guard = crate::testing::lock();
         let mut sampler = Sampler::new(SamplerConfig::default());
         let rule = Rule {
             name: "drift_per_link".into(),

@@ -410,6 +410,9 @@ mod tests {
 
     #[test]
     fn shard_monitor_writes_labeled_series_through_merge() {
+        // `record_loss` also books the global `health.link_drift` counter,
+        // whose exact delta `monitor_counts_and_summarizes` asserts.
+        let _guard = crate::testing::lock();
         let sharded = crate::ShardedRegistry::new();
         let shard = sharded.shard(&crate::LabelSet::link(2));
         let mut qm = QualityMonitor::for_shard(&shard);

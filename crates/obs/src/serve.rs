@@ -522,6 +522,7 @@ mod tests {
 
     #[test]
     fn live_routes_answer_from_the_attached_monitor() {
+        let _guard = crate::testing::lock();
         let rule = Rule {
             name: "serve_test_high".into(),
             severity: Severity::Page,
