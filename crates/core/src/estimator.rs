@@ -41,6 +41,16 @@
 //!   steady-state [`CompressiveEstimator::estimate`] performs no heap
 //!   allocation (`css.estimate_allocs` gauges the per-call allocation count).
 //!
+//! # Provenance
+//!
+//! A recorded decision carries the kernel's Eq. 2–5 intermediates (a
+//! [`KernelClosure`]). [`CompressiveEstimator::estimate_with_closure`]
+//! reads them out of the same scratch the estimate was computed in, so
+//! recording or replaying a decision costs one kernel pass, not two. The
+//! top-k cells come from one pass over the final map that keeps at most
+//! `k` candidates, in the order of a full sort: weight descending, ties
+//! to the lower grid index.
+//!
 //! The pre-optimization implementation is retained verbatim in
 //! [`reference`] as the golden model: `tests/golden_kernel.rs` asserts the
 //! fused kernel matches it to ≤ 1e-12 over randomized inputs.
@@ -323,6 +333,9 @@ pub struct EstimatorScratch {
     energy: Vec<f64>,
     /// Smoothing output buffer (swapped into `map`).
     smoothed: Vec<f64>,
+    /// `max_g ‖x(g)‖` of the current call, the prior's normalizer; 0 when
+    /// fewer than two probes were usable (`energy` is then stale).
+    energy_max: f64,
     /// Buffers grown during the current call.
     grew: usize,
 }
@@ -442,6 +455,7 @@ impl CompressiveEstimator {
     /// left in `scratch.map`.
     fn correlation_into(&self, s: &mut EstimatorScratch, readings: &[SweepReading]) {
         s.grew = 0;
+        s.energy_max = 0.0;
         let n_grid = self.grid.len();
         reuse_zeroed(&mut s.map, n_grid, &mut s.grew);
         // RSSI is a power in dBm whose absolute level depends on distance.
@@ -543,6 +557,7 @@ impl CompressiveEstimator {
                 w_snr
             };
         }
+        s.energy_max = energy_max;
         if energy_max <= f64::EPSILON {
             s.map.iter_mut().for_each(|w| *w = 0.0);
             return;
@@ -757,29 +772,65 @@ pub struct KernelClosure {
 }
 
 impl CompressiveEstimator {
-    /// Re-runs the fused kernel on a fresh scratch and captures its
-    /// Eq. 2–5 intermediates for a decision record. Allocates freely —
-    /// intended for the sink-gated provenance path, not the hot loop.
-    pub fn kernel_closure(&self, readings: &[SweepReading], k: usize) -> KernelClosure {
-        let mut s = EstimatorScratch::new();
-        self.correlation_into(&mut s, readings);
-        let energy_max = s.energy.iter().copied().fold(0.0, f64::max);
-        let mut order: Vec<usize> = (0..s.map.len()).collect();
-        order.sort_by(|&a, &b| {
-            s.map[b]
-                .partial_cmp(&s.map[a])
-                .expect("correlation is finite")
-                .then(a.cmp(&b))
-        });
-        order.truncate(k);
-        KernelClosure {
-            top_cells: order.iter().map(|&i| i as u64).collect(),
-            top_weights: order.iter().map(|&i| s.map[i]).collect(),
-            p_snr: s.p_snr,
-            p_rssi: s.p_rssi,
-            energy_max,
-        }
+    /// Eq. 3 plus the Eq. 2–5 intermediates of the same kernel run, for a
+    /// decision record: one correlation pass over the per-thread scratch
+    /// yields both the estimate and its [`KernelClosure`] with the `k` best
+    /// map cells. Allocates only the closure's four output vectors, so it
+    /// is meant for the sink-gated provenance path and for replay; the
+    /// no-sink hot path calls [`Self::estimate`].
+    ///
+    /// On the `F32`/`Q15` kernel paths the estimate comes from the batched
+    /// kernel, while the closure still comes from an exact f64 pass — the
+    /// intermediates a record carries are always the f64 ones.
+    pub fn estimate_with_closure(
+        &self,
+        readings: &[SweepReading],
+        k: usize,
+    ) -> (Option<(Direction, f64)>, KernelClosure) {
+        THREAD_SCRATCH.with(|s| {
+            let s = &mut *s.borrow_mut();
+            let estimate = self.estimate_with(s, readings);
+            if self.options.kernel_path != KernelPath::F64 {
+                self.correlation_into(s, readings);
+            }
+            let (top_cells, top_weights) = top_k(&s.map, k);
+            let closure = KernelClosure {
+                p_snr: s.p_snr.clone(),
+                p_rssi: s.p_rssi.clone(),
+                top_cells,
+                top_weights,
+                energy_max: s.energy_max,
+            };
+            (estimate, closure)
+        })
     }
+}
+
+/// The `k` best cells of `map` with their weights, best first: weight
+/// descending, ties to the lower index — the order of a full sort by that
+/// comparator, taken in one pass that keeps at most `k` candidates.
+fn top_k(map: &[f64], k: usize) -> (Vec<u64>, Vec<f64>) {
+    let k = k.min(map.len());
+    let mut cells = Vec::with_capacity(k);
+    let mut weights: Vec<f64> = Vec::with_capacity(k);
+    if k == 0 {
+        return (cells, weights);
+    }
+    for (i, &w) in map.iter().enumerate() {
+        if weights.len() == k {
+            // A tie with the last kept cell loses: that cell's index is lower.
+            if w <= weights[k - 1] {
+                continue;
+            }
+            weights.pop();
+            cells.pop();
+        }
+        // Kept cells of equal weight were seen first, so they stay ahead.
+        let at = weights.partition_point(|&kept| kept >= w);
+        weights.insert(at, w);
+        cells.insert(at, i as u64);
+    }
+    (cells, weights)
 }
 
 /// Mixes `bytes` into an FNV-1a accumulator.
@@ -1294,12 +1345,191 @@ mod tests {
         }
     }
 
+    /// The closure by brute force: a fresh scratch, its own correlation
+    /// pass and a full sort of every cell. The oracle the one-pass
+    /// [`CompressiveEstimator::estimate_with_closure`] must match bit for
+    /// bit.
+    fn sorted_closure(
+        est: &CompressiveEstimator,
+        readings: &[SweepReading],
+        k: usize,
+    ) -> KernelClosure {
+        let mut s = EstimatorScratch::new();
+        est.correlation_into(&mut s, readings);
+        let energy_max = s.energy.iter().copied().fold(0.0, f64::max);
+        let mut order: Vec<usize> = (0..s.map.len()).collect();
+        order.sort_by(|&a, &b| {
+            s.map[b]
+                .partial_cmp(&s.map[a])
+                .expect("correlation is finite")
+                .then(a.cmp(&b))
+        });
+        order.truncate(k);
+        KernelClosure {
+            top_cells: order.iter().map(|&i| i as u64).collect(),
+            top_weights: order.iter().map(|&i| s.map[i]).collect(),
+            p_snr: s.p_snr,
+            p_rssi: s.p_rssi,
+            energy_max,
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_closures_identical(a: &KernelClosure, b: &KernelClosure, ctx: &str) {
+        assert_eq!(bits(&a.p_snr), bits(&b.p_snr), "{ctx}: p_snr");
+        assert_eq!(bits(&a.p_rssi), bits(&b.p_rssi), "{ctx}: p_rssi");
+        assert_eq!(a.top_cells, b.top_cells, "{ctx}: top_cells");
+        assert_eq!(
+            bits(&a.top_weights),
+            bits(&b.top_weights),
+            "{ctx}: top_weights"
+        );
+        assert_eq!(
+            a.energy_max.to_bits(),
+            b.energy_max.to_bits(),
+            "{ctx}: energy_max"
+        );
+    }
+
+    /// Random 2-D store: whole-dB gains straddling the report floor, so
+    /// the map has dark (exactly zero) regions and tied cells.
+    fn random_store(rng: &mut rand::rngs::StdRng) -> SectorPatterns {
+        use rand::Rng;
+        let grid = SphericalGrid::new(
+            GridSpec::new(-60.0, 60.0, [4.0, 7.5][rng.gen_range(0..2usize)]),
+            GridSpec::new(0.0, 30.0, 10.0),
+        );
+        let mut store = SectorPatterns::new(grid.clone());
+        for s in 1..=rng.gen_range(3..=12u8) {
+            let gains: Vec<f64> = (0..grid.len())
+                .map(|_| f64::from(rng.gen_range(-30..15i32)))
+                .collect();
+            store.insert(SectorId(s), GainPattern::from_table(grid.clone(), gains));
+        }
+        store
+    }
+
+    fn random_readings(rng: &mut rand::rngs::StdRng, store: &SectorPatterns) -> Vec<SweepReading> {
+        use rand::Rng;
+        let mut readings = Vec::new();
+        for id in store.sector_ids() {
+            if rng.gen_bool(0.3) {
+                continue; // not probed
+            }
+            if rng.gen_bool(0.2) {
+                readings.push(missing(id.raw()));
+                continue;
+            }
+            let snr = f64::from(rng.gen_range(-28..100i32)) * 0.25;
+            readings.push(SweepReading {
+                sector: id,
+                measurement: Some(Measurement {
+                    snr_db: snr,
+                    rssi_dbm: snr - 65.0 + rng.gen_range(-3.0..3.0),
+                }),
+            });
+        }
+        readings
+    }
+
     #[test]
-    fn kernel_closure_matches_the_map_argmax() {
+    fn closure_matches_the_sorted_oracle_over_randomized_readings() {
+        use rand::Rng;
+        let mut rng = geom::rng::sub_rng(16, "closure-oracle");
+        for case in 0..120 {
+            let store = random_store(&mut rng);
+            let n_grid = store.grid().len();
+            for mode in [CorrelationMode::SnrOnly, CorrelationMode::JointSnrRssi] {
+                for (energy_prior, smoothing) in
+                    [(true, true), (false, true), (true, false), (false, false)]
+                {
+                    let est =
+                        CompressiveEstimator::new(&store, mode).with_options(EstimatorOptions {
+                            energy_prior,
+                            smoothing,
+                            ..EstimatorOptions::default()
+                        });
+                    let readings = random_readings(&mut rng, &store);
+                    let k = [0, 1, 8, n_grid - 1, n_grid, n_grid + 5][rng.gen_range(0..6usize)];
+                    let ctx = format!(
+                        "case {case} {mode:?} prior={energy_prior} smooth={smoothing} k={k}"
+                    );
+                    let (estimate, closure) = est.estimate_with_closure(&readings, k);
+                    assert_eq!(estimate, est.estimate(&readings), "{ctx}: estimate");
+                    assert_eq!(closure.top_cells.len(), k.min(n_grid), "{ctx}");
+                    assert_closures_identical(&closure, &sorted_closure(&est, &readings, k), &ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn closure_edge_cases_match_the_sorted_oracle() {
+        let store = synthetic_store();
+        let n_grid = store.grid().len();
+        let est = CompressiveEstimator::new(&store, CorrelationMode::JointSnrRssi);
+        let full = vec![reading(1, 3.0), reading(2, 6.0), reading(3, 1.0)];
+        let degenerate = vec![reading(1, 3.0), missing(2)];
+        for k in [0, 5, n_grid, n_grid + 1, usize::MAX] {
+            let (_, closure) = est.estimate_with_closure(&full, k);
+            assert_eq!(closure.top_cells.len(), k.min(n_grid));
+            assert_closures_identical(&closure, &sorted_closure(&est, &full, k), &format!("k={k}"));
+        }
+        // A degenerate sweep right after a full one on the same thread:
+        // the scratch's energy buffer still holds the full sweep's values,
+        // but the closure reports no energy and an all-zero map whose ties
+        // resolve to the lowest cells.
+        let (_, warm) = est.estimate_with_closure(&full, 8);
+        assert!(warm.energy_max > 0.0);
+        let (estimate, closure) = est.estimate_with_closure(&degenerate, 8);
+        assert_eq!(estimate, None);
+        assert_eq!(closure.energy_max, 0.0);
+        assert_eq!(closure.top_cells, (0..8).collect::<Vec<u64>>());
+        assert_eq!(closure.top_weights, vec![0.0; 8]);
+        assert_closures_identical(
+            &closure,
+            &sorted_closure(&est, &degenerate, 8),
+            "degenerate",
+        );
+    }
+
+    #[test]
+    fn reduced_precision_paths_take_the_closure_from_the_f64_pass() {
+        let store = synthetic_store();
+        let truth = Direction::new(15.0, 0.0);
+        let readings: Vec<SweepReading> = (1..=3)
+            .map(|s| reading(s, store.get(SectorId(s)).unwrap().gain_interp(&truth)))
+            .collect();
+        for path in [KernelPath::F32, KernelPath::Q15] {
+            let est = CompressiveEstimator::new(&store, CorrelationMode::JointSnrRssi)
+                .with_options(EstimatorOptions {
+                    kernel_path: path,
+                    ..EstimatorOptions::default()
+                });
+            let (estimate, closure) = est.estimate_with_closure(&readings, 8);
+            assert!(estimate.is_some(), "{path:?}");
+            assert_eq!(
+                estimate,
+                est.estimate(&readings),
+                "{path:?}: batched estimate"
+            );
+            assert_closures_identical(
+                &closure,
+                &sorted_closure(&est, &readings, 8),
+                &format!("{path:?}"),
+            );
+        }
+    }
+
+    #[test]
+    fn estimate_with_closure_matches_the_map_argmax() {
         let store = synthetic_store();
         let est = CompressiveEstimator::new(&store, CorrelationMode::JointSnrRssi);
         let readings = vec![reading(1, 3.0), reading(2, 6.0), reading(3, 1.0)];
-        let closure = est.kernel_closure(&readings, 5);
+        let (estimate, closure) = est.estimate_with_closure(&readings, 5);
         let map = est.correlation_map(&readings);
         let (best_i, best_w) = map
             .iter()
@@ -1307,6 +1537,7 @@ mod tests {
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .unwrap();
+        assert_eq!(estimate.map(|(_, score)| score), Some(best_w));
         assert_eq!(closure.top_cells.len(), 5);
         assert_eq!(closure.top_cells[0], best_i as u64);
         assert_eq!(closure.top_weights[0], best_w);

@@ -20,7 +20,7 @@
 //! that different devices exhibit similar patterns with slight variations"
 //! (§4.5) — so one measured database serves a deployment.
 
-use crate::estimator::{patterns_digest, CompressiveEstimator, CorrelationMode};
+use crate::estimator::{patterns_digest, CompressiveEstimator, CorrelationMode, KernelClosure};
 use crate::strategy::ProbeStrategy;
 use chamber::SectorPatterns;
 use geom::sphere::Direction;
@@ -157,7 +157,16 @@ impl CompressiveSelection {
         // Taken unconditionally: an oracle provided for this sweep must
         // never survive to describe a later one.
         let oracle = self.pending_oracle.take();
-        let estimate = self.estimator.estimate(readings);
+        // While a sink records, the decision's provenance closure comes
+        // out of the same kernel pass as the estimate.
+        let (estimate, closure) = if obs::sink_active() {
+            let (estimate, closure) = self
+                .estimator
+                .estimate_with_closure(readings, DECISION_TOP_K);
+            (estimate, Some(closure))
+        } else {
+            (self.estimator.estimate(readings), None)
+        };
         self.last_estimate = estimate;
         let (chosen, fallback) = match estimate {
             Some((dir, _)) => (self.patterns.best_sector_at(&dir), false),
@@ -169,8 +178,15 @@ impl CompressiveSelection {
                 (MaxSnrPolicy.select(readings), true)
             }
         };
-        if obs::sink_active() {
-            self.emit_decision(readings, estimate, chosen, fallback, oracle.as_ref());
+        if let Some(closure) = closure {
+            self.emit_decision(
+                readings,
+                estimate,
+                closure,
+                chosen,
+                fallback,
+                oracle.as_ref(),
+            );
         }
         chosen
     }
@@ -181,6 +197,7 @@ impl CompressiveSelection {
         &self,
         readings: &[SweepReading],
         estimate: Option<(Direction, f64)>,
+        closure: KernelClosure,
         chosen: Option<SectorId>,
         fallback: bool,
         oracle: Option<&DecisionOracle>,
@@ -204,7 +221,6 @@ impl CompressiveSelection {
                 r.measurement.map(|m| (m.snr_db, m.rssi_dbm)),
             );
         }
-        let closure = self.estimator.kernel_closure(readings, DECISION_TOP_K);
         rec.p_snr = closure.p_snr;
         rec.p_rssi = closure.p_rssi;
         rec.top_cells = closure.top_cells;

@@ -356,12 +356,14 @@ impl Comparator {
         });
     }
 
-    fn check_f64(&mut self, field: String, expected: f64, actual: f64) {
+    /// Compares one f64 output. `field` names it and is only called when
+    /// the value diverges, so a clean replay formats no names.
+    fn check_f64(&mut self, field: impl FnOnce() -> String, expected: f64, actual: f64) {
         let err = (expected - actual).abs();
         self.max_err = self.max_err.max(err);
         // NaN errors (one side NaN, the other not) must diverge too.
         if err > self.tol || err.is_nan() {
-            self.diverge(field, format!("{expected:?}"), format!("{actual:?}"));
+            self.diverge(field(), format!("{expected:?}"), format!("{actual:?}"));
         }
     }
 }
@@ -396,9 +398,8 @@ fn replay_one(
         });
     }
 
-    // Re-run the fused kernel and its provenance closure.
-    let estimate = est.estimate(&readings);
-    let closure = est.kernel_closure(&readings, rec.top_cells.len());
+    // Re-run the fused kernel; its provenance closure comes from the same pass.
+    let (estimate, closure) = est.estimate_with_closure(&readings, rec.top_cells.len());
 
     if rec.has_estimate != estimate.is_some() {
         cmp.diverge(
@@ -407,9 +408,9 @@ fn replay_one(
             estimate.is_some().to_string(),
         );
     } else if let Some((dir, score)) = estimate {
-        cmp.check_f64("est_az_deg".into(), rec.est_az_deg, dir.az_deg);
-        cmp.check_f64("est_el_deg".into(), rec.est_el_deg, dir.el_deg);
-        cmp.check_f64("score".into(), rec.score, score);
+        cmp.check_f64(|| "est_az_deg".into(), rec.est_az_deg, dir.az_deg);
+        cmp.check_f64(|| "est_el_deg".into(), rec.est_el_deg, dir.el_deg);
+        cmp.check_f64(|| "score".into(), rec.score, score);
     }
 
     // The same Eq. 4 selection step the live path ran.
@@ -448,7 +449,7 @@ fn replay_one(
             continue;
         }
         for (i, (&e, &a)) in expected.iter().zip(actual.iter()).enumerate() {
-            cmp.check_f64(format!("{name}[{i}]"), e, a);
+            cmp.check_f64(|| format!("{name}[{i}]"), e, a);
         }
     }
     if rec.top_cells != closure.top_cells {
@@ -458,7 +459,7 @@ fn replay_one(
             format!("{:?}", closure.top_cells),
         );
     }
-    cmp.check_f64("energy_max".into(), rec.energy_max, closure.energy_max);
+    cmp.check_f64(|| "energy_max".into(), rec.energy_max, closure.energy_max);
 
     (cmp.divergent, cmp.max_err)
 }
