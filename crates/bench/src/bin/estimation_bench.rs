@@ -20,8 +20,8 @@
 
 use bench::bench_patterns;
 use css::estimator::reference::ReferenceEstimator;
-use css::estimator::{CompressiveEstimator, CorrelationMode, EstimatorOptions, KernelPath};
-use css::{BatchEstimator, BatchScratch, PruneConfig};
+use css::estimator::{CompressiveEstimator, CorrelationMode, EstimatorOptions};
+use css::{BatchEstimator, BatchScratch, KernelPath};
 use eval::engine;
 use eval::estimation::estimation_error_par;
 use eval::scenario::{EvalScenario, Fidelity};
@@ -126,9 +126,9 @@ fn main() {
     let speedup_vs_prechange = PRECHANGE_ESTIMATE_M14_NS / estimate_m14_ns;
 
     // ── Batched kernel: B concurrent links through the GEMM-shaped
-    // multi-link sweep, on the deployment configuration (f32 panels +
-    // coarse-to-fine pruning). Reported amortized: ns per estimate, so
-    // the figures are directly comparable to `estimate_m14_ns`.
+    // multi-link sweep, on the f32 kernel path (the dense sweep over the
+    // full grid). Reported amortized: ns per estimate, so the figures are
+    // directly comparable to `estimate_m14_ns`.
     const MAX_B: usize = 64;
     let links_store: Vec<Vec<SweepReading>> = (0..MAX_B)
         .map(|i| {
@@ -142,12 +142,9 @@ fn main() {
     let batched = BatchEstimator::new(
         &patterns,
         CorrelationMode::JointSnrRssi,
-        EstimatorOptions {
-            kernel_path: KernelPath::F32,
-            ..EstimatorOptions::default()
-        },
-    )
-    .with_prune(PruneConfig::default());
+        EstimatorOptions::default(),
+        KernelPath::F32,
+    );
     let mut bscratch = BatchScratch::new();
     let mut bout = Vec::new();
     let mut bench_batch = |b: usize| -> f64 {

@@ -169,8 +169,8 @@ pub(crate) fn smooth_map_into(map: &[f64], n_az: usize, n_el: usize, out: &mut V
 
 /// [`smooth_map_into`] with the border/interior divisions replaced by
 /// reciprocal multiplies. One-ulp different from the exact version, so
-/// only the batch kernel's `F32`/`Q15` paths (whose documented tolerance
-/// is 12 orders of magnitude looser) use it; the scalar kernel and the
+/// only the batch kernel's `F32` path (whose documented tolerance is 8
+/// orders of magnitude looser) uses it; the scalar kernel and the
 /// golden-pinned `F64` path keep the division form that recorded traces
 /// replay bit-exactly. Divides dominate the exact version's cost — ~100
 /// unpipelined f64 divisions per map against ~550 fully-vectorizable
@@ -244,46 +244,6 @@ pub(crate) fn smooth_map_into_mul(map: &[f64], n_az: usize, n_el: usize, out: &m
     }
 }
 
-/// Arithmetic path of the correlation kernel.
-///
-/// `F64` is the exact path every golden test pins; `F32` and `Q15` trade
-/// precision the quarter-dB-quantized, `[−7, 12]` dB-clamped firmware
-/// reports never had for throughput (see `css::batch`). Decision records
-/// stamp the path so `talon replay` re-executes the same arithmetic with
-/// the matching comparison tolerance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum KernelPath {
-    /// Exact f64 arithmetic (the reference-pinned default).
-    F64,
-    /// f32 gains and probe panels, f32 accumulation, f64 argmax pass.
-    F32,
-    /// Quarter-dB i16 fixed-point gains/probes with i32 accumulation —
-    /// integer-exact, so bit-identical on every platform.
-    Q15,
-}
-
-impl KernelPath {
-    /// Stable wire name, as stamped into `DecisionRecord::kernel_path`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            KernelPath::F64 => "f64",
-            KernelPath::F32 => "f32",
-            KernelPath::Q15 => "q15",
-        }
-    }
-
-    /// Parses a wire name written by [`Self::as_str`].
-    #[allow(clippy::should_implement_trait)]
-    pub fn from_str(s: &str) -> Option<KernelPath> {
-        match s {
-            "f64" => Some(KernelPath::F64),
-            "f32" => Some(KernelPath::F32),
-            "q15" => Some(KernelPath::Q15),
-            _ => None,
-        }
-    }
-}
-
 /// Numerical options of the Eq. 3 argmax (all on by default; exposed so
 /// the DESIGN.md ablations are reproducible).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -295,10 +255,6 @@ pub struct EstimatorOptions {
     pub smoothing: bool,
     /// Parabolic sub-cell refinement of the winning direction.
     pub subcell_refinement: bool,
-    /// Arithmetic path of the kernel. Non-`F64` estimates route through
-    /// the batched kernel (`css::batch`), which quantizes the pattern
-    /// matrix once and correlates in reduced precision.
-    pub kernel_path: KernelPath,
 }
 
 impl Default for EstimatorOptions {
@@ -307,7 +263,6 @@ impl Default for EstimatorOptions {
             energy_prior: true,
             smoothing: true,
             subcell_refinement: true,
-            kernel_path: KernelPath::F64,
         }
     }
 }
@@ -386,9 +341,6 @@ pub struct CompressiveEstimator {
     pub mode: CorrelationMode,
     /// Numerical argmax options.
     pub options: EstimatorOptions,
-    /// Lazily built batched kernel backing non-`F64` scalar estimates;
-    /// invalidated when `mode`/`options` changed since it was built.
-    quantized: std::sync::Mutex<Option<std::sync::Arc<crate::batch::BatchEstimator>>>,
     /// Cached metric handles (registry lookups are off the hot path).
     ctr_estimates: std::sync::Arc<obs::Counter>,
     ctr_degenerate: std::sync::Arc<obs::Counter>,
@@ -419,7 +371,6 @@ impl CompressiveEstimator {
             grid,
             mode,
             options: EstimatorOptions::default(),
-            quantized: std::sync::Mutex::new(None),
             ctr_estimates: obs::counter("css.estimates"),
             ctr_degenerate: obs::counter("css.degenerate"),
             gauge_allocs: obs::gauge("css.estimate_allocs"),
@@ -611,9 +562,6 @@ impl CompressiveEstimator {
         scratch: &mut EstimatorScratch,
         readings: &[SweepReading],
     ) -> Option<(Direction, f64)> {
-        if self.options.kernel_path != KernelPath::F64 {
-            return self.estimate_quantized(readings);
-        }
         self.ctr_estimates.inc();
         // A full span (two clock reads + histogram) only while tracing; the
         // no-sink bill is the counter above and the allocation gauge below.
@@ -670,32 +618,6 @@ impl CompressiveEstimator {
             coarse.el_deg + el_off * self.grid.el.step_deg,
         );
         Some((refined, best_w))
-    }
-
-    /// Scalar estimate through the reduced-precision batched kernel
-    /// (`options.kernel_path` = `F32`/`Q15`): a one-link batch against a
-    /// [`crate::batch::BatchEstimator`] quantized from this estimator's
-    /// pattern matrix. The batched kernel is built on first use and
-    /// rebuilt if `mode`/`options` changed since.
-    fn estimate_quantized(&self, readings: &[SweepReading]) -> Option<(Direction, f64)> {
-        self.ctr_estimates.inc();
-        let batch = {
-            let mut slot = self.quantized.lock().expect("quantized cache poisoned");
-            match &*slot {
-                Some(b) if b.mode() == self.mode && b.options() == self.options => b.clone(),
-                _ => {
-                    let built =
-                        std::sync::Arc::new(crate::batch::BatchEstimator::from_estimator(self));
-                    *slot = Some(built.clone());
-                    built
-                }
-            }
-        };
-        let out = batch.estimate_one(readings);
-        if out.is_none() {
-            self.ctr_degenerate.inc();
-        }
-        out.map(|e| (e.direction, e.score))
     }
 
     /// Link-health check on the Eq. 5 fit: with the estimated direction
@@ -778,10 +700,6 @@ impl CompressiveEstimator {
     /// map cells. Allocates only the closure's four output vectors, so it
     /// is meant for the sink-gated provenance path and for replay; the
     /// no-sink hot path calls [`Self::estimate`].
-    ///
-    /// On the `F32`/`Q15` kernel paths the estimate comes from the batched
-    /// kernel, while the closure still comes from an exact f64 pass — the
-    /// intermediates a record carries are always the f64 ones.
     pub fn estimate_with_closure(
         &self,
         readings: &[SweepReading],
@@ -790,9 +708,6 @@ impl CompressiveEstimator {
         THREAD_SCRATCH.with(|s| {
             let s = &mut *s.borrow_mut();
             let estimate = self.estimate_with(s, readings);
-            if self.options.kernel_path != KernelPath::F64 {
-                self.correlation_into(s, readings);
-            }
             let (top_cells, top_weights) = top_k(&s.map, k);
             let closure = KernelClosure {
                 p_snr: s.p_snr.clone(),
@@ -1301,7 +1216,6 @@ mod tests {
                 energy_prior: false,
                 smoothing: false,
                 subcell_refinement: false,
-                kernel_path: KernelPath::F64,
             },
         );
         let full = CompressiveEstimator::new(&store, CorrelationMode::SnrOnly);
@@ -1494,34 +1408,6 @@ mod tests {
             &sorted_closure(&est, &degenerate, 8),
             "degenerate",
         );
-    }
-
-    #[test]
-    fn reduced_precision_paths_take_the_closure_from_the_f64_pass() {
-        let store = synthetic_store();
-        let truth = Direction::new(15.0, 0.0);
-        let readings: Vec<SweepReading> = (1..=3)
-            .map(|s| reading(s, store.get(SectorId(s)).unwrap().gain_interp(&truth)))
-            .collect();
-        for path in [KernelPath::F32, KernelPath::Q15] {
-            let est = CompressiveEstimator::new(&store, CorrelationMode::JointSnrRssi)
-                .with_options(EstimatorOptions {
-                    kernel_path: path,
-                    ..EstimatorOptions::default()
-                });
-            let (estimate, closure) = est.estimate_with_closure(&readings, 8);
-            assert!(estimate.is_some(), "{path:?}");
-            assert_eq!(
-                estimate,
-                est.estimate(&readings),
-                "{path:?}: batched estimate"
-            );
-            assert_closures_identical(
-                &closure,
-                &sorted_closure(&est, &readings, 8),
-                &format!("{path:?}"),
-            );
-        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   §2.1/§8 multi-path and BeamSpy ideas, adapted to commodity readings).
 //! * [`batch`] — the GEMM-shaped multi-link kernel: B concurrent links'
 //!   probe panels swept against the grid-major gains matrix in one pass,
-//!   with f32/q15 reduced-precision paths and coarse-to-fine grid pruning.
+//!   on an exact f64 or a reduced-precision f32 path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,10 +38,9 @@ pub mod multipath;
 pub mod selection;
 pub mod strategy;
 
-pub use batch::{BatchEstimator, BatchScratch, LinkEstimate, PruneConfig};
+pub use batch::{BatchEstimator, BatchScratch, KernelPath, LinkEstimate};
 pub use estimator::{
     patterns_digest, CompressiveEstimator, CorrelationMode, EstimatorOptions, KernelClosure,
-    KernelPath,
 };
 pub use selection::{CompressiveSelection, CssConfig, DecisionOracle};
 pub use strategy::ProbeStrategy;

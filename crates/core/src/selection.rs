@@ -117,18 +117,15 @@ impl CompressiveSelection {
         self.pending_oracle = Some(oracle);
     }
 
-    /// Replaces the estimator options — e.g. to record traces under a
-    /// reduced-precision kernel path ([`KernelPath::F32`]/[`Q15`]). The
-    /// quantized kernel cache rebuilds lazily on the next estimate.
-    ///
-    /// [`KernelPath::F32`]: crate::estimator::KernelPath::F32
-    /// [`Q15`]: crate::estimator::KernelPath::Q15
+    /// Replaces the Eq. 3 argmax options (energy prior, smoothing,
+    /// sub-cell refinement), e.g. for the DESIGN.md ablations. The live
+    /// kernel is always the exact f64 one.
     pub fn set_estimator_options(&mut self, options: crate::estimator::EstimatorOptions) {
         self.estimator.options = options;
     }
 
-    /// The estimator options currently in effect (stamped, via
-    /// `kernel_path`, on every decision record).
+    /// The estimator options currently in effect (stamped on every
+    /// decision record).
     pub fn estimator_options(&self) -> crate::estimator::EstimatorOptions {
         self.estimator.options
     }
@@ -212,7 +209,6 @@ impl CompressiveSelection {
         rec.energy_prior = opts.energy_prior;
         rec.smoothing = opts.smoothing;
         rec.subcell_refinement = opts.subcell_refinement;
-        rec.kernel_path = opts.kernel_path.as_str().to_string();
         rec.patterns_digest = self.digest;
         rec.replayable = true;
         for r in readings {

@@ -6,22 +6,18 @@
 //!   exact plateau ties (the report-floor clip of the gain matrix makes
 //!   distant cells mathematically identical when only one probed sector
 //!   survives the clip — rounding, not logic, picks among them);
-//! * the reduced-precision `F32`/`Q15` paths must stay within their
-//!   documented tolerances and agree with the f64 argmax (same winning
-//!   cell, same selected sector) at the configured rates over 1 000
-//!   seeded beam-pattern scenarios;
-//! * coarse-to-fine pruning must reproduce the full-grid argmax exactly,
-//!   on every precision path;
+//! * the reduced-precision `F32` path must stay within its documented
+//!   tolerance and agree with the f64 argmax (same winning cell, same
+//!   selected sector) at the configured rates over 1 000 seeded
+//!   beam-pattern scenarios;
 //! * the 1-, 4- and 8-lane inner kernels must be bit-identical;
 //! * batch composition (alone vs inside a larger batch) must not change
 //!   any link's bits — the property the deterministic parallel engine
-//!   relies on;
-//! * the scalar `CompressiveEstimator` dispatch for non-F64 kernel paths
-//!   must agree with a directly-built `BatchEstimator`.
+//!   relies on.
 
 use chamber::SectorPatterns;
-use css::estimator::{CompressiveEstimator, CorrelationMode, EstimatorOptions, KernelPath};
-use css::{BatchEstimator, BatchScratch, PruneConfig};
+use css::estimator::{CompressiveEstimator, CorrelationMode, EstimatorOptions};
+use css::{BatchEstimator, BatchScratch, KernelPath};
 use geom::rng::sub_rng;
 use geom::sphere::{Direction, GridSpec, SphericalGrid};
 use rand::rngs::StdRng;
@@ -104,28 +100,7 @@ fn beam_store(rng: &mut StdRng) -> SectorPatterns {
     } else {
         GridSpec::new(0.0, 30.0, 10.0)
     };
-    beam_store_on(
-        rng,
-        SphericalGrid::new(GridSpec::new(-60.0, 60.0, az_step), el),
-    )
-}
-
-/// The beam store on a paper-fidelity grid: 121 × 16 cells, large enough
-/// that the default coarse-to-fine plan survives the workload guard (on
-/// the coarse test grids above, `with_prune` correctly falls back to the
-/// dense sweep because the refined neighbourhoods would cover the whole
-/// grid anyway).
-fn fine_beam_store(rng: &mut StdRng) -> SectorPatterns {
-    beam_store_on(
-        rng,
-        SphericalGrid::new(
-            GridSpec::new(-60.0, 60.0, 1.0),
-            GridSpec::new(0.0, 30.0, 2.0),
-        ),
-    )
-}
-
-fn beam_store_on(rng: &mut StdRng, grid: SphericalGrid) -> SectorPatterns {
+    let grid = SphericalGrid::new(GridSpec::new(-60.0, 60.0, az_step), el);
     let n_sectors = rng.gen_range(6..=16);
     let mut store = SectorPatterns::new(grid.clone());
     for s in 0..n_sectors {
@@ -194,12 +169,11 @@ fn beam_readings_once(rng: &mut StdRng, store: &SectorPatterns) -> Vec<SweepRead
         .collect()
 }
 
-fn options_for(path: KernelPath, variant: usize) -> EstimatorOptions {
+fn options_for(variant: usize) -> EstimatorOptions {
     EstimatorOptions {
         energy_prior: variant.is_multiple_of(2),
         smoothing: variant % 4 < 2,
         subcell_refinement: !variant.is_multiple_of(3),
-        kernel_path: path,
     }
 }
 
@@ -214,9 +188,9 @@ fn f64_batch_matches_scalar_estimator() {
             (0..7).map(|_| random_readings(&mut rng, &store)).collect();
         let links: Vec<&[SweepReading]> = links_store.iter().map(Vec::as_slice).collect();
         for mode in [CorrelationMode::SnrOnly, CorrelationMode::JointSnrRssi] {
-            let options = options_for(KernelPath::F64, trial);
+            let options = options_for(trial);
             let scalar = CompressiveEstimator::new(&store, mode).with_options(options);
-            let batch = BatchEstimator::new(&store, mode, options);
+            let batch = BatchEstimator::new(&store, mode, options, KernelPath::F64);
             let mut scratch = BatchScratch::new();
             let got = batch.estimate_batch(&mut scratch, &links);
             assert_eq!(got.len(), links.len());
@@ -271,7 +245,7 @@ fn f64_batch_matches_scalar_estimator() {
     );
 }
 
-/// Measured agreement of one reduced-precision path against the f64
+/// Measured agreement of the reduced-precision path against the f64
 /// reference over many seeded beam-pattern scenarios, at the deployment
 /// options (energy prior + smoothing + sub-cell refinement).
 struct Agreement {
@@ -294,13 +268,14 @@ fn measure_agreement(path: KernelPath, scenarios: usize) -> Agreement {
     for _ in 0..scenarios {
         let store = beam_store(&mut rng);
         let readings = beam_readings(&mut rng, &store);
-        let opts64 = EstimatorOptions::default();
-        let optsq = EstimatorOptions {
-            kernel_path: path,
-            ..opts64
-        };
-        let golden = BatchEstimator::new(&store, CorrelationMode::JointSnrRssi, opts64);
-        let quant = BatchEstimator::new(&store, CorrelationMode::JointSnrRssi, optsq);
+        let options = EstimatorOptions::default();
+        let golden = BatchEstimator::new(
+            &store,
+            CorrelationMode::JointSnrRssi,
+            options,
+            KernelPath::F64,
+        );
+        let quant = BatchEstimator::new(&store, CorrelationMode::JointSnrRssi, options, path);
         let mut scratch = BatchScratch::new();
         let a = golden.estimate_batch(&mut scratch, &[&readings])[0];
         let b = quant.estimate_batch(&mut scratch, &[&readings])[0];
@@ -358,149 +333,6 @@ fn f32_path_agrees_with_f64_within_documented_tolerance() {
 }
 
 #[test]
-fn q15_path_agrees_with_f64_within_documented_tolerance() {
-    // Documented contract: quarter-dB fixed point reproduces the f64
-    // winning cell in ≥ 92 % of scenarios (the ~6 % it moves are almost
-    // always one-cell shifts) and the selected sector in ≥ 97 %;
-    // same-cell scores agree to ≤ 0.05 (the correlation weights live in
-    // [0, 1]).
-    let agg = measure_agreement(KernelPath::Q15, 1_000);
-    assert!(
-        agg.same_presence as f64 >= 0.99 * agg.compared as f64,
-        "q15 degeneracy agreement too low: {}/{}",
-        agg.same_presence,
-        agg.compared
-    );
-    assert!(
-        agg.same_cell as f64 >= 0.92 * agg.compared as f64,
-        "q15 argmax agreement too low: {}/{}",
-        agg.same_cell,
-        agg.compared
-    );
-    assert!(
-        agg.same_sector as f64 >= 0.97 * agg.compared as f64,
-        "q15 sector agreement too low: {}/{}",
-        agg.same_sector,
-        agg.compared
-    );
-    assert!(
-        agg.max_score_err_same_cell <= 0.05,
-        "q15 same-cell score error {} above 0.05",
-        agg.max_score_err_same_cell
-    );
-}
-
-#[test]
-fn pruned_argmax_matches_full_grid_on_every_path() {
-    let mut rng = sub_rng(909, "batch-golden-pruned");
-    let mut pruned_used = 0usize;
-    let mut nontrivial = 0usize;
-    let mut exact_ties = 0usize;
-    for trial in 0..20 {
-        let store = fine_beam_store(&mut rng);
-        let links_store: Vec<Vec<SweepReading>> =
-            (0..4).map(|_| beam_readings(&mut rng, &store)).collect();
-        let links: Vec<&[SweepReading]> = links_store.iter().map(Vec::as_slice).collect();
-        for path in [KernelPath::F64, KernelPath::F32, KernelPath::Q15] {
-            // Deployment options: the equivalence contract holds with the
-            // energy prior and smoothing ON. Both exist to suppress
-            // knife-edge "dark cell" spikes — precisely the feature a
-            // top-K coarse ranking can miss. Pruning a raw, unsmoothed,
-            // unprior'd map remains a best-effort approximation and is
-            // not claimed exact (DESIGN.md).
-            let options = EstimatorOptions {
-                energy_prior: true,
-                smoothing: true,
-                subcell_refinement: trial % 2 == 0,
-                kernel_path: path,
-            };
-            let full = BatchEstimator::new(&store, CorrelationMode::JointSnrRssi, options);
-            let pruned = BatchEstimator::new(&store, CorrelationMode::JointSnrRssi, options)
-                .with_prune(PruneConfig::default());
-            if pruned.prune_active() {
-                pruned_used += 1;
-            }
-            let mut scratch = BatchScratch::new();
-            let dense = full.estimate_batch(&mut scratch, &links);
-            let fast = pruned.estimate_batch(&mut scratch, &links);
-            for b in 0..links.len() {
-                let ctx = format!("trial {trial}, path {path:?}, link {b}");
-                match (dense[b], fast[b]) {
-                    (None, None) => {}
-                    (Some(d), Some(f)) => {
-                        nontrivial += 1;
-                        if d.cell != f.cell {
-                            // The integer Q15 arithmetic (and, rarely,
-                            // the float paths) can value two distant
-                            // cells *exactly* equally; when the tie
-                            // straddles the refined set, dense and
-                            // pruned argmax legitimately land on
-                            // different members. Accept a cell mismatch
-                            // only for a bit-exact tie on the dense
-                            // final map.
-                            let fmap = full
-                                .final_map_one(&mut scratch, links[b])
-                                .expect("nontrivial link has a dense map");
-                            assert_eq!(
-                                fmap[d.cell].to_bits(),
-                                fmap[f.cell].to_bits(),
-                                "{ctx}: pruned argmax diverged on non-tied cells \
-                                 ({} vs {})",
-                                d.cell,
-                                f.cell
-                            );
-                            exact_ties += 1;
-                            continue;
-                        }
-                        // The pruned energy-prior normalizer is local to
-                        // the refined set — a per-link constant factor
-                        // that cannot move the (scale-invariant)
-                        // parabolic offset, so directions still match.
-                        assert!(
-                            (d.direction.az_deg - f.direction.az_deg).abs() <= 1e-9
-                                && (d.direction.el_deg - f.direction.el_deg).abs() <= 1e-9,
-                            "{ctx}: directions diverge: {} vs {}",
-                            d.direction,
-                            f.direction
-                        );
-                    }
-                    (d, f) => panic!("{ctx}: degeneracy diverged: dense {d:?} vs pruned {f:?}"),
-                }
-            }
-        }
-    }
-    assert!(pruned_used > 0, "no trial actually exercised pruning");
-    assert!(
-        nontrivial >= 200,
-        "randomization produced only {nontrivial} non-degenerate estimates"
-    );
-    assert!(
-        exact_ties * 10 <= nontrivial,
-        "exact ties should be the exception: {exact_ties}/{nontrivial}"
-    );
-}
-
-#[test]
-fn prune_plan_falls_back_to_dense_on_small_grids() {
-    // On the coarse chamber grids the top-K padded neighbourhoods cover
-    // the whole grid, so a "pruned" pass would do full-grid work at lane
-    // width 1 plus coarse-stage overhead. The workload guard must refuse
-    // the plan.
-    let mut rng = sub_rng(911, "batch-golden-prune-guard");
-    let store = beam_store(&mut rng);
-    let est = BatchEstimator::new(
-        &store,
-        CorrelationMode::JointSnrRssi,
-        EstimatorOptions::default(),
-    )
-    .with_prune(PruneConfig::default());
-    assert!(
-        !est.prune_active(),
-        "pruning must fall back to the dense sweep when it cannot win"
-    );
-}
-
-#[test]
 fn lane_widths_are_bit_identical() {
     let mut rng = sub_rng(515, "batch-golden-lanes");
     for trial in 0..20 {
@@ -509,13 +341,13 @@ fn lane_widths_are_bit_identical() {
         let links_store: Vec<Vec<SweepReading>> =
             (0..13).map(|_| random_readings(&mut rng, &store)).collect();
         let links: Vec<&[SweepReading]> = links_store.iter().map(Vec::as_slice).collect();
-        for path in [KernelPath::F64, KernelPath::F32, KernelPath::Q15] {
-            let options = options_for(path, trial);
+        for path in [KernelPath::F64, KernelPath::F32] {
+            let options = options_for(trial);
             let mut scratch = BatchScratch::new();
             let runs: Vec<_> = [None, Some(1), Some(4), Some(8)]
                 .into_iter()
                 .map(|lanes| {
-                    BatchEstimator::new(&store, CorrelationMode::JointSnrRssi, options)
+                    BatchEstimator::new(&store, CorrelationMode::JointSnrRssi, options, path)
                         .with_forced_lanes(lanes)
                         .estimate_batch(&mut scratch, &links)
                 })
@@ -557,9 +389,9 @@ fn batch_composition_does_not_change_any_link() {
     let links_store: Vec<Vec<SweepReading>> =
         (0..16).map(|_| random_readings(&mut rng, &store)).collect();
     let links: Vec<&[SweepReading]> = links_store.iter().map(Vec::as_slice).collect();
-    for path in [KernelPath::F64, KernelPath::F32, KernelPath::Q15] {
-        let options = options_for(path, 0);
-        let est = BatchEstimator::new(&store, CorrelationMode::JointSnrRssi, options);
+    for path in [KernelPath::F64, KernelPath::F32] {
+        let options = options_for(0);
+        let est = BatchEstimator::new(&store, CorrelationMode::JointSnrRssi, options, path);
         let mut scratch = BatchScratch::new();
         let whole = est.estimate_batch(&mut scratch, &links);
         for (b, link) in links.iter().enumerate() {
@@ -572,28 +404,5 @@ fn batch_composition_does_not_change_any_link() {
         assert_eq!(sub_out[0], whole[9], "path {path:?}");
         assert_eq!(sub_out[1], whole[2], "path {path:?}");
         assert_eq!(sub_out[2], whole[14], "path {path:?}");
-    }
-}
-
-#[test]
-fn scalar_dispatch_routes_quantized_paths_through_the_batch_kernel() {
-    let mut rng = sub_rng(717, "batch-golden-dispatch");
-    for trial in 0..15 {
-        let store = random_store(&mut rng);
-        let readings = random_readings(&mut rng, &store);
-        for path in [KernelPath::F32, KernelPath::Q15] {
-            let options = options_for(path, trial);
-            let scalar = CompressiveEstimator::new(&store, CorrelationMode::JointSnrRssi)
-                .with_options(options);
-            let batch = BatchEstimator::new(&store, CorrelationMode::JointSnrRssi, options);
-            let via_scalar = scalar.estimate(&readings);
-            let direct = batch
-                .estimate_one(&readings)
-                .map(|e| (e.direction, e.score));
-            assert_eq!(
-                via_scalar, direct,
-                "trial {trial}, path {path:?}: scalar dispatch diverged"
-            );
-        }
     }
 }

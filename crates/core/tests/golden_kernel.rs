@@ -8,9 +8,7 @@
 
 use chamber::SectorPatterns;
 use css::estimator::reference::ReferenceEstimator;
-use css::estimator::{
-    CompressiveEstimator, CorrelationMode, EstimatorOptions, EstimatorScratch, KernelPath,
-};
+use css::estimator::{CompressiveEstimator, CorrelationMode, EstimatorOptions, EstimatorScratch};
 use geom::rng::sub_rng;
 use geom::sphere::{GridSpec, SphericalGrid};
 use rand::rngs::StdRng;
@@ -100,25 +98,21 @@ fn fused_kernel_matches_reference_over_randomized_inputs() {
             energy_prior: true,
             smoothing: true,
             subcell_refinement: true,
-            kernel_path: KernelPath::F64,
         },
         EstimatorOptions {
             energy_prior: false,
             smoothing: true,
             subcell_refinement: false,
-            kernel_path: KernelPath::F64,
         },
         EstimatorOptions {
             energy_prior: true,
             smoothing: false,
             subcell_refinement: true,
-            kernel_path: KernelPath::F64,
         },
         EstimatorOptions {
             energy_prior: false,
             smoothing: false,
             subcell_refinement: false,
-            kernel_path: KernelPath::F64,
         },
     ];
     let mut nontrivial = 0usize;

@@ -18,8 +18,8 @@
 use crate::engine;
 use crate::scenario::{random_subset, RecordedDataset};
 use chamber::SectorPatterns;
-use css::estimator::{CorrelationMode, EstimatorOptions, KernelPath};
-use css::{BatchEstimator, BatchScratch};
+use css::estimator::{CorrelationMode, EstimatorOptions};
+use css::{BatchEstimator, BatchScratch, KernelPath};
 use geom::rng::sub_rng_indexed;
 use geom::stats::BoxStats;
 use serde::Serialize;
@@ -109,11 +109,12 @@ pub fn estimation_error_batched(
     threads: usize,
     kernel_path: KernelPath,
 ) -> EstimationErrorResult {
-    let options = EstimatorOptions {
+    let estimator = BatchEstimator::new(
+        patterns,
+        CorrelationMode::JointSnrRssi,
+        EstimatorOptions::default(),
         kernel_path,
-        ..EstimatorOptions::default()
-    };
-    let estimator = BatchEstimator::new(patterns, CorrelationMode::JointSnrRssi, options);
+    );
     // Flatten the recorded sweeps once; each work unit addresses one
     // (m, sweep, draw) cell of the Monte Carlo grid by flat index.
     let sweeps: Vec<_> = data

@@ -9,13 +9,12 @@
 //! override), re-runs [`css::CompressiveEstimator`] through the same code
 //! path the live selection used, and compares every recorded output —
 //! `(φ̂, θ̂)`, the correlation score, the top-k map cells and weights, the
-//! energy normalizer, and the chosen sector — at a tolerance set by the
-//! record's stamped `kernel_path`: 1e-12 for the f64 reference (values
+//! energy normalizer, and the chosen sector — at [`TOLERANCE`] (values
 //! round-trip JSONL bit-exactly, so any real difference means the kernel
-//! changed or the trace is corrupt), and documented relaxed bounds for
-//! the reduced-precision batch paths (see [`tolerance_for`]). A record
-//! stamped with an unknown kernel path is skipped as non-replayable
-//! rather than compared against the wrong arithmetic.
+//! changed or the trace is corrupt). Live decisions always run the exact
+//! f64 kernel; a record stamped with any other `kernel_path` (older
+//! builds could record `"f32"`/`"q15"` decisions) is skipped as
+//! non-replayable rather than compared against the wrong arithmetic.
 //!
 //! Replay fans out over [`crate::engine::par_map`], and because the
 //! kernel is deterministic the report is identical at any thread count —
@@ -25,7 +24,7 @@
 use crate::engine::{default_threads, par_map};
 use crate::scenario::{EvalScenario, Fidelity};
 use chamber::SectorPatterns;
-use css::estimator::{EstimatorOptions, KernelPath};
+use css::estimator::EstimatorOptions;
 use css::{patterns_digest, CompressiveEstimator, CorrelationMode};
 use mac80211ad::sls::{FeedbackPolicy, MaxSnrPolicy};
 use obs::jsonl::Trace;
@@ -40,22 +39,6 @@ use talon_channel::{Measurement, SweepReading};
 /// bit-identical unless the kernel itself changed; the tolerance only
 /// absorbs printing of values that were never written (e.g. `-0.0`).
 pub const TOLERANCE: f64 = 1e-12;
-
-/// Absolute tolerance for a record stamped with `kernel_path`.
-///
-/// Replay re-executes the *same* deterministic kernel the live path ran
-/// (q15 is integer-exact; f32 is lane-width-invariant by construction),
-/// so in practice every path reproduces bit-exactly on the recording
-/// machine. The relaxed bounds for the reduced-precision paths absorb
-/// cross-build codegen differences in f32 transcendentals and leave the
-/// comparator meaningful rather than vacuous.
-pub fn tolerance_for(path: KernelPath) -> f64 {
-    match path {
-        KernelPath::F64 => TOLERANCE,
-        KernelPath::F32 => 1e-4,
-        KernelPath::Q15 => 1e-3,
-    }
-}
 
 /// How a replay run executes.
 #[derive(Debug, Clone)]
@@ -105,7 +88,8 @@ pub struct ReplayReport {
     /// Records re-executed and compared.
     pub replayed: usize,
     /// Records marked non-replayable by their producer (SLS sweep
-    /// provenance, unknown correlation mode).
+    /// provenance), or with an unknown correlation mode or a kernel path
+    /// other than `"f64"`.
     pub skipped_non_replayable: usize,
     /// Replayable records whose pattern database could not be
     /// reconstructed (no context and no override).
@@ -271,17 +255,17 @@ impl ReplaySession {
                 });
                 continue;
             }
-            // An unknown kernel path (a future schema's) cannot be
-            // re-executed faithfully; skip rather than miscompare.
-            let Some(kernel_path) = KernelPath::from_str(&rec.kernel_path) else {
+            // Only the exact f64 kernel makes live decisions; a record
+            // from any other path cannot be re-executed faithfully, so
+            // skip it rather than miscompare.
+            if rec.kernel_path != "f64" {
                 self.report.skipped_non_replayable += 1;
                 continue;
-            };
+            }
             let options = EstimatorOptions {
                 energy_prior: rec.energy_prior,
                 smoothing: rec.smoothing,
                 subcell_refinement: rec.subcell_refinement,
-                kernel_path,
             };
             let key = (rec.context.clone(), rec.mode.clone(), options);
             let est = match self.est_keys.iter().position(|k| *k == key) {
@@ -341,8 +325,6 @@ struct Comparator {
     trace_id: u64,
     divergent: Vec<Divergence>,
     max_err: f64,
-    /// Per-record tolerance, from the stamped kernel path.
-    tol: f64,
 }
 
 impl Comparator {
@@ -362,7 +344,7 @@ impl Comparator {
         let err = (expected - actual).abs();
         self.max_err = self.max_err.max(err);
         // NaN errors (one side NaN, the other not) must diverge too.
-        if err > self.tol || err.is_nan() {
+        if err > TOLERANCE || err.is_nan() {
             self.diverge(field(), format!("{expected:?}"), format!("{actual:?}"));
         }
     }
@@ -381,7 +363,6 @@ fn replay_one(
         trace_id: rec.trace_id,
         divergent: Vec::new(),
         max_err: 0.0,
-        tol: tolerance_for(est.options.kernel_path),
     };
 
     // Rebuild the sweep readings exactly as the kernel saw them.
@@ -478,16 +459,9 @@ mod tests {
     /// Records a handful of decisions against lab-scenario patterns and
     /// returns (trace, patterns). The caller holds `obs::testing::lock()`.
     fn recorded_trace(n_sweeps: usize) -> (Trace, SectorPatterns) {
-        recorded_trace_with(n_sweeps, EstimatorOptions::default())
-    }
-
-    /// [`recorded_trace`] with explicit estimator options (in particular a
-    /// non-default kernel path).
-    fn recorded_trace_with(n_sweeps: usize, options: EstimatorOptions) -> (Trace, SectorPatterns) {
         let scenario = EvalScenario::lab(Fidelity::Fast, 7);
         let patterns = scenario.patterns.clone();
         let mut css = CompressiveSelection::new(patterns.clone(), CssConfig::paper_default(), 3);
-        css.set_estimator_options(options);
         let link = Link::new(Environment::anechoic(3.0));
         let mut dut = Device::talon(7);
         dut.orientation = Orientation::NEUTRAL;
@@ -630,61 +604,27 @@ mod tests {
     }
 
     #[test]
-    fn quantized_records_replay_through_their_recorded_kernel_path() {
-        let _guard = obs::testing::lock();
-        // Decisions made on the f32 / q15 paths stamp that path into the
-        // record; replay re-executes the *same* path, so reproduction is
-        // bit-exact even though the path itself is only equivalent to the
-        // f64 reference within its documented tolerance.
-        for (path, stamp) in [(KernelPath::F32, "f32"), (KernelPath::Q15, "q15")] {
-            let options = EstimatorOptions {
-                kernel_path: path,
-                ..EstimatorOptions::default()
-            };
-            let (trace, patterns) = recorded_trace_with(4, options);
-            assert!(
-                trace.decisions.iter().all(|d| d.kernel_path == stamp),
-                "{path:?}: records carry the kernel path"
-            );
-            for threads in [1usize, 2] {
-                let report = replay_trace(
-                    &trace,
-                    &ReplayConfig {
-                        threads,
-                        patterns_override: Some(patterns.clone()),
-                        ..ReplayConfig::default()
-                    },
-                );
-                assert!(
-                    report.is_clean(),
-                    "{path:?} threads={threads}: {}\n{:?}",
-                    report.summary(),
-                    report.divergent,
-                );
-                assert_eq!(report.replayed, 4);
-                assert_eq!(report.max_abs_err, 0.0, "{path:?}: same path, same bits");
-            }
-        }
-    }
-
-    #[test]
     fn unknown_kernel_path_is_skipped_not_guessed() {
         let _guard = obs::testing::lock();
-        // A record stamped by a future kernel path must not be silently
-        // replayed through some other arithmetic: it is counted as
-        // non-replayable instead.
-        let (mut trace, patterns) = recorded_trace(2);
-        trace.decisions[0].kernel_path = "f128".to_string();
-        let report = replay_trace(
-            &trace,
-            &ReplayConfig {
-                patterns_override: Some(patterns),
-                ..ReplayConfig::default()
-            },
-        );
-        assert_eq!(report.skipped_non_replayable, 1);
-        assert_eq!(report.replayed, 1);
-        assert!(report.is_clean());
+        // A record stamped by any kernel path but the exact f64 one —
+        // reduced-precision records from older builds, or a future
+        // path — must not be silently replayed through the f64
+        // arithmetic: it is counted as non-replayable instead.
+        let (trace, patterns) = recorded_trace(2);
+        for stamp in ["q15", "f32", "f128"] {
+            let mut trace = trace.clone();
+            trace.decisions[0].kernel_path = stamp.to_string();
+            let report = replay_trace(
+                &trace,
+                &ReplayConfig {
+                    patterns_override: Some(patterns.clone()),
+                    ..ReplayConfig::default()
+                },
+            );
+            assert_eq!(report.skipped_non_replayable, 1, "{stamp}");
+            assert_eq!(report.replayed, 1, "{stamp}");
+            assert!(report.is_clean(), "{stamp}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! figures. Results are compared through their full `Debug` rendering,
 //! which includes every float exactly.
 
-use css::estimator::KernelPath;
+use css::KernelPath;
 use eval::estimation::{estimation_error_batched, estimation_error_par};
 use eval::scenario::{EvalScenario, Fidelity};
 use eval::snr_loss::snr_loss_par;
@@ -42,13 +42,11 @@ fn batched_estimation_is_thread_count_invariant_per_precision_mode() {
     let _guard = obs::testing::lock();
     // The batched sweep groups EVAL_BATCH consecutive units per
     // BatchEstimator call; batch boundaries depend only on the unit
-    // count, never on the thread count, so even the reduced-precision
-    // paths (whose arithmetic is the most rounding-sensitive) must be
-    // byte-identical at 1, 2, and 8 threads. F64 is covered by
-    // `estimation_error_is_thread_count_invariant` above.
+    // count, never on the thread count, so every precision path must be
+    // byte-identical at 1, 2, and 8 threads.
     let mut s = EvalScenario::conference_room(Fidelity::Fast, 905);
     let data = s.record(905);
-    for path in [KernelPath::F32, KernelPath::Q15] {
+    for path in [KernelPath::F64, KernelPath::F32] {
         let renders: Vec<String> = THREAD_COUNTS
             .iter()
             .map(|&t| {

@@ -34,9 +34,9 @@ use std::sync::OnceLock;
 ///
 /// History: 1 = events + snapshot (PR 2/4, unstamped); 2 = stamped lines
 /// plus `"decision"` records; 3 = decision records carry `kernel_path`
-/// (the estimator arithmetic: `"f64"`/`"f32"`/`"q15"`). Version-2 decision
-/// records are still readable: their kernel path defaults to `"f64"`, the
-/// only arithmetic that existed then.
+/// (the estimator arithmetic). Version-2 decision records are still
+/// readable: their kernel path defaults to `"f64"`, the only arithmetic
+/// that existed then.
 pub const SCHEMA_VERSION: u64 = 3;
 
 /// Sentinel for "no sector" in the numeric sector fields.
@@ -75,10 +75,11 @@ pub struct DecisionRecord {
     pub smoothing: bool,
     /// Estimator option: parabolic sub-cell refinement enabled.
     pub subcell_refinement: bool,
-    /// Kernel arithmetic the estimate ran under: `"f64"`, `"f32"` or
-    /// `"q15"`. Replay re-executes the same path and selects its
-    /// comparison tolerance from this field; records written before
-    /// schema 3 decode as `"f64"`.
+    /// Kernel arithmetic the estimate ran under. Live decisions always run
+    /// the exact kernel and stamp `"f64"` (the [`DecisionRecord::new`]
+    /// default), as do records written before schema 3. Older builds
+    /// could also stamp `"f32"` or `"q15"`; replay skips any record not
+    /// stamped `"f64"` as non-replayable.
     pub kernel_path: String,
     /// FNV-1a digest of the pattern database the kernel ran against (0 for
     /// non-kernel sources). Replay verifies this before comparing outputs.

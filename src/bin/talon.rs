@@ -878,7 +878,14 @@ fn cmd_replay(args: &[String], opts: &HashMap<String, String>) -> Result<(), Str
     }
     if report.is_clean() {
         if !opts.contains_key("json") {
-            println!("replay OK: every decision reproduced bit-exactly");
+            if report.skipped_non_replayable > 0 {
+                println!(
+                    "replay OK: {} decision(s) reproduced bit-exactly, {} skipped as non-replayable",
+                    report.replayed, report.skipped_non_replayable
+                );
+            } else {
+                println!("replay OK: every decision reproduced bit-exactly");
+            }
         }
         Ok(())
     } else {
