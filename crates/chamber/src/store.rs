@@ -302,13 +302,18 @@ mod tests {
     #[test]
     fn save_and_load_via_file() {
         let s = tiny_store();
-        let dir = std::env::temp_dir().join("talon-store-test");
+        // A directory of this process and call alone: concurrent test runs
+        // on one host never share (or delete) each other's files.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("talon-store-test-{}-{call}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("patterns.txt");
         s.save(&path).unwrap();
         let back = SectorPatterns::load(&path).unwrap().unwrap();
         assert_eq!(back, s);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

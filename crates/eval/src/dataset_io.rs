@@ -228,12 +228,17 @@ mod tests {
     fn file_roundtrip() {
         let _guard = obs::testing::lock();
         let data = tiny_dataset();
-        let dir = std::env::temp_dir().join("talon-dataset-test");
+        // A directory of this process and call alone: concurrent test runs
+        // on one host never share (or delete) each other's files.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("talon-dataset-test-{}-{call}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("dataset.txt");
         save(&data, &path).unwrap();
         let back = load(&path).unwrap().unwrap();
         assert_eq!(back.positions[0].sweeps, data.positions[0].sweeps);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

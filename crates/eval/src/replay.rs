@@ -9,9 +9,9 @@
 //! override), re-runs [`css::CompressiveEstimator`] through the same code
 //! path the live selection used, and compares every recorded output —
 //! `(φ̂, θ̂)`, the correlation score, the top-k map cells and weights, the
-//! energy normalizer, and the chosen sector — at [`TOLERANCE`] (values
-//! round-trip JSONL bit-exactly, so any real difference means the kernel
-//! changed or the trace is corrupt). Live decisions always run the exact
+//! energy normalizer, and the chosen sector — at [`TOLERANCE`] (the
+//! binary trace format stores every f64 bit-exactly, so any real
+//! difference means the kernel changed or the trace is corrupt). Live decisions always run the exact
 //! f64 kernel; a record stamped with any other `kernel_path` (older
 //! builds could record `"f32"`/`"q15"` decisions) is skipped as
 //! non-replayable rather than compared against the wrong arithmetic.
@@ -27,17 +27,16 @@ use chamber::SectorPatterns;
 use css::estimator::EstimatorOptions;
 use css::{patterns_digest, CompressiveEstimator, CorrelationMode};
 use mac80211ad::sls::{FeedbackPolicy, MaxSnrPolicy};
-use obs::jsonl::Trace;
-use obs::DecisionRecord;
+use obs::{DecisionRecord, Trace};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use talon_array::SectorId;
 use talon_channel::{Measurement, SweepReading};
 
-/// Absolute tolerance for replayed f64 outputs. JSONL stores f64 with
-/// shortest round-trip formatting, so recorded and recomputed values are
-/// bit-identical unless the kernel itself changed; the tolerance only
-/// absorbs printing of values that were never written (e.g. `-0.0`).
+/// Absolute tolerance for replayed f64 outputs. The binary trace format
+/// stores every f64 bit-exactly, so recorded and recomputed values are
+/// bit-identical unless the kernel itself changed, and a faithful replay
+/// reports `max_abs_err` 0.
 pub const TOLERANCE: f64 = 1e-12;
 
 /// How a replay run executes.
@@ -450,6 +449,7 @@ mod tests {
     use super::*;
     use css::{CompressiveSelection, CssConfig, DecisionOracle};
     use geom::rng::sub_rng;
+    use obs::TraceRecord;
     use talon_channel::{Device, Environment, Link, Orientation};
 
     // Every test in this crate that runs the pipeline holds
@@ -486,14 +486,21 @@ mod tests {
         obs::decision::set_context("");
         obs::clear_sink();
 
-        // Round-trip through JSONL so replay sees exactly what a trace
-        // file would carry.
-        let mut text = String::new();
+        // Round-trip through the binary codec so replay sees exactly what
+        // a trace file would carry.
+        let mut bytes = obs::binfmt::file_header();
         for d in mem.take_decisions() {
-            text.push_str(&d.to_line().to_json());
-            text.push('\n');
+            let record = TraceRecord::Decision(Box::new(d));
+            bytes.extend(obs::binfmt::encode_frame(&record));
         }
-        let trace = obs::jsonl::parse_trace(&text).expect("trace parses");
+        let mut reader = obs::BinReader::from_reader(bytes.as_slice()).expect("header");
+        let mut trace = Trace::default();
+        while let Some(record) = reader.next_record().expect("current schema") {
+            if let TraceRecord::Decision(d) = record {
+                trace.decisions.push(*d);
+            }
+        }
+        assert_eq!(reader.skipped(), 0);
         assert_eq!(trace.decisions.len(), n_sweeps);
         (trace, patterns)
     }

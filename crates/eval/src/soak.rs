@@ -11,9 +11,9 @@
 //! 1. **Record** `decisions` fixed-seed CSS selections through the real
 //!    sink path into a binary trace ([`obs::BinSink`]).
 //! 2. **Account**: stream the trace back and price every record at the
-//!    exact bytes [`obs::JsonlSink`] would have written, yielding the
-//!    compression ratio (the codec's reason to exist — the acceptance
-//!    floor is 5×).
+//!    exact bytes its JSONL export (`talon trace convert`, rendered by
+//!    [`obs::sink::record_line`]) takes, yielding the compression ratio
+//!    (the codec's reason to exist — the acceptance floor is 5×).
 //! 3. **Replay** the trace at each requested thread count through a
 //!    bounded-memory streaming [`ReplaySession`] — frame decode runs on
 //!    its own pipeline thread so the next chunk decodes while workers
@@ -107,7 +107,7 @@ pub struct SoakReport {
     /// the closing snapshot ride along, as they do in production).
     pub bytes_per_decision: f64,
     /// What the identical trace costs as JSONL, priced record-by-record
-    /// at the exact bytes `JsonlSink` writes.
+    /// at the exact bytes `talon trace convert` exports.
     pub jsonl_bytes: u64,
     /// JSONL bytes per decision.
     pub jsonl_bytes_per_decision: f64,
@@ -205,7 +205,7 @@ fn account_phase(config: &SoakConfig, path: &Path) -> Result<(u64, u64, u64), St
             TraceRecord::Event(_) => events += 1,
             TraceRecord::Snapshot(_) => {}
         }
-        // +1: the newline JsonlSink appends per line.
+        // +1: the newline the export appends per line.
         jsonl_bytes += obs::sink::record_line(&record, ts).to_json().len() as u64 + 1;
     }
     if reader.skipped() > 0 {
@@ -435,7 +435,7 @@ mod tests {
         assert!(report.compression_ratio > 1.0);
         assert!(lines.len() >= 4, "one progress line per phase: {lines:?}");
         // The kept trace is a valid binary trace replayable on its own.
-        assert!(obs::binfmt::sniff(&keep).unwrap());
+        assert_eq!(obs::open_trace(&keep).unwrap().decisions.len(), 40);
         std::fs::remove_dir_all(&dir).ok();
     }
 

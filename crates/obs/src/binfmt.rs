@@ -1,12 +1,11 @@
-//! `obs::binfmt` — the compact binary trace format.
+//! `obs::binfmt` — the trace format.
 //!
-//! JSONL traces are the debugging escape hatch: greppable, editable,
-//! self-describing — and roughly an order of magnitude larger than the
-//! information they carry, because every line repeats every field name and
-//! prints every `f64` in decimal. At daemon scale (millions of decision
-//! records per run) that size *is* the bottleneck, so the recording path
-//! writes this binary format instead and `talon trace convert` round-trips
-//! between the two.
+//! Every trace talon writes (`--trace`, flight-recorder dumps, the soak
+//! harness) and reads (`report`, `replay`, `profile`) is in this format.
+//! JSON Lines exists only as a one-way export (`talon trace convert`,
+//! rendered by [`crate::sink::record_line`]): greppable and
+//! self-describing, but ~5.5× larger, because every line repeats every
+//! field name and prints every `f64` in decimal.
 //!
 //! ## Framing
 //!
@@ -22,8 +21,7 @@
 //!
 //! * the **marker** byte is a resync point: a reader that loses framing
 //!   (corrupt length, overwritten region) scans forward to the next
-//!   marker and tries again, skip-and-counting exactly like the JSONL
-//!   parser skips malformed lines;
+//!   marker and tries again, skipping and counting the damaged region;
 //! * **kind** selects the payload codec (1 = [`Event`], 2 =
 //!   [`DecisionRecord`], 3 = [`Snapshot`], 4 = string definition);
 //! * **version** stamps every record with [`SCHEMA_VERSION`]; a record
@@ -85,17 +83,14 @@
 
 use crate::decision::{DecisionRecord, SCHEMA_VERSION};
 use crate::event::Event;
-use crate::jsonl::Trace;
 use crate::registry::Snapshot;
 use crate::sink::{note_write_error, EventSink};
 use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-/// File magic: the first 8 bytes of every binary trace. Chosen to be
-/// unmistakable for JSONL (a JSONL trace starts with `{`), which is what
-/// [`crate::trace::open_trace`] sniffs.
+/// File magic: the first 8 bytes of every binary trace.
 pub const MAGIC: &[u8; 8] = b"TALNTRC\x01";
 
 /// Per-frame resync marker byte.
@@ -111,8 +106,7 @@ pub const KIND_SNAPSHOT: u8 = 3;
 pub const KIND_STRDEF: u8 = 4;
 
 /// Upper bound on one record's payload. A frame declaring more is treated
-/// as corruption (the reader resyncs) — the same pathological-input cap
-/// the JSONL reader applies to single lines.
+/// as corruption (the reader resyncs), never as an allocation request.
 pub const MAX_RECORD_LEN: usize = 1 << 20;
 
 /// Maximum interned strings per trace; beyond this, strings go inline.
@@ -736,8 +730,7 @@ fn decode_snapshot(dec: &mut Dec) -> DecodeResult<Snapshot> {
 
 // ── Records and frames ──────────────────────────────────────────────────
 
-/// One record read from (or written to) a trace, format-agnostic: the
-/// same enum comes out of the JSONL and the binary streaming readers.
+/// One record read from (or written to) a trace.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceRecord {
     /// A span / mark / anomaly event.
@@ -908,10 +901,10 @@ impl EventSink for BinSink {
 
 /// Bounded-memory streaming reader over any `BufRead` source.
 ///
-/// Damage tolerance mirrors the JSONL parser: corrupt frames (bad CRC,
-/// insane length, truncated tail from a killed writer) are skipped and
-/// counted, never fatal. Version strictness also mirrors it: a file or a
-/// CRC-valid record stamped with a newer schema version is a hard error.
+/// Forgiving about damage: corrupt frames (bad CRC, insane length,
+/// truncated tail from a killed writer) are skipped and counted, never
+/// fatal. Strict about versions: a file or a CRC-valid record stamped
+/// with a newer schema version is a hard error.
 #[derive(Debug)]
 pub struct BinReader<R: BufRead> {
     input: R,
@@ -1129,35 +1122,6 @@ impl<R: BufRead> BinReader<R> {
             }
         }
         Ok(None)
-    }
-}
-
-/// Reads a whole binary trace into a [`Trace`] (the same structure the
-/// JSONL reader produces), skipping and counting damaged frames and
-/// bumping `health.trace_corrupt` for each. Prefer [`BinReader`] directly
-/// when the trace may not fit in memory (see `eval::soak`).
-pub fn read_trace(path: impl AsRef<Path>) -> Result<Trace, String> {
-    let mut reader = FileBinReader::open(path)?;
-    let mut trace = Trace::default();
-    while let Some(record) = reader.next_record()? {
-        trace.push(record);
-    }
-    trace.skipped = reader.skipped();
-    if trace.skipped > 0 {
-        crate::health::anomaly_n("trace_corrupt", trace.skipped as u64, &[]);
-    }
-    Ok(trace)
-}
-
-/// Whether the file at `path` starts with the binary trace magic.
-pub fn sniff(path: impl AsRef<Path>) -> std::io::Result<bool> {
-    let mut head = [0u8; 8];
-    let mut file = File::open(path)?;
-    match file.read_exact(&mut head) {
-        Ok(()) => Ok(&head == MAGIC),
-        // Shorter than a magic: whatever it is, it is not a binary trace.
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
-        Err(e) => Err(e),
     }
 }
 

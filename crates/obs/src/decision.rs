@@ -12,7 +12,7 @@
 //! of the selection.
 //!
 //! Records flow through the same sink machinery as [`crate::Event`]s
-//! (`"kind":"decision"` lines in JSONL traces, a separate buffer in
+//! (decision frames in binary traces, a separate buffer in
 //! [`crate::MemorySink`]) and are versioned by [`SCHEMA_VERSION`] so
 //! `talon replay` can refuse traces written by a newer schema instead of
 //! silently misreading them. Replayable records carry enough context
@@ -28,15 +28,16 @@ use parking_lot::RwLock;
 use serde::{Deserialize, Serialize, Value};
 use std::sync::OnceLock;
 
-/// Version stamped on every JSONL trace line (events, snapshots, and
-/// decision records). Bump when the trace schema changes shape;
-/// [`crate::jsonl::read_trace`] rejects files claiming a newer version.
+/// Version stamped on every trace record: the binary file header, every
+/// frame's version byte, and every line of a JSONL export. Bump when the
+/// trace schema changes shape; [`crate::binfmt::BinReader`] rejects files
+/// and records claiming a newer version.
 ///
-/// History: 1 = events + snapshot (PR 2/4, unstamped); 2 = stamped lines
-/// plus `"decision"` records; 3 = decision records carry `kernel_path`
-/// (the estimator arithmetic). Version-2 decision records are still
-/// readable: their kernel path defaults to `"f64"`, the only arithmetic
-/// that existed then.
+/// History: 1 = events + snapshot (unstamped); 2 = stamped records plus
+/// decision records; 3 = decision records carry `kernel_path` (the
+/// estimator arithmetic). Version-2 decision frames are still readable:
+/// their kernel path defaults to `"f64"`, the only arithmetic that
+/// existed then.
 pub const SCHEMA_VERSION: u64 = 3;
 
 /// Sentinel for "no sector" in the numeric sector fields.
@@ -227,7 +228,7 @@ impl DecisionRecord {
         }
     }
 
-    /// The record as a JSONL trace-line value (`"kind":"decision"` plus
+    /// The record as a JSONL export line value (`"kind":"decision"` plus
     /// every field).
     pub fn to_line(&self) -> Value {
         let mut v = Serialize::serialize(self);

@@ -1,11 +1,11 @@
-//! Trace events: the unit written to sinks and to JSONL trace files.
+//! Trace events: the unit written to sinks and to trace files.
 
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 
 /// One trace record.
 ///
-/// JSONL schema (one object per line):
+/// JSONL export schema (one object per line):
 /// `{"ts_us":12,"kind":"span","stage":"css.estimate","dur_us":34,
 ///   "trace_id":3,"span_id":2,"parent_id":1,"fields":{"probes":14.0}}`
 ///

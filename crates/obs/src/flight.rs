@@ -324,7 +324,7 @@ mod tests {
             path.file_name().unwrap().to_str().unwrap(),
             format!("flight-link_drift_link__3__-{}-0.bin", run_id())
         );
-        let trace = binfmt::read_trace(&path).unwrap();
+        let trace = crate::open_trace(&path).unwrap();
         assert_eq!(trace.stage("flight.test").len(), 1);
         assert_eq!(trace.decisions.len(), 1);
         assert_eq!(rec.dumps(), 1);
@@ -332,7 +332,7 @@ mod tests {
         // A second dump gets the next sequence number and keeps history.
         let path2 = rec.dump("panic").unwrap();
         assert!(path2.ends_with(format!("flight-panic-{}-1.bin", run_id())));
-        let trace2 = binfmt::read_trace(&path2).unwrap();
+        let trace2 = crate::open_trace(&path2).unwrap();
         assert_eq!(trace2.decisions.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -365,7 +365,7 @@ mod tests {
                 "stale dump untouched"
             );
         }
-        let trace = binfmt::read_trace(&path).unwrap();
+        let trace = crate::open_trace(&path).unwrap();
         assert_eq!(trace.stage("flight.collide").len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -9,8 +9,11 @@
 //!   histograms and, when a sink is installed, emitting [`Event`]s with
 //!   attached numeric fields.
 //! - **Sinks** ([`EventSink`]) — no-op by default, [`MemorySink`] for tests,
-//!   [`JsonlSink`] for `talon --trace <file>` capture; [`jsonl::read_trace`]
-//!   reads the files back for `talon report`.
+//!   [`BinSink`] for `talon --trace <file>` capture in the CRC-framed
+//!   [`binfmt`] format, the only format talon writes or reads;
+//!   [`open_trace`] reads a file back for `talon report` / `replay`, and
+//!   [`sink::record_line`] renders records as JSON Lines for the one-way
+//!   `talon trace convert` export.
 //! - **Traces** ([`trace`]) — recording spans carry
 //!   `trace_id`/`span_id`/`parent_id` and form one causal tree per CSS
 //!   session or eval work unit; [`TraceContext`] hands a trace across
@@ -42,7 +45,6 @@ pub mod decision;
 pub mod event;
 pub mod flight;
 pub mod health;
-pub mod jsonl;
 pub mod labels;
 pub mod live;
 pub mod metrics;
@@ -71,15 +73,14 @@ pub use prof::Profiler;
 pub use registry::{Registry, ShardedRegistry, Snapshot};
 pub use serve::MetricsServer;
 pub use sink::{
-    clear_sink, current_sink, set_sink, sink_active, EventSink, FanoutSink, JsonlSink, MemorySink,
-    NoopSink,
+    clear_sink, current_sink, set_sink, sink_active, EventSink, FanoutSink, MemorySink, NoopSink,
 };
 pub use span::{span, Span};
 pub use sync::{LockStats, TimedMutex, TimedMutexGuard};
 pub use timeseries::{Sampler, SamplerConfig};
 pub use trace::{
-    current_context, current_ids, open_reader, open_trace, reserve_trace_ids, with_context,
-    Captured, TraceContext, TraceReader,
+    current_context, current_ids, open_trace, reserve_trace_ids, with_context, Captured, Trace,
+    TraceContext,
 };
 
 use std::sync::OnceLock;
@@ -159,26 +160,27 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_round_trips_through_reader() {
+    fn bin_sink_round_trips_through_open_trace() {
         let _guard = testing::lock();
-        let dir = std::env::temp_dir().join("obs-jsonl-test");
+        let dir = std::env::temp_dir().join(format!("obs-lib-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("trace-{}.jsonl", std::process::id()));
+        let path = dir.join("trace.bin");
 
-        let sink = std::sync::Arc::new(JsonlSink::create(&path).unwrap());
+        let sink = std::sync::Arc::new(BinSink::create(&path).unwrap());
         set_sink(sink.clone());
         {
-            let mut s = span("obs.jsonl.test");
+            let mut s = span("obs.lib.trace");
             s.field("x", 1.5);
         }
         sink.write_snapshot(&global().snapshot());
         clear_sink();
 
-        let trace = jsonl::read_trace(&path).unwrap();
-        assert_eq!(trace.stage("obs.jsonl.test").len(), 1);
-        assert_eq!(trace.stage("obs.jsonl.test")[0].field("x"), Some(1.5));
-        let snap = trace.snapshot.expect("snapshot line present");
-        assert!(snap.histograms.contains_key("obs.jsonl.test.dur_us"));
-        std::fs::remove_file(&path).ok();
+        let trace = open_trace(&path).unwrap();
+        assert_eq!(trace.skipped, 0);
+        assert_eq!(trace.stage("obs.lib.trace").len(), 1);
+        assert_eq!(trace.stage("obs.lib.trace")[0].field("x"), Some(1.5));
+        let snap = trace.snapshot.expect("snapshot frame present");
+        assert!(snap.histograms.contains_key("obs.lib.trace.dur_us"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

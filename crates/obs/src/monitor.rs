@@ -26,7 +26,7 @@
 //! from a recorded trace's decision records.
 
 use crate::event::Event;
-use crate::jsonl::Trace;
+use crate::trace::Trace;
 use serde::{Serialize, Value};
 
 /// Tuning of one [`DriftDetector`].

@@ -9,9 +9,6 @@ use crate::event::Event;
 use crate::registry::Snapshot;
 use parking_lot::{Mutex, RwLock};
 use serde::{Serialize, Value};
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -25,7 +22,7 @@ pub trait EventSink: Send + Sync {
     fn emit_decision(&self, _record: &DecisionRecord) {}
 
     /// Appends a final registry-snapshot record (dropped by default).
-    /// File-backed sinks write it as the closing line/frame of the trace
+    /// File-backed sinks write it as the closing frame of the trace
     /// so `talon report` can render counters and histograms offline.
     fn write_snapshot(&self, _snapshot: &Snapshot) {}
 
@@ -115,91 +112,33 @@ impl EventSink for MemorySink {
     }
 }
 
-/// Streams events to a file as JSON Lines.
+/// The JSON line object for one trace record: what `talon trace convert`
+/// writes per line when it exports a binary trace as JSON Lines. Every
+/// line leads with the `schema_version` it was written under; decision
+/// lines carry it as a struct field (see [`DecisionRecord::to_line`]).
 ///
-/// The writer sits behind a [`crate::sync::TimedMutex`]
-/// (`lock="jsonl_sink"`): every recording thread serializes through it, so
-/// its `lock.*` series are the direct measure of global-sink contention.
-#[derive(Debug)]
-pub struct JsonlSink {
-    out: crate::sync::TimedMutex<BufWriter<File>>,
-}
-
-impl JsonlSink {
-    /// Creates (truncating) the trace file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(JsonlSink {
-            out: crate::sync::TimedMutex::new("jsonl_sink", BufWriter::new(File::create(path)?)),
-        })
-    }
-
-    fn write_line(&self, what: &str, line: &Value) {
-        let mut out = self.out.lock();
-        if let Err(e) = writeln!(out, "{}", line.to_json()) {
-            note_write_error("JsonlSink", what, &e);
-        }
-    }
-}
-
-/// Prepends the trace-schema version to a serialized line object, so every
-/// JSONL line declares the schema it was written under.
-fn stamp_version(line: &mut Value) {
-    if let Value::Map(entries) = line {
-        entries.insert(0, ("schema_version".into(), Value::U64(SCHEMA_VERSION)));
-    }
-}
-
-/// The snapshot line object: the closing record of a JSONL trace.
-fn snapshot_line(snapshot: &Snapshot, ts_us: u64) -> Value {
-    Value::Map(vec![
-        ("schema_version".into(), Value::U64(SCHEMA_VERSION)),
-        ("kind".into(), Value::Str("snapshot".into())),
-        ("ts_us".into(), Value::U64(ts_us)),
-        ("snapshot".into(), snapshot.serialize()),
-    ])
-}
-
-/// The exact JSON line object [`JsonlSink`] writes for one record.
-///
-/// Exposed so JSONL size accounting (the soak harness's compression-ratio
-/// metric) agrees with the real writer byte for byte. `snapshot_ts_us`
-/// stamps a snapshot record's line (binary traces do not store one).
+/// The soak harness prices its compression-ratio metric with the same
+/// function, so the JSONL it reports is byte for byte the JSONL users
+/// get. `snapshot_ts_us` stamps a snapshot record's line (binary traces
+/// do not store one).
 pub fn record_line(record: &crate::binfmt::TraceRecord, snapshot_ts_us: u64) -> Value {
     use crate::binfmt::TraceRecord;
+    let version = ("schema_version".to_string(), Value::U64(SCHEMA_VERSION));
     match record {
         TraceRecord::Event(e) => {
             let mut line = e.serialize();
-            stamp_version(&mut line);
+            if let Value::Map(entries) = &mut line {
+                entries.insert(0, version);
+            }
             line
         }
         TraceRecord::Decision(d) => d.to_line(),
-        TraceRecord::Snapshot(s) => snapshot_line(s, snapshot_ts_us),
-    }
-}
-
-impl EventSink for JsonlSink {
-    fn emit(&self, event: &Event) {
-        let mut line = event.serialize();
-        stamp_version(&mut line);
-        self.write_line("event", &line);
-    }
-
-    fn emit_decision(&self, record: &DecisionRecord) {
-        // Decision records already carry `schema_version` as a struct
-        // field; `to_line` adds the `"kind":"decision"` discriminator.
-        self.write_line("decision record", &record.to_line());
-    }
-
-    /// Appends a final registry-snapshot line:
-    /// `{"schema_version":2,"kind":"snapshot","ts_us":...,"snapshot":{...}}`.
-    fn write_snapshot(&self, snapshot: &Snapshot) {
-        self.write_line("snapshot", &snapshot_line(snapshot, crate::now_us()));
-    }
-
-    fn flush(&self) {
-        if let Err(e) = self.out.lock().flush() {
-            note_write_error("JsonlSink", "buffered trace lines", &e);
-        }
+        TraceRecord::Snapshot(s) => Value::Map(vec![
+            version,
+            ("kind".into(), Value::Str("snapshot".into())),
+            ("ts_us".into(), Value::U64(snapshot_ts_us)),
+            ("snapshot".into(), s.serialize()),
+        ]),
     }
 }
 

@@ -6,8 +6,8 @@
 //! wait/hold times into log-histograms, all as labeled series
 //! (`lock.acquisitions{lock="live_monitor"}`, …) in the global registry.
 //! The wrapped locks are the real shared ones: [`crate::LiveMonitor`]'s
-//! state, the global sink writers ([`crate::JsonlSink`] /
-//! [`crate::BinSink`]), [`crate::FlightRecorder`]'s ring, and
+//! state, the global trace writer ([`crate::BinSink`]),
+//! [`crate::FlightRecorder`]'s ring, and
 //! [`crate::ShardedRegistry`]'s shard map — the locks `talond`'s request
 //! path will stand behind.
 //!

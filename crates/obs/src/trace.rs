@@ -269,67 +269,59 @@ pub(crate) fn capture_push_decision(record: &DecisionRecord) -> bool {
     })
 }
 
-// ── Format-agnostic trace opening ───────────────────────────────────────
+// ── Reading a trace file back ───────────────────────────────────────────
 
-/// Streaming reader over either trace format, chosen by sniffing the
-/// file's magic — the consumer loop is identical for JSONL and binary.
-#[derive(Debug)]
-pub enum TraceReader {
-    /// Text-format trace (the debugging escape hatch).
-    Jsonl(crate::jsonl::FileJsonlReader),
-    /// Compact binary-format trace.
-    Bin(crate::binfmt::FileBinReader),
+/// Everything read from a trace file.
+#[derive(Debug, Clone, Default)]
+pub struct Trace {
+    /// Span, mark, and anomaly events, in file order.
+    pub events: Vec<Event>,
+    /// Decision-provenance records, in file order.
+    pub decisions: Vec<DecisionRecord>,
+    /// The final registry snapshot, when the trace was closed cleanly.
+    pub snapshot: Option<crate::registry::Snapshot>,
+    /// Damaged frames that were skipped.
+    pub skipped: usize,
 }
 
-impl TraceReader {
-    /// The next record; `Ok(None)` at end of file. Damage is skipped and
-    /// counted ([`TraceReader::skipped`]); a newer-schema trace is a hard
-    /// error in both formats.
-    pub fn next_record(&mut self) -> Result<Option<crate::binfmt::TraceRecord>, String> {
-        match self {
-            TraceReader::Jsonl(r) => r.next_record(),
-            TraceReader::Bin(r) => r.next_record(),
+impl Trace {
+    /// Events for one stage, in order.
+    pub fn stage(&self, stage: &str) -> Vec<&Event> {
+        self.events.iter().filter(|e| e.stage == stage).collect()
+    }
+
+    /// Distinct stage names, in first-seen order.
+    pub fn stages(&self) -> Vec<String> {
+        let mut out: Vec<String> = Vec::new();
+        for e in &self.events {
+            if !out.contains(&e.stage) {
+                out.push(e.stage.clone());
+            }
+        }
+        out
+    }
+
+    /// Files one record into the matching collection.
+    pub(crate) fn push(&mut self, record: crate::binfmt::TraceRecord) {
+        use crate::binfmt::TraceRecord;
+        match record {
+            TraceRecord::Event(e) => self.events.push(e),
+            TraceRecord::Decision(d) => self.decisions.push(*d),
+            TraceRecord::Snapshot(s) => self.snapshot = Some(s),
         }
     }
-
-    /// Damaged lines / frames skipped so far.
-    pub fn skipped(&self) -> usize {
-        match self {
-            TraceReader::Jsonl(r) => r.skipped(),
-            TraceReader::Bin(r) => r.skipped(),
-        }
-    }
-
-    /// Whether this reader is over the binary format.
-    pub fn is_binary(&self) -> bool {
-        matches!(self, TraceReader::Bin(_))
-    }
 }
 
-/// Opens a trace file of either format for streaming, sniffing the binary
-/// magic to decide. `talon soak` and `talon trace convert` consume
-/// multi-GB traces through this in constant memory.
-pub fn open_reader(path: impl AsRef<std::path::Path>) -> Result<TraceReader, String> {
-    let path = path.as_ref();
-    let binary =
-        crate::binfmt::sniff(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    if binary {
-        Ok(TraceReader::Bin(crate::binfmt::FileBinReader::open(path)?))
-    } else {
-        Ok(TraceReader::Jsonl(crate::jsonl::FileJsonlReader::open(
-            path,
-        )?))
-    }
-}
-
-/// Reads a whole trace file of either format into a [`crate::jsonl::Trace`],
-/// sniffing the format. Skips-and-counts damage (bumping
-/// `health.trace_corrupt`); errors on unreadable files and newer-schema
-/// traces. `talon report`, `talon replay`, and `quality_from_trace` accept
-/// both formats through this one front door.
-pub fn open_trace(path: impl AsRef<std::path::Path>) -> Result<crate::jsonl::Trace, String> {
-    let mut reader = open_reader(&path)?;
-    let mut trace = crate::jsonl::Trace::default();
+/// Reads a whole binary trace file into a [`Trace`]. Skips-and-counts
+/// damaged frames (bumping `health.trace_corrupt` by the skip count);
+/// errors on unreadable files and newer-schema traces. `talon report`,
+/// `talon replay`, `talon profile` and `quality_from_trace` all read
+/// through this one front door; stream with
+/// [`crate::binfmt::FileBinReader`] when the trace may not fit in memory
+/// (see `eval::soak`).
+pub fn open_trace(path: impl AsRef<std::path::Path>) -> Result<Trace, String> {
+    let mut reader = crate::binfmt::FileBinReader::open(path)?;
+    let mut trace = Trace::default();
     while let Some(record) = reader.next_record()? {
         trace.push(record);
     }

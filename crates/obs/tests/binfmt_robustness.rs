@@ -1,15 +1,16 @@
-//! Binary traces meet the same real world as JSONL ones: killed writers
-//! truncate the last frame, disks flip bits, and tools must read
-//! everything salvageable — skip-and-count, never panic, never fail the
-//! whole file. These tests drive `obs::binfmt` end to end through real
-//! files: full-fidelity round-trips (every field, unicode, float
-//! extremes), damage recovery parity with the JSONL reader, version
-//! strictness, and the documented string-table corruption cascade.
+//! Trace files meet the real world: killed writers truncate the last
+//! frame, disks flip bits, many threads write through one sink, and tools
+//! must read everything salvageable — skip-and-count, never panic, never
+//! fail the whole file. These tests drive `obs::binfmt` end to end through
+//! real files: full-fidelity round-trips (every field, unicode, float
+//! extremes), damage recovery, version strictness, the documented
+//! string-table corruption cascade, and concurrent writers.
 
-use obs::binfmt::{self, frame_with, BinSink, KIND_EVENT, KIND_STRDEF, MARKER};
+use obs::binfmt::{self, frame_with, BinSink, FileBinReader, KIND_EVENT, KIND_STRDEF, MARKER};
 use obs::decision::SCHEMA_VERSION;
-use obs::{DecisionRecord, Event, EventSink, TraceRecord};
+use obs::{DecisionRecord, Event, EventSink, Trace, TraceRecord};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn scratch(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -18,6 +19,14 @@ fn scratch(name: &str) -> std::path::PathBuf {
         std::process::id()
     ));
     p
+}
+
+/// Reads a whole trace through `obs::open_trace`, holding the lock every
+/// test here takes around the process-global `health.trace_corrupt`
+/// counter, so a test can assert the exact bump its own read caused.
+fn read(path: &std::path::Path) -> Result<Trace, String> {
+    let _guard = obs::testing::lock();
+    obs::open_trace(path)
 }
 
 /// An event exercising unicode strings, a custom kind, and f64 extremes
@@ -81,7 +90,7 @@ fn write_trace(path: &std::path::Path) -> (Vec<Event>, DecisionRecord) {
 fn every_field_round_trips_bit_exactly_through_a_file() {
     let path = scratch("roundtrip");
     let (events, decision) = write_trace(&path);
-    let trace = binfmt::read_trace(&path).expect("readable");
+    let trace = read(&path).expect("readable");
     assert_eq!(trace.skipped, 0);
     assert_eq!(trace.events, events, "unicode and extremes survive");
     assert_eq!(trace.decisions, vec![decision.clone()]);
@@ -107,7 +116,7 @@ fn truncated_tail_loses_only_the_last_record() {
     // the snapshot is lost and counted, everything before it survives.
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-    let trace = binfmt::read_trace(&path).expect("still readable");
+    let trace = read(&path).expect("still readable");
     assert_eq!(trace.skipped, 1);
     assert_eq!(trace.events, events);
     assert_eq!(trace.decisions, vec![decision]);
@@ -130,7 +139,7 @@ fn corrupt_crc_skips_one_frame_not_the_file() {
     bytes.extend_from_slice(&binfmt::encode_frame(&e2));
     let path = scratch("badcrc");
     std::fs::write(&path, &bytes).unwrap();
-    let trace = binfmt::read_trace(&path).expect("still readable");
+    let trace = read(&path).expect("still readable");
     assert_eq!(trace.skipped, 1, "exactly the flipped frame");
     assert_eq!(trace.decisions.len(), 0);
     assert_eq!(trace.events.len(), 2);
@@ -151,7 +160,7 @@ fn garbage_between_frames_resyncs_on_the_marker() {
     bytes.extend_from_slice(&binfmt::encode_frame(&e2));
     let path = scratch("garbage");
     std::fs::write(&path, &bytes).unwrap();
-    let trace = binfmt::read_trace(&path).expect("still readable");
+    let trace = read(&path).expect("still readable");
     assert_eq!(trace.skipped, 1, "the damaged region is counted once");
     assert_eq!(
         trace
@@ -168,8 +177,7 @@ fn garbage_between_frames_resyncs_on_the_marker() {
 #[test]
 fn a_fake_marker_in_garbage_may_cost_a_neighbor_but_recovery_holds() {
     // When the junk itself contains a marker byte, resync can misparse a
-    // frame head from it and consume into the following real frame — the
-    // binary analogue of JSONL losing both halves of a split line. The
+    // frame head from it and consume into the following real frame. The
     // guarantee is recovery and honest accounting, not zero collateral:
     // the reader must find the next intact frame and count every loss.
     let e1 = TraceRecord::Event(Event::mark(1, "before", BTreeMap::new()));
@@ -182,7 +190,7 @@ fn a_fake_marker_in_garbage_may_cost_a_neighbor_but_recovery_holds() {
     bytes.extend_from_slice(&binfmt::encode_frame(&e3));
     let path = scratch("fakemarker");
     std::fs::write(&path, &bytes).unwrap();
-    let trace = binfmt::read_trace(&path).expect("still readable");
+    let trace = read(&path).expect("still readable");
     let stages: Vec<&str> = trace.events.iter().map(|e| e.stage.as_str()).collect();
     assert_eq!(stages.first(), Some(&"before"));
     assert_eq!(
@@ -204,7 +212,7 @@ fn newer_file_version_is_a_hard_error() {
     bytes[8..12].copy_from_slice(&v);
     let path = scratch("newfile");
     std::fs::write(&path, &bytes).unwrap();
-    let err = binfmt::read_trace(&path).unwrap_err();
+    let err = read(&path).unwrap_err();
     assert!(err.contains("newer"), "{err}");
     let _ = std::fs::remove_file(&path);
 }
@@ -221,7 +229,7 @@ fn newer_record_version_is_a_hard_error_once_crc_validates() {
     ));
     let path = scratch("newrecord");
     std::fs::write(&path, &bytes).unwrap();
-    let err = binfmt::read_trace(&path).unwrap_err();
+    let err = read(&path).unwrap_err();
     assert!(err.contains("newer"), "{err}");
     assert!(err.contains("upgrade"), "{err}");
     let _ = std::fs::remove_file(&path);
@@ -244,7 +252,7 @@ fn corrupting_the_string_table_skips_referencing_records_loudly() {
     assert_eq!(bytes[13], KIND_STRDEF);
     bytes[17] ^= 0xFF;
     std::fs::write(&path, &bytes).unwrap();
-    let trace = binfmt::read_trace(&path).expect("still readable");
+    let trace = read(&path).expect("still readable");
     assert!(
         trace.events.is_empty(),
         "records referencing the lost table entry never mislabel"
@@ -256,25 +264,79 @@ fn corrupting_the_string_table_skips_referencing_records_loudly() {
 }
 
 #[test]
-fn open_trace_sniffs_binary_and_jsonl_transparently() {
-    let bin_path = scratch("sniff-bin");
-    let jsonl_path = scratch("sniff-jsonl");
-    let (events, decision) = write_trace(&bin_path);
-    {
-        let _guard = obs::testing::lock();
-        let sink = obs::JsonlSink::create(&jsonl_path).expect("create jsonl");
-        for e in &events {
-            sink.emit(e);
+fn open_trace_counts_damaged_frames_in_health() {
+    let path = scratch("health");
+    write_trace(&path);
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
+    let _guard = obs::testing::lock();
+    let corrupt = || obs::global().snapshot().counter("health.trace_corrupt");
+    let before = corrupt();
+    let trace = obs::open_trace(&path).expect("still readable");
+    assert_eq!(trace.skipped, 1);
+    assert_eq!(corrupt(), before + trace.skipped as u64);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn missing_file_is_an_error_not_a_panic() {
+    let err = FileBinReader::open("/nonexistent/talon-trace.bin").unwrap_err();
+    assert!(err.contains("cannot read"), "{err}");
+}
+
+#[test]
+fn concurrent_writers_through_one_sink_keep_every_frame_whole() {
+    // Four threads share one BinSink, each with its own stage strings, so
+    // first-seen strings race to be interned. Every frame must come back
+    // intact, each thread's records in emit order, every string decoded.
+    const THREADS: usize = 4;
+    const PER_THREAD: usize = 100;
+    let path = scratch("concurrent");
+    let sink = Arc::new(BinSink::create(&path).expect("create trace"));
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let sink = Arc::clone(&sink);
+            s.spawn(move || {
+                for i in 0..PER_THREAD {
+                    let mut fields = BTreeMap::new();
+                    fields.insert(format!("field.t{t}"), i as f64);
+                    sink.emit(&Event::mark(i as u64, &format!("writer.t{t}.mark"), fields));
+                    let mut d = DecisionRecord::new(&format!("writer.t{t}.decision"));
+                    d.context = format!("thread={t}");
+                    d.chosen_sector = i as i64;
+                    sink.emit_decision(&d);
+                }
+            });
         }
-        sink.emit_decision(&decision);
-        sink.flush();
+    });
+    sink.flush();
+    let trace = read(&path).expect("readable");
+    assert_eq!(trace.skipped, 0, "sink serialization keeps frames whole");
+    assert_eq!(trace.events.len(), THREADS * PER_THREAD);
+    assert_eq!(trace.decisions.len(), THREADS * PER_THREAD);
+    for t in 0..THREADS {
+        let marks = trace.stage(&format!("writer.t{t}.mark"));
+        let order: Vec<u64> = marks.iter().map(|e| e.ts_us).collect();
+        assert_eq!(
+            order,
+            (0..PER_THREAD as u64).collect::<Vec<_>>(),
+            "thread {t}"
+        );
+        for e in &marks {
+            assert_eq!(e.field(&format!("field.t{t}")), Some(e.ts_us as f64));
+        }
+        let decisions: Vec<&DecisionRecord> = trace
+            .decisions
+            .iter()
+            .filter(|d| d.source == format!("writer.t{t}.decision"))
+            .collect();
+        let order: Vec<i64> = decisions.iter().map(|d| d.chosen_sector).collect();
+        assert_eq!(
+            order,
+            (0..PER_THREAD as i64).collect::<Vec<_>>(),
+            "thread {t}"
+        );
+        assert!(decisions.iter().all(|d| d.context == format!("thread={t}")));
     }
-    let from_bin = obs::open_trace(&bin_path).expect("binary opens");
-    let from_jsonl = obs::open_trace(&jsonl_path).expect("jsonl opens");
-    assert_eq!(from_bin.events, events);
-    assert_eq!(from_jsonl.events, events);
-    assert_eq!(from_bin.decisions, from_jsonl.decisions);
-    assert_eq!(from_bin.decisions[0], decision);
-    let _ = std::fs::remove_file(&bin_path);
-    let _ = std::fs::remove_file(&jsonl_path);
+    let _ = std::fs::remove_file(&path);
 }

@@ -13,7 +13,7 @@
 //!
 //! This is not wire-compatible with upstream `serde_json`, but nothing in the
 //! workspace persisted serde output before this shim existed, so the format is
-//! ours to define. The `obs` crate's JSONL traces and registry snapshots are
+//! ours to define. The `obs` crate's JSONL trace export and registry snapshots are
 //! the primary consumers.
 
 #![forbid(unsafe_code)]

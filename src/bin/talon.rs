@@ -10,23 +10,22 @@
 //! talon analyze   --dataset dataset.txt --patterns patterns.txt [--probes 14,20]
 //! talon sls       --scenario lab|conference --policy ssw|css [--probes 14] [--yaw DEG]
 //! talon brd       --out codebook.brd [--seed N] | --check codebook.brd
-//! talon report    trace.{jsonl|bin} [--tree | --flame | --quality | --json]
-//! talon replay    trace.{jsonl|bin} [--threads N] [--perturb DB] [--patterns <file>]
+//! talon report    trace.bin [--tree | --flame | --quality | --json]
+//! talon replay    trace.bin [--threads N] [--perturb DB] [--patterns <file>]
 //! talon serve     [--metrics-addr HOST:PORT] [--sessions N] [--hold-ms MS] [--tick-ms MS] [--ticks N] [--inject-drift] [--links N] [--flight-dir DIR]
 //! talon top       --addr HOST:PORT [--frames N] [--interval-ms MS] [--window TICKS] [--by-link]
-//! talon trace     convert <in> <out>
+//! talon trace     convert <in.bin> <out.jsonl>
 //! talon soak      [--smoke] [--out BENCH_trace.json] [--check <baseline>]
 //! ```
 //!
 //! `record`, `analyze`, `sls` and `serve` accept `--trace <file>` to stream
-//! obs events — as JSON Lines, or as the CRC-framed binary format when the
-//! path ends in `.bin` — and append a final registry snapshot. `report`
-//! renders such a trace (either format, sniffed) as summary tables, a
+//! obs events in the CRC-framed binary trace format and append a final
+//! registry snapshot. `report` renders such a trace as summary tables, a
 //! causal span tree (`--tree`), folded flamegraph stacks (`--flame`), a
 //! per-session link-quality table (`--quality`), or one machine-readable
 //! JSON object (`--json`); `replay` re-executes the trace's recorded
 //! decisions and exits non-zero unless every one reproduces bit-exactly;
-//! `trace convert` round-trips a trace between the two formats; `soak`
+//! `trace convert` exports a trace as JSON Lines (one-way); `soak`
 //! runs the record → account → replay trace soak and emits/gates
 //! `BENCH_trace.json`; `serve` exposes the registry as Prometheus text on
 //! a TCP endpoint while running training sessions, plus the live-monitor
@@ -52,10 +51,9 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let opts = parse_opts(&args[1..]);
-    // `--trace <file>`: stream obs events to a trace file while the
-    // command runs, and append a registry snapshot at the end. A `.bin`
-    // path selects the compact binary format; anything else gets JSONL.
+    let (opts, positional) = parse_opts(&args[1..]);
+    // `--trace <file>`: stream obs events to a binary trace file while the
+    // command runs, and append a registry snapshot at the end.
     let trace_sink: Option<std::sync::Arc<dyn obs::EventSink>> = match opts.get("trace") {
         // `report`, `replay`, `trace`, `soak`, and `profile` read (or
         // manage) existing trace files; never open a sink (which truncates
@@ -75,24 +73,26 @@ fn main() -> ExitCode {
             eprintln!("error: --trace needs a file path");
             return ExitCode::from(2);
         }
-        Some(path) => {
-            let created: std::io::Result<std::sync::Arc<dyn obs::EventSink>> =
-                if path.ends_with(".bin") {
-                    obs::BinSink::create(path).map(|s| std::sync::Arc::new(s) as _)
-                } else {
-                    obs::JsonlSink::create(path).map(|s| std::sync::Arc::new(s) as _)
-                };
-            match created {
-                Ok(sink) => {
-                    obs::set_sink(sink.clone());
-                    Some(sink)
-                }
-                Err(e) => {
-                    eprintln!("error: creating trace file {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+        // Traces are written in the binary format only; a `.jsonl` path
+        // would hold binary frames under a text name.
+        Some(path) if path.ends_with(".jsonl") => {
+            eprintln!(
+                "error: --trace writes a binary trace; record to a .bin path and \
+                 export JSON Lines with `talon trace convert <in.bin> <out.jsonl>`"
+            );
+            return ExitCode::from(2);
         }
+        Some(path) => match obs::BinSink::create(path) {
+            Ok(sink) => {
+                let sink: std::sync::Arc<dyn obs::EventSink> = std::sync::Arc::new(sink);
+                obs::set_sink(sink.clone());
+                Some(sink)
+            }
+            Err(e) => {
+                eprintln!("error: creating trace file {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
         None => None,
     };
     let result = match cmd.as_str() {
@@ -101,10 +101,10 @@ fn main() -> ExitCode {
         "analyze" => cmd_analyze(&opts),
         "sls" => cmd_sls(&opts),
         "brd" => cmd_brd(&opts),
-        "report" => cmd_report(&args[1..], &opts),
-        "replay" => cmd_replay(&args[1..], &opts),
-        "profile" => cmd_profile(&args[1..], &opts),
-        "trace" => cmd_trace(&args[1..]),
+        "report" => cmd_report(&positional, &opts),
+        "replay" => cmd_replay(&positional, &opts),
+        "profile" => cmd_profile(&positional, &opts),
+        "trace" => cmd_trace(&positional),
         "soak" => cmd_soak(&opts),
         "serve" => cmd_serve(&opts),
         "top" => cmd_top(&opts),
@@ -135,26 +135,42 @@ commands:
   analyze   --dataset <file> --patterns <file> [--probes 14,20] [--seed N] [--trace <file>]
   sls       --scenario lab|conference --policy ssw|css [--probes 14] [--yaw DEG] [--seed N] [--trace <file>]
   brd       --out <file> [--seed N]  |  --check <file>
-  report    <trace.jsonl|.bin> [--tree | --flame | --critical-path [--top K] | --quality | --json]
-  replay    <trace.jsonl|.bin> [--threads N] [--perturb DB] [--patterns <file>]
-  profile   <trace.jsonl|.bin> [--hz N] [--threads N] [--repeat N]  |  --attach HOST:PORT [--seconds N]
-  trace     convert <in> <out>   (input format sniffed; .bin output → binary, else JSONL)
+  report    <trace.bin> [--tree | --flame | --critical-path [--top K] | --quality | --json]
+  replay    <trace.bin> [--threads N] [--perturb DB] [--patterns <file>]
+  profile   <trace.bin> [--hz N] [--threads N] [--repeat N]  |  --attach HOST:PORT [--seconds N]
+  trace     convert <in.bin> <out.jsonl>   (one-way JSON Lines export)
   soak      [--decisions N] [--smoke] [--threads 1,2,8] [--keep <trace.bin>] [--out <bench.json>] [--check <baseline.json>] [--seed N]
   serve     [--metrics-addr HOST:PORT] [--sessions N] [--hold-ms MS] [--tick-ms MS] [--ticks N] [--inject-drift] [--links N] [--flight-dir DIR] [--profile-hz N] [--profile-out <file>] [--seed N]
   top       --addr HOST:PORT [--frames N] [--interval-ms MS] [--window TICKS] [--by-link]";
 
-/// Parses `--key value` and bare `--flag` options; non-option arguments
-/// are skipped (commands read them positionally). A `--flag` followed by
-/// another option (or nothing) maps to the value `"true"`; a flag whose
-/// next argument happens to be the literal string `"true"` consumes it
-/// like any other value.
-fn parse_opts(args: &[String]) -> HashMap<String, String> {
+/// Options that never take a value: `--json t.bin` is a switch followed
+/// by a positional trace path, not `json = "t.bin"`.
+const SWITCHES: &[&str] = &[
+    "json",
+    "tree",
+    "flame",
+    "quality",
+    "critical-path",
+    "paper",
+    "smoke",
+    "inject-drift",
+    "by-link",
+];
+
+/// Parses `--key value` and bare `--flag` options, returning them with the
+/// positional arguments no option consumed, in order. A [`SWITCHES`] entry
+/// maps to `"true"` and never consumes the next argument; any other
+/// `--flag` followed by another option (or nothing) maps to `"true"` as
+/// well, and one whose next argument happens to be the literal string
+/// `"true"` consumes it like any other value.
+fn parse_opts(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
     let mut out = HashMap::new();
+    let mut positional = Vec::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(key) = args[i].strip_prefix("--") {
             match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
+                Some(v) if !v.starts_with("--") && !SWITCHES.contains(&key) => {
                     out.insert(key.to_string(), v.clone());
                     i += 2;
                 }
@@ -164,10 +180,11 @@ fn parse_opts(args: &[String]) -> HashMap<String, String> {
                 }
             }
         } else {
+            positional.push(args[i].clone());
             i += 1;
         }
     }
-    out
+    (out, positional)
 }
 
 fn seed_of(opts: &HashMap<String, String>) -> u64 {
@@ -482,12 +499,11 @@ fn run_sls_session(opts: &HashMap<String, String>, seed: u64) -> Result<String, 
     ))
 }
 
-fn cmd_report(args: &[String], opts: &HashMap<String, String>) -> Result<(), String> {
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
+fn cmd_report(positional: &[String], opts: &HashMap<String, String>) -> Result<(), String> {
+    let path = positional
+        .first()
         .or_else(|| opts.get("trace"))
-        .ok_or("report needs a trace file: talon report <trace.jsonl>")?;
+        .ok_or("report needs a trace file: talon report <trace.bin>")?;
     let trace = obs::open_trace(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
     if trace.skipped > 0 {
         eprintln!(
@@ -660,7 +676,7 @@ fn cmd_report(args: &[String], opts: &HashMap<String, String>) -> Result<(), Str
 
 /// Prints the per-session quality table (decision records grouped by
 /// session) and the drift epochs the online monitor flagged.
-fn print_quality(trace: &obs::jsonl::Trace) {
+fn print_quality(trace: &obs::Trace) {
     let sessions = obs::monitor::quality_from_trace(trace);
     if sessions.is_empty() {
         println!("no decision records in trace (record with --trace while training)");
@@ -710,7 +726,7 @@ fn print_quality(trace: &obs::jsonl::Trace) {
 
 /// Builds the `report --json` object: everything the human renderings
 /// show, as one machine-readable value.
-fn report_json(trace: &obs::jsonl::Trace) -> Value {
+fn report_json(trace: &obs::Trace) -> Value {
     let mut stages: Vec<String> = trace.stages();
     stages.sort();
     let stage_stats: Vec<Value> = stages
@@ -826,14 +842,13 @@ fn report_json(trace: &obs::jsonl::Trace) -> Value {
     ])
 }
 
-/// `talon replay <trace.jsonl>`: re-executes every replayable decision in
+/// `talon replay <trace.bin>`: re-executes every replayable decision in
 /// the trace and fails unless all of them reproduce bit-exactly.
-fn cmd_replay(args: &[String], opts: &HashMap<String, String>) -> Result<(), String> {
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
+fn cmd_replay(positional: &[String], opts: &HashMap<String, String>) -> Result<(), String> {
+    let path = positional
+        .first()
         .or_else(|| opts.get("trace"))
-        .ok_or("replay needs a trace file: talon replay <trace.jsonl>")?;
+        .ok_or("replay needs a trace file: talon replay <trace.bin>")?;
     let trace = obs::open_trace(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
     if trace.skipped > 0 {
         eprintln!(
@@ -906,7 +921,7 @@ fn cmd_replay(args: &[String], opts: &HashMap<String, String>) -> Result<(), Str
 /// the profiler watches the real estimator/replay code run it). Folded
 /// stacks go to stdout in the exact format `talon report --flame` emits,
 /// ready for inferno-flamegraph / flamegraph.pl.
-fn cmd_profile(args: &[String], opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_profile(positional: &[String], opts: &HashMap<String, String>) -> Result<(), String> {
     if let Some(addr) = opts.get("attach") {
         if addr == "true" {
             return Err("--attach needs HOST:PORT".into());
@@ -924,9 +939,8 @@ fn cmd_profile(args: &[String], opts: &HashMap<String, String>) -> Result<(), St
         print!("{body}");
         return Ok(());
     }
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
+    let path = positional
+        .first()
         .ok_or("profile needs a trace file or --attach HOST:PORT")?;
     let trace = obs::open_trace(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
     if trace.decisions.is_empty() {
@@ -985,58 +999,41 @@ fn cmd_profile(args: &[String], opts: &HashMap<String, String>) -> Result<(), St
     Ok(())
 }
 
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    const TRACE_USAGE: &str = "usage: talon trace convert <in> <out>  (input format sniffed; \
-         .bin output → binary, else JSONL)";
-    match args.first().map(String::as_str) {
-        Some("convert") => {
-            let mut paths = args[1..].iter().filter(|a| !a.starts_with("--"));
-            let input = paths.next().ok_or(TRACE_USAGE)?.clone();
-            let output = paths.next().ok_or(TRACE_USAGE)?.clone();
-            convert_trace(&input, &output)
-        }
+fn cmd_trace(positional: &[String]) -> Result<(), String> {
+    const TRACE_USAGE: &str = "usage: talon trace convert <in.bin> <out.jsonl>  \
+         (exports a binary trace as JSON Lines)";
+    match positional {
+        [cmd, input, output] if cmd == "convert" => convert_trace(input, output),
         _ => Err(TRACE_USAGE.into()),
     }
 }
 
-/// Streams a trace from one format to the other (record by record, bounded
-/// memory), choosing the output codec by extension: `.bin` → binary,
-/// anything else → JSONL. Damaged input records are skipped and counted,
-/// same as every other reader in the workspace.
+/// Exports a binary trace as JSON Lines, one [`obs::sink::record_line`]
+/// per record, streaming in bounded memory. Damaged input frames are
+/// skipped and counted, same as every other reader in the workspace.
+/// The export is one-way: talon reads binary traces only.
 fn convert_trace(input: &str, output: &str) -> Result<(), String> {
     use obs::TraceRecord;
+    use std::io::Write;
     if input == output {
         return Err("refusing to convert a trace onto itself".into());
     }
-    let mut reader =
-        obs::open_reader(Path::new(input)).map_err(|e| format!("reading {input}: {e}"))?;
-    let sink: std::sync::Arc<dyn obs::EventSink> = if output.ends_with(".bin") {
-        std::sync::Arc::new(
-            obs::BinSink::create(output).map_err(|e| format!("creating {output}: {e}"))?,
-        )
-    } else {
-        std::sync::Arc::new(
-            obs::JsonlSink::create(output).map_err(|e| format!("creating {output}: {e}"))?,
-        )
-    };
+    let mut reader = obs::binfmt::FileBinReader::open(Path::new(input))
+        .map_err(|e| format!("reading {input}: {e}"))?;
+    let file = std::fs::File::create(output).map_err(|e| format!("creating {output}: {e}"))?;
+    let mut out = std::io::BufWriter::new(file);
     let (mut events, mut decisions, mut snapshots) = (0u64, 0u64, 0u64);
+    let ts = obs::now_us();
     while let Some(record) = reader.next_record()? {
         match record {
-            TraceRecord::Event(e) => {
-                sink.emit(&e);
-                events += 1;
-            }
-            TraceRecord::Decision(d) => {
-                sink.emit_decision(&d);
-                decisions += 1;
-            }
-            TraceRecord::Snapshot(s) => {
-                sink.write_snapshot(&s);
-                snapshots += 1;
-            }
+            TraceRecord::Event(_) => events += 1,
+            TraceRecord::Decision(_) => decisions += 1,
+            TraceRecord::Snapshot(_) => snapshots += 1,
         }
+        let line = obs::sink::record_line(&record, ts).to_json();
+        writeln!(out, "{line}").map_err(|e| format!("writing {output}: {e}"))?;
     }
-    sink.flush();
+    out.flush().map_err(|e| format!("writing {output}: {e}"))?;
     if reader.skipped() > 0 {
         eprintln!(
             "warning: skipped {} damaged record(s) in {input}",
@@ -1046,18 +1043,11 @@ fn convert_trace(input: &str, output: &str) -> Result<(), String> {
     let size = |p: &str| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
     let (in_bytes, out_bytes) = (size(input), size(output));
     println!(
-        "converted {input} → {output}: {events} event(s), {decisions} decision(s), \
-         {snapshots} snapshot(s); {in_bytes} → {out_bytes} bytes ({:.2}× {})",
-        if out_bytes > 0 {
-            in_bytes as f64 / out_bytes as f64
-        } else {
-            f64::NAN
-        },
-        if out_bytes <= in_bytes {
-            "smaller"
-        } else {
-            "larger"
-        },
+        "converted {input} → {output}: {} record(s) ({events} event(s), {decisions} \
+         decision(s), {snapshots} snapshot(s)); {in_bytes} → {out_bytes} bytes \
+         (JSONL {:.2}× larger)",
+        events + decisions + snapshots,
+        out_bytes as f64 / in_bytes.max(1) as f64,
     );
     Ok(())
 }
@@ -1210,7 +1200,7 @@ fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), String> {
 
 /// Prints per-session (per-trace) link-health anomaly counts, when any
 /// anomaly events are in the trace.
-fn print_health_summary(trace: &obs::jsonl::Trace) {
+fn print_health_summary(trace: &obs::Trace) {
     let health = obs::tree::health_by_trace(&trace.events);
     if health.is_empty() {
         return;
@@ -1790,9 +1780,13 @@ fn cmd_brd(opts: &HashMap<String, String>) -> Result<(), String> {
 mod tests {
     use super::parse_opts;
 
-    fn opts(args: &[&str]) -> std::collections::HashMap<String, String> {
+    fn parse(args: &[&str]) -> (std::collections::HashMap<String, String>, Vec<String>) {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         parse_opts(&owned)
+    }
+
+    fn opts(args: &[&str]) -> std::collections::HashMap<String, String> {
+        parse(args).0
     }
 
     #[test]
@@ -1829,9 +1823,24 @@ mod tests {
 
     #[test]
     fn positional_arguments_are_skipped() {
-        let o = opts(&["trace.jsonl", "--seed", "4"]);
+        let (o, positional) = parse(&["trace.bin", "--seed", "4"]);
         assert_eq!(o.get("seed").map(String::as_str), Some("4"));
         assert_eq!(o.len(), 1);
+        assert_eq!(positional, ["trace.bin"]);
+        // `replay --threads 2 t.bin`: "2" is the value of --threads, and
+        // the trace path is the only positional argument.
+        let (o, positional) = parse(&["--threads", "2", "t.bin"]);
+        assert_eq!(o.get("threads").map(String::as_str), Some("2"));
+        assert_eq!(positional, ["t.bin"]);
+    }
+
+    #[test]
+    fn switches_never_consume_the_next_argument() {
+        let (o, positional) = parse(&["--json", "t.bin", "--top", "3", "--critical-path"]);
+        assert_eq!(o.get("json").map(String::as_str), Some("true"));
+        assert_eq!(o.get("top").map(String::as_str), Some("3"));
+        assert_eq!(o.get("critical-path").map(String::as_str), Some("true"));
+        assert_eq!(positional, ["t.bin"]);
     }
 
     #[test]

@@ -9,6 +9,22 @@ fn talon() -> Command {
     Command::new(env!("CARGO_BIN_EXE_talon"))
 }
 
+/// The committed cross-version replay fixture.
+fn fixture() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/replay_lab_fast_seed7.bin")
+}
+
+/// Runs talon with `args`, asserting success; returns stdout.
+fn run_ok(args: &[&str]) -> String {
+    let out = talon().args(args).output().expect("run talon");
+    assert!(
+        out.status.success(),
+        "talon {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
 /// A fresh scratch directory for one use: keyed by `name`, the process id
 /// and a per-process counter, so concurrently running tests never share
 /// (or delete) each other's files.
@@ -155,7 +171,7 @@ fn top_fails_fast_with_one_clear_line_when_endpoint_is_unreachable() {
 #[test]
 fn report_json_counts_kernel_paths_across_decisions() {
     let dir = workdir("report_json_counts_kernel_paths_across_decisions");
-    let trace = dir.join("kernel-paths.jsonl");
+    let trace = dir.join("kernel-paths.bin");
     let out = talon()
         .args([
             "sls",
@@ -204,5 +220,93 @@ fn report_json_counts_kernel_paths_across_decisions() {
             "known kernel path: {path}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn trace_path_after_an_option_value_is_found() {
+    // The value of an option (`2`, `3`) is not the positional trace path.
+    let fixture = fixture();
+    let fixture = fixture.to_str().unwrap();
+    let stdout = run_ok(&["replay", "--threads", "2", fixture]);
+    assert!(stdout.contains("replayed 60/64 "), "{stdout}");
+    let stdout = run_ok(&["report", "--top", "3", fixture, "--critical-path"]);
+    assert!(stdout.contains("trace(s)"), "{stdout}");
+    let stdout = run_ok(&["report", "--json", fixture]);
+    assert!(serde::Value::from_json(&stdout).is_ok(), "{stdout}");
+}
+
+#[test]
+fn trace_flag_rejects_a_jsonl_path_with_one_line() {
+    let dir = workdir("trace_flag_rejects_a_jsonl_path");
+    let path = dir.join("t.jsonl");
+    let out = talon()
+        .args(["sls", "--scenario", "lab", "--policy", "css"])
+        .args(["--trace", path.to_str().unwrap()])
+        .output()
+        .expect("run sls");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("talon trace convert"), "{stderr}");
+    assert!(!path.exists(), "no file is created");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn exported_jsonl_is_exactly_what_the_soak_prices() {
+    let dir = workdir("exported_jsonl_is_exactly_what_the_soak_prices");
+    let bin = dir.join("t.bin");
+    let jsonl = dir.join("t.jsonl");
+    run_ok(&[
+        "sls",
+        "--scenario",
+        "lab",
+        "--policy",
+        "css",
+        "--trace",
+        bin.to_str().unwrap(),
+    ]);
+    let stdout = run_ok(&[
+        "trace",
+        "convert",
+        bin.to_str().unwrap(),
+        jsonl.to_str().unwrap(),
+    ]);
+    let text = std::fs::read_to_string(&jsonl).expect("export written");
+    let lines: Vec<&str> = text.lines().collect();
+    assert!(
+        stdout.contains(&format!(": {} record(s) (", lines.len())),
+        "convert prints the line count: {stdout}"
+    );
+
+    // Price the binary trace the way `eval::soak::account_phase` does.
+    // The export stamps its snapshot line with the converter's clock, so
+    // read that one timestamp back from the file.
+    let mut snapshot_ts = None;
+    for line in &lines {
+        let value = serde::Value::from_json(line).expect("every line is JSON");
+        assert!(value.get("schema_version").is_some(), "{line}");
+        let kind = value.get("kind").and_then(serde::Value::as_str);
+        assert!(kind.is_some(), "{line}");
+        if kind == Some("snapshot") {
+            snapshot_ts = value.get("ts_us").and_then(serde::Value::as_u64);
+        }
+    }
+    let snapshot_ts = snapshot_ts.expect("closing snapshot line");
+    let mut reader = obs::binfmt::FileBinReader::open(&bin).expect("binary trace opens");
+    let mut priced = 0u64;
+    let mut records = 0usize;
+    while let Some(record) = reader.next_record().expect("current schema") {
+        priced += obs::sink::record_line(&record, snapshot_ts).to_json().len() as u64 + 1;
+        records += 1;
+    }
+    assert_eq!(reader.skipped(), 0);
+    assert_eq!(records, lines.len());
+    assert_eq!(
+        std::fs::metadata(&jsonl).unwrap().len(),
+        priced,
+        "export size equals the soak's JSONL price"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

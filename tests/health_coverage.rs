@@ -214,14 +214,23 @@ fn airtime_saturated_fires_when_training_eats_the_channel() {
 fn trace_corrupt_fires_on_malformed_trace_lines() {
     let dir = std::env::temp_dir().join(format!("talon-health-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("corrupt.jsonl");
-    std::fs::write(&path, "this is not json\n{\"kind\":\"spa\n").expect("write trace");
+    let path = dir.join("corrupt.bin");
+    // Two damaged regions: garbage with no frame marker after a good
+    // frame, then a frame truncated mid-payload (a killed writer's tail).
+    let good = obs::TraceRecord::Event(obs::Event::mark(1, "ok", Default::default()));
+    let mut bytes = obs::binfmt::file_header();
+    bytes.extend_from_slice(&obs::binfmt::encode_frame(&good));
+    bytes.extend_from_slice(b"this is not a frame");
+    let tail = obs::binfmt::encode_frame(&good);
+    bytes.extend_from_slice(&tail[..tail.len() - 3]);
+    std::fs::write(&path, &bytes).expect("write trace");
     let before = counter("health.trace_corrupt");
-    let trace = obs::jsonl::read_trace(&path).expect("skips, not fails");
+    let trace = obs::open_trace(&path).expect("skips, not fails");
     assert_eq!(trace.skipped, 2);
+    assert_eq!(trace.events.len(), 1);
     assert!(
         counter("health.trace_corrupt") >= before + 2,
-        "both malformed lines tallied"
+        "both damaged regions tallied"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -229,36 +238,23 @@ fn trace_corrupt_fires_on_malformed_trace_lines() {
 #[test]
 fn trace_write_failed_fires_when_the_trace_device_is_full() {
     // `/dev/full` fails every write with ENOSPC — the disk-full scenario
-    // that used to drop trace lines silently. Both file-backed sinks must
-    // tally the failure instead.
+    // that used to drop trace frames silently. The trace sink must tally
+    // the failure instead.
     if !std::path::Path::new("/dev/full").exists() {
         eprintln!("skipping: /dev/full not available");
         return;
     }
     use obs::EventSink;
     let before = counter("health.trace_write_failed");
-    let jsonl = obs::JsonlSink::create("/dev/full").expect("open is fine; writes fail");
-    jsonl.emit_decision(&obs::DecisionRecord::new("css.select"));
-    jsonl.flush();
+    // The header goes into the sink's write buffer, so opening succeeds
+    // and the failure surfaces when the buffered frames are flushed.
+    let bin = obs::BinSink::create("/dev/full").expect("open is fine; writes fail");
+    bin.emit_decision(&obs::DecisionRecord::new("css.select"));
+    bin.flush();
     assert!(
         counter("health.trace_write_failed") > before,
-        "ENOSPC on a JSONL decision write is tallied"
+        "ENOSPC on a binary frame write is tallied"
     );
-    let before = counter("health.trace_write_failed");
-    // BinSink::create writes the file header eagerly, so on /dev/full it
-    // fails at open — also acceptable, but flush the buffered header
-    // through emit+flush if create somehow succeeds.
-    match obs::BinSink::create("/dev/full") {
-        Err(_) => {} // header write failed loudly at create
-        Ok(bin) => {
-            bin.emit_decision(&obs::DecisionRecord::new("css.select"));
-            bin.flush();
-            assert!(
-                counter("health.trace_write_failed") > before,
-                "ENOSPC on a binary frame write is tallied"
-            );
-        }
-    }
 }
 
 #[test]

@@ -80,7 +80,7 @@ fn workdir(name: &str) -> PathBuf {
 #[test]
 fn traced_session_builds_one_tree_and_valid_folded_stacks() {
     let dir = workdir("traced_session");
-    let trace = dir.join("session.jsonl");
+    let trace = dir.join("session.bin");
 
     // One compressive training with tracing on.
     let out = talon()
@@ -104,7 +104,7 @@ fn traced_session_builds_one_tree_and_valid_folded_stacks() {
 
     // The trace parses cleanly and holds exactly one CSS session: a single
     // rooted tree whose root is the `css.session` span.
-    let parsed = obs::jsonl::read_trace(&trace).expect("readable trace");
+    let parsed = obs::open_trace(&trace).expect("readable trace");
     assert_eq!(parsed.skipped, 0, "clean file");
     let trees = obs::tree::build_trees(&parsed.events);
     assert_eq!(trees.len(), 1, "one CSS session = one trace");
@@ -569,7 +569,7 @@ fn assert_valid_folded(text: &str) {
 #[test]
 fn profiled_drill_emits_folded_stacks_and_critical_path() {
     let dir = workdir("profiled-drill");
-    let trace = dir.join("drill.jsonl");
+    let trace = dir.join("drill.bin");
     let folded = dir.join("drill.folded");
 
     // The drift drill with the in-process sampler running at 1 kHz: on

@@ -19,7 +19,7 @@ use std::path::Path;
 
 const FIXTURE: &str = "tests/fixtures/replay_lab_fast_seed7.bin";
 
-fn fixture() -> obs::jsonl::Trace {
+fn fixture() -> obs::Trace {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(FIXTURE);
     obs::open_trace(&path).expect("fixture trace opens")
 }
