@@ -678,7 +678,11 @@ impl CompressiveEstimator {
 /// decision provenance (`obs::decision`): the normalized probe vectors the
 /// kernel actually correlated, the top-k cells of the final map, and the
 /// energy normalizer of the prior.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Owned by the caller and refilled in place by
+/// [`CompressiveEstimator::estimate_with_closure`], so a caller that
+/// keeps one (replay keeps one per worker) pays for its vectors once.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelClosure {
     /// Report-scale SNR probe vector (usable probes, kernel row order).
     pub p_snr: Vec<f64>,
@@ -696,40 +700,49 @@ pub struct KernelClosure {
 impl CompressiveEstimator {
     /// Eq. 3 plus the Eq. 2–5 intermediates of the same kernel run, for a
     /// decision record: one correlation pass over the per-thread scratch
-    /// yields both the estimate and its [`KernelClosure`] with the `k` best
-    /// map cells. Allocates only the closure's four output vectors, so it
-    /// is meant for the sink-gated provenance path and for replay; the
-    /// no-sink hot path calls [`Self::estimate`].
+    /// yields the estimate and refills `closure` with the `k` best map
+    /// cells. Each closure vector grows to exactly its size the first time
+    /// it is too small, so a fresh closure costs its four output vectors
+    /// and a warm one nothing. Meant for the sink-gated provenance path
+    /// and for replay; the no-sink hot path calls [`Self::estimate`].
     pub fn estimate_with_closure(
         &self,
         readings: &[SweepReading],
         k: usize,
-    ) -> (Option<(Direction, f64)>, KernelClosure) {
+        closure: &mut KernelClosure,
+    ) -> Option<(Direction, f64)> {
         THREAD_SCRATCH.with(|s| {
             let s = &mut *s.borrow_mut();
             let estimate = self.estimate_with(s, readings);
-            let (top_cells, top_weights) = top_k(&s.map, k);
-            let closure = KernelClosure {
-                p_snr: s.p_snr.clone(),
-                p_rssi: s.p_rssi.clone(),
-                top_cells,
-                top_weights,
-                energy_max: s.energy_max,
-            };
-            (estimate, closure)
+            refill(&mut closure.p_snr, &s.p_snr);
+            refill(&mut closure.p_rssi, &s.p_rssi);
+            top_k(&s.map, k, &mut closure.top_cells, &mut closure.top_weights);
+            closure.energy_max = s.energy_max;
+            estimate
         })
     }
 }
 
-/// The `k` best cells of `map` with their weights, best first: weight
-/// descending, ties to the lower index — the order of a full sort by that
-/// comparator, taken in one pass that keeps at most `k` candidates.
-fn top_k(map: &[f64], k: usize) -> (Vec<u64>, Vec<f64>) {
+/// Replaces `dst`'s contents with `src`, growing it to exactly `src`'s
+/// length if it is too small.
+fn refill(dst: &mut Vec<f64>, src: &[f64]) {
+    dst.clear();
+    dst.reserve_exact(src.len());
+    dst.extend_from_slice(src);
+}
+
+/// Fills `cells` and `weights` with the `k` best cells of `map`, best
+/// first: weight descending, ties to the lower index — the order of a full
+/// sort by that comparator, taken in one pass that keeps at most `k`
+/// candidates.
+fn top_k(map: &[f64], k: usize, cells: &mut Vec<u64>, weights: &mut Vec<f64>) {
     let k = k.min(map.len());
-    let mut cells = Vec::with_capacity(k);
-    let mut weights: Vec<f64> = Vec::with_capacity(k);
+    cells.clear();
+    weights.clear();
+    cells.reserve_exact(k);
+    weights.reserve_exact(k);
     if k == 0 {
-        return (cells, weights);
+        return;
     }
     for (i, &w) in map.iter().enumerate() {
         if weights.len() == k {
@@ -745,7 +758,6 @@ fn top_k(map: &[f64], k: usize) -> (Vec<u64>, Vec<f64>) {
         weights.insert(at, w);
         cells.insert(at, i as u64);
     }
-    (cells, weights)
 }
 
 /// Mixes `bytes` into an FNV-1a accumulator.
@@ -1353,6 +1365,7 @@ mod tests {
     fn closure_matches_the_sorted_oracle_over_randomized_readings() {
         use rand::Rng;
         let mut rng = geom::rng::sub_rng(16, "closure-oracle");
+        let mut closure = KernelClosure::default();
         for case in 0..120 {
             let store = random_store(&mut rng);
             let n_grid = store.grid().len();
@@ -1371,7 +1384,9 @@ mod tests {
                     let ctx = format!(
                         "case {case} {mode:?} prior={energy_prior} smooth={smoothing} k={k}"
                     );
-                    let (estimate, closure) = est.estimate_with_closure(&readings, k);
+                    // One closure refilled across every case, as replay's
+                    // workers reuse theirs.
+                    let estimate = est.estimate_with_closure(&readings, k, &mut closure);
                     assert_eq!(estimate, est.estimate(&readings), "{ctx}: estimate");
                     assert_eq!(closure.top_cells.len(), k.min(n_grid), "{ctx}");
                     assert_closures_identical(&closure, &sorted_closure(&est, &readings, k), &ctx);
@@ -1388,7 +1403,8 @@ mod tests {
         let full = vec![reading(1, 3.0), reading(2, 6.0), reading(3, 1.0)];
         let degenerate = vec![reading(1, 3.0), missing(2)];
         for k in [0, 5, n_grid, n_grid + 1, usize::MAX] {
-            let (_, closure) = est.estimate_with_closure(&full, k);
+            let mut closure = KernelClosure::default();
+            est.estimate_with_closure(&full, k, &mut closure);
             assert_eq!(closure.top_cells.len(), k.min(n_grid));
             assert_closures_identical(&closure, &sorted_closure(&est, &full, k), &format!("k={k}"));
         }
@@ -1396,9 +1412,10 @@ mod tests {
         // the scratch's energy buffer still holds the full sweep's values,
         // but the closure reports no energy and an all-zero map whose ties
         // resolve to the lowest cells.
-        let (_, warm) = est.estimate_with_closure(&full, 8);
-        assert!(warm.energy_max > 0.0);
-        let (estimate, closure) = est.estimate_with_closure(&degenerate, 8);
+        let mut closure = KernelClosure::default();
+        est.estimate_with_closure(&full, 8, &mut closure);
+        assert!(closure.energy_max > 0.0);
+        let estimate = est.estimate_with_closure(&degenerate, 8, &mut closure);
         assert_eq!(estimate, None);
         assert_eq!(closure.energy_max, 0.0);
         assert_eq!(closure.top_cells, (0..8).collect::<Vec<u64>>());
@@ -1415,7 +1432,8 @@ mod tests {
         let store = synthetic_store();
         let est = CompressiveEstimator::new(&store, CorrelationMode::JointSnrRssi);
         let readings = vec![reading(1, 3.0), reading(2, 6.0), reading(3, 1.0)];
-        let (estimate, closure) = est.estimate_with_closure(&readings, 5);
+        let mut closure = KernelClosure::default();
+        let estimate = est.estimate_with_closure(&readings, 5, &mut closure);
         let map = est.correlation_map(&readings);
         let (best_i, best_w) = map
             .iter()

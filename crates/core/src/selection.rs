@@ -82,6 +82,9 @@ pub struct CompressiveSelection {
     /// The direction estimated in the most recent selection (for
     /// diagnostics and the evaluation harness).
     pub last_estimate: Option<(Direction, f64)>,
+    /// Metric handles, resolved once.
+    selections: std::sync::Arc<obs::Counter>,
+    fallbacks: std::sync::Arc<obs::Counter>,
 }
 
 impl CompressiveSelection {
@@ -101,6 +104,8 @@ impl CompressiveSelection {
             digest,
             pending_oracle: None,
             last_estimate: None,
+            selections: obs::counter("css.selections"),
+            fallbacks: obs::counter("css.fallbacks"),
         }
     }
 
@@ -150,16 +155,17 @@ impl CompressiveSelection {
     /// Runs steps 2 + 3 on existing readings (the offline-analysis entry
     /// point used by the evaluation, which replays recorded sweeps).
     pub fn select_from_readings(&mut self, readings: &[SweepReading]) -> Option<SectorId> {
-        obs::counter("css.selections").inc();
+        self.selections.inc();
         // Taken unconditionally: an oracle provided for this sweep must
         // never survive to describe a later one.
         let oracle = self.pending_oracle.take();
         // While a sink records, the decision's provenance closure comes
         // out of the same kernel pass as the estimate.
         let (estimate, closure) = if obs::sink_active() {
-            let (estimate, closure) = self
-                .estimator
-                .estimate_with_closure(readings, DECISION_TOP_K);
+            let mut closure = KernelClosure::default();
+            let estimate =
+                self.estimator
+                    .estimate_with_closure(readings, DECISION_TOP_K, &mut closure);
             (estimate, Some(closure))
         } else {
             (self.estimator.estimate(readings), None)
@@ -171,7 +177,7 @@ impl CompressiveSelection {
                 // Degenerate sweep (fewer than two usable probes): fall
                 // back to whatever argmax can salvage, like the firmware
                 // would.
-                obs::counter("css.fallbacks").inc();
+                self.fallbacks.inc();
                 (MaxSnrPolicy.select(readings), true)
             }
         };

@@ -4,31 +4,44 @@
 //! * A warm [`CompressiveEstimator::estimate`] with no sink installed — the
 //!   live selection path — allocates nothing.
 //! * [`CompressiveEstimator::estimate_with_closure`] — the recording and
-//!   replay path — allocates exactly the closure's four output vectors
-//!   (`p_snr`, `p_rssi`, `top_cells`, `top_weights`), sized by the probe
-//!   count and `k`, never by the grid.
+//!   replay path — fills a caller-owned [`KernelClosure`]. A fresh one
+//!   allocates exactly its four output vectors (`p_snr`, `p_rssi`,
+//!   `top_cells`, `top_weights`), sized by the probe count and `k`, never
+//!   by the grid; a warm one allocates nothing.
 //!
-//! One test function on purpose: parallel `#[test]`s would share the
-//! global counters and make the deltas meaningless.
+//! Allocations are counted per thread, so one made by the test harness
+//! or another test's thread never lands in a measured window.
 
 use chamber::SectorPatterns;
-use css::estimator::{CompressiveEstimator, CorrelationMode};
+use css::estimator::{CompressiveEstimator, CorrelationMode, KernelClosure};
 use geom::sphere::{GridSpec, SphericalGrid};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use talon_array::{GainPattern, SectorId};
 use talon_channel::{Measurement, SweepReading};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static BYTES: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// (allocations, bytes requested) by this thread. Const-initialized
+    /// with no destructor, so the allocator can touch it without
+    /// allocating.
+    static COUNTS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
+/// Counts one allocation of `bytes` on the calling thread.
+fn count(bytes: usize) {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = COUNTS.try_with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes));
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -37,8 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -46,17 +58,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// (allocations, bytes requested) while running `f`.
+/// (allocations, bytes requested) by this thread while running `f`.
 fn allocations_during<T>(f: impl FnOnce() -> T) -> (usize, usize, T) {
-    let (a0, b0) = (
-        ALLOCATIONS.load(Ordering::SeqCst),
-        BYTES.load(Ordering::SeqCst),
-    );
+    let (a0, b0) = COUNTS.with(Cell::get);
     let out = f();
-    let (a1, b1) = (
-        ALLOCATIONS.load(Ordering::SeqCst),
-        BYTES.load(Ordering::SeqCst),
-    );
+    let (a1, b1) = COUNTS.with(Cell::get);
     (a1 - a0, b1 - b0, out)
 }
 
@@ -109,14 +115,18 @@ fn estimate_is_allocation_free_and_the_closure_allocates_only_its_outputs() {
 
     // Warm-up: sizes the thread scratch for this grid.
     assert!(est.estimate(&readings).is_some());
-    let _ = est.estimate_with_closure(&readings, K);
+    let _ = est.estimate_with_closure(&readings, K, &mut KernelClosure::default());
 
     let (allocs, _, estimate) = allocations_during(|| est.estimate(black_box(&readings)));
     assert!(black_box(estimate).is_some());
     assert_eq!(allocs, 0, "a warm no-sink estimate allocates nothing");
 
-    let (allocs, bytes, (estimate, closure)) =
-        allocations_during(|| est.estimate_with_closure(black_box(&readings), K));
+    let fresh = |k| {
+        let mut closure = KernelClosure::default();
+        let estimate = est.estimate_with_closure(black_box(&readings), k, &mut closure);
+        (estimate, closure)
+    };
+    let (allocs, bytes, (estimate, mut closure)) = allocations_during(|| fresh(K));
     assert!(estimate.is_some());
     assert_eq!(closure.p_snr.len(), usable);
     assert_eq!(closure.top_cells.len(), K);
@@ -127,8 +137,15 @@ fn estimate_is_allocation_free_and_the_closure_allocates_only_its_outputs() {
         "nothing sized by the {n_grid}-cell grid"
     );
 
-    let (allocs, _, (_, closure)) =
-        allocations_during(|| est.estimate_with_closure(black_box(&readings), 0));
+    // A warm caller-owned closure refills in place.
+    let (allocs, _, estimate) =
+        allocations_during(|| est.estimate_with_closure(black_box(&readings), K, &mut closure));
+    assert!(estimate.is_some());
+    assert_eq!(closure.p_snr.len(), usable);
+    assert_eq!(closure.top_cells.len(), K);
+    assert_eq!(allocs, 0, "a warm closure refills without allocating");
+
+    let (allocs, _, (_, closure)) = allocations_during(|| fresh(0));
     assert!(closure.top_cells.is_empty());
     assert_eq!(allocs, 2, "k = 0 keeps only the probe vectors");
 }

@@ -25,7 +25,7 @@ use crate::engine::{default_threads, par_map};
 use crate::scenario::{EvalScenario, Fidelity};
 use chamber::SectorPatterns;
 use css::estimator::EstimatorOptions;
-use css::{patterns_digest, CompressiveEstimator, CorrelationMode};
+use css::{patterns_digest, CompressiveEstimator, CorrelationMode, KernelClosure};
 use mac80211ad::sls::{FeedbackPolicy, MaxSnrPolicy};
 use obs::{DecisionRecord, Trace};
 use serde::Serialize;
@@ -170,6 +170,14 @@ struct Job<'a> {
     est: usize,
 }
 
+/// One replay worker's buffers, reused across every decision it
+/// re-executes, so a warm chunk allocates nothing per decision.
+#[derive(Default)]
+struct Worker {
+    readings: Vec<SweepReading>,
+    closure: KernelClosure,
+}
+
 /// Incremental replay over a stream of decision records.
 ///
 /// [`replay_trace`] feeds a whole in-memory [`Trace`] through one of
@@ -209,7 +217,7 @@ impl ReplaySession {
     /// `config.threads`) and folds the outcomes into the running report.
     pub fn replay_chunk(&mut self, decisions: &[DecisionRecord]) {
         self.report.total_decisions += decisions.len();
-        let mut jobs: Vec<Job> = Vec::new();
+        let mut jobs: Vec<Job> = Vec::with_capacity(decisions.len());
         for rec in decisions {
             let index = self.next_index;
             self.next_index += 1;
@@ -225,21 +233,19 @@ impl ReplaySession {
                     continue;
                 }
             };
-            let override_patterns = &self.config.patterns_override;
-            let entry = self
-                .patterns_by_ctx
-                .entry(rec.context.clone())
-                .or_insert_with(|| {
-                    let p = match override_patterns {
-                        Some(p) => Some(p.clone()),
-                        None => patterns_for_context(&rec.context),
-                    };
-                    p.map(|p| {
-                        let d = patterns_digest(&p);
-                        (p, d)
-                    })
+            // Looked up by `&str`; the context is cloned only on first sight.
+            if !self.patterns_by_ctx.contains_key(rec.context.as_str()) {
+                let p = match &self.config.patterns_override {
+                    Some(p) => Some(p.clone()),
+                    None => patterns_for_context(&rec.context),
+                };
+                let entry = p.map(|p| {
+                    let d = patterns_digest(&p);
+                    (p, d)
                 });
-            let Some((patterns, digest)) = entry else {
+                self.patterns_by_ctx.insert(rec.context.clone(), entry);
+            }
+            let Some((patterns, digest)) = &self.patterns_by_ctx[rec.context.as_str()] else {
                 self.report.skipped_no_patterns += 1;
                 continue;
             };
@@ -266,11 +272,15 @@ impl ReplaySession {
                 smoothing: rec.smoothing,
                 subcell_refinement: rec.subcell_refinement,
             };
-            let key = (rec.context.clone(), rec.mode.clone(), options);
-            let est = match self.est_keys.iter().position(|k| *k == key) {
+            let est = match self
+                .est_keys
+                .iter()
+                .position(|(ctx, m, o)| *ctx == rec.context && *m == rec.mode && *o == options)
+            {
                 Some(i) => i,
                 None => {
-                    self.est_keys.push(key);
+                    self.est_keys
+                        .push((rec.context.clone(), rec.mode.clone(), options));
                     self.estimators.push((
                         CompressiveEstimator::new(patterns, mode).with_options(options),
                         patterns.clone(),
@@ -287,11 +297,11 @@ impl ReplaySession {
         let results: Vec<(Vec<Divergence>, f64)> = par_map(
             jobs.len(),
             self.config.threads.max(1),
-            || (),
-            |(), i| {
+            Worker::default,
+            |worker, i| {
                 let job = &jobs[i];
                 let (est, patterns) = &estimators[job.est];
-                replay_one(job.index, job.rec, est, patterns, perturb)
+                replay_one(worker, job.index, job.rec, est, patterns, perturb)
             },
         );
         for (divergent, max_err) in results {
@@ -351,6 +361,7 @@ impl Comparator {
 
 /// Re-executes one decision and compares every recorded output.
 fn replay_one(
+    worker: &mut Worker,
     index: usize,
     rec: &DecisionRecord,
     est: &CompressiveEstimator,
@@ -365,9 +376,9 @@ fn replay_one(
     };
 
     // Rebuild the sweep readings exactly as the kernel saw them.
-    let n = rec.probed.len();
-    let mut readings = Vec::with_capacity(n);
-    for i in 0..n {
+    let Worker { readings, closure } = worker;
+    readings.clear();
+    for i in 0..rec.probed.len() {
         let measurement = (!rec.masked[i]).then(|| Measurement {
             snr_db: rec.snr_db[i] + perturb_snr_db,
             rssi_dbm: rec.rssi_dbm[i],
@@ -379,7 +390,7 @@ fn replay_one(
     }
 
     // Re-run the fused kernel; its provenance closure comes from the same pass.
-    let (estimate, closure) = est.estimate_with_closure(&readings, rec.top_cells.len());
+    let estimate = est.estimate_with_closure(readings, rec.top_cells.len(), closure);
 
     if rec.has_estimate != estimate.is_some() {
         cmp.diverge(
@@ -396,7 +407,7 @@ fn replay_one(
     // The same Eq. 4 selection step the live path ran.
     let (chosen, fallback) = match estimate {
         Some((dir, _)) => (patterns.best_sector_at(&dir), false),
-        None => (MaxSnrPolicy.select(&readings), true),
+        None => (MaxSnrPolicy.select(readings), true),
     };
     let chosen = chosen.map_or(obs::decision::NO_SECTOR, |s| i64::from(s.raw()));
     if chosen != rec.chosen_sector {

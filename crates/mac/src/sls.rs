@@ -106,6 +106,9 @@ pub struct SlsRunner<'a> {
     pub responder: &'a Device,
     /// Addressing.
     pub config: SlsConfig,
+    /// Metric handles, resolved once.
+    runs: std::sync::Arc<obs::Counter>,
+    ssw_frames: std::sync::Arc<obs::Counter>,
 }
 
 impl<'a> SlsRunner<'a> {
@@ -116,6 +119,8 @@ impl<'a> SlsRunner<'a> {
             initiator,
             responder,
             config: SlsConfig::default(),
+            runs: obs::counter("sls.runs"),
+            ssw_frames: obs::counter("sls.ssw_frames"),
         }
     }
 
@@ -135,7 +140,7 @@ impl<'a> SlsRunner<'a> {
         PR: FeedbackPolicy + ?Sized,
     {
         let mut span = obs::sink_active().then(|| obs::span("sls.run"));
-        obs::counter("sls.runs").inc();
+        self.runs.inc();
         let mut now = SimTime::ZERO;
         let mut frames = Vec::new();
 
@@ -235,7 +240,7 @@ impl<'a> SlsRunner<'a> {
         ));
         now += SLS_OVERHEAD;
 
-        obs::counter("sls.ssw_frames").add(frames.len() as u64);
+        self.ssw_frames.add(frames.len() as u64);
         if let Some(span) = &mut span {
             span.field("iss_frames", iss_readings.len() as f64);
             span.field("rss_frames", rss_readings.len() as f64);

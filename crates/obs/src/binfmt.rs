@@ -75,11 +75,12 @@
 //!
 //! ## Bounded memory
 //!
-//! [`BinReader`] streams one frame at a time off a `BufRead` and never
-//! buffers more than one record (≤ [`MAX_RECORD_LEN`]) plus the capped
-//! string table, so a multi-GB trace replays in constant memory — the
-//! contract the soak harness (`eval::soak`) asserts with an RSS ceiling
-//! over a million-decision replay.
+//! [`BinReader`] parses frames in place in one byte window it refills
+//! with large reads off any `Read`, and never buffers more than one record
+//! (≤ [`MAX_RECORD_LEN`]) plus one read chunk plus the capped string
+//! table, so a multi-GB trace replays in constant memory — the contract
+//! the soak harness (`eval::soak`) asserts with an RSS ceiling over a
+//! million-decision replay.
 
 use crate::decision::{DecisionRecord, SCHEMA_VERSION};
 use crate::event::Event;
@@ -87,7 +88,7 @@ use crate::registry::Snapshot;
 use crate::sink::{note_write_error, EventSink};
 use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
 
 /// File magic: the first 8 bytes of every binary trace.
@@ -117,8 +118,11 @@ pub const MAX_INTERN_BYTES: usize = 1 << 24;
 
 // ── CRC-32 (IEEE 802.3, reflected) ──────────────────────────────────────
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table,
+/// and `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, so eight table lookups fold eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -131,19 +135,51 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
+
+/// Continues a CRC-32 (IEEE) over `data`: `crc` is the checksum of the
+/// bytes so far (0 for none), so
+/// `crc32_update(crc32_update(0, a), b) == crc32(a ‖ b)` and a frame's
+/// head and payload are checksummed without being concatenated.
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = !crc;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
 
 /// CRC-32 (IEEE) of `data`, as used in the per-record frame checksum.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    crc32_update(0, data)
 }
 
 // ── String interning (writer side) ──────────────────────────────────────
@@ -174,21 +210,26 @@ impl Interner {
 
 /// Append-only encoder for one payload. When built with an interner
 /// ([`Enc::interned`]), strings written via [`Enc::istr`] become table
-/// references and newly assigned ids accumulate in `defs` for the caller
-/// to announce (as strdef frames) before this payload's frame.
+/// references, and each newly assigned id is appended to `defs` as a
+/// complete strdef frame for the caller to write before this payload's
+/// frame.
 #[derive(Default)]
 struct Enc<'a> {
     buf: Vec<u8>,
     intern: Option<&'a mut Interner>,
-    defs: Vec<(u32, String)>,
+    defs: Vec<u8>,
 }
 
 impl<'a> Enc<'a> {
-    fn interned(intern: &'a mut Interner) -> Self {
+    /// An interning encoder that appends to `buf` and `defs` (cleared
+    /// first), so a caller can keep their capacity from record to record.
+    fn interned(intern: &'a mut Interner, mut buf: Vec<u8>, mut defs: Vec<u8>) -> Self {
+        buf.clear();
+        defs.clear();
         Enc {
-            buf: Vec::new(),
+            buf,
             intern: Some(intern),
-            defs: Vec::new(),
+            defs,
         }
     }
 
@@ -258,7 +299,13 @@ impl<'a> Enc<'a> {
         match self.intern.as_mut().and_then(|i| i.intern(s)) {
             Some((id, is_new)) => {
                 if is_new {
-                    self.defs.push((id, s.to_string()));
+                    let (id_bytes, n) = varint_bytes(u64::from(id));
+                    append_frame(
+                        &mut self.defs,
+                        KIND_STRDEF,
+                        SCHEMA_VERSION as u8,
+                        &[&id_bytes[..n], s.as_bytes()],
+                    );
                 }
                 self.varint(u64::from(id) + 1);
             }
@@ -280,36 +327,28 @@ impl<'a> Enc<'a> {
     /// bits, and identical repeats collapse to one byte.
     fn f64s(&mut self, vs: &[f64]) {
         self.varint(vs.len() as u64);
-        let quarters: Option<Vec<i64>> = vs
-            .iter()
-            .map(|&v| {
-                let q = v * 4.0;
-                (q.abs() < (1i64 << 52) as f64
-                    && ((q as i64) as f64 / 4.0).to_bits() == v.to_bits())
-                .then_some(q as i64)
-            })
-            .collect();
-        match quarters {
-            Some(qs) => {
-                self.u8(1);
-                for q in qs {
-                    self.zigzag(q);
-                }
+        let is_quarter = |v: f64| {
+            let q = v * 4.0;
+            q.abs() < (1i64 << 52) as f64 && ((q as i64) as f64 / 4.0).to_bits() == v.to_bits()
+        };
+        if vs.iter().all(|&v| is_quarter(v)) {
+            self.u8(1);
+            for &v in vs {
+                self.zigzag((v * 4.0) as i64);
             }
-            None => {
-                self.u8(0);
-                let mut prev = 0u64;
-                for (i, &v) in vs.iter().enumerate() {
-                    let bits = v.to_bits();
-                    if i == 0 {
-                        self.varint9(bits.swap_bytes());
-                    } else {
-                        // XOR zeroes the *high* (shared) bits, which is
-                        // exactly what an unswapped varint drops.
-                        self.varint9(bits ^ prev);
-                    }
-                    prev = bits;
+        } else {
+            self.u8(0);
+            let mut prev = 0u64;
+            for (i, &v) in vs.iter().enumerate() {
+                let bits = v.to_bits();
+                if i == 0 {
+                    self.varint9(bits.swap_bytes());
+                } else {
+                    // XOR zeroes the *high* (shared) bits, which is
+                    // exactly what an unswapped varint drops.
+                    self.varint9(bits ^ prev);
                 }
+                prev = bits;
             }
         }
     }
@@ -371,7 +410,11 @@ impl<'a> Dec<'a> {
     }
 
     fn u8(&mut self) -> DecodeResult<u8> {
-        Ok(self.take(1)?[0])
+        let Some(&b) = self.data.get(self.pos) else {
+            return Err(format!("payload truncated at byte {}", self.pos));
+        };
+        self.pos += 1;
+        Ok(b)
     }
 
     fn varint(&mut self) -> DecodeResult<u64> {
@@ -444,32 +487,42 @@ impl<'a> Dec<'a> {
         }
     }
 
+    /// Decoded vectors are presized from their guarded count: one
+    /// allocation each, never a grow-and-copy.
     fn f64s(&mut self) -> DecodeResult<Vec<f64>> {
         // A quarter-step or varint9 element can be as short as one byte.
         let n = self.count(1)?;
+        let mut out = Vec::with_capacity(n);
         match self.u8()? {
-            1 => (0..n).map(|_| Ok(self.zigzag()? as f64 / 4.0)).collect(),
+            1 => {
+                for _ in 0..n {
+                    out.push(self.zigzag()? as f64 / 4.0);
+                }
+            }
             0 => {
                 let mut prev = 0u64;
-                (0..n)
-                    .map(|i| {
-                        let bits = if i == 0 {
-                            self.varint9()?.swap_bytes()
-                        } else {
-                            self.varint9()? ^ prev
-                        };
-                        prev = bits;
-                        Ok(f64::from_bits(bits))
-                    })
-                    .collect()
+                for i in 0..n {
+                    let bits = if i == 0 {
+                        self.varint9()?.swap_bytes()
+                    } else {
+                        self.varint9()? ^ prev
+                    };
+                    prev = bits;
+                    out.push(f64::from_bits(bits));
+                }
             }
-            other => Err(format!("unknown f64 vector tag {other}")),
+            other => return Err(format!("unknown f64 vector tag {other}")),
         }
+        Ok(out)
     }
 
     fn varints(&mut self) -> DecodeResult<Vec<u64>> {
         let n = self.count(1)?;
-        (0..n).map(|_| self.varint()).collect()
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(self.varint()?);
+        }
+        Ok(out)
     }
 
     fn bools(&mut self) -> DecodeResult<Vec<bool>> {
@@ -706,15 +759,15 @@ fn decode_snapshot(dec: &mut Dec) -> DecodeResult<Snapshot> {
         let count = dec.varint()?;
         let sum = dec.varint()?;
         let max = dec.varint()?;
-        let buckets = (0..dec.count(3)?)
-            .map(|_| {
-                Ok(Bucket {
-                    lo: dec.varint()?,
-                    hi: dec.varint()?,
-                    count: dec.varint()?,
-                })
-            })
-            .collect::<DecodeResult<Vec<_>>>()?;
+        let n = dec.count(3)?;
+        let mut buckets = Vec::with_capacity(n);
+        for _ in 0..n {
+            buckets.push(Bucket {
+                lo: dec.varint()?,
+                hi: dec.varint()?,
+                count: dec.varint()?,
+            });
+        }
         snapshot.histograms.insert(
             key,
             HistogramSnapshot {
@@ -769,18 +822,56 @@ pub fn encode_frame(record: &TraceRecord) -> Vec<u8> {
 /// Builds a frame from raw parts (exposed so corruption tests can forge
 /// frames the writer would never produce).
 pub fn frame_with(kind: u8, version: u8, payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= MAX_RECORD_LEN, "record exceeds cap");
-    let mut head = Enc::default();
-    head.u8(kind);
-    head.u8(version);
-    head.varint(payload.len() as u64);
-    let mut out = Vec::with_capacity(payload.len() + head.buf.len() + 5);
-    out.push(MARKER);
-    out.extend_from_slice(&head.buf);
-    out.extend_from_slice(payload);
-    let crc = crc32(&out[1..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    let mut out = Vec::with_capacity(payload.len() + MAX_HEAD_LEN + 4);
+    append_frame(&mut out, kind, version, &[payload]);
     out
+}
+
+/// Longest frame head: marker, kind, version and a ≤ 3-byte length
+/// varint ([`MAX_RECORD_LEN`] < 2²¹).
+const MAX_HEAD_LEN: usize = 6;
+
+/// The LEB128 bytes of `v` and how many of them are used.
+fn varint_bytes(mut v: u64) -> ([u8; 10], usize) {
+    let mut out = [0u8; 10];
+    let mut n = 0;
+    loop {
+        let byte = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            out[n] = byte;
+            return (out, n + 1);
+        }
+        out[n] = byte | 0x80;
+        n += 1;
+    }
+}
+
+/// A frame's head (`marker ‖ kind ‖ version ‖ len`) and its length.
+fn frame_head(kind: u8, version: u8, len: usize) -> ([u8; MAX_HEAD_LEN], usize) {
+    assert!(len <= MAX_RECORD_LEN, "record exceeds cap");
+    let (len_bytes, n) = varint_bytes(len as u64);
+    let mut head = [MARKER, kind, version, 0, 0, 0];
+    head[3..3 + n].copy_from_slice(&len_bytes[..n]);
+    (head, 3 + n)
+}
+
+/// CRC of a frame: everything after the marker, fed piecewise.
+fn frame_crc(head: &[u8], payload: &[u8]) -> u32 {
+    crc32_update(crc32_update(0, &head[1..]), payload)
+}
+
+/// Appends one complete frame whose payload is the concatenation of
+/// `parts`, checksummed piece by piece.
+fn append_frame(out: &mut Vec<u8>, kind: u8, version: u8, parts: &[&[u8]]) {
+    let (head, n) = frame_head(kind, version, parts.iter().map(|p| p.len()).sum());
+    out.extend_from_slice(&head[..n]);
+    let mut crc = crc32_update(0, &head[1..n]);
+    for part in parts {
+        out.extend_from_slice(part);
+        crc = crc32_update(crc, part);
+    }
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// The file header every binary trace starts with.
@@ -810,18 +901,23 @@ fn decode_payload(
 
 // ── Writer ──────────────────────────────────────────────────────────────
 
-/// The sink's state under one lock: output stream plus the interner whose
-/// ids the stream's frames reference.
+/// The sink's state under one lock: output stream, the interner whose
+/// ids the stream's frames reference, and the two encode buffers every
+/// record reuses (its frame, and the strdef frames that precede it).
 #[derive(Debug)]
 struct BinState {
     out: BufWriter<File>,
     intern: Interner,
+    frame: Vec<u8>,
+    defs: Vec<u8>,
 }
 
 /// Streaming binary trace writer: an [`EventSink`] that appends one frame
 /// per record through a `BufWriter` (preceded by strdef frames for any
 /// first-seen strings), so the recording hot path costs one encode plus a
-/// (usually buffered) memcpy. Write failures bump
+/// (usually buffered) memcpy. Records are encoded straight from the
+/// borrowed event or decision into buffers the sink keeps, so a warm
+/// sink allocates only for first-seen strings. Write failures bump
 /// `health.trace_write_failed` and warn once — a full disk degrades the
 /// trace, it no longer silently loses provenance.
 ///
@@ -845,29 +941,46 @@ impl BinSink {
                 BinState {
                     out,
                     intern: Interner::default(),
+                    frame: Vec::new(),
+                    defs: Vec::new(),
                 },
             ),
         })
     }
 
     /// Encodes and appends one record frame, preceded by strdef frames for
-    /// any strings this record interned first.
-    fn write_record(&self, what: &str, record: &TraceRecord) {
+    /// any strings this record interned first. `encode` writes the payload
+    /// and returns its frame kind.
+    ///
+    /// The frame is assembled in place: the payload is encoded after
+    /// [`MAX_HEAD_LEN`] reserved bytes, and the head, once the length is
+    /// known, is written right-aligned into them.
+    fn write_record(&self, what: &str, encode: impl FnOnce(&mut Enc) -> u8) {
         let mut state = self.state.lock();
-        let BinState { out, intern } = &mut *state;
-        let mut enc = Enc::interned(intern);
-        let kind = encode_payload(record, &mut enc);
-        let Enc { buf, defs, .. } = enc;
-        let mut result = Ok(());
-        for (id, s) in &defs {
-            let mut def = Enc::default();
-            def.varint(u64::from(*id));
-            def.buf.extend_from_slice(s.as_bytes());
-            let frame = frame_with(KIND_STRDEF, SCHEMA_VERSION as u8, &def.buf);
-            result = result.and_then(|()| out.write_all(&frame));
-        }
-        let frame = frame_with(kind, SCHEMA_VERSION as u8, &buf);
-        result = result.and_then(|()| out.write_all(&frame));
+        let BinState {
+            out,
+            intern,
+            frame,
+            defs,
+        } = &mut *state;
+        let mut enc = Enc::interned(intern, std::mem::take(frame), std::mem::take(defs));
+        enc.buf.resize(MAX_HEAD_LEN, 0);
+        let kind = encode(&mut enc);
+        let Enc {
+            buf: mut assembled,
+            defs: new_defs,
+            ..
+        } = enc;
+        let (head, n) = frame_head(kind, SCHEMA_VERSION as u8, assembled.len() - MAX_HEAD_LEN);
+        let at = MAX_HEAD_LEN - n;
+        assembled[at..MAX_HEAD_LEN].copy_from_slice(&head[..n]);
+        let crc = crc32_update(0, &assembled[at + 1..]);
+        assembled.extend_from_slice(&crc.to_le_bytes());
+        let result = out
+            .write_all(&new_defs)
+            .and_then(|()| out.write_all(&assembled[at..]));
+        *frame = assembled;
+        *defs = new_defs;
         if let Err(e) = result {
             note_write_error("BinSink", what, &e);
         }
@@ -876,18 +989,24 @@ impl BinSink {
 
 impl EventSink for BinSink {
     fn emit(&self, event: &Event) {
-        self.write_record("event", &TraceRecord::Event(event.clone()));
+        self.write_record("event", |enc| {
+            encode_event(event, enc);
+            KIND_EVENT
+        });
     }
 
     fn emit_decision(&self, record: &DecisionRecord) {
-        self.write_record(
-            "decision record",
-            &TraceRecord::Decision(Box::new(record.clone())),
-        );
+        self.write_record("decision record", |enc| {
+            encode_decision(record, enc);
+            KIND_DECISION
+        });
     }
 
     fn write_snapshot(&self, snapshot: &Snapshot) {
-        self.write_record("snapshot", &TraceRecord::Snapshot(snapshot.clone()));
+        self.write_record("snapshot", |enc| {
+            encode_snapshot(snapshot, enc);
+            KIND_SNAPSHOT
+        });
     }
 
     fn flush(&self) {
@@ -899,36 +1018,61 @@ impl EventSink for BinSink {
 
 // ── Reader ──────────────────────────────────────────────────────────────
 
-/// Bounded-memory streaming reader over any `BufRead` source.
+/// Bytes asked of the input per read: one large read amortizes the
+/// per-call cost (a syscall, for a file) over hundreds of frames.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// How the head of the frame at the window's start parsed.
+enum Head {
+    /// The input ends inside the head.
+    Truncated,
+    /// A length varint longer than 3 bytes or above [`MAX_RECORD_LEN`].
+    Oversized,
+    /// A plausible frame of `head_len + len + 4` bytes.
+    Frame { head_len: usize, len: usize },
+}
+
+/// Bounded-memory streaming reader over any `Read` source.
+///
+/// The reader owns one byte window, refilled by [`READ_CHUNK`]-sized
+/// reads and compacted when a frame runs past its end. Every frame is
+/// parsed and checksummed where it lies in the window and decoded
+/// straight from it: no per-frame copy, no per-frame allocation. The
+/// window never grows past one read chunk plus the larger of one chunk
+/// and one frame (≤ [`MAX_RECORD_LEN`] plus its head and CRC).
 ///
 /// Forgiving about damage: corrupt frames (bad CRC, insane length,
 /// truncated tail from a killed writer) are skipped and counted, never
 /// fatal. Strict about versions: a file or a CRC-valid record stamped
 /// with a newer schema version is a hard error.
 #[derive(Debug)]
-pub struct BinReader<R: BufRead> {
+pub struct BinReader<R: Read> {
     input: R,
+    /// `window[start..end]` is read from the input but not yet parsed.
+    window: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Set once the input reports end of stream (or a read error).
+    eof: bool,
     /// Interned strings, by id, accumulated from strdef frames.
     table: Vec<String>,
     table_bytes: usize,
     skipped: usize,
-    /// Set once the underlying stream hits EOF.
-    done: bool,
 }
 
 /// The reader type [`BinReader::open`] returns for a trace file on disk.
-pub type FileBinReader = BinReader<BufReader<File>>;
+pub type FileBinReader = BinReader<File>;
 
 impl FileBinReader {
     /// Opens a binary trace file, validating magic and file version.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, String> {
         let path = path.as_ref();
         let file = File::open(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        BinReader::from_reader(BufReader::new(file))
+        BinReader::from_reader(file)
     }
 }
 
-impl<R: BufRead> BinReader<R> {
+impl<R: Read> BinReader<R> {
     /// Wraps a stream positioned at the file header.
     pub fn from_reader(mut input: R) -> Result<Self, String> {
         let mut header = [0u8; 12];
@@ -947,10 +1091,13 @@ impl<R: BufRead> BinReader<R> {
         }
         Ok(BinReader {
             input,
+            window: Vec::new(),
+            start: 0,
+            end: 0,
+            eof: false,
             table: Vec::new(),
             table_bytes: 0,
             skipped: 0,
-            done: false,
         })
     }
 
@@ -960,54 +1107,76 @@ impl<R: BufRead> BinReader<R> {
         self.skipped
     }
 
-    /// Reads one byte; `None` at EOF.
-    fn read_byte(&mut self) -> Option<u8> {
-        let mut byte = [0u8; 1];
-        match self.input.read_exact(&mut byte) {
-            Ok(()) => Some(byte[0]),
-            Err(_) => {
-                self.done = true;
-                None
+    /// Makes at least `n` unparsed bytes available in the window, reading
+    /// as needed; `false` if the input ends first. The unparsed bytes move
+    /// to the window's front before each read, so every read asks for at
+    /// least a chunk.
+    fn fill(&mut self, n: usize) -> bool {
+        while self.end - self.start < n {
+            if self.eof {
+                return false;
+            }
+            if self.start > 0 {
+                self.window.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+            }
+            // Sized once for any frame up to a chunk long, so a warm
+            // reader never reallocates on ordinary frames.
+            let size = n.max(READ_CHUNK) + READ_CHUNK;
+            if self.window.len() < size {
+                self.window.resize(size, 0);
+            }
+            match self.input.read(&mut self.window[self.end..]) {
+                Ok(0) => self.eof = true,
+                Ok(k) => self.end += k,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => self.eof = true,
             }
         }
+        true
     }
 
-    /// Scans forward to the next [`MARKER`] byte (already consumed), or
-    /// EOF. Called after losing framing; the caller has already counted
-    /// the skip.
+    /// Scans forward to the next [`MARKER`] and leaves it at the window's
+    /// start, or consumes everything if the input ends first. Called after
+    /// losing framing; the caller has already counted the skip.
     fn resync(&mut self) {
-        while let Some(b) = self.read_byte() {
-            if b == MARKER {
+        loop {
+            let unparsed = &self.window[self.start..self.end];
+            if let Some(i) = unparsed.iter().position(|&b| b == MARKER) {
+                self.start += i;
+                return;
+            }
+            self.start = self.end;
+            if !self.fill(1) {
                 return;
             }
         }
     }
 
-    /// Applies one CRC-valid strdef payload to the table. Ids are
-    /// append-only: the next expected id extends the table, a re-send of
-    /// an existing id must match it exactly, anything else (gaps, alias
-    /// attempts, cap overflow) is corruption.
-    fn apply_strdef(&mut self, payload: &[u8]) -> DecodeResult<()> {
-        let mut dec = Dec::new(payload, &[]);
-        let id = dec.varint()? as usize;
-        let bytes = dec.take(payload.len() - dec.pos)?;
-        let s = std::str::from_utf8(bytes).map_err(|_| "invalid UTF-8 in strdef")?;
-        if id < self.table.len() {
-            return if self.table[id] == s {
-                Ok(())
-            } else {
-                Err(format!("strdef {id} redefines an existing string"))
-            };
+    /// Parses the head of the frame whose marker is at the window's start.
+    fn parse_head(&mut self) -> Head {
+        let mut len = 0usize;
+        for group in 0..3 {
+            let at = 3 + group;
+            if !self.fill(at + 1) {
+                return Head::Truncated;
+            }
+            let b = self.window[self.start + at];
+            len |= usize::from(b & 0x7F) << (7 * group);
+            if b & 0x80 == 0 {
+                return if len > MAX_RECORD_LEN {
+                    Head::Oversized
+                } else {
+                    Head::Frame {
+                        head_len: at + 1,
+                        len,
+                    }
+                };
+            }
         }
-        if id != self.table.len() || id >= MAX_INTERNED {
-            return Err(format!("strdef id {id} out of sequence"));
-        }
-        if self.table_bytes + s.len() > MAX_INTERN_BYTES {
-            return Err("string table exceeds memory cap".into());
-        }
-        self.table_bytes += s.len();
-        self.table.push(s.to_string());
-        Ok(())
+        // A 4th length byte means > 2^21: corruption.
+        Head::Oversized
     }
 
     /// The next decoded record.
@@ -1015,114 +1184,108 @@ impl<R: BufRead> BinReader<R> {
     /// `Ok(None)` at end of stream; `Err` only for the fatal
     /// newer-schema-version case. Everything else is skip-and-count.
     pub fn next_record(&mut self) -> Result<Option<TraceRecord>, String> {
-        let mut frame: Vec<u8> = Vec::new();
-        while !self.done {
+        loop {
             // ── Marker ──
-            match self.read_byte() {
-                None => return Ok(None),
-                Some(MARKER) => {}
-                Some(_) => {
-                    // Lost framing (or garbage between frames): count one
-                    // skip for the damaged region and scan forward.
-                    self.skipped += 1;
-                    self.resync();
-                    if self.done {
-                        return Ok(None);
-                    }
-                }
-            }
-            // ── Head: kind, version, len varint ──
-            let mut head: Vec<u8> = Vec::with_capacity(5);
-            let mut truncated = false;
-            for _ in 0..2 {
-                match self.read_byte() {
-                    Some(b) => head.push(b),
-                    None => {
-                        truncated = true;
-                        break;
-                    }
-                }
-            }
-            let mut len = 0usize;
-            if !truncated {
-                let mut ok = false;
-                for group in 0..3u32 {
-                    let Some(b) = self.read_byte() else {
-                        truncated = true;
-                        break;
-                    };
-                    head.push(b);
-                    len |= ((b & 0x7F) as usize) << (7 * group);
-                    if b & 0x80 == 0 {
-                        ok = true;
-                        break;
-                    }
-                }
-                if !truncated && !ok {
-                    // A 4th length byte means > 2^21: corruption.
-                    self.skipped += 1;
-                    self.resync();
-                    continue;
-                }
-            }
-            if truncated {
-                // Truncated mid-head (killed writer): one dangling frame.
-                self.skipped += 1;
-                self.done = true;
+            if !self.fill(1) {
                 return Ok(None);
             }
-            if len > MAX_RECORD_LEN {
-                // An insane length is corruption, not an allocation
-                // request. Resync from here.
+            if self.window[self.start] != MARKER {
+                // Lost framing (or garbage between frames): count one skip
+                // for the damaged region and scan forward.
                 self.skipped += 1;
                 self.resync();
                 continue;
             }
+            // ── Head: kind, version, len varint ──
+            let (head_len, len) = match self.parse_head() {
+                Head::Frame { head_len, len } => (head_len, len),
+                Head::Truncated => return Ok(self.drop_tail()),
+                Head::Oversized => {
+                    // An insane length is corruption, not an allocation
+                    // request: step past this marker and resync.
+                    self.skipped += 1;
+                    self.start += 1;
+                    self.resync();
+                    continue;
+                }
+            };
             // ── Payload + CRC ──
-            frame.clear();
-            frame.resize(len + 4, 0);
-            if self.input.read_exact(&mut frame).is_err() {
-                self.skipped += 1;
-                self.done = true;
-                return Ok(None);
+            let total = head_len + len + 4;
+            if !self.fill(total) {
+                // Truncated mid-frame (killed writer): one dangling frame.
+                return Ok(self.drop_tail());
             }
-            let (payload, crc_bytes) = frame.split_at(len);
+            let frame = &self.window[self.start..self.start + total];
+            self.start += total;
+            let (head, rest) = frame.split_at(head_len);
+            let (payload, crc_bytes) = rest.split_at(len);
             let stored_crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-            let mut crc_input = Vec::with_capacity(head.len() + len);
-            crc_input.extend_from_slice(&head);
-            crc_input.extend_from_slice(payload);
-            if crc32(&crc_input) != stored_crc {
+            if frame_crc(head, payload) != stored_crc {
                 self.skipped += 1;
                 continue;
             }
             // CRC validated: the version byte is trustworthy, so a newer
             // record really was written by a newer build — hard error.
-            let version = u64::from(head[1]);
-            if version > SCHEMA_VERSION {
+            let (kind, version) = (head[1], head[2]);
+            if u64::from(version) > SCHEMA_VERSION {
                 return Err(format!(
                     "trace record schema_version {version} is newer than supported \
                      version {SCHEMA_VERSION}; upgrade talon to read this trace"
                 ));
             }
-            if head[0] == KIND_STRDEF {
-                if self.apply_strdef(payload).is_err() {
+            if kind == KIND_STRDEF {
+                if apply_strdef(&mut self.table, &mut self.table_bytes, payload).is_err() {
                     self.skipped += 1;
                 }
                 continue;
             }
-            match decode_payload(head[0], head[1], payload, &self.table) {
+            match decode_payload(kind, version, payload, &self.table) {
                 Ok(record) => return Ok(Some(record)),
-                Err(_) => {
-                    // CRC-valid but undecodable (codec disagreement or a
-                    // reference to a lost strdef): skip, same accounting
-                    // as damage.
-                    self.skipped += 1;
-                    continue;
-                }
+                // CRC-valid but undecodable (codec disagreement or a
+                // reference to a lost strdef): skip, same accounting as
+                // damage.
+                Err(_) => self.skipped += 1,
             }
         }
-        Ok(None)
     }
+
+    /// Counts the dangling frame a truncated input ends in and discards it.
+    fn drop_tail(&mut self) -> Option<TraceRecord> {
+        self.skipped += 1;
+        self.start = self.end;
+        None
+    }
+}
+
+/// Applies one CRC-valid strdef payload to the reader's string table.
+/// Ids are append-only: the next expected id extends the table, a re-send
+/// of an existing id must match it exactly, anything else (gaps, alias
+/// attempts, cap overflow) is corruption.
+fn apply_strdef(
+    table: &mut Vec<String>,
+    table_bytes: &mut usize,
+    payload: &[u8],
+) -> DecodeResult<()> {
+    let mut dec = Dec::new(payload, &[]);
+    let id = dec.varint()? as usize;
+    let bytes = dec.take(payload.len() - dec.pos)?;
+    let s = std::str::from_utf8(bytes).map_err(|_| "invalid UTF-8 in strdef")?;
+    if id < table.len() {
+        return if table[id] == s {
+            Ok(())
+        } else {
+            Err(format!("strdef {id} redefines an existing string"))
+        };
+    }
+    if id != table.len() || id >= MAX_INTERNED {
+        return Err(format!("strdef id {id} out of sequence"));
+    }
+    if *table_bytes + s.len() > MAX_INTERN_BYTES {
+        return Err("string table exceeds memory cap".into());
+    }
+    *table_bytes += s.len();
+    table.push(s.to_string());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1202,6 +1365,53 @@ mod tests {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// CRC-32 (IEEE) one bit at a time, straight from the polynomial: the
+    /// reference the table-driven version must match.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
+    #[test]
+    fn slicing_by_8_crc_matches_the_bitwise_reference() {
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+        // xorshift64: deterministic bytes with no dependency.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let buf: Vec<u8> = (0..4096 + 8).map(|_| next() as u8).collect();
+        // Every short length, then random lengths up to 4096, each at all
+        // eight start alignments.
+        let lens: Vec<usize> = (0..=64)
+            .chain((0..64).map(|_| (next() % 4097) as usize))
+            .collect();
+        for len in lens {
+            for align in 0..8 {
+                let data = &buf[align..align + len];
+                let want = crc32_bitwise(data);
+                assert_eq!(crc32(data), want, "len {len} at offset {align}");
+                // Fed in two pieces split anywhere, it is the same CRC.
+                let cut = if len == 0 { 0 } else { next() as usize % len };
+                let (a, b) = data.split_at(cut);
+                assert_eq!(crc32_update(crc32_update(0, a), b), want, "split at {cut}");
+            }
+        }
     }
 
     #[test]
@@ -1306,15 +1516,10 @@ mod tests {
         let mut bytes = file_header();
         let mut sizes = Vec::new();
         for _ in 0..2 {
-            let mut enc = Enc::interned(&mut intern);
+            let mut enc = Enc::interned(&mut intern, Vec::new(), Vec::new());
             encode_event(&e, &mut enc);
             let Enc { buf, defs, .. } = enc;
-            for (id, s) in defs {
-                let mut def = Enc::default();
-                def.varint(u64::from(id));
-                def.buf.extend_from_slice(s.as_bytes());
-                bytes.extend_from_slice(&frame_with(KIND_STRDEF, SCHEMA_VERSION as u8, &def.buf));
-            }
+            bytes.extend_from_slice(&defs);
             sizes.push(buf.len());
             bytes.extend_from_slice(&frame_with(KIND_EVENT, SCHEMA_VERSION as u8, &buf));
         }
@@ -1373,9 +1578,9 @@ mod tests {
         // Steady-state size: strings already interned (their one-time
         // strdef cost amortizes to nothing over a soak trace).
         let mut intern = Interner::default();
-        let mut warm = Enc::interned(&mut intern);
+        let mut warm = Enc::interned(&mut intern, Vec::new(), Vec::new());
         encode_decision(&d, &mut warm);
-        let mut enc = Enc::interned(&mut intern);
+        let mut enc = Enc::interned(&mut intern, Vec::new(), Vec::new());
         encode_decision(&d, &mut enc);
         let binary = frame_with(KIND_DECISION, SCHEMA_VERSION as u8, &enc.buf).len();
         assert!(

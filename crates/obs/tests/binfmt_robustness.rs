@@ -4,12 +4,15 @@
 //! fail the whole file. These tests drive `obs::binfmt` end to end through
 //! real files: full-fidelity round-trips (every field, unicode, float
 //! extremes), damage recovery, version strictness, the documented
-//! string-table corruption cascade, and concurrent writers.
+//! string-table corruption cascade, and concurrent writers. Every stream
+//! here is also read through sources that deliver a few bytes per call,
+//! and must read exactly as it does whole.
 
 use obs::binfmt::{self, frame_with, BinSink, FileBinReader, KIND_EVENT, KIND_STRDEF, MARKER};
 use obs::decision::SCHEMA_VERSION;
-use obs::{DecisionRecord, Event, EventSink, Trace, TraceRecord};
+use obs::{BinReader, DecisionRecord, Event, EventSink, Trace, TraceRecord};
 use std::collections::BTreeMap;
+use std::io::Read;
 use std::sync::Arc;
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -27,6 +30,54 @@ fn scratch(name: &str) -> std::path::PathBuf {
 fn read(path: &std::path::Path) -> Result<Trace, String> {
     let _guard = obs::testing::lock();
     obs::open_trace(path)
+}
+
+/// A source that yields at most `k` bytes per `read` call, so frames,
+/// heads and CRCs arrive split at every possible boundary.
+struct Trickle<'a> {
+    data: &'a [u8],
+    k: usize,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.k.min(buf.len()).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// Everything a reader makes of a stream: the records, how the stream
+/// ended (a fatal error or not) and the skip count — or the header error.
+type Outcome = Result<(Vec<TraceRecord>, Result<(), String>, usize), String>;
+
+fn read_outcome(input: impl Read) -> Outcome {
+    let mut reader = BinReader::from_reader(input)?;
+    let mut records = Vec::new();
+    let end = loop {
+        match reader.next_record() {
+            Ok(Some(record)) => records.push(record),
+            Ok(None) => break Ok(()),
+            Err(e) => break Err(e),
+        }
+    };
+    Ok((records, end, reader.skipped()))
+}
+
+/// Reading the trace at `path` through sources that yield 1..=17 bytes
+/// per call gives exactly what reading it whole gives.
+fn assert_chunking_invariant(path: &std::path::Path) {
+    let bytes = std::fs::read(path).expect("trace bytes");
+    let whole = read_outcome(bytes.as_slice());
+    for k in 1..=17 {
+        let data = bytes.as_slice();
+        assert_eq!(
+            read_outcome(Trickle { data, k }),
+            whole,
+            "{k} byte(s) per read"
+        );
+    }
 }
 
 /// An event exercising unicode strings, a custom kind, and f64 extremes
@@ -105,6 +156,7 @@ fn every_field_round_trips_bit_exactly_through_a_file() {
     );
     let snap = trace.snapshot.expect("snapshot frame");
     assert_eq!(snap.counter("binfmt.robustness"), 3);
+    assert_chunking_invariant(&path);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -121,6 +173,7 @@ fn truncated_tail_loses_only_the_last_record() {
     assert_eq!(trace.events, events);
     assert_eq!(trace.decisions, vec![decision]);
     assert!(trace.snapshot.is_none());
+    assert_chunking_invariant(&path);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -145,6 +198,7 @@ fn corrupt_crc_skips_one_frame_not_the_file() {
     assert_eq!(trace.events.len(), 2);
     assert_eq!(trace.events[0].stage, "first");
     assert_eq!(trace.events[1].stage, "last");
+    assert_chunking_invariant(&path);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -171,6 +225,7 @@ fn garbage_between_frames_resyncs_on_the_marker() {
         vec!["before", "after"],
         "both real frames survive"
     );
+    assert_chunking_invariant(&path);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -202,6 +257,34 @@ fn a_fake_marker_in_garbage_may_cost_a_neighbor_but_recovery_holds() {
         trace.skipped >= 2,
         "garbage and collateral are both counted"
     );
+    assert_chunking_invariant(&path);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn an_oversized_length_costs_one_skip_and_no_neighbor() {
+    // A length varint over MAX_RECORD_LEN, or longer than 3 bytes, is
+    // corruption: the reader counts it once and resyncs from the byte
+    // after its marker, so the next intact frame survives.
+    let stages = ["first", "middle", "last"];
+    let frames: Vec<Vec<u8>> = stages
+        .iter()
+        .map(|s| binfmt::encode_frame(&TraceRecord::Event(Event::mark(1, s, BTreeMap::new()))))
+        .collect();
+    let version = SCHEMA_VERSION as u8;
+    let mut bytes = binfmt::file_header();
+    bytes.extend_from_slice(&frames[0]);
+    bytes.extend_from_slice(&[MARKER, KIND_EVENT, version, 0xFF, 0xFF, 0x7F, 0x00]);
+    bytes.extend_from_slice(&frames[1]);
+    bytes.extend_from_slice(&[MARKER, KIND_EVENT, version, 0x80, 0x80, 0x80, 0x01]);
+    bytes.extend_from_slice(&frames[2]);
+    let path = scratch("oversized");
+    std::fs::write(&path, &bytes).unwrap();
+    let trace = read(&path).expect("still readable");
+    assert_eq!(trace.skipped, 2, "one skip per oversized head");
+    let read_stages: Vec<&str> = trace.events.iter().map(|e| e.stage.as_str()).collect();
+    assert_eq!(read_stages, stages);
+    assert_chunking_invariant(&path);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -214,6 +297,7 @@ fn newer_file_version_is_a_hard_error() {
     std::fs::write(&path, &bytes).unwrap();
     let err = read(&path).unwrap_err();
     assert!(err.contains("newer"), "{err}");
+    assert_chunking_invariant(&path);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -232,6 +316,7 @@ fn newer_record_version_is_a_hard_error_once_crc_validates() {
     let err = read(&path).unwrap_err();
     assert!(err.contains("newer"), "{err}");
     assert!(err.contains("upgrade"), "{err}");
+    assert_chunking_invariant(&path);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -260,6 +345,7 @@ fn corrupting_the_string_table_skips_referencing_records_loudly() {
     assert!(trace.skipped >= 2, "strdef and its dependents are counted");
     // The snapshot stays self-contained (inline strings) and survives.
     assert!(trace.snapshot.is_some());
+    assert_chunking_invariant(&path);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -275,6 +361,7 @@ fn open_trace_counts_damaged_frames_in_health() {
     let trace = obs::open_trace(&path).expect("still readable");
     assert_eq!(trace.skipped, 1);
     assert_eq!(corrupt(), before + trace.skipped as u64);
+    assert_chunking_invariant(&path);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -338,5 +425,75 @@ fn concurrent_writers_through_one_sink_keep_every_frame_whole() {
         );
         assert!(decisions.iter().all(|d| d.context == format!("thread={t}")));
     }
+    assert_chunking_invariant(&path);
     let _ = std::fs::remove_file(&path);
+}
+
+/// A decision shaped like a real `css.select` record: firmware-quantized
+/// quarter-dB readings and kernel vectors (the quarter-step f64 vector
+/// encoding), full-precision weights and outputs (the XOR encoding).
+fn quantized_decision(ts_us: u64) -> DecisionRecord {
+    let mut rec = DecisionRecord::new("css.select");
+    rec.ts_us = ts_us;
+    rec.trace_id = 11;
+    rec.parent_id = 5;
+    rec.context = "scenario=lab,fidelity=fast,seed=7".into();
+    rec.mode = "joint".into();
+    rec.smoothing = true;
+    rec.replayable = true;
+    rec.patterns_digest = 599_070_852_699_260_445;
+    for (i, s) in [2u64, 6, 11, 17, 25, 31, 63].into_iter().enumerate() {
+        let q = f64::from(i as u32) * 0.75;
+        rec.push_probe(s, (i != 3).then_some((-7.0 + q, -67.25 + q)));
+    }
+    rec.p_snr = vec![0.0, 0.75, 1.5, 3.0, 3.75, 4.5];
+    rec.p_rssi = vec![5.25, 6.0, 6.75, 8.25, 9.0, 9.75];
+    rec.top_cells = vec![16, 41, 15, 40];
+    rec.top_weights = vec![0.209_633_842_341_586_36, 0.199_4, 0.199_4, 0.187_1];
+    rec.energy_max = 28.757_094_535_281_396;
+    rec.has_estimate = true;
+    rec.est_az_deg = 28.988_257_190_257_2;
+    rec.score = 0.209_633_842_341_586_36;
+    rec.chosen_sector = 21;
+    rec.set_oracle(&[(21, 18.620_452_248_893_272), (25, 17.5)], 21);
+    rec
+}
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+#[test]
+fn writer_output_is_pinned_byte_for_byte() {
+    // The wire format is a contract with every trace already on disk: the
+    // same records must always produce the same bytes. The set covers an
+    // event with fields and a custom kind, an empty-field mark, a decision
+    // with every vector non-empty (both f64 vector encodings), first-seen
+    // strings (strdef frames), repeats that reuse interned ids, and a
+    // closing snapshot.
+    let path = scratch("golden");
+    let sink = BinSink::create(&path).expect("create trace");
+    sink.emit(&fancy_event());
+    sink.emit(&Event::mark(8, "plain.mark", BTreeMap::new()));
+    sink.emit_decision(&fancy_decision());
+    sink.emit_decision(&quantized_decision(100));
+    sink.emit(&fancy_event());
+    sink.emit_decision(&quantized_decision(200));
+    let reg = obs::Registry::new();
+    reg.counter("binfmt.robustness").add(3);
+    reg.gauge("binfmt.depth").set(-4);
+    reg.histogram("binfmt.dur_us").record(17);
+    sink.write_snapshot(&reg.snapshot());
+    sink.flush();
+    let bytes = std::fs::read(&path).unwrap();
+    assert_chunking_invariant(&path);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (932, 0xd392_1abe_351d_03ee),
+        "BinSink output changed: the trace wire format must stay byte-identical"
+    );
 }

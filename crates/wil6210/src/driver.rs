@@ -48,6 +48,8 @@ pub struct Wil6210Driver {
     mode: DriverMode,
     events_tx: Sender<DriverEvent>,
     events_rx: Receiver<DriverEvent>,
+    /// `wil.driver.reads`, resolved once.
+    reads: Arc<obs::Counter>,
 }
 
 impl Wil6210Driver {
@@ -59,6 +61,7 @@ impl Wil6210Driver {
             mode: DriverMode::Station,
             events_tx,
             events_rx,
+            reads: obs::counter("wil.driver.reads"),
         }
     }
 
@@ -85,7 +88,7 @@ impl Wil6210Driver {
     /// Drains the exported measurements (the paper's "read from user space
     /// using our modified driver"). Clears the ring-pending counter.
     pub fn read_sweep_info(&self) -> Vec<SweepEntry> {
-        obs::counter("wil.driver.reads").inc();
+        self.reads.inc();
         let entries = self.firmware.ring().drain();
         self.firmware.csr().fw_set_ring_pending(0);
         entries

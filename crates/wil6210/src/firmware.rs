@@ -42,6 +42,9 @@ pub struct Qca9500Firmware {
     sweep_counter: AtomicU64,
     /// The host-visible control/status registers.
     csr: Arc<CsrBlock>,
+    /// Metric handles, resolved once.
+    sweeps: Arc<obs::Counter>,
+    wmi_commands: Arc<obs::Counter>,
 }
 
 impl Default for Qca9500Firmware {
@@ -62,6 +65,8 @@ impl Qca9500Firmware {
             probe_override: Mutex::new(None),
             sweep_counter: AtomicU64::new(0),
             csr,
+            sweeps: obs::counter("wil.sweeps"),
+            wmi_commands: obs::counter("wil.wmi.commands"),
         }
     }
 
@@ -101,7 +106,7 @@ impl Qca9500Firmware {
 
     /// Handles a WMI command from the driver.
     pub fn handle_wmi(&self, cmd: &WmiCommand) -> Result<WmiReply, WmiError> {
-        obs::counter("wil.wmi.commands").inc();
+        self.wmi_commands.inc();
         match cmd {
             WmiCommand::GetFirmwareVersion => {
                 Ok(WmiReply::FirmwareVersion(FIRMWARE_VERSION.into()))
@@ -170,7 +175,7 @@ impl FeedbackPolicy for &Qca9500Firmware {
 
     fn select(&mut self, readings: &[SweepReading]) -> Option<SectorId> {
         let mut span = obs::sink_active().then(|| obs::span("wil.sweep"));
-        obs::counter("wil.sweeps").inc();
+        self.sweeps.inc();
         let sweep_id = self.sweep_counter.fetch_add(1, Ordering::SeqCst) + 1;
         // Export hook (white box "Access Sector Information" of Fig. 2).
         let mut exported = 0u64;

@@ -12,6 +12,7 @@
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 use talon_array::SectorId;
 
 /// One exported measurement record.
@@ -32,6 +33,10 @@ pub struct SweepEntry {
 #[derive(Debug)]
 pub struct RingBuffer {
     inner: Mutex<Inner>,
+    /// Metric handles, resolved once: every push bumps two of them.
+    pushes: Arc<obs::Counter>,
+    dropped: Arc<obs::Counter>,
+    occupancy: Arc<obs::Gauge>,
 }
 
 #[derive(Debug)]
@@ -58,17 +63,20 @@ impl RingBuffer {
                 capacity,
                 overwritten: 0,
             }),
+            pushes: obs::counter("wil.ring.pushes"),
+            dropped: obs::counter("wil.ring.dropped"),
+            occupancy: obs::gauge("wil.ring.occupancy"),
         }
     }
 
     /// Firmware side: pushes an entry, overwriting the oldest when full.
     pub fn push(&self, entry: SweepEntry) {
         let mut g = self.inner.lock();
-        obs::counter("wil.ring.pushes").inc();
+        self.pushes.inc();
         if g.entries.len() == g.capacity {
             g.entries.pop_front();
             g.overwritten += 1;
-            obs::counter("wil.ring.dropped").inc();
+            self.dropped.inc();
             obs::health::anomaly(
                 "ring_overflow",
                 &[
@@ -79,13 +87,13 @@ impl RingBuffer {
             );
         }
         g.entries.push_back(entry);
-        obs::gauge("wil.ring.occupancy").set(g.entries.len() as i64);
+        self.occupancy.set(g.entries.len() as i64);
     }
 
     /// User-space side: drains all pending entries in FIFO order.
     pub fn drain(&self) -> Vec<SweepEntry> {
         let mut g = self.inner.lock();
-        obs::gauge("wil.ring.occupancy").set(0);
+        self.occupancy.set(0);
         g.entries.drain(..).collect()
     }
 

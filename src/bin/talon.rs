@@ -511,18 +511,48 @@ fn cmd_report(positional: &[String], opts: &HashMap<String, String>) -> Result<(
             trace.skipped
         );
     }
+    let top_k: usize = opts
+        .get("top")
+        .map(|k| k.parse().map_err(|_| "bad --top"))
+        .transpose()?
+        .unwrap_or(5);
+    write_stdout(|out| write_report(out, path, &trace, opts, top_k))
+}
 
+/// Runs `write` against one locked, buffered stdout. A reader that closes
+/// the pipe early (`talon report t.bin | head`, `| grep -q`) wanted no
+/// more output, so a broken pipe ends the command cleanly instead of
+/// panicking in `println!`.
+fn write_stdout(
+    write: impl FnOnce(&mut dyn std::io::Write) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    match write(&mut out).and_then(|()| std::io::Write::flush(&mut out)) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        Err(e) => Err(format!("writing to stdout: {e}")),
+    }
+}
+
+/// Renders the `report` view `opts` selects for `trace` to `out`.
+fn write_report(
+    out: &mut dyn std::io::Write,
+    path: &str,
+    trace: &obs::Trace,
+    opts: &HashMap<String, String>,
+    top_k: usize,
+) -> std::io::Result<()> {
     // `--json`: one machine-readable object carrying everything the
     // human renderings show (stage stats, counters, anomaly tallies,
     // per-session quality, skipped-line count).
     if opts.contains_key("json") {
-        println!("{}", report_json(&trace).to_json());
+        writeln!(out, "{}", report_json(trace).to_json())?;
         return Ok(());
     }
 
     // `--quality`: the per-session link-quality table and drift epochs.
     if opts.contains_key("quality") {
-        print_quality(&trace);
+        print_quality(out, trace)?;
         return Ok(());
     }
 
@@ -530,7 +560,7 @@ fn cmd_report(positional: &[String], opts: &HashMap<String, String>) -> Result<(
     // flamegraph.pl), nothing else on stdout.
     if opts.contains_key("flame") {
         for (stack, self_us) in obs::tree::folded_stacks(&trace.events) {
-            println!("{stack} {self_us}");
+            writeln!(out, "{stack} {self_us}")?;
         }
         return Ok(());
     }
@@ -539,24 +569,20 @@ fn cmd_report(positional: &[String], opts: &HashMap<String, String>) -> Result<(
     // traced trees, with per-hop p50/p95 — "which spans actually bounded
     // the wall time", not just where time pooled.
     if opts.contains_key("critical-path") {
-        let top_k: usize = opts
-            .get("top")
-            .map(|k| k.parse().map_err(|_| "bad --top"))
-            .transpose()?
-            .unwrap_or(5);
         let summaries = obs::tree::critical_paths(&trace.events, top_k);
         if summaries.is_empty() {
-            println!("no traced spans in {path}");
+            writeln!(out, "no traced spans in {path}")?;
             return Ok(());
         }
         for (rank, s) in summaries.iter().enumerate() {
-            println!(
+            writeln!(
+                out,
                 "#{} {} — {} trace(s), {} us total",
                 rank + 1,
                 s.path.join(" -> "),
                 s.traces,
                 s.total_us
-            );
+            )?;
             let rows: Vec<Vec<String>> = s
                 .hops
                 .iter()
@@ -573,10 +599,11 @@ fn cmd_report(positional: &[String], opts: &HashMap<String, String>) -> Result<(
                     ]
                 })
                 .collect();
-            println!(
+            writeln!(
+                out,
                 "{}",
                 eval::ascii::table(&["hop", "p50 µs", "p95 µs", "total µs", "% of path"], &rows)
-            );
+            )?;
         }
         return Ok(());
     }
@@ -585,11 +612,11 @@ fn cmd_report(positional: &[String], opts: &HashMap<String, String>) -> Result<(
     if opts.contains_key("tree") {
         let trees = obs::tree::build_trees(&trace.events);
         if trees.is_empty() {
-            println!("no traced spans in {path}");
+            writeln!(out, "no traced spans in {path}")?;
         } else {
-            print!("{}", obs::tree::render_trees(&trees));
+            write!(out, "{}", obs::tree::render_trees(&trees))?;
         }
-        print_health_summary(&trace);
+        print_health_summary(out, trace)?;
         return Ok(());
     }
 
@@ -621,12 +648,13 @@ fn cmd_report(positional: &[String], opts: &HashMap<String, String>) -> Result<(
         ]);
     }
     if rows.is_empty() {
-        println!("no span events in {path}");
+        writeln!(out, "no span events in {path}")?;
     } else {
-        println!(
+        writeln!(
+            out,
             "{}",
             eval::ascii::table(&["stage", "spans", "mean µs", "p95 µs", "max µs"], &rows)
-        );
+        )?;
     }
 
     // Duration quantiles and counters from the final registry snapshot.
@@ -648,13 +676,14 @@ fn cmd_report(positional: &[String], opts: &HashMap<String, String>) -> Result<(
             })
             .collect();
         if !rows.is_empty() {
-            println!(
+            writeln!(
+                out,
                 "{}",
                 eval::ascii::table(
                     &["histogram", "count", "mean µs", "p50", "p95", "p99", "max"],
                     &rows
                 )
-            );
+            )?;
         }
         if !snapshot.counters.is_empty() {
             let rows: Vec<Vec<String>> = snapshot
@@ -662,24 +691,27 @@ fn cmd_report(positional: &[String], opts: &HashMap<String, String>) -> Result<(
                 .iter()
                 .map(|(name, value)| vec![name.clone(), value.to_string()])
                 .collect();
-            println!("{}", eval::ascii::table(&["counter", "value"], &rows));
+            writeln!(out, "{}", eval::ascii::table(&["counter", "value"], &rows))?;
         }
     } else {
-        println!("(no registry snapshot line in trace)");
+        writeln!(out, "(no registry snapshot line in trace)")?;
     }
-    print_health_summary(&trace);
+    print_health_summary(out, trace)?;
     if trace.skipped > 0 {
-        println!("skipped {} malformed line(s)", trace.skipped);
+        writeln!(out, "skipped {} malformed line(s)", trace.skipped)?;
     }
     Ok(())
 }
 
 /// Prints the per-session quality table (decision records grouped by
 /// session) and the drift epochs the online monitor flagged.
-fn print_quality(trace: &obs::Trace) {
+fn print_quality(out: &mut dyn std::io::Write, trace: &obs::Trace) -> std::io::Result<()> {
     let sessions = obs::monitor::quality_from_trace(trace);
     if sessions.is_empty() {
-        println!("no decision records in trace (record with --trace while training)");
+        writeln!(
+            out,
+            "no decision records in trace (record with --trace while training)"
+        )?;
     } else {
         let rows: Vec<Vec<String>> = sessions
             .iter()
@@ -699,7 +731,8 @@ fn print_quality(trace: &obs::Trace) {
                 ]
             })
             .collect();
-        println!(
+        writeln!(
+            out,
             "{}",
             eval::ascii::table(
                 &[
@@ -713,15 +746,16 @@ fn print_quality(trace: &obs::Trace) {
                 ],
                 &rows
             )
-        );
+        )?;
     }
     let epochs = obs::monitor::drift_epochs_from_trace(&trace.events);
     if epochs.is_empty() {
-        println!("drift epochs: none");
+        writeln!(out, "drift epochs: none")?;
     } else {
         let list: Vec<String> = epochs.iter().map(|t| format!("{t:.2}s")).collect();
-        println!("drift epochs: {}", list.join(", "));
+        writeln!(out, "drift epochs: {}", list.join(", "))?;
     }
+    Ok(())
 }
 
 /// Builds the `report --json` object: everything the human renderings
@@ -995,8 +1029,7 @@ fn cmd_profile(positional: &[String], opts: &HashMap<String, String>) -> Result<
         hz.max(1),
         profiler.passes()
     );
-    print!("{folded}");
-    Ok(())
+    write_stdout(|out| out.write_all(folded.as_bytes()))
 }
 
 fn cmd_trace(positional: &[String]) -> Result<(), String> {
@@ -1200,10 +1233,10 @@ fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), String> {
 
 /// Prints per-session (per-trace) link-health anomaly counts, when any
 /// anomaly events are in the trace.
-fn print_health_summary(trace: &obs::Trace) {
+fn print_health_summary(out: &mut dyn std::io::Write, trace: &obs::Trace) -> std::io::Result<()> {
     let health = obs::tree::health_by_trace(&trace.events);
     if health.is_empty() {
-        return;
+        return Ok(());
     }
     let rows: Vec<Vec<String>> = health
         .iter()
@@ -1221,10 +1254,11 @@ fn print_health_summary(trace: &obs::Trace) {
             })
         })
         .collect();
-    println!(
+    writeln!(
+        out,
         "{}",
         eval::ascii::table(&["session", "anomaly", "count"], &rows)
-    );
+    )
 }
 
 fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {

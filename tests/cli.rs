@@ -310,3 +310,42 @@ fn exported_jsonl_is_exactly_what_the_soak_prices() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn report_exits_cleanly_when_its_reader_closes_the_pipe() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+    let fixture = fixture();
+    let spawn = || {
+        talon()
+            .args(["report", fixture.to_str().unwrap()])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn talon report")
+    };
+    // A reader that takes one line and leaves (`| head -n 1`), and one
+    // that is gone before the first write (`| grep -q` on a fast match),
+    // which makes the write fail with a broken pipe every time.
+    for read_first_line in [true, false] {
+        let mut child = spawn();
+        let stdout = child.stdout.take().expect("piped stdout");
+        if read_first_line {
+            let mut line = String::new();
+            std::io::BufReader::new(stdout)
+                .read_line(&mut line)
+                .expect("read one line");
+            assert!(!line.is_empty(), "report printed nothing");
+        } else {
+            drop(stdout);
+        }
+        let out = child.wait_with_output().expect("wait for talon");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success(),
+            "read_first_line={read_first_line}: {:?}\n{stderr}",
+            out.status
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
