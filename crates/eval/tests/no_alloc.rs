@@ -31,6 +31,9 @@ fn count() {
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
 }
 
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting touches only a
+// thread-local `Cell` and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();

@@ -238,16 +238,9 @@ impl<'a> Enc<'a> {
     }
 
     /// LEB128 unsigned varint.
-    fn varint(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(byte);
-                return;
-            }
-            self.buf.push(byte | 0x80);
-        }
+    fn varint(&mut self, v: u64) {
+        let (bytes, n) = varint_bytes(v);
+        self.buf.extend_from_slice(&bytes[..n]);
     }
 
     /// Zigzag-encoded signed varint.
@@ -418,6 +411,11 @@ impl<'a> Dec<'a> {
     }
 
     fn varint(&mut self) -> DecodeResult<u64> {
+        // Fast path: most ids, counts and quarter-steps fit in one byte.
+        if let Some(&b) = self.data.get(self.pos).filter(|&&b| b < 0x80) {
+            self.pos += 1;
+            return Ok(u64::from(b));
+        }
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
@@ -856,11 +854,6 @@ fn frame_head(kind: u8, version: u8, len: usize) -> ([u8; MAX_HEAD_LEN], usize) 
     (head, 3 + n)
 }
 
-/// CRC of a frame: everything after the marker, fed piecewise.
-fn frame_crc(head: &[u8], payload: &[u8]) -> u32 {
-    crc32_update(crc32_update(0, &head[1..]), payload)
-}
-
 /// Appends one complete frame whose payload is the concatenation of
 /// `parts`, checksummed piece by piece.
 fn append_frame(out: &mut Vec<u8>, kind: u8, version: u8, parts: &[&[u8]]) {
@@ -1220,7 +1213,7 @@ impl<R: Read> BinReader<R> {
             let (head, rest) = frame.split_at(head_len);
             let (payload, crc_bytes) = rest.split_at(len);
             let stored_crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-            if frame_crc(head, payload) != stored_crc {
+            if crc32_update(crc32_update(0, &head[1..]), payload) != stored_crc {
                 self.skipped += 1;
                 continue;
             }
