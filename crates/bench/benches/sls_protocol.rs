@@ -1,6 +1,15 @@
 //! End-to-end SLS protocol simulation cost (Fig. 10's subject measured in
 //! host CPU time rather than air time), at the stock and compressive probe
 //! counts.
+//!
+//! * `sls_run/cold/M` — a fresh runner per training, as in a closed loop
+//!   that builds one runner per decision: the run builds both probe plans
+//!   and prices every probed sector.
+//! * `sls_run/warm/M` — one runner for every iteration: plans built and
+//!   sectors priced, so what is left is the policy calls, the measurement
+//!   draws and the frame transcript.
+//! * `link_plan` — one `Link::plan` build, the per-geometry part of the
+//!   cold/warm gap.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geom::rng::sub_rng;
@@ -24,16 +33,27 @@ fn bench_sls(c: &mut Criterion) {
     let link = Link::new(Environment::conference_room());
     let initiator = Device::talon(1);
     let responder = Device::talon(2);
-    let runner = SlsRunner::new(&link, &initiator, &responder);
 
     let mut group = c.benchmark_group("sls_run");
     for &m in &[14usize, 34] {
-        group.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, &m| {
+        group.bench_with_input(BenchmarkId::new("cold", m), &m, |b, &m| {
+            let mut rng = sub_rng(7, "bench-sls");
+            b.iter(|| {
+                let runner = SlsRunner::new(&link, &initiator, &responder);
+                black_box(runner.run(&mut rng, &mut FixedCount(m), &mut FixedCount(m)))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("warm", m), &m, |b, &m| {
+            let runner = SlsRunner::new(&link, &initiator, &responder);
             let mut rng = sub_rng(7, "bench-sls");
             b.iter(|| black_box(runner.run(&mut rng, &mut FixedCount(m), &mut FixedCount(m))))
         });
     }
     group.finish();
+
+    c.bench_function("link_plan", |b| {
+        b.iter(|| black_box(link.plan(black_box(&initiator), black_box(&responder))))
+    });
 }
 
 criterion_group!(benches, bench_sls);

@@ -19,8 +19,8 @@
 //!   measurements at all", §5).
 //! * [`link`] — ties a transmit device, a receive device and an environment
 //!   together and produces per-frame probe readings for a given sector,
-//!   through a per-geometry [`ProbePlan`] that sweeps reuse and each
-//!   [`Device`]'s per-sector excitation table.
+//!   through a per-geometry [`ProbePlan`] that sweeps reuse (pricing each
+//!   sector once) and each [`Device`]'s per-sector excitation table.
 //! * [`dynamics`] — time-varying blockage episodes on top of the static
 //!   environments, for mobility/blockage tracking experiments (§7).
 //! * [`rate`] — the 802.11ad SC-PHY MCS table and the probe-SNR → TCP

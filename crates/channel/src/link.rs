@@ -18,10 +18,20 @@
 //! sector's products against each ray's phasors, the dB sum over rays and
 //! [`MeasurementModel::report`]. [`Link::probe`] is a plan used once;
 //! callers that probe many sectors at one geometry (a sweep half, a
-//! rotation position) build the plan once. Both give the same bits as
-//! evaluating [`talon_array::PhasedArray::gain_dbi`] per ray: the table and
-//! the plan only move work, they do not reorder any arithmetic or RNG
-//! draw.
+//! rotation position) build the plan once.
+//!
+//! So the work splits three ways: per device (the sector table, built
+//! once), per geometry (the plan: ~60 `sin`/`cos` per ray for the phasors
+//! and the receive gain) and per probe. A plan also prices each transmit
+//! sector at most once: the received power of a codebook sector is fixed
+//! for the geometry, so [`ProbePlan::probe`], [`ProbePlan::true_snr_db`]
+//! and [`ProbePlan::sweep`] fill a per-sector slot on the first use and
+//! read it afterwards. What is left per probe is
+//! [`MeasurementModel::report`], the RNG draws that make each reading
+//! differ. [`ProbePlan::rx_power_dbm`] prices arbitrary weights and is not
+//! memoized. The table, the plan and the memo give the same bits as
+//! evaluating [`talon_array::PhasedArray::gain_dbi`] per ray: they only
+//! move work, they do not reorder any arithmetic or RNG draw.
 //!
 //! [`Link::sweep`] produces one full sector sweep transcript: for each
 //! requested transmit sector, the reading the responder's firmware would
@@ -34,6 +44,7 @@ use crate::orientation::Orientation;
 use geom::db::{db_to_linear, linear_to_db};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use talon_array::{Codebook, DirectionTerms, Excitation, PhasedArray, SectorId, WeightVector};
 
 /// One physical device: its antenna, its predefined codebook and how it is
@@ -190,6 +201,7 @@ impl Link {
             link: self,
             tx,
             rays,
+            priced: vec![OnceCell::new(); tx.sectors.len()],
         }
     }
 
@@ -243,13 +255,17 @@ impl Link {
 }
 
 /// The sector-independent part of the received power for one (link, tx,
-/// rx) geometry; see the module docs. Built by [`Link::plan`]; valid while
-/// neither device moves.
+/// rx) geometry, plus the received power of each transmit sector priced so
+/// far; see the module docs. Built by [`Link::plan`]; valid while neither
+/// device moves.
 #[derive(Debug, Clone)]
 pub struct ProbePlan<'a> {
     link: &'a Link,
     tx: &'a Device,
     rays: Vec<PlannedRay>,
+    /// Received power in dBm per raw sector ID, filled on first use. Sized
+    /// like the transmitter's sector table.
+    priced: Vec<OnceCell<f64>>,
 }
 
 /// One environment ray, as seen by a planned geometry.
@@ -284,10 +300,19 @@ impl ProbePlan<'_> {
         }
     }
 
+    /// Received power in dBm of transmit sector `id`, priced on the first
+    /// call and read from the memo afterwards.
+    ///
+    /// # Panics
+    /// Panics if the transmitter's codebook has no such sector.
+    fn sector_power_dbm(&self, id: SectorId) -> f64 {
+        let x = self.tx.sector_excitation(id);
+        *self.priced[usize::from(id.raw())].get_or_init(|| self.excitation_power_dbm(x))
+    }
+
     /// True SNR in dB of transmit sector `tx_sector` (no measurement noise).
     pub fn true_snr_db(&self, tx_sector: SectorId) -> f64 {
-        let p = self.excitation_power_dbm(self.tx.sector_excitation(tx_sector));
-        self.link.budget.snr_db(p)
+        self.link.budget.snr_db(self.sector_power_dbm(tx_sector))
     }
 
     /// Simulates the reception of one SSW probe frame sent on `tx_sector`.
@@ -295,7 +320,7 @@ impl ProbePlan<'_> {
     /// # Panics
     /// Panics if the transmitter's codebook has no such sector.
     pub fn probe<R: Rng>(&self, rng: &mut R, tx_sector: SectorId) -> Option<Measurement> {
-        let p = self.excitation_power_dbm(self.tx.sector_excitation(tx_sector));
+        let p = self.sector_power_dbm(tx_sector);
         let snr = self.link.budget.snr_db(p);
         self.link.model.report(rng, snr, p)
     }

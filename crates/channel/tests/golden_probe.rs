@@ -6,6 +6,8 @@
 //! non-zero on the line of sight), plus a digest of one sweep's readings
 //! under a fixed RNG. Any change in rounding (the order of the per-element
 //! products, the dB sums, the floors) or in the RNG draw order fails here.
+//! A plan swept several times must read the same bits as a fresh plan per
+//! sweep, so the per-sector memo cannot hand out a stale or shifted price.
 
 use geom::rng::sub_rng;
 use talon_array::{Codebook, PhasedArray};
@@ -129,6 +131,64 @@ fn sweep_equals_sequential_probes() {
             .collect();
         assert_eq!(digest(&swept), digest(&probed), "geometry {gi}");
         assert_eq!(swept, probed, "geometry {gi}");
+    }
+}
+
+/// The sweeps the reuse test runs back to back on one geometry: the full
+/// order (so the first one is the pinned sweep), the reverse, a subset
+/// that repeats a sector within one sweep, and the full order again.
+fn reuse_sweeps(order: &[talon_array::SectorId]) -> Vec<Vec<talon_array::SectorId>> {
+    let reversed: Vec<_> = order.iter().rev().copied().collect();
+    let mut subset: Vec<_> = order.iter().step_by(3).copied().collect();
+    subset.push(order[0]);
+    vec![order.to_vec(), reversed, subset, order.to_vec()]
+}
+
+/// Bit patterns of a sweep's readings, so a comparison cannot pass on
+/// `-0.0 == 0.0` or fail on NaN.
+fn reading_bits(readings: &[SweepReading]) -> Vec<(u8, Option<(u64, u64)>)> {
+    readings
+        .iter()
+        .map(|r| {
+            let m = r
+                .measurement
+                .map(|m| (m.snr_db.to_bits(), m.rssi_dbm.to_bits()));
+            (r.sector.raw(), m)
+        })
+        .collect()
+}
+
+#[test]
+fn one_plan_swept_repeatedly_equals_a_fresh_plan_per_sweep() {
+    for (gi, (env, o)) in geometries().into_iter().enumerate() {
+        let link = Link::new(env);
+        let (dut, fixed) = devices(o);
+        let sweeps = reuse_sweeps(&dut.codebook.sweep_order());
+
+        // Every sweep after the first reads each sector from the memo.
+        let plan = link.plan(&dut, &fixed);
+        let mut rng = sub_rng(gi as u64, "golden-probe");
+        let reused: Vec<Vec<SweepReading>> =
+            sweeps.iter().map(|s| plan.sweep(&mut rng, s)).collect();
+
+        let mut rng = sub_rng(gi as u64, "golden-probe");
+        let fresh: Vec<Vec<SweepReading>> = sweeps
+            .iter()
+            .map(|s| link.plan(&dut, &fixed).sweep(&mut rng, s))
+            .collect();
+
+        assert_eq!(digest(&reused[0]), SWEEP_DIGESTS[gi], "geometry {gi}");
+        for (k, (r, f)) in reused.iter().zip(&fresh).enumerate() {
+            assert_eq!(reading_bits(r), reading_bits(f), "geometry {gi} sweep {k}");
+        }
+        // The memoized prices are the pinned ones.
+        for (&s, &(_, _, snr)) in sweeps[0].iter().zip(GOLDEN[gi].iter()) {
+            assert_eq!(
+                plan.true_snr_db(s).to_bits(),
+                snr,
+                "geometry {gi} sector {s}"
+            );
+        }
     }
 }
 

@@ -69,7 +69,8 @@ const DECISION_TOP_K: usize = 8;
 /// The compressive sector selection policy.
 pub struct CompressiveSelection {
     estimator: CompressiveEstimator,
-    /// All sector IDs with measured patterns (the full `N`-sector set).
+    /// All sector IDs with measured patterns (the full `N`-sector set),
+    /// sorted ascending (the pattern store's map keys).
     available: Vec<SectorId>,
     patterns: SectorPatterns,
     config: CssConfig,
@@ -266,7 +267,7 @@ impl FeedbackPolicy for CompressiveSelection {
         let avail: Vec<SectorId> = full_sweep
             .iter()
             .copied()
-            .filter(|id| self.available.contains(id))
+            .filter(|id| self.available.binary_search(id).is_ok())
             .collect();
         self.config.strategy.pick(&mut self.rng, &avail, m)
     }

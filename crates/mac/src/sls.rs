@@ -12,6 +12,16 @@
 //! strongest reported SNR, probing everything). The paper's compressive
 //! selection plugs in at exactly this point — in the real system via the
 //! Nexmon firmware hooks modelled in the `wil6210` crate.
+//!
+//! Nothing moves while an [`SlsRunner`] exists: it borrows both devices
+//! and the link for its whole life. So the first [`SlsRunner::run`] builds
+//! the two probe plans (ISS: initiator → responder, RSS: responder →
+//! initiator) and both codebook sweep orders, and every later run on the
+//! same runner reuses them, including each plan's memo of the sectors
+//! already priced (see [`talon_channel::ProbePlan`]). The plans live as
+//! long as the runner; a new geometry needs a new runner. The RNG draws
+//! and the arithmetic are the same either way, so K runs on one runner
+//! give the same bits as K fresh runners sharing one RNG.
 
 use crate::addr::MacAddr;
 use crate::fields::{encode_snr, SswFeedbackField, SswField, SweepDirection};
@@ -20,8 +30,9 @@ use crate::schedule::BurstSchedule;
 use crate::timing::{SimDuration, SimTime, SLS_OVERHEAD, SSW_FRAME_TIME};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use talon_array::SectorId;
-use talon_channel::{Device, Link, SweepReading};
+use talon_channel::{Device, Link, ProbePlan, SweepReading};
 
 /// Chooses sectors from sweep measurements and decides what to probe.
 ///
@@ -96,32 +107,63 @@ pub struct SlsOutcome {
 }
 
 /// Drives one or more SLS trainings between two devices over a link.
+///
+/// The devices and the link are fixed for the runner's life, so its plans
+/// and sweep orders are built once, by the first [`SlsRunner::run`] (see
+/// the module docs).
 pub struct SlsRunner<'a> {
     /// The propagation link (initiator → responder direction; the model is
     /// symmetric, so the same link serves both sweep halves).
-    pub link: &'a Link,
+    link: &'a Link,
     /// The initiating device.
-    pub initiator: &'a Device,
+    initiator: &'a Device,
     /// The responding device.
-    pub responder: &'a Device,
+    responder: &'a Device,
     /// Addressing.
     pub config: SlsConfig,
+    /// The per-geometry work, built by the first run.
+    geometry: OnceCell<Geometry<'a>>,
     /// Metric handles, resolved once.
     runs: std::sync::Arc<obs::Counter>,
     ssw_frames: std::sync::Arc<obs::Counter>,
 }
 
+/// What every run of one runner shares: both probe plans and both
+/// codebook sweep orders.
+struct Geometry<'a> {
+    /// Initiator → responder: the ISS probes.
+    iss_plan: ProbePlan<'a>,
+    /// Responder → initiator: the RSS probes.
+    rss_plan: ProbePlan<'a>,
+    /// The initiator's full sweep order, handed to its policy.
+    initiator_sweep: Vec<SectorId>,
+    /// The responder's full sweep order, handed to its policy.
+    responder_sweep: Vec<SectorId>,
+}
+
 impl<'a> SlsRunner<'a> {
-    /// Creates a runner with default addressing.
+    /// Creates a runner with default addressing. Builds no plan: the
+    /// first [`Self::run`] does.
     pub fn new(link: &'a Link, initiator: &'a Device, responder: &'a Device) -> Self {
         SlsRunner {
             link,
             initiator,
             responder,
             config: SlsConfig::default(),
+            geometry: OnceCell::new(),
             runs: obs::counter("sls.runs"),
             ssw_frames: obs::counter("sls.ssw_frames"),
         }
+    }
+
+    /// The plans and sweep orders, built on the first call.
+    fn geometry(&self) -> &Geometry<'a> {
+        self.geometry.get_or_init(|| Geometry {
+            iss_plan: self.link.plan(self.initiator, self.responder),
+            rss_plan: self.link.plan(self.responder, self.initiator),
+            initiator_sweep: self.initiator.codebook.sweep_order(),
+            responder_sweep: self.responder.codebook.sweep_order(),
+        })
     }
 
     /// Runs one mutual training.
@@ -141,15 +183,16 @@ impl<'a> SlsRunner<'a> {
     {
         let mut span = obs::sink_active().then(|| obs::span("sls.run"));
         self.runs.inc();
+        let geometry = self.geometry();
         let mut now = SimTime::ZERO;
-        let mut frames = Vec::new();
 
         // --- Initiator Sector Sweep (ISS) -------------------------------
-        // Nothing moves during a sweep half, so its probes share one plan.
-        let full_i = self.initiator.codebook.sweep_order();
-        let iss_sectors = initiator_policy.probe_sectors(&full_i);
+        let iss_sectors = initiator_policy.probe_sectors(&geometry.initiator_sweep);
         let iss_schedule = BurstSchedule::custom_sweep(&iss_sectors);
-        let iss_plan = self.link.plan(self.initiator, self.responder);
+        // The responder's subset is drawn only after the ISS, so the
+        // transcript is sized for its full sweep: ISS + RSS + feedback +
+        // ack in one allocation.
+        let mut frames = Vec::with_capacity(iss_sectors.len() + geometry.responder_sweep.len() + 2);
         let mut iss_readings = Vec::with_capacity(iss_sectors.len());
         for (cdown, sector) in iss_schedule.transmissions() {
             let frame = Frame::Ssw(SswFrame {
@@ -175,7 +218,7 @@ impl<'a> SlsRunner<'a> {
             // The responder's firmware measures the received probe.
             iss_readings.push(SweepReading {
                 sector,
-                measurement: iss_plan.probe(rng, sector),
+                measurement: geometry.iss_plan.probe(rng, sector),
             });
         }
 
@@ -188,10 +231,8 @@ impl<'a> SlsRunner<'a> {
         let fb_to_initiator = feedback_field(initiator_tx_sector, &iss_readings);
 
         // --- Responder Sector Sweep (RSS) --------------------------------
-        let full_r = self.responder.codebook.sweep_order();
-        let rss_sectors = responder_policy.probe_sectors(&full_r);
+        let rss_sectors = responder_policy.probe_sectors(&geometry.responder_sweep);
         let rss_schedule = BurstSchedule::custom_sweep(&rss_sectors);
-        let rss_plan = self.link.plan(self.responder, self.initiator);
         let mut rss_readings = Vec::with_capacity(rss_sectors.len());
         for (cdown, sector) in rss_schedule.transmissions() {
             let frame = Frame::Ssw(SswFrame {
@@ -210,7 +251,7 @@ impl<'a> SlsRunner<'a> {
             now += SSW_FRAME_TIME;
             rss_readings.push(SweepReading {
                 sector,
-                measurement: rss_plan.probe(rng, sector),
+                measurement: geometry.rss_plan.probe(rng, sector),
             });
         }
 

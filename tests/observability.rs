@@ -17,6 +17,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn talon() -> Command {
     Command::new(env!("CARGO_BIN_EXE_talon"))
@@ -75,6 +76,29 @@ fn workdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("talon-obs-{name}-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
+}
+
+/// A [`workdir`] that is removed on drop, so a failing assertion leaves
+/// nothing behind either. `talon serve` writes its flight-recorder dumps
+/// (alert or panic) to `--flight-dir`, default `.`; every serve child here
+/// gets one of these or a [`workdir`] its test removes, so no run can drop
+/// a dump into the checkout.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(name: &str) -> Self {
+        TempDir(workdir(name))
+    }
+
+    fn arg(&self) -> &str {
+        self.0.to_str().expect("UTF-8 temp path")
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
 }
 
 #[test]
@@ -159,6 +183,7 @@ fn traced_session_builds_one_tree_and_valid_folded_stacks() {
 
 #[test]
 fn serve_exposes_scrapeable_prometheus_text() {
+    let flight_dir = TempDir::new("serve-prom-flight");
     let mut child = talon()
         .args([
             "serve",
@@ -172,6 +197,8 @@ fn serve_exposes_scrapeable_prometheus_text() {
             "css",
             "--hold-ms",
             "30000",
+            "--flight-dir",
+            flight_dir.arg(),
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -255,6 +282,7 @@ fn serve_exposes_scrapeable_prometheus_text() {
 
 #[test]
 fn serve_answers_live_monitor_routes() {
+    let flight_dir = TempDir::new("serve-routes-flight");
     let child = talon()
         .args([
             "serve",
@@ -268,6 +296,8 @@ fn serve_answers_live_monitor_routes() {
             "25",
             "--hold-ms",
             "60000",
+            "--flight-dir",
+            flight_dir.arg(),
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -343,11 +373,13 @@ fn serve_answers_live_monitor_routes() {
     assert!(body.contains("talon_process_uptime_seconds "), "{body}");
 }
 
-/// Spawns the injected-drift drill and returns `(addr, stdout_thread,
-/// child)`; the thread collects the remaining stdout lines.
-fn spawn_drill(hold_ms: &str) -> (String, std::thread::JoinHandle<Vec<String>>, KillOnDrop) {
-    // Flight dumps go to a scratch dir, not the test runner's cwd.
-    let flight_dir = workdir("drill-flight");
+/// Spawns the injected-drift drill, dumping into `flight_dir`, and
+/// returns `(addr, stdout_thread, child)`; the thread collects the
+/// remaining stdout lines. The caller holds `flight_dir` past the child.
+fn spawn_drill(
+    hold_ms: &str,
+    flight_dir: &TempDir,
+) -> (String, std::thread::JoinHandle<Vec<String>>, KillOnDrop) {
     let child = talon()
         .args([
             "serve",
@@ -363,7 +395,7 @@ fn spawn_drill(hold_ms: &str) -> (String, std::thread::JoinHandle<Vec<String>>, 
             "--hold-ms",
             hold_ms,
             "--flight-dir",
-            flight_dir.to_str().unwrap(),
+            flight_dir.arg(),
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -379,7 +411,8 @@ fn spawn_drill(hold_ms: &str) -> (String, std::thread::JoinHandle<Vec<String>>, 
 
 #[test]
 fn drill_exposes_labeled_per_link_series_and_links_rollup() {
-    let (addr, _reader, child) = spawn_drill("60000");
+    let flight_dir = TempDir::new("drill-flight");
+    let (addr, _reader, child) = spawn_drill("60000", &flight_dir);
 
     // Wait until the fleet's staggered drift episodes are underway (link 2
     // degrades at tick 16), so every link has labeled series sampled.
@@ -649,7 +682,10 @@ fn profiled_drill_emits_folded_stacks_and_critical_path() {
 #[test]
 fn readyz_and_profile_routes_respond() {
     // A server with the profiler attached: /readyz answers as soon as the
-    // socket serves, and /profile returns the cumulative folded stacks.
+    // socket serves, /profile is routed (its body depends on whether the
+    // timer sampler caught the short session, so the folded stacks are
+    // asserted in-process by `profile_route_serves_a_held_span_as_folded_stacks`).
+    let flight_dir = TempDir::new("readyz-flight");
     let child = talon()
         .args([
             "serve",
@@ -665,6 +701,8 @@ fn readyz_and_profile_routes_respond() {
             "60000",
             "--profile-hz",
             "500",
+            "--flight-dir",
+            flight_dir.arg(),
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -677,23 +715,8 @@ fn readyz_and_profile_routes_respond() {
     let (code, body) = http_get(&addr, "/readyz").expect("scrape /readyz");
     assert_eq!(code, 200, "{body}");
     assert!(body.starts_with("ready"), "{body}");
-
-    // The session's spans land in the profile once the sampler has caught
-    // the running workload; poll until the folded body is non-empty.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    let folded = loop {
-        let (code, body) = http_get(&addr, "/profile").expect("scrape /profile");
-        assert_eq!(code, 200, "{body}");
-        if !body.trim().is_empty() {
-            break body;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "profiler never sampled the session"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    };
-    assert_valid_folded(&folded);
+    let (code, body) = http_get(&addr, "/profile").expect("scrape /profile");
+    assert_eq!(code, 200, "{body}");
 
     // `talon profile --attach` takes a windowed capture over the same
     // endpoint (seconds=1 → the server holds the connection for the
@@ -711,6 +734,7 @@ fn readyz_and_profile_routes_respond() {
 
     // Without --profile-hz there is no profiler to expose: /profile is a
     // 404 while /readyz still answers 200.
+    let flight_dir = TempDir::new("readyz-unprofiled-flight");
     let child = talon()
         .args([
             "serve",
@@ -720,6 +744,8 @@ fn readyz_and_profile_routes_respond() {
             "0",
             "--hold-ms",
             "60000",
+            "--flight-dir",
+            flight_dir.arg(),
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -735,11 +761,42 @@ fn readyz_and_profile_routes_respond() {
 }
 
 #[test]
+fn profile_route_serves_a_held_span_as_folded_stacks() {
+    // The same server, in process, at the serve test's 500 Hz: a span
+    // held open across one synchronous sampler pass is in the tally no
+    // matter when (or whether) the timer thread runs.
+    let _guard = obs::testing::lock();
+    let monitor = Arc::new(obs::LiveMonitor::with_defaults());
+    let profiler = Arc::new(obs::Profiler::start_hz(500));
+    monitor.attach_profiler(Arc::clone(&profiler));
+    let server =
+        obs::MetricsServer::start_with_monitor("127.0.0.1:0", Arc::clone(&monitor)).expect("bind");
+    let addr = server.local_addr().to_string();
+
+    let session = obs::span("css.session");
+    let run = obs::span("sls.run");
+    profiler.sample_now();
+    drop(run);
+    drop(session);
+
+    let (code, folded) = http_get(&addr, "/profile").expect("scrape /profile");
+    assert_eq!(code, 200, "{folded}");
+    assert_valid_folded(&folded);
+    assert!(
+        folded
+            .lines()
+            .any(|line| line.starts_with("css.session;sls.run ")),
+        "the held stack was sampled: {folded}"
+    );
+}
+
+#[test]
 fn injected_drift_flips_healthz_and_is_deterministic() {
     // Run 1: watch /healthz while the drill runs. The drill holds the
     // degraded link for ~17 ticks at 40 ms each, so 10 ms polling cannot
     // miss the 503 window.
-    let (addr, reader, child) = spawn_drill("60000");
+    let flight_dir = TempDir::new("drill-flight");
+    let (addr, reader, child) = spawn_drill("60000", &flight_dir);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     let mut observed: Vec<u16> = Vec::new();
     loop {
@@ -809,7 +866,7 @@ fn injected_drift_flips_healthz_and_is_deterministic() {
     // Run 2: same flags, no polling — the printed alert transition
     // sequence must be byte-identical (the acceptance contract: the
     // pipeline is tick-driven, so wall-clock jitter cannot reorder it).
-    let flight_dir = workdir("drill-flight-run2");
+    let flight_dir = TempDir::new("drill-flight-run2");
     let out = talon()
         .args([
             "serve",
@@ -823,7 +880,7 @@ fn injected_drift_flips_healthz_and_is_deterministic() {
             "--ticks",
             "45",
             "--flight-dir",
-            flight_dir.to_str().unwrap(),
+            flight_dir.arg(),
         ])
         .output()
         .expect("run drill to completion");
