@@ -34,11 +34,8 @@ const REQUIRED_KEYS: &[&str] = &[
     "gauge_set_ns",
     "histogram_record_ns",
     "labeled_counter_ns",
-    "flight_append_ns",
     "span_no_sink_ns",
     "span_memory_sink_ns",
-    "sampler_tick_ns",
-    "alert_eval_ns",
     "prof_publish_ns",
     "prof_sample_ns",
     "prof_overhead_percent",
@@ -107,19 +104,6 @@ fn main() {
     let labeled_counter_ns = time_ns(prim_iters / 10, || {
         obs::counter_with("bench.obs.labeled", black_box(&labels)).inc();
     });
-    // One event appended to the flight-recorder ring: binfmt encode plus
-    // the budgeted push — what every traced event costs while the
-    // always-on recorder runs.
-    let flight = obs::FlightRecorder::with_defaults();
-    let flight_event = obs::TraceRecord::Event(obs::Event::span(
-        0,
-        "bench.obs.flight",
-        12,
-        Default::default(),
-    ));
-    let flight_append_ns = time_ns(sink_iters, || {
-        black_box(&flight).append(black_box(&flight_event));
-    });
     let span_no_sink_ns = time_ns(span_iters, || {
         let mut s = obs::span("bench.obs.span");
         s.field("x", black_box(1.0));
@@ -133,27 +117,6 @@ fn main() {
         });
         obs::clear_sink();
         ns
-    };
-
-    // One live-monitoring tick at a registry the size this process has
-    // built up (all the bench series plus whatever obs registers): global
-    // snapshot + ring append + every default alert rule evaluated. This is
-    // what `talon serve` pays per --tick-ms, so it lives in the baseline.
-    let monitor_iters = if smoke { 2_000 } else { 20_000 };
-    let sampler_tick_ns = {
-        let mut sampler = obs::Sampler::new(obs::SamplerConfig::default());
-        time_ns(monitor_iters, || {
-            sampler.sample(black_box(&obs::global().snapshot()));
-        })
-    };
-    let alert_eval_ns = {
-        let mut sampler = obs::Sampler::new(obs::SamplerConfig::default());
-        let mut engine = obs::AlertEngine::new(obs::default_rules());
-        let snapshot = obs::global().snapshot();
-        time_ns(monitor_iters, || {
-            sampler.sample(&snapshot);
-            black_box(engine.evaluate(black_box(&sampler)));
-        })
     };
 
     // Profiler publish path: the same span as `span_no_sink_ns` but with
@@ -188,16 +151,17 @@ fn main() {
         (publish, delta)
     };
     // One synchronous sampler pass over the live slots while a stack is
-    // held open — what each tick of `talon serve --profile-hz N` costs
-    // the sampler thread.
+    // held open — what each tick of `talon profile --hz N` costs the
+    // sampler thread.
     let prof_sample_ns = {
+        let iters = if smoke { 2_000 } else { 20_000 };
         let profiler = obs::Profiler::start(std::time::Duration::from_secs(3600));
         let _held = obs::span("bench.obs.prof_held");
-        time_ns(monitor_iters, || black_box(&profiler).sample_now())
+        time_ns(iters, || black_box(&profiler).sample_now())
     };
     // TimedMutex fast path: try_lock succeeds, guard drop records hold
     // time into a cached histogram — the per-acquisition cost every
-    // wrapped lock (live monitor, sinks, flight ring) pays uncontended.
+    // wrapped lock (the binary trace sink) pays uncontended.
     let timed_mutex_uncontended_ns = {
         let m = obs::TimedMutex::new("bench_obs", 0u64);
         time_ns(prim_iters / 10, || {
@@ -235,11 +199,8 @@ fn main() {
          \"gauge_set_ns\": {gauge_set_ns:.2},\n  \
          \"histogram_record_ns\": {histogram_record_ns:.2},\n  \
          \"labeled_counter_ns\": {labeled_counter_ns:.2},\n  \
-         \"flight_append_ns\": {flight_append_ns:.2},\n  \
          \"span_no_sink_ns\": {span_no_sink_ns:.2},\n  \
          \"span_memory_sink_ns\": {span_memory_sink_ns:.2},\n  \
-         \"sampler_tick_ns\": {sampler_tick_ns:.2},\n  \
-         \"alert_eval_ns\": {alert_eval_ns:.2},\n  \
          \"prof_publish_ns\": {prof_publish_ns:.2},\n  \
          \"prof_sample_ns\": {prof_sample_ns:.2},\n  \
          \"prof_overhead_percent\": {prof_overhead_percent:.4},\n  \

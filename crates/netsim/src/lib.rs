@@ -23,13 +23,11 @@
 #![warn(missing_docs)]
 
 pub mod dense;
-pub mod inject;
 pub mod policy;
 pub mod room;
 pub mod tracking;
 
 pub use dense::{dense_deployment, DenseConfig, DenseResult};
-pub use inject::DriftProfile;
 pub use policy::TrainingPolicy;
 pub use room::{PairLink, PlacedPair, Room};
 pub use tracking::{tracking_run, TrackingConfig, TrackingResult};

@@ -118,7 +118,8 @@ pub fn tracking_run(
     let mut failovers = 0usize;
     // Online drift monitoring over the SNR-loss and misselection streams.
     // The CUSUM alarms are `health.link_drift` counters (sink-gated events),
-    // so they surface in `talon serve` and `talon report --quality` alike.
+    // so they surface in registry snapshots and `talon report --quality`
+    // alike.
     let mut quality = obs::QualityMonitor::new();
 
     let mut t = 0.0;

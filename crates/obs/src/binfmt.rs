@@ -1,7 +1,7 @@
 //! `obs::binfmt` — the trace format.
 //!
-//! Every trace talon writes (`--trace`, flight-recorder dumps, the soak
-//! harness) and reads (`report`, `replay`, `profile`) is in this format.
+//! Every trace talon writes (`--trace`, the soak harness) and reads
+//! (`report`, `replay`, `profile`) is in this format.
 //! JSON Lines exists only as a one-way export (`talon trace convert`,
 //! rendered by [`crate::sink::record_line`]): greppable and
 //! self-describing, but ~5.5× larger, because every line repeats every

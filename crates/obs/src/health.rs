@@ -7,7 +7,7 @@
 //! layer one cheap call to surface such findings:
 //!
 //! * a `health.<kind>` counter is always bumped (visible in registry
-//!   snapshots and the Prometheus exposition), and
+//!   snapshots and the trace's closing snapshot record), and
 //! * while a sink records, an `"anomaly"` [`Event`] tagged with the owning
 //!   trace and enclosing span is emitted, so `talon report` can attribute
 //!   the finding to the exact CSS session (and probe batch) that caused it.
@@ -83,32 +83,6 @@ pub fn anomaly_n(kind: &'static str, n: u64, fields: &[(&str, f64)]) {
 
 /// Stage-name prefix of anomaly events (`health.<kind>`).
 pub const STAGE_PREFIX: &str = "health.";
-
-/// The anomaly kinds emitted across the workspace. Long-running exporters
-/// (e.g. `talon serve`) pre-register these so every link-health series
-/// exists (at zero) before the first anomaly fires.
-pub const KNOWN_KINDS: &[&str] = &[
-    "snr_clamped",
-    "missing_probe",
-    "outlier_residual",
-    "export_gap",
-    "ring_overflow",
-    "link_outage",
-    "airtime_saturated",
-    "trace_corrupt",
-    "trace_write_failed",
-    "link_drift",
-    "misselection",
-    "alert_firing",
-    "flight_dump",
-];
-
-/// Ensures a `health.<kind>` counter exists for every known kind.
-pub fn register_known_kinds() {
-    for kind in KNOWN_KINDS {
-        health_counter(kind);
-    }
-}
 
 #[cfg(test)]
 mod tests {

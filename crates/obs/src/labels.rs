@@ -3,25 +3,16 @@
 //! A [`LabelSet`] is a small sorted `key=value` vector rendered once into a
 //! canonical suffix (`{k="v",k2="v2"}`, keys sorted, no spaces) that is
 //! appended to metric names. Carrying the labels inside the name keeps every
-//! downstream consumer — [`crate::registry::Snapshot`] maps, JSONL/binfmt
-//! snapshot records, the [`crate::timeseries::Sampler`] rings — working
-//! unchanged: a labeled series is just another (deterministically ordered)
-//! name. [`crate::prometheus`] splits the suffix back out at exposition time.
-//!
-//! Label sets can be interned process-wide to a compact [`LabelId`] so hot
-//! paths can cache the id (or better, the metric `Arc` itself) instead of
-//! re-rendering strings.
-
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::OnceLock;
+//! downstream consumer — [`crate::registry::Snapshot`] maps and binfmt
+//! snapshot records — working unchanged: a labeled series is just another
+//! (deterministically ordered) name, such as the `eval` engine's
+//! `worker.busy_ns{worker="0"}`.
 
 /// A sorted set of `key=value` labels with a canonical rendering.
 ///
-/// Keys and values are sanitized at construction (characters that would
-/// break the canonical `{k="v"}` grammar or Prometheus text exposition —
-/// braces, quotes, backslashes, commas, `=`, whitespace — become `_`), so a
-/// qualified name always parses back via [`split_name`].
+/// Keys and values are sanitized at construction: characters that would
+/// break the canonical `{k="v"}` grammar — braces, quotes, backslashes,
+/// commas, `=`, whitespace — become `_`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LabelSet {
     pairs: Vec<(String, String)>,
@@ -91,29 +82,6 @@ impl LabelSet {
         self.pairs.is_empty()
     }
 
-    /// Number of labels.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// The value for `key`, if present.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .binary_search_by(|(k, _)| k.as_str().cmp(key))
-            .ok()
-            .map(|i| self.pairs[i].1.as_str())
-    }
-
-    /// The sorted `(key, value)` pairs.
-    pub fn pairs(&self) -> &[(String, String)] {
-        &self.pairs
-    }
-
-    /// Canonical inner rendering without braces: `k="v",k2="v2"`.
-    pub fn inner(&self) -> &str {
-        &self.inner
-    }
-
     /// Qualifies `base` with this label set: `base{k="v"}` (or `base`
     /// unchanged when empty).
     pub fn qualify(&self, base: &str) -> String {
@@ -122,101 +90,6 @@ impl LabelSet {
         } else {
             format!("{base}{{{}}}", self.inner)
         }
-    }
-
-    /// Interns this set process-wide, returning its compact id.
-    pub fn intern(&self) -> LabelId {
-        let mut table = intern_table().lock();
-        if let Some(&id) = table.by_inner.get(&self.inner) {
-            return LabelId(id);
-        }
-        let id = table.sets.len() as u32;
-        table.by_inner.insert(self.inner.clone(), id);
-        table.sets.push(self.clone());
-        LabelId(id)
-    }
-}
-
-/// Compact process-wide id for an interned [`LabelSet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct LabelId(u32);
-
-impl LabelId {
-    /// The raw id value.
-    pub fn raw(self) -> u32 {
-        self.0
-    }
-
-    /// The interned label set for this id (panics on a forged id).
-    pub fn resolve(self) -> LabelSet {
-        intern_table().lock().sets[self.0 as usize].clone()
-    }
-}
-
-struct InternTable {
-    by_inner: HashMap<String, u32>,
-    sets: Vec<LabelSet>,
-}
-
-fn intern_table() -> &'static Mutex<InternTable> {
-    static TABLE: OnceLock<Mutex<InternTable>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        Mutex::new(InternTable {
-            by_inner: HashMap::new(),
-            sets: Vec::new(),
-        })
-    })
-}
-
-/// Splits a (possibly qualified) metric name into its base and the inner
-/// label rendering: `a.b{k="v"}` → `("a.b", Some("k=\"v\""))`.
-pub fn split_name(name: &str) -> (&str, Option<&str>) {
-    if let Some(stripped) = name.strip_suffix('}') {
-        if let Some((base, inner)) = stripped.split_once('{') {
-            return (base, Some(inner));
-        }
-    }
-    (name, None)
-}
-
-/// The value of label `key` inside a qualified metric name, if present.
-pub fn label_value<'a>(name: &'a str, key: &str) -> Option<&'a str> {
-    let (_, inner) = split_name(name);
-    let inner = inner?;
-    for pair in inner.split(',') {
-        let (k, v) = pair.split_once('=')?;
-        if k == key {
-            return v.strip_prefix('"')?.strip_suffix('"');
-        }
-    }
-    None
-}
-
-/// Whether an inner label rendering parses as `k="v"(,k="v")*` with
-/// exposition-safe contents (identifier keys; values free of spaces,
-/// quotes, backslashes, braces and commas — what [`LabelSet`] produces).
-pub fn is_valid_inner(inner: &str) -> bool {
-    !inner.is_empty()
-        && inner.split(',').all(|pair| {
-            let Some((k, v)) = pair.split_once('=') else {
-                return false;
-            };
-            let Some(v) = v.strip_prefix('"').and_then(|v| v.strip_suffix('"')) else {
-                return false;
-            };
-            !k.is_empty()
-                && k.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-                && v.chars()
-                    .all(|c| c.is_ascii_graphic() && !matches!(c, '"' | '\\' | '{' | '}' | ','))
-        })
-}
-
-/// Qualifies `base` with an already-rendered inner label block.
-pub fn qualify(base: &str, inner: &str) -> String {
-    if inner.is_empty() {
-        base.to_string()
-    } else {
-        format!("{base}{{{inner}}}")
     }
 }
 
@@ -227,22 +100,15 @@ mod tests {
     #[test]
     fn pairs_are_sorted_and_deduped() {
         let set = LabelSet::from_pairs(&[("z", "1"), ("a", "2"), ("z", "3")]);
-        assert_eq!(set.inner(), "a=\"2\",z=\"3\"");
-        assert_eq!(set.get("z"), Some("3"));
-        assert_eq!(set.get("missing"), None);
+        assert_eq!(set.qualify("m"), "m{a=\"2\",z=\"3\"}");
     }
 
     #[test]
-    fn qualify_and_split_round_trip() {
+    fn qualify_renders_the_canonical_suffix() {
         let set = LabelSet::from_pairs(&[("link", "7"), ("band", "60")]);
         let name = set.qualify("quality.snr_loss_mdb");
         assert_eq!(name, "quality.snr_loss_mdb{band=\"60\",link=\"7\"}");
-        let (base, inner) = split_name(&name);
-        assert_eq!(base, "quality.snr_loss_mdb");
-        assert_eq!(inner, Some("band=\"60\",link=\"7\""));
-        assert_eq!(label_value(&name, "link"), Some("7"));
-        assert_eq!(label_value(&name, "band"), Some("60"));
-        assert_eq!(label_value(&name, "absent"), None);
+        assert_eq!(LabelSet::link(7).qualify("m"), "m{link=\"7\"}");
     }
 
     #[test]
@@ -250,28 +116,11 @@ mod tests {
         let set = LabelSet::empty();
         assert!(set.is_empty());
         assert_eq!(set.qualify("a.b"), "a.b");
-        assert_eq!(split_name("a.b"), ("a.b", None));
     }
 
     #[test]
     fn hostile_values_are_sanitized() {
         let set = LabelSet::from_pairs(&[("k", "a b\"c{d}e,f=g\\h")]);
-        assert_eq!(set.get("k"), Some("a_b_c_d_e_f_g_h"));
-        // The qualified name still parses and contains no spaces.
-        let name = set.qualify("m");
-        assert!(!name.contains(' '));
-        assert_eq!(label_value(&name, "k"), Some("a_b_c_d_e_f_g_h"));
-    }
-
-    #[test]
-    fn interning_is_stable_and_resolvable() {
-        let a = LabelSet::from_pairs(&[("link", "intern-test")]);
-        let b = LabelSet::from_pairs(&[("link", "intern-test")]);
-        let ia = a.intern();
-        let ib = b.intern();
-        assert_eq!(ia, ib);
-        assert_eq!(ia.resolve(), a);
-        let other = LabelSet::from_pairs(&[("link", "intern-other")]).intern();
-        assert_ne!(ia, other);
+        assert_eq!(set.qualify("m"), "m{k=\"a_b_c_d_e_f_g_h\"}");
     }
 }

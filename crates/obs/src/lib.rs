@@ -1,6 +1,6 @@
 //! Dependency-light observability for the talon workspace.
 //!
-//! Three layers, all usable independently:
+//! Layers, all usable independently:
 //!
 //! - **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) registered by name
 //!   in the process-wide [`Registry`] (`obs::global()`), snapshottable to a
@@ -21,15 +21,11 @@
 //!   `talon report --tree/--flame`.
 //! - **Health** ([`health::anomaly`]) — link-health findings (clamped SNR,
 //!   missing probes, outlier residuals) as counters plus trace-tagged
-//!   anomaly events.
-//! - **Export** ([`prometheus`], [`serve::MetricsServer`]) — Prometheus
-//!   text exposition of the registry over a zero-dep TCP endpoint.
-//! - **Live monitoring** ([`timeseries::Sampler`], [`alert::AlertEngine`],
-//!   [`live::LiveMonitor`]) — tick-driven registry sampling into bounded
-//!   rings, windowed rates/quantiles derived by diffing snapshots, and a
-//!   declarative alert rule engine with hysteresis; serves `/healthz`,
-//!   `/alerts` and `/timeseries` through [`MetricsServer`] and powers
-//!   `talon top`.
+//!   anomaly events; [`monitor::QualityMonitor`] turns a link's SNR-loss
+//!   and misselection streams into drift epochs.
+//! - **Profiling** ([`Profiler`]) — a sampling profiler over the live span
+//!   stacks, folded into the same stacks `talon report --flame` emits;
+//!   `talon profile <trace>` runs it over a trace's replayed decisions.
 //!
 //! Everything is built on atomics and `parking_lot` locks; there are no
 //! tracing/metrics framework dependencies. The no-sink fast path is one
@@ -39,45 +35,32 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alert;
 pub mod binfmt;
 pub mod decision;
 pub mod event;
-pub mod flight;
 pub mod health;
 pub mod labels;
-pub mod live;
 pub mod metrics;
 pub mod monitor;
 pub mod prof;
-pub mod prometheus;
 pub mod registry;
-pub mod serve;
 pub mod sink;
 pub mod span;
 pub mod sync;
-pub mod timeseries;
 pub mod trace;
 pub mod tree;
 
-pub use alert::{default_rules, AlertEngine, Predicate, Rule, Severity};
 pub use binfmt::{BinReader, BinSink, TraceRecord};
 pub use decision::DecisionRecord;
 pub use event::Event;
-pub use flight::{FlightConfig, FlightRecorder};
-pub use labels::{LabelId, LabelSet};
-pub use live::{LiveMonitor, Ticker};
+pub use labels::LabelSet;
 pub use metrics::{Bucket, Counter, Gauge, Histogram, HistogramSnapshot};
 pub use monitor::{DriftConfig, DriftDetector, QualityMonitor, QualitySummary};
 pub use prof::Profiler;
-pub use registry::{Registry, ShardedRegistry, Snapshot};
-pub use serve::MetricsServer;
-pub use sink::{
-    clear_sink, current_sink, set_sink, sink_active, EventSink, FanoutSink, MemorySink, NoopSink,
-};
+pub use registry::{Registry, Snapshot};
+pub use sink::{clear_sink, set_sink, sink_active, EventSink, MemorySink, NoopSink};
 pub use span::{span, Span};
-pub use sync::{LockStats, TimedMutex, TimedMutexGuard};
-pub use timeseries::{Sampler, SamplerConfig};
+pub use sync::{TimedMutex, TimedMutexGuard};
 pub use trace::{
     current_context, current_ids, open_trace, reserve_trace_ids, with_context, Captured, Trace,
     TraceContext,

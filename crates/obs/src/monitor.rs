@@ -21,7 +21,7 @@
 //!
 //! [`QualityMonitor`] bundles two detectors (SNR loss, misselection) with
 //! the `health.link_drift` / `health.misselection` anomaly counters,
-//! live Prometheus gauges, and a summary for `talon report --quality`.
+//! live quality gauges, and a summary for `talon report --quality`.
 //! [`quality_from_trace`] computes the same per-session table offline
 //! from a recorded trace's decision records.
 
@@ -150,15 +150,8 @@ pub struct QualitySummary {
     pub drift_epochs: Vec<f64>,
 }
 
-/// Online monitor over one link's quality streams.
-///
-/// By default the gauges live in the global registry under the unlabeled
-/// names. [`QualityMonitor::for_shard`] instead homes the gauges and the
-/// `health.link_drift` / `health.misselection` counters in a per-link
-/// shard of a [`crate::ShardedRegistry`], so a fleet's merged snapshot
-/// carries one labeled series per link (`quality.snr_loss_mdb{link="3"}`)
-/// that per-link template alert rules can fire on — while the aggregate
-/// global anomaly counters and trace events keep flowing unchanged.
+/// Online monitor over one link's quality streams; its gauges live in the
+/// global registry.
 pub struct QualityMonitor {
     loss_detector: DriftDetector,
     missel_detector: DriftDetector,
@@ -168,8 +161,6 @@ pub struct QualityMonitor {
     drift_epochs: Vec<f64>,
     gauge_loss: std::sync::Arc<crate::Gauge>,
     gauge_missel: std::sync::Arc<crate::Gauge>,
-    shard_drift: Option<std::sync::Arc<crate::Counter>>,
-    shard_missel: Option<std::sync::Arc<crate::Counter>>,
 }
 
 impl Default for QualityMonitor {
@@ -186,39 +177,6 @@ impl QualityMonitor {
 
     /// A monitor with explicit detector tunings.
     pub fn with_configs(loss: DriftConfig, missel: DriftConfig) -> Self {
-        QualityMonitor::build(None, loss, missel)
-    }
-
-    /// A monitor whose quality gauges and drift/misselection counters live
-    /// in `shard` (a per-link sub-registry) instead of the global
-    /// registry. Aggregate anomaly accounting still goes global.
-    pub fn for_shard(shard: &std::sync::Arc<crate::Registry>) -> Self {
-        QualityMonitor::build(
-            Some(shard),
-            DriftConfig::snr_loss(),
-            DriftConfig::misselection(),
-        )
-    }
-
-    fn build(
-        shard: Option<&std::sync::Arc<crate::Registry>>,
-        loss: DriftConfig,
-        missel: DriftConfig,
-    ) -> Self {
-        let (gauge_loss, gauge_missel, shard_drift, shard_missel) = match shard {
-            Some(r) => (
-                r.gauge("quality.snr_loss_mdb"),
-                r.gauge("quality.misselection_ppm"),
-                Some(r.counter("health.link_drift")),
-                Some(r.counter("health.misselection")),
-            ),
-            None => (
-                crate::gauge("quality.snr_loss_mdb"),
-                crate::gauge("quality.misselection_ppm"),
-                None,
-                None,
-            ),
-        };
         QualityMonitor {
             loss_detector: DriftDetector::new(loss),
             missel_detector: DriftDetector::new(missel),
@@ -226,25 +184,20 @@ impl QualityMonitor {
             selections: 0,
             misselections: 0,
             drift_epochs: Vec::new(),
-            gauge_loss,
-            gauge_missel,
-            shard_drift,
-            shard_missel,
+            gauge_loss: crate::gauge("quality.snr_loss_mdb"),
+            gauge_missel: crate::gauge("quality.misselection_ppm"),
         }
     }
 
     /// Feeds one SNR-loss sample (achieved vs best possible, dB) at stream
     /// time `t_s`. Fires `health.link_drift` on a new drift epoch and keeps
     /// the `quality.snr_loss_mdb` gauge live (milli-dB, for the integer
-    /// gauge / Prometheus exposition).
+    /// gauge).
     pub fn record_loss(&mut self, t_s: f64, loss_db: f64) {
         self.losses.push(loss_db);
         self.gauge_loss.set((loss_db * 1000.0) as i64);
         if self.loss_detector.update(loss_db) {
             self.drift_epochs.push(t_s);
-            if let Some(c) = &self.shard_drift {
-                c.inc();
-            }
             crate::health::anomaly(
                 "link_drift",
                 &[
@@ -263,9 +216,6 @@ impl QualityMonitor {
         self.selections += 1;
         if misselected {
             self.misselections += 1;
-            if let Some(c) = &self.shard_missel {
-                c.inc();
-            }
             crate::health::anomaly("misselection", &[("t_s", t_s)]);
         }
         self.gauge_missel.set(if self.selections == 0 {
@@ -278,9 +228,6 @@ impl QualityMonitor {
             .update(if misselected { 1.0 } else { 0.0 })
         {
             self.drift_epochs.push(t_s);
-            if let Some(c) = &self.shard_drift {
-                c.inc();
-            }
             crate::health::anomaly("link_drift", &[("t_s", t_s), ("misselection_run", 1.0)]);
         }
     }
@@ -407,28 +354,6 @@ pub fn drift_epochs_from_trace(events: &[Event]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::decision::DecisionRecord;
-
-    #[test]
-    fn shard_monitor_writes_labeled_series_through_merge() {
-        // `record_loss` also books the global `health.link_drift` counter,
-        // whose exact delta `monitor_counts_and_summarizes` asserts.
-        let _guard = crate::testing::lock();
-        let sharded = crate::ShardedRegistry::new();
-        let shard = sharded.shard(&crate::LabelSet::link(2));
-        let mut qm = QualityMonitor::for_shard(&shard);
-        for i in 0..10 {
-            qm.record_loss(i as f64, 1.0);
-        }
-        for i in 10..14 {
-            qm.record_loss(i as f64, 25.0);
-        }
-        assert!(!qm.drift_epochs().is_empty(), "step opens a drift epoch");
-        let snap = sharded.merged_snapshot();
-        assert!(snap.counter("health.link_drift{link=\"2\"}") >= 1);
-        assert_eq!(snap.gauges["quality.snr_loss_mdb{link=\"2\"}"], 25_000);
-        // The shard itself carries the plain names (labels come from merge).
-        assert!(shard.snapshot().counter("health.link_drift") >= 1);
-    }
 
     #[test]
     fn detector_ignores_noise_and_fires_on_a_step() {

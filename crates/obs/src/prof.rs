@@ -391,8 +391,8 @@ struct ProfCounters {
     truncated: Arc<Counter>,
 }
 
-/// Global `prof.*` series, registered once: scrapes see sampler activity
-/// alongside everything else.
+/// Global `prof.*` series, registered once: snapshots see sampler
+/// activity alongside everything else.
 fn counters() -> &'static ProfCounters {
     static COUNTERS: OnceLock<ProfCounters> = OnceLock::new();
     COUNTERS.get_or_init(|| ProfCounters {
@@ -498,36 +498,18 @@ impl Profiler {
         out
     }
 
-    /// The folded stacks as text, one `path count` line each.
+    /// The folded stacks as flamegraph input text, one `path count` line
+    /// each — the exact format `talon report --flame` emits.
     pub fn folded_text(&self) -> String {
-        folded_to_text(&self.folded())
+        let mut out = String::new();
+        for (path, n) in self.folded() {
+            out.push_str(&path);
+            out.push(' ');
+            out.push_str(&n.to_string());
+            out.push('\n');
+        }
+        out
     }
-
-    /// Folded stacks accumulated *after* `baseline` (an earlier
-    /// [`Profiler::folded`] snapshot) — the `/profile?seconds=N` window.
-    pub fn folded_since(&self, baseline: &[(String, u64)]) -> Vec<(String, u64)> {
-        let base: BTreeMap<&str, u64> = baseline.iter().map(|(p, n)| (p.as_str(), *n)).collect();
-        self.folded()
-            .into_iter()
-            .filter_map(|(path, n)| {
-                let delta = n - base.get(path.as_str()).copied().unwrap_or(0);
-                (delta > 0).then_some((path, delta))
-            })
-            .collect()
-    }
-}
-
-/// Renders folded stacks as flamegraph input text, one `path count` line
-/// each — the exact format `talon report --flame` emits.
-pub fn folded_to_text(folded: &[(String, u64)]) -> String {
-    let mut out = String::new();
-    for (path, n) in folded {
-        out.push_str(path);
-        out.push(' ');
-        out.push_str(&n.to_string());
-        out.push('\n');
-    }
-    out
 }
 
 impl ProfilerState {
@@ -622,35 +604,6 @@ mod tests {
             .find(|(path, _)| path.ends_with("prof.test.outer;prof.test.inner"))
             .unwrap_or_else(|| panic!("stack not sampled: {folded:?}"));
         assert!(hit.1 >= 2, "both passes observed the stack: {folded:?}");
-    }
-
-    #[test]
-    fn folded_since_reports_only_the_window() {
-        let _guard = crate::testing::lock();
-        let prof = manual_profiler();
-        {
-            let _a = crate::span("prof.test.before");
-            prof.sample_now();
-        }
-        let baseline = prof.folded();
-        assert!(prof.folded_since(&baseline).is_empty(), "empty window");
-        {
-            let _b = crate::span("prof.test.after");
-            prof.sample_now();
-        }
-        let window = prof.folded_since(&baseline);
-        assert!(
-            window
-                .iter()
-                .all(|(path, _)| !path.contains("prof.test.before")),
-            "pre-baseline stacks leaked into the window: {window:?}"
-        );
-        assert!(
-            window
-                .iter()
-                .any(|(path, _)| path.ends_with("prof.test.after")),
-            "window missed the new stack: {window:?}"
-        );
     }
 
     #[test]

@@ -126,91 +126,6 @@ impl Snapshot {
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
-
-    /// Overlays `other` onto this snapshot. Names are expected to be
-    /// disjoint (e.g. a shard's label-qualified series merged over the
-    /// global registry); on a collision `other` wins.
-    pub fn merge(&mut self, other: &Snapshot) {
-        for (k, v) in &other.counters {
-            self.counters.insert(k.clone(), *v);
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, v) in &other.histograms {
-            self.histograms.insert(k.clone(), v.clone());
-        }
-    }
-}
-
-/// A registry-of-registries keyed by [`LabelSet`]: each link/worker gets its
-/// own lock-local sub-[`Registry`] (no contention with other shards on the
-/// hot path), and [`ShardedRegistry::merged_snapshot`] folds every shard
-/// into one dimensional [`Snapshot`] whose names carry the shard's labels.
-#[derive(Debug)]
-pub struct ShardedRegistry {
-    /// The shard map sits behind a [`crate::sync::TimedMutex`]
-    /// (`lock="registry_shards"`): it is only taken on shard creation and
-    /// merged snapshots, so contention here means scrape-vs-admission
-    /// pressure, not hot-path metric updates.
-    shards: crate::sync::TimedMutex<BTreeMap<LabelSet, Arc<Registry>>>,
-}
-
-impl Default for ShardedRegistry {
-    fn default() -> Self {
-        ShardedRegistry {
-            shards: crate::sync::TimedMutex::new("registry_shards", BTreeMap::new()),
-        }
-    }
-}
-
-impl ShardedRegistry {
-    /// An empty sharded registry.
-    pub fn new() -> Self {
-        ShardedRegistry::default()
-    }
-
-    /// The sub-registry for `labels`, created on first use. Callers should
-    /// hold the returned `Arc` and register their metrics once; updates are
-    /// then lock-free and local to the shard.
-    pub fn shard(&self, labels: &LabelSet) -> Arc<Registry> {
-        let mut shards = self.shards.lock();
-        if let Some(r) = shards.get(labels) {
-            return r.clone();
-        }
-        shards.entry(labels.clone()).or_default().clone()
-    }
-
-    /// Number of shards created so far.
-    pub fn shard_count(&self) -> usize {
-        self.shards.lock().len()
-    }
-
-    /// One dimensional snapshot of every shard: each shard's metric names
-    /// are qualified with the shard's labels (`name{link="3"}`); an
-    /// empty-label shard contributes its names unchanged.
-    pub fn merged_snapshot(&self) -> Snapshot {
-        let shards: Vec<(LabelSet, Arc<Registry>)> = self
-            .shards
-            .lock()
-            .iter()
-            .map(|(l, r)| (l.clone(), r.clone()))
-            .collect();
-        let mut merged = Snapshot::default();
-        for (labels, registry) in shards {
-            let snap = registry.snapshot();
-            for (k, v) in snap.counters {
-                merged.counters.insert(labels.qualify(&k), v);
-            }
-            for (k, v) in snap.gauges {
-                merged.gauges.insert(labels.qualify(&k), v);
-            }
-            for (k, v) in snap.histograms {
-                merged.histograms.insert(labels.qualify(&k), v);
-            }
-        }
-        merged
-    }
 }
 
 #[cfg(test)]
@@ -263,44 +178,6 @@ mod tests {
             &reg.counter("drift"),
             &reg.counter_with("drift", &LabelSet::empty())
         ));
-    }
-
-    #[test]
-    fn sharded_registry_merges_with_shard_labels() {
-        let sharded = ShardedRegistry::new();
-        for link in 0..3u32 {
-            let shard = sharded.shard(&LabelSet::link(link));
-            shard.counter("units").add(u64::from(link) + 1);
-            shard.gauge("depth").set(i64::from(link));
-        }
-        sharded.shard(&LabelSet::empty()).counter("units").add(100);
-        assert_eq!(sharded.shard_count(), 4);
-        let snap = sharded.merged_snapshot();
-        assert_eq!(snap.counter("units{link=\"0\"}"), 1);
-        assert_eq!(snap.counter("units{link=\"2\"}"), 3);
-        assert_eq!(snap.counter("units"), 100);
-        assert_eq!(snap.gauges["depth{link=\"1\"}"], 1);
-
-        // Same labels → same shard.
-        assert!(Arc::ptr_eq(
-            &sharded.shard(&LabelSet::link(1)),
-            &sharded.shard(&LabelSet::link(1))
-        ));
-    }
-
-    #[test]
-    fn snapshot_merge_overlays_other() {
-        let a = Registry::new();
-        a.counter("x").inc();
-        a.gauge("g").set(1);
-        let b = Registry::new();
-        b.counter("x").add(5);
-        b.counter("y{link=\"2\"}").add(2);
-        let mut snap = a.snapshot();
-        snap.merge(&b.snapshot());
-        assert_eq!(snap.counter("x"), 5); // collision: other wins
-        assert_eq!(snap.counter("y{link=\"2\"}"), 2);
-        assert_eq!(snap.gauges["g"], 1);
     }
 
     #[test]

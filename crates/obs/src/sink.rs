@@ -142,49 +142,6 @@ pub fn record_line(record: &crate::binfmt::TraceRecord, snapshot_ts_us: u64) -> 
     }
 }
 
-/// Tees every record to each of a list of sinks, in order.
-///
-/// Lets an always-on [`crate::flight::FlightRecorder`] ride alongside a
-/// user-requested `--trace` file sink without either knowing about the
-/// other.
-pub struct FanoutSink {
-    sinks: Vec<Arc<dyn EventSink>>,
-}
-
-impl FanoutSink {
-    /// A fan-out over `sinks` (empty is allowed and behaves like
-    /// [`NoopSink`]).
-    pub fn new(sinks: Vec<Arc<dyn EventSink>>) -> Self {
-        FanoutSink { sinks }
-    }
-}
-
-impl EventSink for FanoutSink {
-    fn emit(&self, event: &Event) {
-        for sink in &self.sinks {
-            sink.emit(event);
-        }
-    }
-
-    fn emit_decision(&self, record: &DecisionRecord) {
-        for sink in &self.sinks {
-            sink.emit_decision(record);
-        }
-    }
-
-    fn write_snapshot(&self, snapshot: &Snapshot) {
-        for sink in &self.sinks {
-            sink.write_snapshot(snapshot);
-        }
-    }
-
-    fn flush(&self) {
-        for sink in &self.sinks {
-            sink.flush();
-        }
-    }
-}
-
 static SINK_ACTIVE: AtomicBool = AtomicBool::new(false);
 
 fn sink_slot() -> &'static RwLock<Option<Arc<dyn EventSink>>> {
@@ -210,13 +167,6 @@ pub fn clear_sink() {
 #[inline]
 pub fn sink_active() -> bool {
     SINK_ACTIVE.load(Ordering::Relaxed)
-}
-
-/// The currently installed sink, if any. Used to compose: wrap the current
-/// sink together with another in a [`FanoutSink`] and [`set_sink`] the
-/// result.
-pub fn current_sink() -> Option<Arc<dyn EventSink>> {
-    sink_slot().read().clone()
 }
 
 /// Sends `event` to the installed sink, if any. When a thread-local
@@ -292,35 +242,6 @@ mod tests {
         sink.take_decisions();
         assert_eq!(sink.len(), 1);
         assert!(!sink.is_empty());
-    }
-
-    #[test]
-    fn fanout_tees_records_to_every_sink() {
-        let a = Arc::new(MemorySink::new());
-        let b = Arc::new(MemorySink::new());
-        let fan = FanoutSink::new(vec![
-            a.clone() as Arc<dyn EventSink>,
-            b.clone() as Arc<dyn EventSink>,
-        ]);
-        fan.emit(&Event::mark(1, "fan.test", BTreeMap::new()));
-        fan.emit_decision(&DecisionRecord::new("css.select"));
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 2);
-        assert_eq!(a.events_len(), 1);
-        assert_eq!(b.decisions_len(), 1);
-    }
-
-    #[test]
-    fn current_sink_returns_the_installed_sink() {
-        let _guard = crate::testing::lock();
-        clear_sink();
-        assert!(current_sink().is_none());
-        let sink = Arc::new(MemorySink::new());
-        set_sink(sink.clone());
-        let got = current_sink().expect("sink installed");
-        got.emit(&Event::mark(9, "current.test", BTreeMap::new()));
-        assert_eq!(sink.events_len(), 1);
-        clear_sink();
     }
 
     #[test]

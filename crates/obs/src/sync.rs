@@ -4,12 +4,9 @@
 //! [`TimedMutex`] wraps the workspace `parking_lot` mutex and counts
 //! acquisitions, contended acquisitions (the fast `try_lock` missed), and
 //! wait/hold times into log-histograms, all as labeled series
-//! (`lock.acquisitions{lock="live_monitor"}`, …) in the global registry.
-//! The wrapped locks are the real shared ones: [`crate::LiveMonitor`]'s
-//! state, the global trace writer ([`crate::BinSink`]),
-//! [`crate::FlightRecorder`]'s ring, and
-//! [`crate::ShardedRegistry`]'s shard map — the locks `talond`'s request
-//! path will stand behind.
+//! (`lock.acquisitions{lock="bin_sink"}`, …) in the global registry. The
+//! wrapped lock is the real shared one: the global trace writer
+//! ([`crate::BinSink`]).
 //!
 //! Cost model: the metric handles are resolved once at construction, so an
 //! uncontended acquisition adds two counter/histogram atomics and two
@@ -23,10 +20,9 @@ use parking_lot::{Mutex, MutexGuard};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The shared metric handles behind one named lock. Cloneable so related
-/// locks (e.g. every shard of a registry) can share one series.
-#[derive(Debug, Clone)]
-pub struct LockStats {
+/// The metric handles behind one named lock.
+#[derive(Debug)]
+struct LockStats {
     acquisitions: Arc<Counter>,
     contended: Arc<Counter>,
     wait_ns: Arc<Histogram>,
@@ -35,7 +31,7 @@ pub struct LockStats {
 
 impl LockStats {
     /// Registers (or re-resolves) the `lock.*{lock="name"}` series.
-    pub fn for_name(name: &str) -> LockStats {
+    fn for_name(name: &str) -> LockStats {
         let labels = LabelSet::from_pairs(&[("lock", name)]);
         LockStats {
             acquisitions: crate::counter_with("lock.acquisitions", &labels),
@@ -57,21 +53,10 @@ pub struct TimedMutex<T: ?Sized> {
 impl<T> TimedMutex<T> {
     /// A telemetered mutex named `name` (the `lock` label value).
     pub fn new(name: &str, value: T) -> Self {
-        TimedMutex::with_stats(LockStats::for_name(name), value)
-    }
-
-    /// A telemetered mutex sharing an existing stats handle (one series
-    /// for a family of locks, e.g. registry shards).
-    pub fn with_stats(stats: LockStats, value: T) -> Self {
         TimedMutex {
-            stats,
+            stats: LockStats::for_name(name),
             inner: Mutex::new(value),
         }
-    }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
     }
 }
 
@@ -97,11 +82,6 @@ impl<T: ?Sized> TimedMutex<T> {
             held_since: Instant::now(),
             guard,
         }
-    }
-
-    /// Mutable access without locking (exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
     }
 }
 
@@ -192,20 +172,6 @@ mod tests {
             wait.max >= 1_000_000,
             "waiter blocked ~20ms but max wait was {} ns",
             wait.max
-        );
-    }
-
-    #[test]
-    fn shared_stats_fold_a_lock_family_into_one_series() {
-        let stats = LockStats::for_name("sync_test_family");
-        let a = TimedMutex::with_stats(stats.clone(), ());
-        let b = TimedMutex::with_stats(stats, ());
-        drop(a.lock());
-        drop(b.lock());
-        let snap = crate::global().snapshot();
-        assert_eq!(
-            snap.counter(&series("lock.acquisitions", "sync_test_family")),
-            2
         );
     }
 }

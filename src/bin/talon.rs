@@ -12,27 +12,25 @@
 //! talon brd       --out codebook.brd [--seed N] | --check codebook.brd
 //! talon report    trace.bin [--tree | --flame | --quality | --json]
 //! talon replay    trace.bin [--threads N] [--perturb DB] [--patterns <file>]
-//! talon serve     [--metrics-addr HOST:PORT] [--sessions N] [--hold-ms MS] [--tick-ms MS] [--ticks N] [--inject-drift] [--links N] [--flight-dir DIR]
-//! talon top       --addr HOST:PORT [--frames N] [--interval-ms MS] [--window TICKS] [--by-link]
+//! talon profile   trace.bin [--hz N] [--threads N] [--repeat N]
 //! talon trace     convert <in.bin> <out.jsonl>
 //! talon soak      [--smoke] [--out BENCH_trace.json] [--check <baseline>]
 //! ```
 //!
-//! `record`, `analyze`, `sls` and `serve` accept `--trace <file>` to stream
-//! obs events in the CRC-framed binary trace format and append a final
-//! registry snapshot. `report` renders such a trace as summary tables, a
-//! causal span tree (`--tree`), folded flamegraph stacks (`--flame`), a
-//! per-session link-quality table (`--quality`), or one machine-readable
-//! JSON object (`--json`); `replay` re-executes the trace's recorded
-//! decisions and exits non-zero unless every one reproduces bit-exactly;
-//! `trace convert` exports a trace as JSON Lines (one-way); `soak`
-//! runs the record → account → replay trace soak and emits/gates
-//! `BENCH_trace.json`; `serve` exposes the registry as Prometheus text on
-//! a TCP endpoint while running training sessions, plus the live-monitor
-//! routes `/healthz`, `/alerts` and `/timeseries` backed by a tick-driven
-//! sampler and alert engine (`--inject-drift` runs the deterministic
-//! link-degradation drill); `top` renders a live terminal dashboard from a
-//! serving endpoint's `/timeseries` and `/alerts`.
+//! `record`, `analyze` and `sls` accept `--trace <file>` to stream obs
+//! events in the CRC-framed binary trace format and append a final
+//! registry snapshot; `talon sls --seed N --trace t.bin` records one
+//! training session. `report` renders such a trace as summary tables, a
+//! causal span tree (`--tree`), folded flamegraph stacks (`--flame`), the
+//! critical path (`--critical-path`), a per-session link-quality table
+//! (`--quality`), or one machine-readable JSON object (`--json`); `replay`
+//! re-executes the trace's recorded decisions and exits non-zero unless
+//! every one reproduces bit-exactly; `profile` replays them under the
+//! sampling profiler and prints folded stacks; `trace convert` exports a
+//! trace as JSON Lines (one-way); `soak` runs the record → account →
+//! replay trace soak and emits/gates `BENCH_trace.json`. Output goes
+//! through one locked stdout writer, so a reader that closes the pipe
+//! early (`| head -1`) ends the command cleanly.
 
 use chamber::{Campaign, CampaignConfig, SectorPatterns};
 use css::selection::{CompressiveSelection, CssConfig, DecisionOracle};
@@ -106,12 +104,7 @@ fn main() -> ExitCode {
         "profile" => cmd_profile(&positional, &opts),
         "trace" => cmd_trace(&positional),
         "soak" => cmd_soak(&opts),
-        "serve" => cmd_serve(&opts),
-        "top" => cmd_top(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "help" | "--help" | "-h" => print_line(USAGE),
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
     };
     if let Some(sink) = trace_sink {
@@ -137,11 +130,9 @@ commands:
   brd       --out <file> [--seed N]  |  --check <file>
   report    <trace.bin> [--tree | --flame | --critical-path [--top K] | --quality | --json]
   replay    <trace.bin> [--threads N] [--perturb DB] [--patterns <file>]
-  profile   <trace.bin> [--hz N] [--threads N] [--repeat N]  |  --attach HOST:PORT [--seconds N]
+  profile   <trace.bin> [--hz N] [--threads N] [--repeat N]
   trace     convert <in.bin> <out.jsonl>   (one-way JSON Lines export)
-  soak      [--decisions N] [--smoke] [--threads 1,2,8] [--keep <trace.bin>] [--out <bench.json>] [--check <baseline.json>] [--seed N]
-  serve     [--metrics-addr HOST:PORT] [--sessions N] [--hold-ms MS] [--tick-ms MS] [--ticks N] [--inject-drift] [--links N] [--flight-dir DIR] [--profile-hz N] [--profile-out <file>] [--seed N]
-  top       --addr HOST:PORT [--frames N] [--interval-ms MS] [--window TICKS] [--by-link]";
+  soak      [--decisions N] [--smoke] [--threads 1,2,8] [--keep <trace.bin>] [--out <bench.json>] [--check <baseline.json>] [--seed N]";
 
 /// Options that never take a value: `--json t.bin` is a switch followed
 /// by a positional trace path, not `json = "t.bin"`.
@@ -153,8 +144,6 @@ const SWITCHES: &[&str] = &[
     "critical-path",
     "paper",
     "smoke",
-    "inject-drift",
-    "by-link",
 ];
 
 /// Parses `--key value` and bare `--flag` options, returning them with the
@@ -299,26 +288,20 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        eval::ascii::table(
-            &[
-                "M",
-                "CSS stability",
-                "SSW stability",
-                "CSS loss dB",
-                "SSW loss dB"
-            ],
-            &rows
-        )
-    );
-    Ok(())
+    print_line(eval::ascii::table(
+        &[
+            "M",
+            "CSS stability",
+            "SSW stability",
+            "CSS loss dB",
+            "SSW loss dB",
+        ],
+        &rows,
+    ))
 }
 
 fn cmd_sls(opts: &HashMap<String, String>) -> Result<(), String> {
-    let summary = run_sls_session(opts, seed_of(opts))?;
-    println!("{summary}");
-    Ok(())
+    print_line(run_sls_session(opts, seed_of(opts))?)
 }
 
 /// Runs one full training session (the trace root `css.session`: probe
@@ -522,7 +505,7 @@ fn cmd_report(positional: &[String], opts: &HashMap<String, String>) -> Result<(
 /// Runs `write` against one locked, buffered stdout. A reader that closes
 /// the pipe early (`talon report t.bin | head`, `| grep -q`) wanted no
 /// more output, so a broken pipe ends the command cleanly instead of
-/// panicking in `println!`.
+/// panicking in `println!`. Every command prints through here.
 fn write_stdout(
     write: impl FnOnce(&mut dyn std::io::Write) -> std::io::Result<()>,
 ) -> Result<(), String> {
@@ -532,6 +515,11 @@ fn write_stdout(
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
         Err(e) => Err(format!("writing to stdout: {e}")),
     }
+}
+
+/// [`write_stdout`] for one line.
+fn print_line(line: impl std::fmt::Display) -> Result<(), String> {
+    write_stdout(|out| writeln!(out, "{line}"))
 }
 
 /// Renders the `report` view `opts` selects for `trace` to `out`.
@@ -910,32 +898,35 @@ fn cmd_replay(positional: &[String], opts: &HashMap<String, String>) -> Result<(
         config.patterns_override = Some(patterns);
     }
     let report = eval::replay::replay_trace(&trace, &config);
-    if opts.contains_key("json") {
-        println!("{}", Serialize::serialize(&report).to_json());
-    } else {
-        println!("{}", report.summary());
+    write_stdout(|out| {
+        if opts.contains_key("json") {
+            return writeln!(out, "{}", Serialize::serialize(&report).to_json());
+        }
+        writeln!(out, "{}", report.summary())?;
         const SHOWN: usize = 20;
         for d in report.divergent.iter().take(SHOWN) {
-            println!(
+            writeln!(
+                out,
                 "  decision {} (session {}): {} recorded {} recomputed {}",
                 d.index, d.trace_id, d.field, d.expected, d.actual
-            );
+            )?;
         }
         if report.divergent.len() > SHOWN {
-            println!("  … and {} more", report.divergent.len() - SHOWN);
+            writeln!(out, "  … and {} more", report.divergent.len() - SHOWN)?;
         }
-    }
+        if !report.is_clean() {
+            Ok(())
+        } else if report.skipped_non_replayable > 0 {
+            writeln!(
+                out,
+                "replay OK: {} decision(s) reproduced bit-exactly, {} skipped as non-replayable",
+                report.replayed, report.skipped_non_replayable
+            )
+        } else {
+            writeln!(out, "replay OK: every decision reproduced bit-exactly")
+        }
+    })?;
     if report.is_clean() {
-        if !opts.contains_key("json") {
-            if report.skipped_non_replayable > 0 {
-                println!(
-                    "replay OK: {} decision(s) reproduced bit-exactly, {} skipped as non-replayable",
-                    report.replayed, report.skipped_non_replayable
-                );
-            } else {
-                println!("replay OK: every decision reproduced bit-exactly");
-            }
-        }
         Ok(())
     } else {
         Err(format!(
@@ -947,35 +938,16 @@ fn cmd_replay(positional: &[String], opts: &HashMap<String, String>) -> Result<(
     }
 }
 
-/// `talon profile`: folded flame stacks from the sampling profiler.
-///
-/// Two modes: `--attach HOST:PORT` windows a live endpoint's attached
-/// profiler through `/profile?seconds=N`; a positional trace file replays
-/// its decisions under a local profiler (the trace provides the workload,
-/// the profiler watches the real estimator/replay code run it). Folded
-/// stacks go to stdout in the exact format `talon report --flame` emits,
-/// ready for inferno-flamegraph / flamegraph.pl.
+/// `talon profile <trace.bin>`: folded flame stacks from the sampling
+/// profiler. The trace's decisions are replayed under a local profiler
+/// (the trace provides the workload, the profiler watches the real
+/// estimator/replay code run it). Folded stacks go to stdout in the exact
+/// format `talon report --flame` emits, ready for inferno-flamegraph /
+/// flamegraph.pl.
 fn cmd_profile(positional: &[String], opts: &HashMap<String, String>) -> Result<(), String> {
-    if let Some(addr) = opts.get("attach") {
-        if addr == "true" {
-            return Err("--attach needs HOST:PORT".into());
-        }
-        let seconds: u64 = opts
-            .get("seconds")
-            .map(|s| s.parse().map_err(|_| "bad --seconds"))
-            .transpose()?
-            .unwrap_or(0);
-        let body = http_get_timeout(
-            addr,
-            &format!("/profile?seconds={seconds}"),
-            std::time::Duration::from_secs(seconds + 10),
-        )?;
-        print!("{body}");
-        return Ok(());
-    }
     let path = positional
         .first()
-        .ok_or("profile needs a trace file or --attach HOST:PORT")?;
+        .ok_or("profile needs a trace file: talon profile <trace.bin>")?;
     let trace = obs::open_trace(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
     if trace.decisions.is_empty() {
         return Err(format!(
@@ -1075,14 +1047,13 @@ fn convert_trace(input: &str, output: &str) -> Result<(), String> {
     }
     let size = |p: &str| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
     let (in_bytes, out_bytes) = (size(input), size(output));
-    println!(
+    print_line(format_args!(
         "converted {input} → {output}: {} record(s) ({events} event(s), {decisions} \
          decision(s), {snapshots} snapshot(s)); {in_bytes} → {out_bytes} bytes \
          (JSONL {:.2}× larger)",
         events + decisions + snapshots,
         out_bytes as f64 / in_bytes.max(1) as f64,
-    );
-    Ok(())
+    ))
 }
 
 /// Keys every `BENCH_trace.json` must carry (the `--check` contract).
@@ -1140,7 +1111,15 @@ fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), String> {
         seed: seed_of(opts),
         keep: opts.get("keep").map(std::path::PathBuf::from),
     };
-    let report = eval::run_soak(&config, |line| println!("{line}"))?;
+    // Progress lines stop at the first write error; the soak still runs
+    // to the end and writes its --out file.
+    let mut progress = Ok(());
+    let report = eval::run_soak(&config, |line| {
+        if progress.is_ok() {
+            progress = print_line(line);
+        }
+    })?;
+    progress?;
 
     let replay_1t = report
         .replay
@@ -1185,8 +1164,7 @@ fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), String> {
         .cloned()
         .unwrap_or_else(|| "BENCH_trace.json".into());
     std::fs::write(&out, &json).map_err(|e| format!("writing {out}: {e}"))?;
-    println!("{json}");
-    println!("wrote {out}");
+    write_stdout(|o| writeln!(o, "{json}\nwrote {out}"))?;
 
     if let Some(baseline_path) = opts.get("check") {
         let baseline = std::fs::read_to_string(baseline_path)
@@ -1226,7 +1204,7 @@ fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), String> {
             }
             return Err(message);
         }
-        println!("check against {baseline_path}: OK");
+        print_line(format_args!("check against {baseline_path}: OK"))?;
     }
     Ok(())
 }
@@ -1261,539 +1239,15 @@ fn print_health_summary(out: &mut dyn std::io::Write, trace: &obs::Trace) -> std
     )
 }
 
-fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
-    let addr = opts
-        .get("metrics-addr")
-        .map(String::as_str)
-        .unwrap_or("127.0.0.1:0");
-    let sessions: usize = opts
-        .get("sessions")
-        .map(|s| s.parse().map_err(|_| "bad --sessions"))
-        .transpose()?
-        .unwrap_or(4);
-    let hold_ms: Option<u64> = opts
-        .get("hold-ms")
-        .map(|s| s.parse().map_err(|_| "bad --hold-ms"))
-        .transpose()?;
-    let tick_ms: u64 = opts
-        .get("tick-ms")
-        .map(|s| s.parse().map_err(|_| "bad --tick-ms"))
-        .transpose()?
-        .unwrap_or(1000);
-    if tick_ms == 0 {
-        return Err("--tick-ms must be at least 1".into());
-    }
-    let max_ticks: Option<u64> = opts
-        .get("ticks")
-        .map(|s| s.parse().map_err(|_| "bad --ticks"))
-        .transpose()?;
-    let links: u64 = opts
-        .get("links")
-        .map(|s| s.parse().map_err(|_| "bad --links"))
-        .transpose()?
-        .unwrap_or(3);
-    let flight_dir = opts
-        .get("flight-dir")
-        .map(String::as_str)
-        .unwrap_or(".")
-        .to_string();
-    std::fs::create_dir_all(&flight_dir)
-        .map_err(|e| format!("cannot create --flight-dir {flight_dir}: {e}"))?;
-    // Pre-register the health counters so the exposition carries the
-    // link-health series (at zero) even before the first anomaly.
-    obs::health::register_known_kinds();
-    let monitor = std::sync::Arc::new(obs::LiveMonitor::new(
-        obs::SamplerConfig {
-            tick_ms,
-            ..obs::SamplerConfig::default()
-        },
-        obs::default_rules(),
-    ));
-    // Always-on flight recorder: every event/decision/snapshot lands in a
-    // bounded in-memory ring, teed alongside any `--trace` sink, and
-    // dumped to `<flight-dir>/flight-<rule>-<seq>.bin` when an alert
-    // transitions into firing (or the process panics).
-    let flight = std::sync::Arc::new(obs::FlightRecorder::new(obs::FlightConfig {
-        dir: flight_dir.into(),
-        ..obs::FlightConfig::default()
-    }));
-    let flight_sink: std::sync::Arc<dyn obs::EventSink> = flight.clone();
-    match obs::current_sink() {
-        Some(existing) => obs::set_sink(std::sync::Arc::new(obs::FanoutSink::new(vec![
-            existing,
-            flight_sink,
-        ]))),
-        None => obs::set_sink(flight_sink),
-    }
-    obs::flight::install_panic_hook(&flight);
-    monitor.attach_flight(std::sync::Arc::clone(&flight));
-    // `--profile-hz N`: run the sampling profiler for the life of the
-    // server and expose it on `/profile`; `--profile-out <file>` also
-    // writes the accumulated folded stacks at exit.
-    let profiler: Option<std::sync::Arc<obs::Profiler>> = match opts.get("profile-hz") {
-        Some(hz) => {
-            let hz: u64 = hz.parse().map_err(|_| "bad --profile-hz")?;
-            let p = std::sync::Arc::new(obs::Profiler::start_hz(hz.max(1)));
-            monitor.attach_profiler(std::sync::Arc::clone(&p));
-            Some(p)
-        }
-        None => None,
-    };
-    if opts.contains_key("profile-out") && profiler.is_none() {
-        return Err("--profile-out needs --profile-hz".into());
-    }
-    // Per-link metric shards: each link's monitor writes plain-named
-    // series into its own lock-local registry; the labels appear when the
-    // monitor merges the shards into its sampled snapshot.
-    let shards = std::sync::Arc::new(obs::ShardedRegistry::new());
-    monitor.attach_shards(std::sync::Arc::clone(&shards));
-    let server = obs::MetricsServer::start_with_monitor(addr, std::sync::Arc::clone(&monitor))
-        .map_err(|e| format!("binding {addr}: {e}"))?;
-    println!("serving metrics on http://{}/metrics", server.local_addr());
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
-    let seed = seed_of(opts);
-    for i in 0..sessions {
-        let summary = run_sls_session(opts, seed + i as u64)?;
-        eprintln!("session {i}: {summary}");
-    }
-
-    let result = if opts.contains_key("inject-drift") {
-        run_drift_drill(&monitor, &shards, links, tick_ms, max_ticks, hold_ms)
-    } else {
-        // Production path: a timer thread ticks the sampler/alert engine
-        // at the configured cadence while this thread holds the process
-        // open.
-        let _ticker = monitor.start_ticker(std::time::Duration::from_millis(tick_ms));
-        let start = std::time::Instant::now();
-        loop {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            if let Some(n) = max_ticks {
-                if monitor.ticks() >= n {
-                    break;
-                }
-            }
-            if let Some(ms) = hold_ms {
-                if start.elapsed() >= std::time::Duration::from_millis(ms) {
-                    break;
-                }
-            }
-        }
-        Ok(())
-    };
-    if let (Some(profiler), Some(out)) = (&profiler, opts.get("profile-out")) {
-        std::fs::write(out, profiler.folded_text())
-            .map_err(|e| format!("writing --profile-out {out}: {e}"))?;
-        eprintln!(
-            "profile: {} sample pass(es) written to {out}",
-            profiler.passes()
-        );
-    }
-    result
-}
-
-/// The `--inject-drift` drill: drives the sampler tick-by-tick from this
-/// thread (no timer races) while [`netsim::DriftProfile`]s degrade and
-/// recover the links through quality monitors. The aggregate (unlabeled)
-/// monitor follows the stock [`netsim::DriftProfile::demo`] step, which
-/// keeps the single `/healthz` 503 episode of the original drill; each of
-/// the `links` fleet links additionally runs a staggered
-/// [`netsim::DriftProfile::demo_link`] profile through a shard-homed
-/// monitor, so per-link labeled series and the per-link template alerts
-/// fire at their own deterministic ticks. Every alert edge is printed with
-/// its tick number, so two runs with the same flags produce byte-identical
-/// `alert …` lines — the acceptance contract for the monitoring pipeline.
-/// Wall-clock sleeps only pace the ticks (so scrapes can watch `/healthz`
-/// flip); they never influence what happens at one.
-fn run_drift_drill(
-    monitor: &obs::LiveMonitor,
-    shards: &obs::ShardedRegistry,
-    links: u64,
-    tick_ms: u64,
-    max_ticks: Option<u64>,
-    hold_ms: Option<u64>,
-) -> Result<(), String> {
-    use std::io::Write as _;
-    let profile = netsim::DriftProfile::demo();
-    let ticks = max_ticks.unwrap_or(45);
-    let mut quality = obs::QualityMonitor::new();
-    let mut fleet: Vec<(netsim::DriftProfile, obs::QualityMonitor)> = (0..links)
-        .map(|i| {
-            let shard = shards.shard(&obs::LabelSet::link(i));
-            (
-                netsim::DriftProfile::demo_link(i),
-                obs::QualityMonitor::for_shard(&shard),
-            )
-        })
-        .collect();
-    let mut edges = 0usize;
-    for tick in 0..ticks {
-        quality.record_loss(tick as f64, profile.loss_at(tick));
-        for (link_profile, link_quality) in fleet.iter_mut() {
-            link_quality.record_loss(tick as f64, link_profile.loss_at(tick));
-        }
-        for t in monitor.tick() {
-            edges += 1;
-            println!(
-                "tick {}: alert {} {}->{} (value {:.1})",
-                t.tick, t.rule, t.from, t.to, t.value
-            );
-            std::io::stdout().flush().ok();
-        }
-        std::thread::sleep(std::time::Duration::from_millis(tick_ms));
-    }
-    println!("drift drill complete: {edges} transition(s) over {ticks} tick(s)");
-    std::io::stdout().flush().ok();
-    if let Some(ms) = hold_ms {
-        std::thread::sleep(std::time::Duration::from_millis(ms));
-    }
-    Ok(())
-}
-
-/// Renders `values` as a unicode block sparkline, scaled to its own
-/// min..max (a flat series renders as all-low blocks).
-fn sparkline(values: &[f64]) -> String {
-    const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &v in values {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    values
-        .iter()
-        .map(|&v| {
-            let frac = if hi > lo { (v - lo) / (hi - lo) } else { 0.0 };
-            BLOCKS[((frac * 7.0).round() as usize).min(7)]
-        })
-        .collect()
-}
-
-/// One HTTP/1.1 GET over a raw TCP stream (the workspace has no HTTP
-/// client); returns the response body.
-fn http_get(addr: &str, path: &str) -> Result<String, String> {
-    http_get_timeout(addr, path, std::time::Duration::from_secs(5))
-}
-
-/// [`http_get`] with an explicit read timeout — windowed `/profile`
-/// captures legitimately hold the connection for the whole window.
-fn http_get_timeout(
-    addr: &str,
-    path: &str,
-    timeout: std::time::Duration,
-) -> Result<String, String> {
-    use std::io::{Read as _, Write as _};
-    let mut stream =
-        std::net::TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-    stream.set_read_timeout(Some(timeout)).ok();
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )
-    .map_err(|e| format!("sending request to {addr}: {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("reading from {addr}: {e}"))?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("malformed response from {addr}"))?;
-    let status = head.lines().next().unwrap_or_default();
-    // /healthz legitimately answers 503; the dashboard still wants the
-    // body. Anything else non-200 is an error worth surfacing.
-    if !status.contains(" 200 ") && !status.contains(" 503 ") {
-        return Err(format!("{path}: {status}"));
-    }
-    Ok(body.to_string())
-}
-
-/// `talon top`: a plain-ANSI live dashboard over a serving endpoint's
-/// `/timeseries` overview and `/alerts`.
-fn cmd_top(opts: &HashMap<String, String>) -> Result<(), String> {
-    let addr = opts
-        .get("addr")
-        .ok_or("top needs --addr HOST:PORT (from `talon serve`)")?;
-    let frames: u64 = opts
-        .get("frames")
-        .map(|s| s.parse().map_err(|_| "bad --frames"))
-        .transpose()?
-        .unwrap_or(0); // 0 = until killed
-    let interval_ms: u64 = opts
-        .get("interval-ms")
-        .map(|s| s.parse().map_err(|_| "bad --interval-ms"))
-        .transpose()?
-        .unwrap_or(1000);
-    let window: u64 = opts
-        .get("window")
-        .map(|s| s.parse().map_err(|_| "bad --window"))
-        .transpose()?
-        .unwrap_or(60);
-    let by_link = opts.contains_key("by-link");
-    // One clear line on a dead or wrong endpoint beats a raw io error (or
-    // worse, an empty dashboard): name the address and what to check.
-    let fetch = |path: &str| -> Result<String, String> {
-        http_get(addr, path)
-            .map_err(|e| format!("cannot scrape {addr} ({e}); is `talon serve` running there?"))
-    };
-    let mut frame = 0u64;
-    loop {
-        let alerts = fetch("/alerts")?;
-        let screen = if by_link {
-            let links = fetch(&format!("/links?window={window}"))?;
-            render_top_links(addr, window, &links, &alerts)?
-        } else {
-            let overview = fetch(&format!("/timeseries?window={window}"))?;
-            render_top(addr, window, &overview, &alerts)?
-        };
-        if frames != 1 {
-            // Clear + home between frames; a single-frame run (tests,
-            // scripts) stays pipe-friendly.
-            print!("\x1b[2J\x1b[H");
-        }
-        println!("{screen}");
-        frame += 1;
-        if frames != 0 && frame >= frames {
-            return Ok(());
-        }
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms));
-    }
-}
-
-/// Appends the firing-alerts block shared by both `talon top` views.
-fn push_firing_block(out: &mut String, alerts: &Value) {
-    let firing: Vec<String> = alerts
-        .get("alerts")
-        .and_then(Value::as_seq)
-        .unwrap_or(&[])
-        .iter()
-        .filter(|a| a.get("state").and_then(Value::as_str) == Some("firing"))
-        .map(|a| {
-            format!(
-                "{} [{}] value {:.1}",
-                a.get("name").and_then(Value::as_str).unwrap_or("?"),
-                a.get("severity").and_then(Value::as_str).unwrap_or("?"),
-                a.get("value").and_then(Value::as_f64).unwrap_or(f64::NAN),
-            )
-        })
-        .collect();
-    if firing.is_empty() {
-        out.push_str("alerts: none firing\n");
-    } else {
-        out.push_str("ALERTS FIRING:\n");
-        for f in &firing {
-            out.push_str(&format!("  ! {f}\n"));
-        }
-    }
-}
-
-/// Builds one `talon top --by-link` frame from the `/links` rollup and
-/// `/alerts` JSON payloads: one row per link, worst first.
-fn render_top_links(addr: &str, window: u64, links: &str, alerts: &str) -> Result<String, String> {
-    let links = Value::from_json(links).map_err(|e| format!("parsing /links: {e:?}"))?;
-    let alerts = Value::from_json(alerts).map_err(|e| format!("parsing /alerts: {e:?}"))?;
-    let tick = links.get("tick").and_then(Value::as_u64).unwrap_or(0);
-    let count = links.get("count").and_then(Value::as_u64).unwrap_or(0);
-    let mut out =
-        format!("talon top — {addr}  tick {tick}  window {window}  links {count} (worst first)\n");
-    push_firing_block(&mut out, &alerts);
-    let mut rows = Vec::new();
-    for l in links.get("links").and_then(Value::as_seq).unwrap_or(&[]) {
-        let firing = l
-            .get("firing")
-            .and_then(Value::as_seq)
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(Value::as_str)
-            .collect::<Vec<_>>()
-            .join(" ");
-        rows.push(vec![
-            l.get("link")
-                .and_then(Value::as_str)
-                .unwrap_or("?")
-                .to_string(),
-            l.get("snr_loss_mdb")
-                .and_then(Value::as_i64)
-                .map_or_else(|| "-".into(), |v| v.to_string()),
-            l.get("misselection_ppm")
-                .and_then(Value::as_i64)
-                .map_or_else(|| "-".into(), |v| v.to_string()),
-            l.get("drift_total")
-                .and_then(Value::as_u64)
-                .unwrap_or(0)
-                .to_string(),
-            l.get("drift_rate_per_tick")
-                .and_then(Value::as_f64)
-                .map_or_else(|| "-".into(), |r| format!("{r:.3}")),
-            if firing.is_empty() {
-                "-".into()
-            } else {
-                firing
-            },
-        ]);
-    }
-    if rows.is_empty() {
-        out.push_str("no link-labeled series sampled yet\n");
-    } else {
-        out.push_str(&eval::ascii::table(
-            &[
-                "link",
-                "snr loss mdB",
-                "missel ppm",
-                "drift",
-                "drift/tick",
-                "firing",
-            ],
-            &rows,
-        ));
-    }
-    Ok(out)
-}
-
-/// Builds one `talon top` frame from the `/timeseries` overview and
-/// `/alerts` JSON payloads.
-fn render_top(addr: &str, window: u64, overview: &str, alerts: &str) -> Result<String, String> {
-    let overview = Value::from_json(overview).map_err(|e| format!("parsing /timeseries: {e:?}"))?;
-    let alerts = Value::from_json(alerts).map_err(|e| format!("parsing /alerts: {e:?}"))?;
-    let tick = overview.get("tick").and_then(Value::as_u64).unwrap_or(0);
-    let tick_ms = overview.get("tick_ms").and_then(Value::as_u64).unwrap_or(0);
-    let mut out = format!("talon top — {addr}  tick {tick} ({tick_ms} ms/tick)  window {window}\n");
-
-    push_firing_block(&mut out, &alerts);
-
-    let spark_of = |v: &Value, key: &str| -> String {
-        let values: Vec<f64> = v
-            .get(key)
-            .and_then(Value::as_seq)
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(Value::as_f64)
-            .collect();
-        sparkline(&values)
-    };
-    let mut rows = Vec::new();
-    for c in overview
-        .get("counters")
-        .and_then(Value::as_seq)
-        .unwrap_or(&[])
-    {
-        rows.push(vec![
-            c.get("name")
-                .and_then(Value::as_str)
-                .unwrap_or("?")
-                .to_string(),
-            c.get("value")
-                .and_then(Value::as_u64)
-                .unwrap_or(0)
-                .to_string(),
-            c.get("rate_per_s")
-                .and_then(Value::as_f64)
-                .map_or_else(|| "-".into(), |r| format!("{r:.2}")),
-            spark_of(c, "deltas"),
-        ]);
-    }
-    if !rows.is_empty() {
-        out.push_str(&eval::ascii::table(
-            &["counter", "value", "rate/s", "trend"],
-            &rows,
-        ));
-        out.push('\n');
-    }
-
-    let mut rows = Vec::new();
-    for g in overview
-        .get("gauges")
-        .and_then(Value::as_seq)
-        .unwrap_or(&[])
-    {
-        rows.push(vec![
-            g.get("name")
-                .and_then(Value::as_str)
-                .unwrap_or("?")
-                .to_string(),
-            g.get("last")
-                .and_then(Value::as_i64)
-                .unwrap_or(0)
-                .to_string(),
-            g.get("min")
-                .and_then(Value::as_i64)
-                .unwrap_or(0)
-                .to_string(),
-            g.get("mean")
-                .and_then(Value::as_f64)
-                .map_or_else(|| "-".into(), |m| format!("{m:.1}")),
-            g.get("max")
-                .and_then(Value::as_i64)
-                .unwrap_or(0)
-                .to_string(),
-            spark_of(g, "points"),
-        ]);
-    }
-    if !rows.is_empty() {
-        out.push_str(&eval::ascii::table(
-            &["gauge", "last", "min", "mean", "max", "trend"],
-            &rows,
-        ));
-        out.push('\n');
-    }
-
-    let mut rows = Vec::new();
-    for h in overview
-        .get("histograms")
-        .and_then(Value::as_seq)
-        .unwrap_or(&[])
-    {
-        let count = h.get("count").and_then(Value::as_u64).unwrap_or(0);
-        if count == 0 {
-            continue; // nothing recorded in the window — noise on screen
-        }
-        rows.push(vec![
-            h.get("name")
-                .and_then(Value::as_str)
-                .unwrap_or("?")
-                .to_string(),
-            count.to_string(),
-            h.get("mean")
-                .and_then(Value::as_f64)
-                .map_or_else(|| "-".into(), |m| format!("{m:.1}")),
-            h.get("p50")
-                .and_then(Value::as_u64)
-                .unwrap_or(0)
-                .to_string(),
-            h.get("p95")
-                .and_then(Value::as_u64)
-                .unwrap_or(0)
-                .to_string(),
-            h.get("p99")
-                .and_then(Value::as_u64)
-                .unwrap_or(0)
-                .to_string(),
-        ]);
-    }
-    if !rows.is_empty() {
-        out.push_str(&eval::ascii::table(
-            &[
-                "histogram (window)",
-                "count",
-                "mean µs",
-                "p50",
-                "p95",
-                "p99",
-            ],
-            &rows,
-        ));
-    }
-    Ok(out)
-}
-
 fn cmd_brd(opts: &HashMap<String, String>) -> Result<(), String> {
     if let Some(path) = opts.get("check") {
         let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
         let cb = talon_array::brd::from_brd(&bytes).map_err(|e| format!("parsing {path}: {e}"))?;
-        println!(
+        return print_line(format_args!(
             "{path}: valid board file, {} sectors ({} transmit)",
             cb.sectors().len(),
             cb.num_tx_sectors()
-        );
-        return Ok(());
+        ));
     }
     let out = opts
         .get("out")
@@ -1802,12 +1256,11 @@ fn cmd_brd(opts: &HashMap<String, String>) -> Result<(), String> {
     let device = Device::talon(seed);
     let bytes = talon_array::brd::to_brd(&device.codebook);
     std::fs::write(out, &bytes).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
+    print_line(format_args!(
         "wrote {} bytes ({} sectors) to {out}",
         bytes.len(),
         device.codebook.sectors().len()
-    );
-    Ok(())
+    ))
 }
 
 #[cfg(test)]

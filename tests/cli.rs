@@ -147,28 +147,6 @@ fn full_cli_workflow() {
 }
 
 #[test]
-fn top_fails_fast_with_one_clear_line_when_endpoint_is_unreachable() {
-    // Port 1 is reserved and nothing listens on it: `talon top` must exit
-    // non-zero with a single actionable error line, not a raw io backtrace
-    // or an empty dashboard.
-    let out = talon()
-        .args(["top", "--addr", "127.0.0.1:1", "--frames", "1"])
-        .output()
-        .expect("run top against a dead endpoint");
-    assert!(!out.status.success(), "dead endpoint is an error");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(stderr.lines().count(), 1, "one line, not a dump: {stderr}");
-    assert!(
-        stderr.contains("127.0.0.1:1") && stderr.contains("talon serve"),
-        "names the address and the fix: {stderr}"
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stdout).is_empty(),
-        "no partial dashboard on stdout"
-    );
-}
-
-#[test]
 fn report_json_counts_kernel_paths_across_decisions() {
     let dir = workdir("report_json_counts_kernel_paths_across_decisions");
     let trace = dir.join("kernel-paths.bin");
@@ -311,31 +289,28 @@ fn exported_jsonl_is_exactly_what_the_soak_prices() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn report_exits_cleanly_when_its_reader_closes_the_pipe() {
+/// Runs `talon <args>` under two readers that close the pipe early: one
+/// that takes one line and leaves (`| head -n 1`), and one that is gone
+/// before the first write (`| grep -q` on a fast match), which makes the
+/// write fail with a broken pipe every time. Both must exit 0 with no
+/// panic.
+fn assert_exits_cleanly_when_its_reader_closes_the_pipe(args: &[&str]) {
     use std::io::BufRead;
     use std::process::Stdio;
-    let fixture = fixture();
-    let spawn = || {
-        talon()
-            .args(["report", fixture.to_str().unwrap()])
+    for read_first_line in [true, false] {
+        let mut child = talon()
+            .args(args)
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
-            .expect("spawn talon report")
-    };
-    // A reader that takes one line and leaves (`| head -n 1`), and one
-    // that is gone before the first write (`| grep -q` on a fast match),
-    // which makes the write fail with a broken pipe every time.
-    for read_first_line in [true, false] {
-        let mut child = spawn();
+            .expect("spawn talon");
         let stdout = child.stdout.take().expect("piped stdout");
         if read_first_line {
             let mut line = String::new();
             std::io::BufReader::new(stdout)
                 .read_line(&mut line)
                 .expect("read one line");
-            assert!(!line.is_empty(), "report printed nothing");
+            assert!(!line.is_empty(), "talon {args:?} printed nothing");
         } else {
             drop(stdout);
         }
@@ -343,9 +318,21 @@ fn report_exits_cleanly_when_its_reader_closes_the_pipe() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
             out.status.success(),
-            "read_first_line={read_first_line}: {:?}\n{stderr}",
+            "talon {args:?}, read_first_line={read_first_line}: {:?}\n{stderr}",
             out.status
         );
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
+}
+
+#[test]
+fn report_exits_cleanly_when_its_reader_closes_the_pipe() {
+    let fixture = fixture();
+    assert_exits_cleanly_when_its_reader_closes_the_pipe(&["report", fixture.to_str().unwrap()]);
+}
+
+#[test]
+fn replay_exits_cleanly_when_its_reader_closes_the_pipe() {
+    let fixture = fixture();
+    assert_exits_cleanly_when_its_reader_closes_the_pipe(&["replay", fixture.to_str().unwrap()]);
 }

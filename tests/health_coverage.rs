@@ -1,5 +1,6 @@
 //! Every `health::anomaly` emitter in the workspace fires under a
-//! constructed scenario.
+//! constructed scenario, and the last test checks that this file covers
+//! every kind the workspace's source emits.
 //!
 //! Each test drives the real producing layer (not `obs::health` directly)
 //! and asserts the `health.<kind>` counter moved. Counters bump with or
@@ -287,58 +288,71 @@ fn misselection_fires_when_a_selection_gives_up_real_snr() {
     );
 }
 
-#[test]
-fn alert_firing_fires_when_a_rule_reaches_the_firing_state() {
-    // The real producing layer is the alert engine: a sustained breach of
-    // a value rule walks pending → firing, and the firing edge reports the
-    // `alert_firing` anomaly.
-    use obs::alert::{Predicate, Rule, Severity};
-    let monitor = obs::LiveMonitor::new(
-        obs::SamplerConfig::default(),
-        vec![Rule {
-            name: "health_cov_high".into(),
-            severity: Severity::Page,
-            predicate: Predicate::ValueAbove {
-                metric: "health_cov.gauge".into(),
-                threshold: 5.0,
-            },
-            for_ticks: 2,
-            clear_below: 1.0,
-            clear_for_ticks: 2,
-        }],
-    );
-    let mut snap = obs::Snapshot::default();
-    snap.gauges.insert("health_cov.gauge".to_string(), 50);
-    let before = counter("health.alert_firing");
-    monitor.tick_with(&snap);
-    monitor.tick_with(&snap);
-    assert!(
-        counter("health.alert_firing") > before,
-        "the firing edge reports an anomaly"
-    );
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The anomaly kinds the workspace's non-test code emits: the string
+/// literal passed to each `health::anomaly`, `health::anomaly_n` or
+/// `health::tally` call under `src/` and `crates/*/src`.
+fn emitted_kinds() -> std::collections::BTreeSet<String> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_sources(&root.join("src"), &mut files);
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+        let src = krate.expect("dir entry").path().join("src");
+        if src.is_dir() {
+            rust_sources(&src, &mut files);
+        }
+    }
+    let mut kinds = std::collections::BTreeSet::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("readable source");
+        for call in ["health::anomaly(", "health::anomaly_n(", "health::tally("] {
+            for (at, _) in text.match_indices(call) {
+                let rest = text[at + call.len()..].trim_start();
+                if let Some(kind) = rest.strip_prefix('"').and_then(|r| r.split('"').next()) {
+                    kinds.insert(kind.to_string());
+                }
+            }
+        }
+    }
+    kinds
 }
 
 #[test]
 fn known_kinds_cover_every_emitter_exercised_here() {
-    // The pre-registration list `talon serve` exposes must name every
-    // kind these tests fire (a new emitter must be added to KNOWN_KINDS).
-    for kind in [
-        "snr_clamped",
-        "missing_probe",
-        "outlier_residual",
-        "export_gap",
-        "ring_overflow",
-        "link_outage",
-        "airtime_saturated",
-        "trace_corrupt",
-        "trace_write_failed",
-        "link_drift",
-        "misselection",
-        "alert_firing",
-    ] {
+    // Each anomaly kind the workspace emits has a `<kind>_fires_…` test in
+    // this file, and each such test names a kind that is still emitted.
+    let this_file = include_str!("health_coverage.rs");
+    let kinds = emitted_kinds();
+    assert!(
+        kinds.len() >= 11,
+        "source scan found the emitters: {kinds:?}"
+    );
+    for kind in &kinds {
         assert!(
-            obs::health::KNOWN_KINDS.contains(&kind),
-            "{kind} missing from KNOWN_KINDS"
+            this_file.contains(&format!("fn {kind}_fires_")),
+            "anomaly kind {kind} has no firing test here"
         );
+    }
+    for line in this_file.lines() {
+        let Some(name) = line.strip_prefix("fn ") else {
+            continue;
+        };
+        if let Some((kind, _)) = name.split_once("_fires_") {
+            assert!(
+                kinds.contains(kind),
+                "{kind} is no longer emitted: {kinds:?}"
+            );
+        }
     }
 }

@@ -10,10 +10,12 @@
 //!
 //! The pinned values are Fast-fidelity measurements. EXPERIMENTS.md
 //! reports the same figures at paper fidelity; each anchor below names
-//! the EXPERIMENTS.md row it guards. To move an anchor on purpose, rerun
+//! the EXPERIMENTS.md row it guards. Airtime (Fig. 10) is deterministic
+//! integer-nanosecond arithmetic, so its anchors are exact. To move an anchor on purpose, rerun
 //! the figure, update the value here and the row there in one change.
 
 use eval::estimation::estimation_error;
+use eval::overhead::training_time;
 use eval::scenario::{EvalScenario, Fidelity};
 use eval::snr_loss::snr_loss;
 
@@ -67,4 +69,22 @@ fn fig9_css14_snr_loss() {
         1.4366,
         SNR_LOSS_TOL_DB,
     );
+}
+
+/// Fig. 10: mutual training airtime of the stock 34-probe sweep and of
+/// CSS at 14 probes, and the speedup, pinned exactly for the analytic
+/// model and the simulated protocol alike. Guards EXPERIMENTS.md "Fig. 10
+/// — training time": SSW 1.273 ms, CSS(14) 0.553 ms, speedup 2.30×.
+#[test]
+fn fig10_training_airtime_and_speedup() {
+    let res = training_time(&[14, 34], 1004);
+    assert_eq!(res.ssw_ms, 1.2731, "SSW airtime (ms)");
+    assert_eq!(res.css14_ms, 0.5531, "CSS(14) airtime (ms)");
+    assert_eq!(res.speedup(), 2.301753751581992, "CSS(14) speedup");
+    assert_eq!(format!("{:.3}", res.ssw_ms), "1.273");
+    assert_eq!(format!("{:.3}", res.css14_ms), "0.553");
+    assert_eq!(format!("{:.2}", res.speedup()), "2.30");
+    let expected = [(14, 0.5531), (34, 1.2731)];
+    assert_eq!(res.model, expected, "analytic model");
+    assert_eq!(res.simulated, expected, "simulated protocol");
 }
