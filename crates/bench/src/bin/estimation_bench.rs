@@ -9,26 +9,25 @@
 //! ```
 //!
 //! `--check <baseline>` fails the process when a required key is missing
-//! from the fresh measurement, when the M=14 estimate (or any batched
-//! `batch_estimate_ns_b*` figure) is more than 25 % slower than the
-//! committed baseline, or when the amortized B=16 batched estimate misses
-//! both the 1 µs target and the `estimate_m14_ns / 3` fallback floor.
-//! The parallel-efficiency floor (≥ 0.6× per core) is enforced only on
-//! machines with ≥ 4 cores, since smaller hosts cannot exhibit the
-//! scaling in the first place; a baseline recorded on a different core
-//! count only triggers a warning, as its timings are indicative only.
+//! from the fresh measurement or when the M=14 estimate is more than 25 %
+//! slower than the committed baseline. The batched kernel is timed end to
+//! end by the `fig7` workload of `decision_bench`, and here only through
+//! the Fig. 7 engine figures. The parallel-efficiency floor (≥ 0.6× per
+//! core) is enforced only on machines with ≥ 4 cores, since smaller hosts
+//! cannot exhibit the scaling in the first place; a baseline recorded on
+//! a different core count only triggers a warning, as its timings are
+//! indicative only.
 
 use bench::bench_patterns;
 use css::estimator::reference::ReferenceEstimator;
-use css::estimator::{CompressiveEstimator, CorrelationMode, EstimatorOptions};
-use css::{BatchEstimator, BatchScratch, KernelPath};
+use css::estimator::{CompressiveEstimator, CorrelationMode};
 use eval::engine;
 use eval::estimation::estimation_error_par;
 use eval::scenario::{EvalScenario, Fidelity};
-use geom::rng::{sample_indices, sub_rng, sub_rng_indexed};
+use geom::rng::sub_rng;
 use std::hint::black_box;
 use std::time::Instant;
-use talon_channel::{Environment, Link, SweepReading};
+use talon_channel::{Environment, Link};
 
 /// The pre-optimization M=14 estimate cost on the original `Vec<Vec<f64>>`
 /// kernel, ns (the `estimate_m14_ns` of the PR-2 `BENCH_obs.json`).
@@ -40,9 +39,6 @@ const REQUIRED_KEYS: &[&str] = &[
     "reference_estimate_m14_ns",
     "kernel_speedup",
     "speedup_vs_prechange",
-    "batch_estimate_ns_b1",
-    "batch_estimate_ns_b16",
-    "batch_estimate_ns_b64",
     "eval_units",
     "eval_1t_ms",
     "eval_nt_ms",
@@ -125,41 +121,6 @@ fn main() {
     let kernel_speedup = reference_estimate_m14_ns / estimate_m14_ns;
     let speedup_vs_prechange = PRECHANGE_ESTIMATE_M14_NS / estimate_m14_ns;
 
-    // ── Batched kernel: B concurrent links through the GEMM-shaped
-    // multi-link sweep, on the f32 kernel path (the dense sweep over the
-    // full grid). Reported amortized: ns per estimate, so the figures are
-    // directly comparable to `estimate_m14_ns`.
-    const MAX_B: usize = 64;
-    let links_store: Vec<Vec<SweepReading>> = (0..MAX_B)
-        .map(|i| {
-            let mut lrng = sub_rng_indexed(42, "bench-batch-links", i as u64);
-            sample_indices(&mut lrng, sweep.len(), 14)
-                .into_iter()
-                .map(|j| sweep[j])
-                .collect()
-        })
-        .collect();
-    let batched = BatchEstimator::new(
-        &patterns,
-        CorrelationMode::JointSnrRssi,
-        EstimatorOptions::default(),
-        KernelPath::F32,
-    );
-    let mut bscratch = BatchScratch::new();
-    let mut bout = Vec::new();
-    let mut bench_batch = |b: usize| -> f64 {
-        let links: Vec<&[SweepReading]> = links_store[..b].iter().map(Vec::as_slice).collect();
-        let iters = (kernel_iters / b as u32).max(100);
-        let per_sweep = time_ns(iters, || {
-            batched.estimate_batch_into(&mut bscratch, black_box(&links), &mut bout);
-            black_box(&bout);
-        });
-        per_sweep / b as f64
-    };
-    let batch_estimate_ns_b1 = bench_batch(1);
-    let batch_estimate_ns_b16 = bench_batch(16);
-    let batch_estimate_ns_b64 = bench_batch(MAX_B);
-
     // ── Engine: Fig. 7 Monte Carlo on 1 thread vs all cores. The result
     // is bit-identical either way (see eval::engine); only time differs.
     let eval_seed = 4242;
@@ -203,9 +164,6 @@ fn main() {
          \"reference_estimate_m14_ns\": {reference_estimate_m14_ns:.2},\n  \
          \"kernel_speedup\": {kernel_speedup:.2},\n  \
          \"speedup_vs_prechange\": {speedup_vs_prechange:.2},\n  \
-         \"batch_estimate_ns_b1\": {batch_estimate_ns_b1:.2},\n  \
-         \"batch_estimate_ns_b16\": {batch_estimate_ns_b16:.2},\n  \
-         \"batch_estimate_ns_b64\": {batch_estimate_ns_b64:.2},\n  \
          \"eval_units\": {eval_units},\n  \
          \"eval_1t_ms\": {eval_1t_ms:.2},\n  \
          \"eval_nt_ms\": {eval_nt_ms:.2},\n  \
@@ -239,31 +197,6 @@ fn main() {
                      {base_ns:.0} ns (limit {limit:.0} ns)"
                 ));
             }
-        }
-        for (key, fresh) in [
-            ("batch_estimate_ns_b1", batch_estimate_ns_b1),
-            ("batch_estimate_ns_b16", batch_estimate_ns_b16),
-            ("batch_estimate_ns_b64", batch_estimate_ns_b64),
-        ] {
-            if let Some(base_ns) = json_f64(&baseline, key) {
-                let limit = base_ns * 1.25;
-                if fresh > limit {
-                    failures.push(format!(
-                        "{key} regressed >25%: {fresh:.0} ns vs baseline {base_ns:.0} ns \
-                         (limit {limit:.0} ns)"
-                    ));
-                }
-            }
-        }
-        // Amortized batched floor: sub-µs per estimate at B=16; hosts too
-        // slow for the absolute target must still beat the scalar kernel
-        // by 3× (same workload, so the ratio is hardware-independent).
-        if batch_estimate_ns_b16 > 1_000.0 && batch_estimate_ns_b16 > estimate_m14_ns / 3.0 {
-            failures.push(format!(
-                "B=16 batched estimate {batch_estimate_ns_b16:.0} ns misses both the \
-                 1000 ns target and the estimate_m14_ns/3 floor ({:.0} ns)",
-                estimate_m14_ns / 3.0
-            ));
         }
         if let Some(base_cores) = json_f64(&baseline, "cores") {
             if (base_cores - cores as f64).abs() > 0.5 {

@@ -18,10 +18,12 @@
 //! single strongest sector dominate, which is what happens after
 //! exponentiating to linear power. (An exponentiated linear-power variant
 //! was evaluated and mis-estimates noticeably more often; see DESIGN.md.)
-//! RSSI readings are shifted by the weakest reading of the sweep, which
-//! makes the vector scale-free in distance. Sectors whose measurement is
-//! missing are masked out of both vectors — the paper's "we naturally
-//! compensate missing measurements" (§5).
+//! RSSI readings are shifted so the strongest one lines up with the
+//! strongest SNR reading, which makes the vector scale-free in distance.
+//! Sectors whose measurement is missing (or non-finite) are masked out of
+//! both vectors — the paper's "we naturally compensate missing
+//! measurements" (§5). The batched kernel ([`crate::batch`]) shares this
+//! gather, the argmax and the sub-cell refinement.
 //!
 //! # Performance
 //!
@@ -59,7 +61,7 @@ use chamber::SectorPatterns;
 use geom::sphere::Direction;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use talon_channel::SweepReading;
+use talon_channel::{Measurement, SweepReading};
 
 /// Which measurements enter the correlation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,6 +83,44 @@ const ENERGY_PRIOR_EXPONENT: f64 = 0.25;
 /// Transforms a dB report into the correlation domain: dB above the floor.
 pub(crate) fn report_scale(db: f64) -> f64 {
     (db - REPORT_FLOOR_DB).max(0.0)
+}
+
+/// A reading's measurement when it can enter the correlation: present and
+/// finite. A non-finite SNR or RSSI (trace input is not range-checked) is
+/// treated exactly like a missing report.
+fn measured(r: &SweepReading) -> Option<Measurement> {
+    r.measurement
+        .filter(|m| m.snr_db.is_finite() && m.rssi_dbm.is_finite())
+}
+
+/// The probe gather of both kernels: one `(row, report-scale SNR, shifted
+/// RSSI)` triple per measured reading whose sector has a pattern row in
+/// `row_of`, in reading order.
+///
+/// RSSI is a power in dBm whose absolute level depends on distance. The
+/// vector is shifted so its strongest reading lines up with the strongest
+/// SNR reading on the report scale; relative differences between sectors
+/// (the shape) are preserved, and anything that would fall below the
+/// report floor clips to zero like the SNR. The offset is taken over every
+/// measured reading, whether or not its sector has a pattern.
+pub(crate) fn probe_triples<'a>(
+    row_of: &'a [u16; 256],
+    readings: &'a [SweepReading],
+) -> impl Iterator<Item = (u16, f64, f64)> + 'a {
+    let (mut max_rssi, mut max_snr_scaled) = (f64::NEG_INFINITY, 0.0f64);
+    for m in readings.iter().filter_map(measured) {
+        max_rssi = max_rssi.max(m.rssi_dbm);
+        max_snr_scaled = max_snr_scaled.max(report_scale(m.snr_db));
+    }
+    let rssi_offset = max_snr_scaled - max_rssi;
+    readings.iter().filter_map(move |r| {
+        let row = row_of[r.sector.raw() as usize];
+        let m = measured(r)?;
+        (row != u16::MAX).then(|| {
+            let vr = (m.rssi_dbm + rssi_offset).max(0.0);
+            (row, report_scale(m.snr_db), vr)
+        })
+    })
 }
 
 /// The energy prior `(e / e_max)^0.25`, computed as two square roots
@@ -156,83 +196,6 @@ pub(crate) fn smooth_map_into(map: &[f64], n_az: usize, n_el: usize, out: &mut V
                     + dn[a]
                     + dn[a + 1];
                 orow[a] = acc / 9.0;
-            }
-        }
-    } else {
-        for e in 0..n_el {
-            for a in 0..n_az {
-                out[e * n_az + a] = general(e, a);
-            }
-        }
-    }
-}
-
-/// [`smooth_map_into`] with the border/interior divisions replaced by
-/// reciprocal multiplies. One-ulp different from the exact version, so
-/// only the batch kernel's `F32` path (whose documented tolerance is 8
-/// orders of magnitude looser) uses it; the scalar kernel and the
-/// golden-pinned `F64` path keep the division form that recorded traces
-/// replay bit-exactly. Divides dominate the exact version's cost — ~100
-/// unpipelined f64 divisions per map against ~550 fully-vectorizable
-/// adds — so this is the single largest finish-stage saving.
-pub(crate) fn smooth_map_into_mul(map: &[f64], n_az: usize, n_el: usize, out: &mut Vec<f64>) {
-    const R6: f64 = 1.0 / 6.0;
-    const R9: f64 = 1.0 / 9.0;
-    debug_assert_eq!(map.len(), n_az * n_el);
-    out.clear();
-    out.resize(map.len(), 0.0);
-    let general = |e: usize, a: usize| {
-        let mut acc = 0.0;
-        let mut cnt = 0.0;
-        for de in e.saturating_sub(1)..=(e + 1).min(n_el - 1) {
-            for da in a.saturating_sub(1)..=(a + 1).min(n_az - 1) {
-                acc += map[de * n_az + da];
-                cnt += 1.0;
-            }
-        }
-        acc / cnt
-    };
-    if n_el >= 3 && n_az >= 3 {
-        out[0] = general(0, 0);
-        out[n_az - 1] = general(0, n_az - 1);
-        {
-            let (mid, dn) = (&map[..n_az], &map[n_az..2 * n_az]);
-            for a in 1..n_az - 1 {
-                let acc = mid[a - 1] + mid[a] + mid[a + 1] + dn[a - 1] + dn[a] + dn[a + 1];
-                out[a] = acc * R6;
-            }
-        }
-        let last = (n_el - 1) * n_az;
-        out[last] = general(n_el - 1, 0);
-        out[last + n_az - 1] = general(n_el - 1, n_az - 1);
-        {
-            let (up, mid) = (&map[last - n_az..last], &map[last..last + n_az]);
-            for a in 1..n_az - 1 {
-                let acc = up[a - 1] + up[a] + up[a + 1] + mid[a - 1] + mid[a] + mid[a + 1];
-                out[last + a] = acc * R6;
-            }
-        }
-        for e in 1..n_el - 1 {
-            let row = e * n_az;
-            let up = &map[row - n_az..row];
-            let mid = &map[row..row + n_az];
-            let dn = &map[row + n_az..row + 2 * n_az];
-            let orow = &mut out[row..row + n_az];
-            orow[0] = (up[0] + up[1] + mid[0] + mid[1] + dn[0] + dn[1]) * R6;
-            let a_r = n_az - 1;
-            orow[a_r] =
-                (up[a_r - 1] + up[a_r] + mid[a_r - 1] + mid[a_r] + dn[a_r - 1] + dn[a_r]) * R6;
-            for a in 1..n_az - 1 {
-                let acc = up[a - 1]
-                    + up[a]
-                    + up[a + 1]
-                    + mid[a - 1]
-                    + mid[a]
-                    + mid[a + 1]
-                    + dn[a - 1]
-                    + dn[a]
-                    + dn[a + 1];
-                orow[a] = acc * R9;
             }
         }
     } else {
@@ -409,24 +372,10 @@ impl CompressiveEstimator {
         s.energy_max = 0.0;
         let n_grid = self.grid.len();
         reuse_zeroed(&mut s.map, n_grid, &mut s.grew);
-        // RSSI is a power in dBm whose absolute level depends on distance.
-        // Shift the vector so its strongest reading lines up with the
-        // strongest SNR reading on the report scale; relative differences
-        // between sectors (the shape) are preserved, and anything that
-        // would fall below the report floor clips to zero like the SNR.
-        let max_rssi = readings
-            .iter()
-            .filter_map(|r| r.measurement.map(|m| m.rssi_dbm))
-            .fold(f64::NEG_INFINITY, f64::max);
-        let max_snr_scaled = readings
-            .iter()
-            .filter_map(|r| r.measurement.map(|m| report_scale(m.snr_db)))
-            .fold(0.0, f64::max);
-        let rssi_offset = max_snr_scaled - max_rssi;
         // Build the probe vectors in pattern-row order. Readings whose
         // measurement is missing contribute nothing to any sum (the mask of
-        // Eq. 5), so they are dropped here instead of branch-masked in the
-        // inner loop.
+        // Eq. 5), so the gather drops them instead of branch-masking them in
+        // the inner loop.
         if s.rows.capacity() < readings.len() {
             s.grew += 1;
         }
@@ -436,17 +385,10 @@ impl CompressiveEstimator {
         s.rows.reserve(readings.len());
         s.p_snr.reserve(readings.len());
         s.p_rssi.reserve(readings.len());
-        for r in readings {
-            let row = self.row_of[r.sector.raw() as usize];
-            if row == u16::MAX {
-                continue; // no measured pattern for this sector
-            }
-            let Some(m) = r.measurement else {
-                continue; // masked: drops out of the correlation entirely
-            };
+        for (row, vs, vr) in probe_triples(&self.row_of, readings) {
             s.rows.push(u32::from(row));
-            s.p_snr.push(report_scale(m.snr_db));
-            s.p_rssi.push((m.rssi_dbm + rssi_offset).max(0.0));
+            s.p_snr.push(vs);
+            s.p_rssi.push(vr);
         }
         if s.rows.len() < 2 {
             return; // not enough information; flat zero map
@@ -574,50 +516,32 @@ impl CompressiveEstimator {
         self.correlation_into(scratch, readings);
         self.gauge_allocs.set(scratch.grew as i64);
         let map = &scratch.map;
-        let Some((best_i, best_w)) = map
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("correlation is finite"))
-        else {
-            self.ctr_degenerate.inc();
-            return None;
-        };
+        let (best_i, best_w) = argmax(map);
         if best_w <= 0.0 {
             self.ctr_degenerate.inc();
             return None;
         }
-        let n_az = self.grid.az.len();
-        let (el_i, az_i) = (best_i / n_az, best_i % n_az);
         if let Some(sp) = &mut span {
             sp.field("score", best_w);
-            sp.field("argmax_margin", argmax_margin(map, best_i, n_az, best_w));
+            sp.field(
+                "argmax_margin",
+                argmax_margin(map, best_i, self.grid.az.len(), best_w),
+            );
         }
         self.check_residuals(scratch, best_i);
         let coarse = self.grid.direction(best_i);
         if !self.options.subcell_refinement {
             return Some((coarse, best_w));
         }
-        // Sub-cell offset along each axis, in cells ∈ [-0.5, 0.5].
-        let az_off = if az_i > 0 && az_i + 1 < n_az {
-            parabolic_offset(map[best_i - 1], best_w, map[best_i + 1])
-        } else {
-            0.0
-        };
-        let el_off = if el_i > 0 && el_i + 1 < self.grid.el.len() {
-            parabolic_offset(map[best_i - n_az], best_w, map[best_i + n_az])
-        } else {
-            0.0
-        };
+        let (daz, del) = subcell_offsets_deg(&self.grid, map, best_i);
         if let Some(sp) = &mut span {
-            sp.field("refine_daz_deg", az_off * self.grid.az.step_deg);
-            sp.field("refine_del_deg", el_off * self.grid.el.step_deg);
+            sp.field("refine_daz_deg", daz);
+            sp.field("refine_del_deg", del);
         }
-        let refined = Direction::new(
-            coarse.az_deg + az_off * self.grid.az.step_deg,
-            coarse.el_deg + el_off * self.grid.el.step_deg,
-        );
-        Some((refined, best_w))
+        Some((
+            Direction::new(coarse.az_deg + daz, coarse.el_deg + del),
+            best_w,
+        ))
     }
 
     /// Link-health check on the Eq. 5 fit: with the estimated direction
@@ -810,6 +734,61 @@ fn argmax_margin(map: &[f64], best_i: usize, n_az: usize, best_w: f64) -> f64 {
         }
     }
     best_w - runner_up
+}
+
+/// Eq. 3's argmax over a final map: the maximum weight and the highest
+/// index attaining it (the tie-break of `Iterator::max_by`). NaN cells
+/// never win; an all-NaN map yields `(0, −∞)`, which no caller accepts.
+///
+/// Two branchless passes: an 8-lane max fold (`max` ignores NaN and is
+/// order-insensitive otherwise, so the split chain both vectorizes and
+/// breaks the serial `maxsd` dependency), then the last index attaining
+/// the maximum.
+pub(crate) fn argmax(map: &[f64]) -> (usize, f64) {
+    let mut lanes = [f64::NEG_INFINITY; 8];
+    let chunks = map.chunks_exact(8);
+    let tail = chunks.remainder();
+    for c in chunks {
+        for (m, &w) in lanes.iter_mut().zip(c) {
+            *m = m.max(w);
+        }
+    }
+    let mut best_w = tail.iter().fold(f64::NEG_INFINITY, |m, &w| m.max(w));
+    for m in lanes {
+        best_w = best_w.max(m);
+    }
+    let mut best_i = 0usize;
+    for (i, &w) in map.iter().enumerate() {
+        if w == best_w {
+            best_i = i;
+        }
+    }
+    (best_i, best_w)
+}
+
+/// Parabolic sub-cell refinement of the winning cell `best_i`: the peak
+/// offset along azimuth and elevation, in degrees (at most half a cell;
+/// 0 on the grid's edge). The offsets are scale-invariant, so `map` may
+/// carry any positive constant factor.
+pub(crate) fn subcell_offsets_deg(
+    grid: &geom::sphere::SphericalGrid,
+    map: &[f64],
+    best_i: usize,
+) -> (f64, f64) {
+    let (n_az, n_el) = (grid.az.len(), grid.el.len());
+    let (el_i, az_i) = (best_i / n_az, best_i % n_az);
+    let best_w = map[best_i];
+    let az_off = if az_i > 0 && az_i + 1 < n_az {
+        parabolic_offset(map[best_i - 1], best_w, map[best_i + 1])
+    } else {
+        0.0
+    };
+    let el_off = if el_i > 0 && el_i + 1 < n_el {
+        parabolic_offset(map[best_i - n_az], best_w, map[best_i + n_az])
+    } else {
+        0.0
+    };
+    (az_off * grid.az.step_deg, el_off * grid.el.step_deg)
 }
 
 /// Peak offset of the parabola through `(−1, l)`, `(0, c)`, `(+1, r)`,

@@ -25,7 +25,8 @@
 //!   §2.1/§8 multi-path and BeamSpy ideas, adapted to commodity readings).
 //! * [`batch`] — the GEMM-shaped multi-link kernel: B concurrent links'
 //!   probe panels swept against the grid-major gains matrix in one pass,
-//!   on an exact f64 or a reduced-precision f32 path.
+//!   in exact f64, sharing the scalar kernel's gather, argmax and
+//!   refinement.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +39,7 @@ pub mod multipath;
 pub mod selection;
 pub mod strategy;
 
-pub use batch::{BatchEstimator, BatchScratch, KernelPath, LinkEstimate};
+pub use batch::{BatchEstimator, BatchScratch, LinkEstimate};
 pub use estimator::{
     patterns_digest, CompressiveEstimator, CorrelationMode, EstimatorOptions, KernelClosure,
 };

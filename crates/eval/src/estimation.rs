@@ -12,21 +12,20 @@
 //! [`css::BatchEstimator`] in fixed-boundary batches of
 //! [`EVAL_BATCH`] links ([`engine::par_map_batched`]); every link
 //! occupies its own panel column, so batching never mixes links'
-//! arithmetic and the result is bit-identical for any thread count —
-//! per precision mode ([`KernelPath`]).
+//! arithmetic and the result is bit-identical for any thread count.
 
 use crate::engine;
 use crate::scenario::{random_subset, RecordedDataset};
 use chamber::SectorPatterns;
 use css::estimator::{CorrelationMode, EstimatorOptions};
-use css::{BatchEstimator, BatchScratch, KernelPath};
+use css::{BatchEstimator, BatchScratch};
 use geom::rng::sub_rng_indexed;
 use geom::stats::BoxStats;
 use serde::Serialize;
 use talon_channel::SweepReading;
 
 /// Links per batched kernel sweep in the Fig. 7 fan-out. Amortizes the
-/// grid walk across enough panel columns to hit the sub-µs regime while
+/// grid walk across enough panel columns to fill the 16-lane kernel while
 /// keeping per-batch subset buffers small.
 pub const EVAL_BATCH: usize = 16;
 
@@ -73,6 +72,12 @@ pub fn estimation_error(
 
 /// [`estimation_error`] with an explicit thread count. The result does not
 /// depend on `threads`.
+///
+/// Each batch of [`EVAL_BATCH`] consecutive units runs as one
+/// [`BatchEstimator`] sweep; batch boundaries are a pure function of the
+/// unit count, so the output is bit-identical at any `threads`. Subset
+/// draws come from the per-unit RNG streams
+/// (`sub_rng_indexed(seed, "fig7-subsets", unit)`).
 pub fn estimation_error_par(
     data: &RecordedDataset,
     patterns: &SectorPatterns,
@@ -81,39 +86,10 @@ pub fn estimation_error_par(
     seed: u64,
     threads: usize,
 ) -> EstimationErrorResult {
-    estimation_error_batched(
-        data,
-        patterns,
-        m_values,
-        draws_per_sweep,
-        seed,
-        threads,
-        KernelPath::F64,
-    )
-}
-
-/// [`estimation_error_par`] on an explicit kernel precision path.
-///
-/// Each batch of [`EVAL_BATCH`] consecutive units runs as one
-/// [`BatchEstimator`] sweep; batch boundaries are a pure function of the
-/// unit count, so the output is bit-identical at any `threads` for every
-/// `kernel_path`. Subset draws still come from the per-unit RNG streams
-/// (`sub_rng_indexed(seed, "fig7-subsets", unit)`), unchanged from the
-/// scalar wiring.
-pub fn estimation_error_batched(
-    data: &RecordedDataset,
-    patterns: &SectorPatterns,
-    m_values: &[usize],
-    draws_per_sweep: usize,
-    seed: u64,
-    threads: usize,
-    kernel_path: KernelPath,
-) -> EstimationErrorResult {
     let estimator = BatchEstimator::new(
         patterns,
         CorrelationMode::JointSnrRssi,
         EstimatorOptions::default(),
-        kernel_path,
     );
     // Flatten the recorded sweeps once; each work unit addresses one
     // (m, sweep, draw) cell of the Monte Carlo grid by flat index.

@@ -12,9 +12,10 @@
 //! energy normalizer, and the chosen sector — at [`TOLERANCE`] (the
 //! binary trace format stores every f64 bit-exactly, so any real
 //! difference means the kernel changed or the trace is corrupt). Live decisions always run the exact
-//! f64 kernel; a record stamped with any other `kernel_path` (older
-//! builds could record `"f32"`/`"q15"` decisions) is skipped as
-//! non-replayable rather than compared against the wrong arithmetic.
+//! f64 kernel; a record stamped with any other `kernel_path` (only traces
+//! from older builds carry `"f32"`/`"q15"` stamps: neither path exists
+//! any more) is skipped as non-replayable rather than compared against
+//! the wrong arithmetic.
 //!
 //! Replay fans out over [`crate::engine::par_map`], and because the
 //! kernel is deterministic the report is identical at any thread count —
@@ -647,6 +648,35 @@ mod tests {
             assert_eq!(report.replayed, 1, "{stamp}");
             assert!(report.is_clean(), "{stamp}");
         }
+    }
+
+    #[test]
+    fn non_finite_snrs_in_a_record_replay_without_a_panic() {
+        let _guard = obs::testing::lock();
+        // The decoder does not range-check a record's readings, so a
+        // CRC-valid trace can carry any f64 bits. The kernel treats a
+        // non-finite reading as missing, and so does the max-SNR fallback
+        // a record with no usable reading takes.
+        let (mut trace, patterns) = recorded_trace(2);
+        let first = &mut trace.decisions[0];
+        first.snr_db[0] = f64::INFINITY;
+        first.masked[0] = false;
+        let second = &mut trace.decisions[1];
+        second.snr_db.iter_mut().for_each(|v| *v = f64::NAN);
+        second.masked.iter_mut().for_each(|m| *m = false);
+        let report = replay_trace(
+            &trace,
+            &ReplayConfig {
+                patterns_override: Some(patterns),
+                ..ReplayConfig::default()
+            },
+        );
+        assert_eq!(report.replayed, 2, "{}", report.summary());
+        // All-NaN readings leave nothing to estimate from or fall back to.
+        assert!(report
+            .divergent
+            .iter()
+            .any(|d| d.index == 1 && d.field == "has_estimate" && d.actual == "false"));
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! figures. Results are compared through their full `Debug` rendering,
 //! which includes every float exactly.
 
-use css::KernelPath;
-use eval::estimation::{estimation_error_batched, estimation_error_par};
+use eval::estimation::estimation_error_par;
 use eval::scenario::{EvalScenario, Fidelity};
 use eval::snr_loss::snr_loss_par;
 use eval::stability::selection_stability_par;
@@ -35,30 +34,6 @@ fn estimation_error_is_thread_count_invariant() {
         .collect();
     assert_eq!(renders[0], renders[1], "1 vs 2 threads");
     assert_eq!(renders[0], renders[2], "1 vs 8 threads");
-}
-
-#[test]
-fn batched_estimation_is_thread_count_invariant_per_precision_mode() {
-    let _guard = obs::testing::lock();
-    // The batched sweep groups EVAL_BATCH consecutive units per
-    // BatchEstimator call; batch boundaries depend only on the unit
-    // count, never on the thread count, so every precision path must be
-    // byte-identical at 1, 2, and 8 threads.
-    let mut s = EvalScenario::conference_room(Fidelity::Fast, 905);
-    let data = s.record(905);
-    for path in [KernelPath::F64, KernelPath::F32] {
-        let renders: Vec<String> = THREAD_COUNTS
-            .iter()
-            .map(|&t| {
-                format!(
-                    "{:?}",
-                    estimation_error_batched(&data, &s.patterns, &[6, 14], 2, 905, t, path)
-                )
-            })
-            .collect();
-        assert_eq!(renders[0], renders[1], "{path:?}: 1 vs 2 threads");
-        assert_eq!(renders[0], renders[2], "{path:?}: 1 vs 8 threads");
-    }
 }
 
 #[test]

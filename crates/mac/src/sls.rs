@@ -60,11 +60,14 @@ impl FeedbackPolicy for MaxSnrPolicy {
         full_sweep.to_vec()
     }
 
+    /// A non-finite SNR (trace input is not range-checked) counts as a
+    /// missing report.
     fn select(&mut self, readings: &[SweepReading]) -> Option<SectorId> {
         readings
             .iter()
             .filter_map(|r| r.measurement.map(|m| (r.sector, m.snr_db)))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("SNR is never NaN"))
+            .filter(|(_, snr)| snr.is_finite())
+            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite SNRs compare"))
             .map(|(s, _)| s)
     }
 }
@@ -574,5 +577,46 @@ mod tests {
             measurement: None,
         }];
         assert_eq!(MaxSnrPolicy.select(&empty), None);
+    }
+
+    #[test]
+    fn max_snr_policy_treats_non_finite_snrs_as_missing() {
+        const VALUES: [f64; 9] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -1e300,
+            f64::MAX,
+            -f64::MAX,
+            4.25,
+            -3.0,
+        ];
+        let reading = |sector: u8, snr_db: f64| SweepReading {
+            sector: SectorId(sector),
+            measurement: Some(talon_channel::Measurement {
+                snr_db,
+                rssi_dbm: -60.0,
+            }),
+        };
+        for a in VALUES {
+            for b in VALUES {
+                for c in VALUES {
+                    let readings = [reading(1, a), reading(2, b), reading(3, c)];
+                    let masked: Vec<SweepReading> = readings
+                        .iter()
+                        .map(|r| SweepReading {
+                            measurement: r.measurement.filter(|m| m.snr_db.is_finite()),
+                            ..*r
+                        })
+                        .collect();
+                    assert_eq!(
+                        MaxSnrPolicy.select(&readings),
+                        MaxSnrPolicy.select(&masked),
+                        "snr {a:?} {b:?} {c:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -78,9 +78,10 @@ pub struct DecisionRecord {
     pub subcell_refinement: bool,
     /// Kernel arithmetic the estimate ran under. Live decisions always run
     /// the exact kernel and stamp `"f64"` (the [`DecisionRecord::new`]
-    /// default), as do records written before schema 3. Older builds
-    /// could also stamp `"f32"` or `"q15"`; replay skips any record not
-    /// stamped `"f64"` as non-replayable.
+    /// default), as do records written before schema 3. `"f32"` and
+    /// `"q15"` stamps come only from traces of older builds, whose
+    /// reduced-precision paths no longer exist; replay skips any record
+    /// not stamped `"f64"` as non-replayable.
     pub kernel_path: String,
     /// FNV-1a digest of the pattern database the kernel ran against (0 for
     /// non-kernel sources). Replay verifies this before comparing outputs.

@@ -202,6 +202,10 @@ impl SpanSlot {
             std::sync::atomic::fence(Ordering::Acquire);
             let after = self.generation.load(Ordering::Relaxed);
             if before == after {
+                // Clear the frames a deeper stack left in the reused key:
+                // keys compare over every frame, so stale ones would tally
+                // the same path under two keys.
+                out.frames[live..].fill(0);
                 out.depth = live as u8;
                 return live > 0;
             }
@@ -713,5 +717,48 @@ mod tests {
         let before = slots().lock().len();
         prof.sample_now(); // GC pass drops the dead slot
         assert!(slots().lock().len() <= before);
+    }
+
+    #[test]
+    fn a_shallow_stack_sampled_after_a_deeper_one_folds_to_one_line() {
+        use std::sync::mpsc::channel;
+        let _guard = crate::testing::lock();
+        let prof = manual_profiler();
+        // Thread A registers its slot first, so each pass samples it
+        // before B, into the same reused key.
+        let (a_ready, a_is_ready) = channel();
+        let (a_release, a_released) = channel::<()>();
+        let (a_done, a_is_done) = channel();
+        let a = std::thread::spawn(move || {
+            let x = crate::span("prof.test.x");
+            let y = crate::span("prof.test.y");
+            a_ready.send(()).unwrap();
+            a_released.recv().unwrap();
+            drop((y, x));
+            a_done.send(()).unwrap();
+        });
+        a_is_ready.recv().unwrap();
+        let (b_ready, b_is_ready) = channel();
+        let (b_release, b_released) = channel::<()>();
+        let b = std::thread::spawn(move || {
+            let _x = crate::span("prof.test.x");
+            b_ready.send(()).unwrap();
+            b_released.recv().unwrap();
+        });
+        b_is_ready.recv().unwrap();
+        prof.sample_now(); // A holds x;y, B holds x
+        a_release.send(()).unwrap();
+        a_is_done.recv().unwrap();
+        prof.sample_now(); // A idle, B still holds x
+        b_release.send(()).unwrap();
+        a.join().unwrap();
+        b.join().unwrap();
+        let folded = prof.folded();
+        let mut paths: Vec<&str> = folded.iter().map(|(p, _)| p.as_str()).collect();
+        paths.dedup();
+        assert_eq!(paths.len(), folded.len(), "duplicate paths: {folded:?}");
+        let count = |path: &str| folded.iter().find(|(p, _)| p == path).map(|(_, n)| *n);
+        assert_eq!(count("prof.test.x"), Some(2), "{folded:?}");
+        assert_eq!(count("prof.test.x;prof.test.y"), Some(1), "{folded:?}");
     }
 }

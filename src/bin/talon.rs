@@ -975,20 +975,23 @@ fn cmd_profile(positional: &[String], opts: &HashMap<String, String>) -> Result<
     // A memory sink (drained each pass so it never grows) flips that gate.
     let mem = std::sync::Arc::new(obs::MemorySink::new());
     obs::set_sink(mem.clone());
-    // Replay provides the workload. With an explicit --repeat, run exactly
-    // that many passes; otherwise repeat until the sampler had a fair
-    // chance (~250 ms of wall time), so short traces still yield stacks.
+    // Replay provides the workload. One session serves every pass, so the
+    // pattern databases are rebuilt once and the passes profile decisions,
+    // not set-up. With an explicit --repeat, run exactly that many passes;
+    // otherwise repeat until the sampler had a fair chance (~250 ms of
+    // wall time), so short traces still yield stacks.
+    let mut session = eval::replay::ReplaySession::new(config);
     let started = std::time::Instant::now();
     let mut runs = 0usize;
     loop {
-        let _ = eval::replay::replay_trace(&trace, &config);
+        session.replay_chunk(&trace.decisions);
         drop(mem.take());
         runs += 1;
         if repeat > 0 {
             if runs >= repeat {
                 break;
             }
-        } else if started.elapsed() >= std::time::Duration::from_millis(250) || runs >= 1000 {
+        } else if started.elapsed() >= std::time::Duration::from_millis(250) {
             break;
         }
     }

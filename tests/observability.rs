@@ -170,6 +170,7 @@ fn recorded_sessions_replay_bit_exactly_and_diverge_when_perturbed() {
 /// Every folded-stack line is `path;to;span count` with no empty frames.
 fn assert_valid_folded(text: &str) {
     assert!(!text.trim().is_empty(), "folded output non-empty");
+    let mut paths = std::collections::BTreeSet::new();
     for line in text.lines() {
         let (stack, value) = line.rsplit_once(' ').expect("`stack count` shape");
         assert!(
@@ -179,6 +180,7 @@ fn assert_valid_folded(text: &str) {
         value
             .parse::<u64>()
             .unwrap_or_else(|_| panic!("integer sample count: {line}"));
+        assert!(paths.insert(stack), "one line per stack: {stack}\n{text}");
     }
 }
 
@@ -245,7 +247,26 @@ fn profiled_recording_emits_folded_stacks_and_critical_path() {
         "profile: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert_valid_folded(&String::from_utf8_lossy(&out.stdout));
+    let folded = String::from_utf8_lossy(&out.stdout);
+    assert_valid_folded(&folded);
+    // The profile measures decisions, not set-up: the pattern database is
+    // rebuilt once, not once per replay pass.
+    let (mut total, mut setup) = (0u64, 0u64);
+    for line in folded.lines() {
+        let (stack, n) = line.rsplit_once(' ').expect("`stack count` shape");
+        let n: u64 = n.parse().expect("integer sample count");
+        total += n;
+        if stack
+            .split(';')
+            .any(|frame| frame == "eval.replay_patterns")
+        {
+            setup += n;
+        }
+    }
+    assert!(
+        2 * setup < total,
+        "eval.replay_patterns holds {setup} of {total} samples:\n{folded}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
