@@ -2,12 +2,13 @@
 //!
 //! ```text
 //! cargo run -p bench --release --bin tables -- --exp all --fidelity paper
-//! cargo run -p bench --release --bin tables -- --exp fig7 --scenario lab
+//! cargo run -p bench --release --bin tables -- --exp fig7 --seed 7 --csv
 //! ```
 //!
-//! Experiments: `table1`, `timing`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`,
-//! `fig10`, `fig11`, `summary`, `ablation`, `all`. Output goes to stdout;
-//! CSV series land in `results/` when `--csv` is given.
+//! Options: `--exp` (a name from [`EXPERIMENTS`] or `all`, the default),
+//! `--fidelity fast|paper` (default `fast`), `--seed N` (default 42) and
+//! `--csv`. A bad option or value exits 2 with one error line. Output goes
+//! to stdout; CSV series land in `results/` when `--csv` is given.
 
 use chamber::CampaignConfig;
 use css::estimator::CorrelationMode;
@@ -21,6 +22,28 @@ use eval::stability::selection_stability;
 use eval::table1::{capture_table1, timing_audit};
 use eval::throughput::{throughput, DataLinkModel};
 use std::collections::BTreeMap;
+use std::io::{self, Write};
+use std::process::ExitCode;
+
+/// One experiment: writes its tables to `out`.
+type Experiment = fn(&mut dyn Write, &Args) -> io::Result<()>;
+
+/// Every experiment with the `--exp` names that select it, in the order
+/// `--exp all` runs them.
+const EXPERIMENTS: &[(&[&str], Experiment)] = &[
+    (&["table1"], exp_table1),
+    (&["timing"], exp_timing),
+    (&["fig5"], exp_fig5),
+    (&["fig6"], exp_fig6),
+    (&["fig7"], exp_fig7),
+    (&["fig8", "fig9"], exp_fig8_fig9),
+    (&["fig10"], exp_fig10),
+    (&["fig11"], exp_fig11),
+    (&["ablation"], exp_ablation),
+    (&["ext-dense"], exp_ext_dense),
+    (&["ext-tracking"], exp_ext_tracking),
+    (&["summary"], exp_summary),
+];
 
 struct Args {
     exp: String,
@@ -29,94 +52,98 @@ struct Args {
     csv: bool,
 }
 
-fn parse_args() -> Args {
-    let mut exp = "all".to_string();
-    let mut fidelity = Fidelity::Fast;
-    let mut seed = 42;
-    let mut csv = false;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
+/// Parses the command line; an error is the one line to print before
+/// exiting 2.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args {
+        exp: "all".to_string(),
+        fidelity: Fidelity::Fast,
+        seed: 42,
+        csv: false,
+    };
+    let mut argv = argv.into_iter();
+    while let Some(flag) = argv.next() {
+        let mut value = || argv.next().ok_or(format!("{flag} needs a value"));
+        match flag.as_str() {
             "--exp" => {
-                exp = argv.get(i + 1).cloned().unwrap_or_default();
-                i += 2;
+                args.exp = value()?;
+                let valid: Vec<&str> = EXPERIMENTS
+                    .iter()
+                    .flat_map(|(names, _)| names.iter().copied())
+                    .collect();
+                if args.exp != "all" && !valid.contains(&args.exp.as_str()) {
+                    return Err(format!(
+                        "unknown experiment `{}`; valid: {}, all",
+                        args.exp,
+                        valid.join(", ")
+                    ));
+                }
             }
             "--fidelity" => {
-                fidelity = match argv.get(i + 1).map(String::as_str) {
-                    Some("paper") => Fidelity::Paper,
-                    _ => Fidelity::Fast,
+                args.fidelity = match value()?.as_str() {
+                    "fast" => Fidelity::Fast,
+                    "paper" => Fidelity::Paper,
+                    other => return Err(format!("unknown fidelity `{other}`; valid: fast, paper")),
                 };
-                i += 2;
             }
             "--seed" => {
-                seed = argv.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(42);
-                i += 2;
+                let seed = value()?;
+                args.seed = seed.parse().map_err(|_| {
+                    format!(
+                        "bad seed `{seed}`; valid: an integer from 0 to {}",
+                        u64::MAX
+                    )
+                })?;
             }
-            "--csv" => {
-                csv = true;
-                i += 1;
-            }
+            "--csv" => args.csv = true,
             other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
+                return Err(format!(
+                    "unknown argument `{other}`; valid: --exp, --fidelity, --seed, --csv"
+                ))
             }
         }
     }
-    Args {
-        exp,
-        fidelity,
-        seed,
-        csv,
-    }
+    Ok(args)
 }
 
-fn main() {
-    let args = parse_args();
-    let run = |name: &str| args.exp == name || args.exp == "all";
+fn main() -> ExitCode {
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
     if args.csv {
         std::fs::create_dir_all("results").expect("create results dir");
     }
-    if run("table1") {
-        exp_table1(&args);
-    }
-    if run("timing") {
-        exp_timing();
-    }
-    if run("fig5") {
-        exp_fig5(&args);
-    }
-    if run("fig6") {
-        exp_fig6(&args);
-    }
-    if run("fig7") {
-        exp_fig7(&args);
-    }
-    if run("fig8") || run("fig9") {
-        exp_fig8_fig9(&args);
-    }
-    if run("fig10") {
-        exp_fig10(&args);
-    }
-    if run("fig11") {
-        exp_fig11(&args);
-    }
-    if run("ablation") {
-        exp_ablation(&args);
-    }
-    if run("ext-dense") {
-        exp_ext_dense(&args);
-    }
-    if run("ext-tracking") {
-        exp_ext_tracking(&args);
-    }
-    if run("summary") {
-        exp_summary(&args);
+    // One locked stdout for every table. A reader that closes the pipe
+    // early (`tables | head`) wanted no more output, so a broken pipe ends
+    // the run cleanly instead of panicking in `println!`.
+    match run(&mut std::io::stdout().lock(), &args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: writing to stdout: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-fn exp_ext_dense(args: &Args) {
-    println!("== ext-dense: dense deployments (§7) — training airtime vs pairs ==");
+fn run(out: &mut dyn Write, args: &Args) -> io::Result<()> {
+    for (names, experiment) in EXPERIMENTS {
+        if args.exp == "all" || names.contains(&args.exp.as_str()) {
+            experiment(out, args)?;
+        }
+    }
+    out.flush()
+}
+
+fn exp_ext_dense(out: &mut dyn Write, args: &Args) -> io::Result<()> {
+    writeln!(
+        out,
+        "== ext-dense: dense deployments (§7) — training airtime vs pairs =="
+    )?;
     let scenario = EvalScenario::conference_room(args.fidelity, args.seed);
     let cfg = netsim::dense::DenseConfig::default();
     let (ssw, css) = eval::extensions::dense_comparison(&cfg, &scenario.patterns, 14, args.seed);
@@ -134,7 +161,8 @@ fn exp_ext_dense(args: &Args) {
             ]
         })
         .collect();
-    println!(
+    writeln!(
+        out,
         "{}",
         eval::ascii::table(
             &[
@@ -146,48 +174,24 @@ fn exp_ext_dense(args: &Args) {
             ],
             &rows
         )
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "(tracking at {} Hz per pair; sweeps occupy the shared channel exclusively)\n",
         cfg.tracking_hz
-    );
-
-    // Physical-layer justification of the exclusive-airtime model: place
-    // 16 pairs in a 12x9 m room and compare steered-data interference
-    // (spatial reuse works) against the omnidirectional energy a sector
-    // sweep sprays into the room.
-    let mut rng = geom::rng::sub_rng(args.seed, "ext-dense-room");
-    let room = netsim::Room::place(&mut rng, 16, [12.0, 9.0], args.seed);
-    let links = room.sinr_matrix();
-    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-    let snrs: Vec<f64> = links.iter().map(|l| l.snr_db).collect();
-    let sinrs: Vec<f64> = links.iter().map(|l| l.sinr_db).collect();
-    let usable = links.iter().filter(|l| l.sinr_db > 2.0).count();
-    let pollution = room.sweep_pollution_db(0);
-    println!("room check (16 pairs, 12x9 m):");
-    println!(
-        "  concurrent data: mean SNR {:.1} dB -> mean SINR {:.1} dB; {}/16 links usable (spatial reuse)",
-        mean(&snrs), mean(&sinrs), usable
-    );
-    println!(
-        "  one pair's sweep raises other receivers' floor to {:.1} dBm (noise floor {:.1} dBm)",
-        mean(&pollution),
-        room.budget.noise_floor_dbm
-    );
-    println!("  -> a sweep anywhere in the room swamps concurrent links, as §7 argues\n");
+    )?;
+    Ok(())
 }
 
-fn exp_ext_tracking(args: &Args) {
-    println!("== ext-tracking: mobility + blockage at equal training airtime (§7) ==");
+fn exp_ext_tracking(out: &mut dyn Write, args: &Args) -> io::Result<()> {
+    writeln!(
+        out,
+        "== ext-tracking: mobility + blockage at equal training airtime (§7) =="
+    )?;
     let scenario = EvalScenario::conference_room(args.fidelity, args.seed);
     let cfg = netsim::tracking::TrackingConfig::default();
     let (ssw, css) = eval::extensions::tracking_comparison(&cfg, &scenario.patterns, 14, args.seed);
-    let bk = netsim::tracking::tracking_run(
-        &cfg,
-        netsim::policy::TrainingPolicy::css_with_backup(scenario.patterns.clone(), 14, args.seed),
-        args.seed,
-    );
-    let rows: Vec<Vec<String>> = [&ssw, &css, &bk]
+    let rows: Vec<Vec<String>> = [&ssw, &css]
         .iter()
         .map(|r| {
             vec![
@@ -197,11 +201,11 @@ fn exp_ext_tracking(args: &Args) {
                 format!("{:.2}", r.mean_gbps),
                 format!("{:.1}%", 100.0 * r.outage_fraction),
                 format!("{:.2}", r.mean_rate_gap_gbps),
-                r.failovers.to_string(),
             ]
         })
         .collect();
-    println!(
+    writeln!(
+        out,
         "{}",
         eval::ascii::table(
             &[
@@ -210,18 +214,19 @@ fn exp_ext_tracking(args: &Args) {
                 "interval",
                 "mean Gbps",
                 "outage",
-                "gap Gbps",
-                "failovers"
+                "gap Gbps"
             ],
             &rows
         )
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "(rotation {}°/s, blockage {:.1}/s, training budget {:.1}% of airtime)\n",
         cfg.rotation_deg_per_s,
         cfg.blockage.rate_per_s,
         100.0 * cfg.training_budget
-    );
+    )?;
+    Ok(())
 }
 
 fn fmt_slot(s: Option<talon_array::SectorId>) -> String {
@@ -231,8 +236,11 @@ fn fmt_slot(s: Option<talon_array::SectorId>) -> String {
     }
 }
 
-fn exp_table1(args: &Args) {
-    println!("== Table 1: sector IDs per CDOWN slot (beacon / sweep bursts) ==");
+fn exp_table1(out: &mut dyn Write, args: &Args) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Table 1: sector IDs per CDOWN slot (beacon / sweep bursts) =="
+    )?;
     let res = capture_table1(120, args.seed);
     let cdown_row: Vec<String> = (0..=34u16).rev().map(|c| c.to_string()).collect();
     let beacon_row: Vec<String> = res.beacon.iter().map(|&s| fmt_slot(s)).collect();
@@ -248,15 +256,17 @@ fn exp_table1(args: &Args) {
             .chain(sweep_row)
             .collect::<Vec<_>>(),
     ];
-    println!("{}", ascii::table(&headers, &rows));
-    println!(
+    writeln!(out, "{}", ascii::table(&headers, &rows))?;
+    writeln!(
+        out,
         "frames captured: {}, missed: {}, bursts: {}\n",
         res.frames_captured, res.frames_missed, res.bursts
-    );
+    )?;
+    Ok(())
 }
 
-fn exp_timing() {
-    println!("== §4.1 timing audit ==");
+fn exp_timing(out: &mut dyn Write, _: &Args) -> io::Result<()> {
+    writeln!(out, "== §4.1 timing audit ==")?;
     let t = timing_audit();
     let rows = vec![
         vec![
@@ -280,14 +290,19 @@ fn exp_timing() {
             "1.27 ms".into(),
         ],
     ];
-    println!(
+    writeln!(
+        out,
         "{}",
         ascii::table(&["quantity", "measured", "paper"], &rows)
-    );
+    )?;
+    Ok(())
 }
 
-fn exp_fig5(args: &Args) {
-    println!("== Fig. 5: azimuth SNR patterns of all sectors (el = 0) ==");
+fn exp_fig5(out: &mut dyn Write, args: &Args) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Fig. 5: azimuth SNR patterns of all sectors (el = 0) =="
+    )?;
     let cfg = match args.fidelity {
         Fidelity::Paper => CampaignConfig::paper_azimuth_scan(),
         Fidelity::Fast => CampaignConfig {
@@ -314,10 +329,11 @@ fn exp_fig5(args: &Args) {
             ]
         })
         .collect();
-    println!(
+    writeln!(
+        out,
         "{}",
         ascii::table(&["sector", "peak dB", "az°", "el°", "trait"], &rows)
-    );
+    )?;
     if args.csv {
         for id in res.tx_patterns.sector_ids() {
             if let Some(csv) = eval::patterns::azimuth_cut_csv(&res.tx_patterns, id) {
@@ -325,13 +341,20 @@ fn exp_fig5(args: &Args) {
                 std::fs::write(&path, csv).expect("write CSV");
             }
         }
-        println!("(per-sector CSV series written to results/fig5_sector_*.csv)");
+        writeln!(
+            out,
+            "(per-sector CSV series written to results/fig5_sector_*.csv)"
+        )?;
     }
-    println!();
+    writeln!(out)?;
+    Ok(())
 }
 
-fn exp_fig6(args: &Args) {
-    println!("== Fig. 6: spherical SNR patterns (azimuth x elevation heatmaps) ==");
+fn exp_fig6(out: &mut dyn Write, args: &Args) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Fig. 6: spherical SNR patterns (azimuth x elevation heatmaps) =="
+    )?;
     let cfg = match args.fidelity {
         Fidelity::Paper => CampaignConfig::paper_3d_scan(),
         Fidelity::Fast => CampaignConfig::coarse(),
@@ -340,17 +363,26 @@ fn exp_fig6(args: &Args) {
     let grid = res.tx_patterns.grid().clone();
     for id in [5u8, 26, 63] {
         let p = res.tx_patterns.get(talon_array::SectorId(id)).unwrap();
-        println!(
+        writeln!(
+            out,
             "sector {id} (rows el {:.0}..{:.0}°, cols az {:.0}..{:.0}°):",
             grid.el.start_deg, grid.el.end_deg, grid.az.start_deg, grid.az.end_deg
-        );
-        println!("{}", ascii::heatmap(&p.gain_db, grid.az.len(), -7.0, 12.0));
+        )?;
+        writeln!(
+            out,
+            "{}",
+            ascii::heatmap(&p.gain_db, grid.az.len(), -7.0, 12.0)
+        )?;
     }
     if args.csv {
         std::fs::write("results/fig6_patterns.txt", res.tx_patterns.to_text())
             .expect("write pattern store");
-        println!("(full 3D pattern store written to results/fig6_patterns.txt)");
+        writeln!(
+            out,
+            "(full 3D pattern store written to results/fig6_patterns.txt)"
+        )?;
     }
+    Ok(())
 }
 
 fn scenarios(args: &Args) -> Vec<EvalScenario> {
@@ -367,12 +399,15 @@ fn m_values(args: &Args) -> Vec<usize> {
     }
 }
 
-fn exp_fig7(args: &Args) {
-    println!("== Fig. 7: angular estimation error vs probing sectors ==");
+fn exp_fig7(out: &mut dyn Write, args: &Args) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Fig. 7: angular estimation error vs probing sectors =="
+    )?;
     for mut scenario in scenarios(args) {
         let data = scenario.record(args.seed);
         let res = estimation_error(&data, &scenario.patterns, &m_values(args), 2, args.seed);
-        println!("--- {} ---", res.scenario);
+        writeln!(out, "--- {} ---", res.scenario)?;
         let rows: Vec<Vec<String>> = res
             .rows
             .iter()
@@ -387,7 +422,8 @@ fn exp_fig7(args: &Args) {
                 ]
             })
             .collect();
-        println!(
+        writeln!(
+            out,
             "{}",
             ascii::table(
                 &[
@@ -400,7 +436,7 @@ fn exp_fig7(args: &Args) {
                 ],
                 &rows
             )
-        );
+        )?;
         if args.csv {
             let mut csv = String::from("probes,az_median,az_q25,az_q75,az_p005,az_p995,el_median,el_q25,el_q75,el_p005,el_p995\n");
             for r in &res.rows {
@@ -421,13 +457,17 @@ fn exp_fig7(args: &Args) {
             }
             let path = format!("results/fig7_{}.csv", res.scenario);
             std::fs::write(&path, csv).expect("write CSV");
-            println!("(series written to {path})");
+            writeln!(out, "(series written to {path})")?;
         }
     }
+    Ok(())
 }
 
-fn exp_fig8_fig9(args: &Args) {
-    println!("== Fig. 8 (stability) & Fig. 9 (SNR loss) vs probing sectors ==");
+fn exp_fig8_fig9(out: &mut dyn Write, args: &Args) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Fig. 8 (stability) & Fig. 9 (SNR loss) vs probing sectors =="
+    )?;
     let mut scenario = EvalScenario::conference_room(args.fidelity, args.seed);
     if args.fidelity == Fidelity::Fast {
         scenario.sweeps_per_position = 10;
@@ -450,7 +490,8 @@ fn exp_fig8_fig9(args: &Args) {
             ]
         })
         .collect();
-    println!(
+    writeln!(
+        out,
         "{}",
         ascii::table(
             &[
@@ -462,12 +503,13 @@ fn exp_fig8_fig9(args: &Args) {
             ],
             &rows
         )
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "stability crossover at M = {:?} (paper: 13); loss crossover at M = {:?} (paper: 14)\n",
         stab.crossover(),
         loss.crossover()
-    );
+    )?;
     if args.csv {
         let mut csv = String::from("probes,css_stability,ssw_stability,css_loss_db,ssw_loss_db\n");
         for (&(m, s), &(_, l)) in stab.css.iter().zip(&loss.css) {
@@ -477,28 +519,34 @@ fn exp_fig8_fig9(args: &Args) {
             ));
         }
         std::fs::write("results/fig8_fig9.csv", csv).expect("write CSV");
-        println!("(series written to results/fig8_fig9.csv)");
+        writeln!(out, "(series written to results/fig8_fig9.csv)")?;
     }
+    Ok(())
 }
 
-fn exp_fig10(args: &Args) {
-    println!("== Fig. 10: mutual training time vs probing sectors ==");
+fn exp_fig10(out: &mut dyn Write, args: &Args) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Fig. 10: mutual training time vs probing sectors =="
+    )?;
     let ms: Vec<usize> = (12..=38).step_by(2).collect();
     let res = training_time(&ms, args.seed);
     for &(m, t) in &res.model {
-        println!(
+        writeln!(
+            out,
             "{}",
             ascii::bar(&format!("{m} probes"), t, 1.4, 40)
                 .replace("|", if m == 14 || m == 34 { "‖" } else { "|" })
                 + " ms"
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "SSW (34 probes): {:.2} ms, CSS (14 probes): {:.2} ms, speedup {:.2}x (paper: 2.3x)\n",
         res.ssw_ms,
         res.css14_ms,
         res.speedup()
-    );
+    )?;
     if args.csv {
         let mut csv = String::from("probes,model_ms,simulated_ms\n");
         for ((m, t), (_, ts)) in res.model.iter().zip(&res.simulated) {
@@ -506,10 +554,14 @@ fn exp_fig10(args: &Args) {
         }
         std::fs::write("results/fig10.csv", csv).expect("write CSV");
     }
+    Ok(())
 }
 
-fn exp_fig11(args: &Args) {
-    println!("== Fig. 11: throughput at -45/0/+45 deg (conference room) ==");
+fn exp_fig11(out: &mut dyn Write, args: &Args) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Fig. 11: throughput at -45/0/+45 deg (conference room) =="
+    )?;
     let mut scenario = EvalScenario::conference_room(args.fidelity, args.seed);
     scenario.sweeps_per_position = match args.fidelity {
         Fidelity::Paper => 20,
@@ -535,10 +587,11 @@ fn exp_fig11(args: &Args) {
             ]
         })
         .collect();
-    println!(
+    writeln!(
+        out,
         "{}",
         ascii::table(&["direction", "SSW Gbps", "CSS(14) Gbps"], &rows)
-    );
+    )?;
     if args.csv {
         let mut csv = String::from("azimuth_deg,ssw_gbps,css_gbps\n");
         for r in &res.rows {
@@ -549,16 +602,20 @@ fn exp_fig11(args: &Args) {
         }
         std::fs::write("results/fig11.csv", csv).expect("write CSV");
     }
+    Ok(())
 }
 
-fn exp_ablation(args: &Args) {
-    println!("== Ablations (design choices of DESIGN.md §5) ==");
+fn exp_ablation(out: &mut dyn Write, args: &Args) -> io::Result<()> {
+    writeln!(out, "== Ablations (design choices of DESIGN.md §5) ==")?;
     let mut scenario = EvalScenario::conference_room(args.fidelity, args.seed);
     let data = scenario.record(args.seed);
     let ms = vec![8, 14, 20];
 
     // (a) Joint SNR*RSSI (Eq. 5) vs SNR-only (Eq. 3).
-    println!("--- correlation mode: joint (Eq. 5) vs SNR-only (Eq. 3), loss in dB ---");
+    writeln!(
+        out,
+        "--- correlation mode: joint (Eq. 5) vs SNR-only (Eq. 3), loss in dB ---"
+    )?;
     let mut rows = Vec::new();
     for &mode in &[CorrelationMode::JointSnrRssi, CorrelationMode::SnrOnly] {
         let mut losses = Vec::new();
@@ -576,10 +633,13 @@ fn exp_ablation(args: &Args) {
         .chain(ms.iter().map(|m| format!("M={m}")))
         .collect();
     let headers_ref: Vec<&str> = headers.iter().map(String::as_str).collect();
-    println!("{}", ascii::table(&headers_ref, &rows));
+    writeln!(out, "{}", ascii::table(&headers_ref, &rows))?;
 
     // (b) 3D vs 2D estimation grid.
-    println!("--- probing strategy: uniform random vs designed low-coherence, loss in dB ---");
+    writeln!(
+        out,
+        "--- probing strategy: uniform random vs designed low-coherence, loss in dB ---"
+    )?;
     let design = css::strategy::design_low_coherence(&scenario.patterns);
     let mut rows = Vec::new();
     for (name, strat) in [
@@ -603,10 +663,13 @@ fn exp_ablation(args: &Args) {
                 .collect::<Vec<_>>(),
         );
     }
-    println!("{}", ascii::table(&headers_ref, &rows));
+    writeln!(out, "{}", ascii::table(&headers_ref, &rows))?;
 
     // (c) Firmware beams vs pseudo-random beams (link quality).
-    println!("--- codebook: firmware sectors vs pseudo-random beams (peak true SNR, dB) ---");
+    writeln!(
+        out,
+        "--- codebook: firmware sectors vs pseudo-random beams (peak true SNR, dB) ---"
+    )?;
     let talon = talon_channel::Device::talon(args.seed);
     let random = css::baselines::random_beam_device(args.seed, 34);
     let link = talon_channel::Link::new(talon_channel::Environment::conference_room());
@@ -629,7 +692,8 @@ fn exp_ablation(args: &Args) {
             format!("{:.1}", peak(&random)),
         ],
     ];
-    println!("{}", ascii::table(&["codebook", "peak SNR dB"], &rows));
+    writeln!(out, "{}", ascii::table(&["codebook", "peak SNR dB"], &rows))?;
+    Ok(())
 }
 
 fn ablation_loss(
@@ -709,8 +773,8 @@ fn ablation_loss_strategy(
     geom::stats::mean(&losses).unwrap_or(f64::NAN)
 }
 
-fn exp_summary(args: &Args) {
-    println!("== §6.5 headline summary ==");
+fn exp_summary(out: &mut dyn Write, args: &Args) -> io::Result<()> {
+    writeln!(out, "== §6.5 headline summary ==")?;
     let t = training_time(&[14, 34], args.seed);
     let mut scenario = EvalScenario::conference_room(args.fidelity, args.seed);
     scenario.sweeps_per_position = 10;
@@ -756,5 +820,10 @@ fn exp_summary(args: &Args) {
             "~2.5 dB".into(),
         ],
     ];
-    println!("{}", ascii::table(&["metric", "measured", "paper"], &rows));
+    writeln!(
+        out,
+        "{}",
+        ascii::table(&["metric", "measured", "paper"], &rows)
+    )?;
+    Ok(())
 }

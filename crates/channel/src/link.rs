@@ -97,13 +97,6 @@ impl Device {
         Device::new(array, codebook)
     }
 
-    /// Gain of an excitation towards a world-coordinate direction, taking
-    /// the device orientation into account.
-    pub fn gain_towards_world(&self, weights: &WeightVector, world: &geom::Direction) -> f64 {
-        let dev = self.orientation.world_to_device(world);
-        self.array.gain_dbi(weights, &dev)
-    }
-
     /// The excitation of sector `id`.
     ///
     /// # Panics

@@ -15,14 +15,8 @@
 //! * [`selection`] — the complete CSS pipeline as an
 //!   [`mac80211ad::FeedbackPolicy`], pluggable into the SLS runner and the
 //!   firmware emulation.
-//! * [`baselines`] — comparison algorithms: the exhaustive sweep (Eq. 1),
-//!   a Rasekh-style random-beam compressive tracker, and a two-stage
-//!   hierarchical search (§8).
-//! * [`adaptive`] — the adaptive probe-count controller sketched in §7
-//!   (few probes while static, more while moving).
-//! * [`multipath`] — magnitude-only two-path estimation on the correlation
-//!   map, providing a backup sector for instant blockage fail-over (the
-//!   §2.1/§8 multi-path and BeamSpy ideas, adapted to commodity readings).
+//! * [`baselines`] — a Rasekh-style random-beam device, for the §2.1
+//!   firmware-vs-random-beams ablation.
 //! * [`batch`] — the GEMM-shaped multi-link kernel: B concurrent links'
 //!   probe panels swept against the grid-major gains matrix in one pass,
 //!   in exact f64, sharing the scalar kernel's gather, argmax and
@@ -31,11 +25,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod baselines;
 pub mod batch;
 pub mod estimator;
-pub mod multipath;
 pub mod selection;
 pub mod strategy;
 

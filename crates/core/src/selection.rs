@@ -141,11 +141,6 @@ impl CompressiveSelection {
         self.config.num_probes
     }
 
-    /// Changes the probe count (used by the adaptive controller).
-    pub fn set_num_probes(&mut self, m: usize) {
-        self.config.num_probes = m.max(2);
-    }
-
     /// Draws the probing set for the next sweep.
     pub fn draw_probes(&mut self) -> Vec<SectorId> {
         self.config

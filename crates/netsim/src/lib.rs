@@ -15,19 +15,14 @@
 //! * [`tracking`] — a single rotating pair under random blockage; compares
 //!   policies at *equal training airtime* (CSS re-trains 2.3× more often)
 //!   on achieved-rate-over-time (the `ext-tracking` experiment).
-//! * [`room`] — room geometry with per-pair positions and directional
-//!   interference: quantifies spatial reuse of concurrent data links and
-//!   the omnidirectional pollution of a sector sweep.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dense;
 pub mod policy;
-pub mod room;
 pub mod tracking;
 
 pub use dense::{dense_deployment, DenseConfig, DenseResult};
 pub use policy::TrainingPolicy;
-pub use room::{PairLink, PlacedPair, Room};
 pub use tracking::{tracking_run, TrackingConfig, TrackingResult};

@@ -6,8 +6,6 @@
 //! selected from one sweep's readings.
 
 use chamber::SectorPatterns;
-use css::estimator::CorrelationMode;
-use css::multipath::MultipathEstimator;
 use css::selection::{CompressiveSelection, CssConfig, DecisionOracle};
 use mac80211ad::sls::{FeedbackPolicy, MaxSnrPolicy};
 use mac80211ad::timing::{mutual_training_time, SimDuration};
@@ -21,18 +19,6 @@ pub enum TrainingPolicy {
     Ssw,
     /// Compressive selection with a probe budget.
     Css(Box<CompressiveSelection>),
-    /// Compressive selection that additionally tracks a secondary path and
-    /// keeps a backup sector armed for instant blockage fail-over
-    /// (BeamSpy-style, §8).
-    CssBackup(Box<CssBackupState>),
-}
-
-/// State of the backup-tracking variant.
-pub struct CssBackupState {
-    selection: CompressiveSelection,
-    multipath: MultipathEstimator,
-    /// The currently armed backup sector, if any.
-    pub backup: Option<SectorId>,
 }
 
 impl TrainingPolicy {
@@ -53,34 +39,11 @@ impl TrainingPolicy {
         )))
     }
 
-    /// Compressive selection with backup-path tracking.
-    pub fn css_with_backup(patterns: SectorPatterns, m: usize, seed: u64) -> Self {
-        let selection = CompressiveSelection::new(
-            patterns.clone(),
-            CssConfig {
-                num_probes: m,
-                ..CssConfig::paper_default()
-            },
-            seed,
-        );
-        // A false backup costs nothing (it is only consulted when the
-        // primary's rate is zero, and only used if it actually carries
-        // data), so arm permissively.
-        let multipath = MultipathEstimator::new(patterns, CorrelationMode::JointSnrRssi)
-            .with_min_score_ratio(0.03);
-        TrainingPolicy::CssBackup(Box::new(CssBackupState {
-            selection,
-            multipath,
-            backup: None,
-        }))
-    }
-
     /// Short display name.
     pub fn name(&self) -> String {
         match self {
             TrainingPolicy::Ssw => "SSW".into(),
             TrainingPolicy::Css(c) => format!("CSS({})", c.num_probes()),
-            TrainingPolicy::CssBackup(b) => format!("CSS+bk({})", b.selection.num_probes()),
         }
     }
 
@@ -89,15 +52,6 @@ impl TrainingPolicy {
         match self {
             TrainingPolicy::Ssw => full_sweep_len,
             TrainingPolicy::Css(c) => c.num_probes().min(full_sweep_len),
-            TrainingPolicy::CssBackup(b) => b.selection.num_probes().min(full_sweep_len),
-        }
-    }
-
-    /// The armed backup sector, if this policy tracks one.
-    pub fn backup(&self) -> Option<SectorId> {
-        match self {
-            TrainingPolicy::CssBackup(b) => b.backup,
-            _ => None,
         }
     }
 
@@ -119,7 +73,6 @@ impl TrainingPolicy {
         let probes = match self {
             TrainingPolicy::Ssw => full,
             TrainingPolicy::Css(c) => c.probe_sectors(&full),
-            TrainingPolicy::CssBackup(b) => b.selection.probe_sectors(&full),
         };
         let readings: Vec<SweepReading> = link.sweep(rng, tx, &probes, rx);
         // While a trace records, hand the CSS policy an exhaustive-sweep
@@ -127,12 +80,7 @@ impl TrainingPolicy {
         // SNR loss. The oracle sweep is noise-free simulator ground truth
         // (`true_snr_db`), so it perturbs nothing.
         if obs::sink_active() {
-            let selection = match self {
-                TrainingPolicy::Css(c) => Some(&mut **c),
-                TrainingPolicy::CssBackup(b) => Some(&mut b.selection),
-                TrainingPolicy::Ssw => None,
-            };
-            if let Some(selection) = selection {
+            if let TrainingPolicy::Css(selection) = self {
                 let rxw = &rx.codebook.rx_sector().weights;
                 let snr_by_sector = tx
                     .codebook
@@ -146,13 +94,6 @@ impl TrainingPolicy {
         match self {
             TrainingPolicy::Ssw => MaxSnrPolicy.select(&readings),
             TrainingPolicy::Css(c) => c.select_from_readings(&readings),
-            TrainingPolicy::CssBackup(b) => {
-                let (primary, backup) = b.multipath.primary_and_backup(&readings);
-                b.backup = backup;
-                // Fall back to the plain pipeline when the multipath
-                // estimator found nothing.
-                primary.or_else(|| b.selection.select_from_readings(&readings))
-            }
         }
     }
 }

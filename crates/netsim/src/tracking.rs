@@ -66,9 +66,6 @@ pub struct TrackingResult {
     /// Mean staleness loss: achieved rate vs the rate of the
     /// currently-optimal sector, Gbps.
     pub mean_rate_gap_gbps: f64,
-    /// Times the armed backup sector rescued a collapsed primary
-    /// (always 0 for policies without backup tracking).
-    pub failovers: usize,
     /// Online quality summary: SNR-loss quantiles, misselection rate, and
     /// the drift epochs the EWMA+CUSUM monitor detected during the run.
     pub quality: obs::QualitySummary,
@@ -115,7 +112,6 @@ pub fn tracking_run(
     let mut rates = Vec::new();
     let mut gaps = Vec::new();
     let mut outages = 0usize;
-    let mut failovers = 0usize;
     // Online drift monitoring over the SNR-loss and misselection streams.
     // The CUSUM alarms are `health.link_drift` counters (sink-gated events),
     // so they surface in registry snapshots and `talon report --quality`
@@ -151,39 +147,18 @@ pub fn tracking_run(
                 );
             }
         }
-        // Achieved rate with the currently selected sector.
-        let mut active = current;
-        let mut rate = match current {
+        // Achieved rate with the currently selected sector, whose loss
+        // also feeds the drift monitor. A blocked LoS moves the optimum to
+        // a reflection, so a stale selection shows up here as a step the
+        // CUSUM alarms on.
+        let rate = match current {
             Some(sel) => {
                 let snr = link.true_snr_db(&tx, sel, &rx, &rxw);
+                quality.record_loss(t, best_snr - snr);
                 config.rate_model.tcp_gbps(snr)
             }
             None => 0.0,
         };
-        // BeamSpy-style fail-over: when the primary collapses and a backup
-        // sector is armed, switch to it instantly (no re-training needed —
-        // the backup was learned from the previous sweep's multipath
-        // estimate).
-        if rate == 0.0 {
-            if let Some(bk) = policy.backup() {
-                let bk_rate = config
-                    .rate_model
-                    .tcp_gbps(link.true_snr_db(&tx, bk, &rx, &rxw));
-                if bk_rate > 0.0 {
-                    rate = bk_rate;
-                    active = Some(bk);
-                    failovers += 1;
-                }
-            }
-        }
-        // Feed the drift monitor the loss of the sector actually carrying
-        // data (the backup during a fail-over). A blocked LoS moves the
-        // optimum to a reflection, so a stale selection shows up here as a
-        // step the CUSUM alarms on.
-        if let Some(sel) = active {
-            let active_snr = link.true_snr_db(&tx, sel, &rx, &rxw);
-            quality.record_loss(t, best_snr - active_snr);
-        }
         let best = config.rate_model.tcp_gbps(best_snr);
         if rate == 0.0 {
             if outages == 0 || *rates.last().expect("outage implies a prior sample") > 0.0 {
@@ -211,13 +186,11 @@ pub fn tracking_run(
         mean_gbps: geom::stats::mean(&rates).unwrap_or(0.0),
         outage_fraction: outages as f64 / rates.len() as f64,
         mean_rate_gap_gbps: geom::stats::mean(&gaps).unwrap_or(0.0),
-        failovers,
         quality: quality.summary(),
     };
     // Per-run rollup for the trace (one span per tracking experiment).
     if let Some(mut span) = obs::sink_active().then(|| obs::span("netsim.tracking")) {
         span.field("trainings", result.trainings as f64);
-        span.field("failovers", result.failovers as f64);
         span.field("outage_fraction", result.outage_fraction);
         span.field("mean_gbps", result.mean_gbps);
         span.field("drift_epochs", result.quality.drift_epochs.len() as f64);

@@ -3,7 +3,6 @@
 use geom::rng::sub_rng;
 use netsim::dense::{dense_deployment, DenseConfig};
 use netsim::policy::TrainingPolicy;
-use netsim::Room;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -23,24 +22,6 @@ fn patterns() -> &'static chamber::SectorPatterns {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn room_placement_invariants(n in 1usize..24, seed in 0u64..64) {
-        let mut rng = sub_rng(seed, "prop-room");
-        let room = Room::place(&mut rng, n, [10.0, 8.0], seed);
-        prop_assert_eq!(room.pairs.len(), n);
-        for p in &room.pairs {
-            for pos in [p.tx_pos, p.rx_pos] {
-                prop_assert!(pos[0] >= 0.0 && pos[0] <= 10.0);
-                prop_assert!(pos[1] >= 0.0 && pos[1] <= 8.0);
-            }
-        }
-        // SINR never exceeds SNR.
-        for l in room.sinr_matrix() {
-            prop_assert!(l.sinr_db <= l.snr_db + 1e-9);
-            prop_assert!(l.snr_db.is_finite());
-        }
-    }
 
     #[test]
     fn dense_airtime_is_monotone_in_pairs_and_bounded(

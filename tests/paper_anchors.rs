@@ -15,9 +15,11 @@
 //! the figure, update the value here and the row there in one change.
 
 use eval::estimation::estimation_error;
+use eval::extensions::tracking_comparison;
 use eval::overhead::training_time;
 use eval::scenario::{EvalScenario, Fidelity};
 use eval::snr_loss::snr_loss;
+use netsim::tracking::TrackingConfig;
 
 /// Tolerance on a Fig. 7 azimuth median, degrees.
 const AZ_MEDIAN_TOL_DEG: f64 = 0.2;
@@ -87,4 +89,26 @@ fn fig10_training_airtime_and_speedup() {
     let expected = [(14, 0.5531), (34, 1.2731)];
     assert_eq!(res.model, expected, "analytic model");
     assert_eq!(res.simulated, expected, "simulated protocol");
+}
+
+/// §7 tracking at equal training airtime, conference room: CSS(14)
+/// re-trains 215 times to the stock sweep's 94 in the 30 s horizon and
+/// keeps a higher mean goodput on every device. Guards EXPERIMENTS.md
+/// "Extensions", tracking paragraph (CSS above SSW on 17/17 devices at
+/// paper fidelity).
+#[test]
+fn tracking_css14_beats_ssw_goodput_at_equal_airtime() {
+    let config = TrackingConfig::default();
+    for device in [1, 2, 42] {
+        let s = EvalScenario::conference_room(Fidelity::Fast, device);
+        let (ssw, css) = tracking_comparison(&config, &s.patterns, 14, device);
+        assert_eq!(ssw.trainings, 94, "device {device}: SSW trainings");
+        assert_eq!(css.trainings, 215, "device {device}: CSS(14) trainings");
+        assert!(
+            css.mean_gbps > ssw.mean_gbps,
+            "device {device}: CSS(14) {:.3} Gbps vs SSW {:.3} Gbps",
+            css.mean_gbps,
+            ssw.mean_gbps
+        );
+    }
 }
