@@ -36,10 +36,6 @@ const REQUIRED_KEYS: &[&str] = &[
     "labeled_counter_ns",
     "span_no_sink_ns",
     "span_memory_sink_ns",
-    "prof_publish_ns",
-    "prof_sample_ns",
-    "prof_overhead_percent",
-    "timed_mutex_uncontended_ns",
     "estimate_m14_ns",
     "noop_overhead_percent",
 ];
@@ -119,56 +115,6 @@ fn main() {
         ns
     };
 
-    // Profiler publish path: the same span as `span_no_sink_ns` but with
-    // a profiler alive, so every start pushes a frame into this thread's
-    // seqlock slot and every drop pops it. The hour-long period keeps the
-    // sampler thread asleep for the whole measurement — this times the
-    // publish cost alone, not sampling.
-    // Interleaved min-of-3 pairs: the publish *delta* is a ~tens-of-ns
-    // difference between two ~150 ns measurements, so a single pair is at
-    // the mercy of scheduler noise. The minimum over alternating rounds is
-    // the standard noise-robust estimator for a lower-bound cost, and
-    // pairing keeps both sides under comparable interference. The
-    // hour-long period keeps each round's sampler thread asleep — this
-    // times the publish path alone, not sampling.
-    let (prof_publish_ns, prof_publish_delta_ns) = {
-        let mut publish = f64::MAX;
-        let mut delta = f64::MAX;
-        for _ in 0..3 {
-            let plain = time_ns(span_iters, || {
-                let mut s = obs::span("bench.obs.span");
-                s.field("x", black_box(1.0));
-            });
-            let profiler = obs::Profiler::start(std::time::Duration::from_secs(3600));
-            let profiled = time_ns(span_iters, || {
-                let mut s = obs::span("bench.obs.span");
-                s.field("x", black_box(1.0));
-            });
-            drop(profiler);
-            publish = publish.min(profiled);
-            delta = delta.min((profiled - plain).max(0.0));
-        }
-        (publish, delta)
-    };
-    // One synchronous sampler pass over the live slots while a stack is
-    // held open — what each tick of `talon profile --hz N` costs the
-    // sampler thread.
-    let prof_sample_ns = {
-        let iters = if smoke { 2_000 } else { 20_000 };
-        let profiler = obs::Profiler::start(std::time::Duration::from_secs(3600));
-        let _held = obs::span("bench.obs.prof_held");
-        time_ns(iters, || black_box(&profiler).sample_now())
-    };
-    // TimedMutex fast path: try_lock succeeds, guard drop records hold
-    // time into a cached histogram — the per-acquisition cost every
-    // wrapped lock (the binary trace sink) pays uncontended.
-    let timed_mutex_uncontended_ns = {
-        let m = obs::TimedMutex::new("bench_obs", 0u64);
-        time_ns(prim_iters / 10, || {
-            *black_box(&m).lock() += 1;
-        })
-    };
-
     // The instrumented estimator, sink-less (the shipping default).
     let (patterns, dut, fixed) = bench_patterns(42);
     let link = Link::new(Environment::lab());
@@ -188,12 +134,6 @@ fn main() {
     let per_estimate_obs_ns = counter_inc_ns + gauge_set_ns;
     let noop_overhead_percent = 100.0 * per_estimate_obs_ns / estimate_m14_ns;
 
-    // Per-span profiler bill relative to one estimate: the delta the
-    // publish path adds over the plain no-sink span. The self-observation
-    // acceptance bar is <1 % — enforced below and by the profiling-e2e CI
-    // job (which runs this bench in `--smoke --check` mode).
-    let prof_overhead_percent = 100.0 * prof_publish_delta_ns / estimate_m14_ns;
-
     let json = format!(
         "{{\n  \"counter_inc_ns\": {counter_inc_ns:.2},\n  \
          \"gauge_set_ns\": {gauge_set_ns:.2},\n  \
@@ -201,10 +141,6 @@ fn main() {
          \"labeled_counter_ns\": {labeled_counter_ns:.2},\n  \
          \"span_no_sink_ns\": {span_no_sink_ns:.2},\n  \
          \"span_memory_sink_ns\": {span_memory_sink_ns:.2},\n  \
-         \"prof_publish_ns\": {prof_publish_ns:.2},\n  \
-         \"prof_sample_ns\": {prof_sample_ns:.2},\n  \
-         \"prof_overhead_percent\": {prof_overhead_percent:.4},\n  \
-         \"timed_mutex_uncontended_ns\": {timed_mutex_uncontended_ns:.2},\n  \
          \"estimate_m14_ns\": {estimate_m14_ns:.2},\n  \
          \"noop_overhead_percent\": {noop_overhead_percent:.4}\n}}\n"
     );
@@ -214,10 +150,6 @@ fn main() {
     assert!(
         noop_overhead_percent < 2.0,
         "no-sink instrumentation overhead {noop_overhead_percent:.2}% exceeds the 2% budget"
-    );
-    assert!(
-        prof_overhead_percent < 1.0,
-        "profiler publish overhead {prof_overhead_percent:.2}% exceeds the 1% budget"
     );
 
     if let Some(baseline_path) = check {

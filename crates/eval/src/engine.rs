@@ -72,17 +72,20 @@ where
     let threads = threads.clamp(1, n_units.max(1));
     let recording = obs::sink_active();
     let mut span = recording.then(|| obs::span("eval.par_map"));
-    if let Some(span) = &mut span {
-        span.field("units", n_units as f64);
-        span.field("threads", threads as f64);
-    }
     // While a sink records, every work unit becomes its own trace. The id
     // block is reserved here, on the coordinating thread, so unit i always
     // gets `trace_base + i` no matter which worker runs it; unit events are
     // captured per unit (see `obs::with_context`) and forwarded to the sink
     // in unit-index order below, which makes the trace stream — not just
-    // the results — identical at any thread count.
+    // the results — identical at any thread count. The span records the
+    // block (`trace_base`, `units`) so `obs::tree::folded_stacks` can fold
+    // the unit traces under it instead of counting their time twice.
     let trace_base = recording.then(|| obs::reserve_trace_ids(n_units.max(1) as u64));
+    if let (Some(span), Some(base)) = (&mut span, trace_base) {
+        span.field("units", n_units as f64);
+        span.field("trace_base", base as f64);
+        span.field("threads", threads as f64);
+    }
     let run_unit = |w: &mut W, i: usize, captured: &mut Vec<obs::Captured>| -> T {
         match trace_base {
             Some(base) => {

@@ -316,6 +316,11 @@ impl ReplaySession {
         }
     }
 
+    /// The report over everything fed so far.
+    pub fn report(&self) -> &ReplayReport {
+        &self.report
+    }
+
     /// The merged report over everything fed so far.
     pub fn finish(self) -> ReplayReport {
         self.report

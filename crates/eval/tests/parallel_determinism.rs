@@ -106,60 +106,6 @@ fn eval_traces_are_structurally_thread_count_invariant() {
 }
 
 #[test]
-fn profiling_does_not_perturb_results_or_traces() {
-    let _guard = obs::testing::lock();
-    // The sampling profiler must be workload-inert: with a fast sampler
-    // running (publishing every span push/pop into the per-thread slots
-    // and sampling concurrently), results AND trace structure stay
-    // byte-identical at 1, 2 and 8 threads — and identical to what an
-    // unprofiled run produces.
-    let baseline_results = {
-        let mut s = EvalScenario::conference_room(Fidelity::Fast, 906);
-        let data = s.record(906);
-        format!(
-            "{:?}",
-            estimation_error_par(&data, &s.patterns, &[6, 14], 2, 906, 2)
-        )
-    };
-    let baseline_trace = format!(
-        "{:?}",
-        obs::tree::normalize_structural(
-            &capture_eval_trace(2)
-                .into_iter()
-                .filter(|e| e.stage != "eval.par_map")
-                .collect::<Vec<_>>()
-        )
-    );
-    let profiler = obs::Profiler::start(std::time::Duration::from_micros(200));
-    for &t in &THREAD_COUNTS {
-        let mut s = EvalScenario::conference_room(Fidelity::Fast, 906);
-        let data = s.record(906);
-        let render = format!(
-            "{:?}",
-            estimation_error_par(&data, &s.patterns, &[6, 14], 2, 906, t)
-        );
-        assert_eq!(render, baseline_results, "results perturbed at {t} threads");
-        let trace = format!(
-            "{:?}",
-            obs::tree::normalize_structural(
-                &capture_eval_trace(t)
-                    .into_iter()
-                    .filter(|e| e.stage != "eval.par_map")
-                    .collect::<Vec<_>>()
-            )
-        );
-        assert_eq!(trace, baseline_trace, "trace perturbed at {t} threads");
-    }
-    // The profiler actually watched the workload, not an idle process.
-    assert!(profiler.passes() > 0, "sampler never ran");
-    let folded = profiler.folded();
-    assert!(
-        !folded.is_empty(),
-        "sampler captured no stacks from the eval workload"
-    );
-}
-
-#[test]
 fn eval_units_root_their_own_traces() {
     let _guard = obs::testing::lock();
     let events = capture_eval_trace(4);

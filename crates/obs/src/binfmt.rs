@@ -86,6 +86,7 @@ use crate::decision::{DecisionRecord, SCHEMA_VERSION};
 use crate::event::Event;
 use crate::registry::Snapshot;
 use crate::sink::{note_write_error, EventSink};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
 use std::io::{BufWriter, ErrorKind, Read, Write};
@@ -913,13 +914,9 @@ struct BinState {
 /// sink allocates only for first-seen strings. Write failures bump
 /// `health.trace_write_failed` and warn once — a full disk degrades the
 /// trace, it no longer silently loses provenance.
-///
-/// The writer state sits behind a [`crate::sync::TimedMutex`]
-/// (`lock="bin_sink"`): every recording thread serializes through it, so
-/// its `lock.*` series measure global-sink contention directly.
 #[derive(Debug)]
 pub struct BinSink {
-    state: crate::sync::TimedMutex<BinState>,
+    state: Mutex<BinState>,
 }
 
 impl BinSink {
@@ -929,15 +926,12 @@ impl BinSink {
         let mut out = BufWriter::new(File::create(path)?);
         out.write_all(&file_header())?;
         Ok(BinSink {
-            state: crate::sync::TimedMutex::new(
-                "bin_sink",
-                BinState {
-                    out,
-                    intern: Interner::default(),
-                    frame: Vec::new(),
-                    defs: Vec::new(),
-                },
-            ),
+            state: Mutex::new(BinState {
+                out,
+                intern: Interner::default(),
+                frame: Vec::new(),
+                defs: Vec::new(),
+            }),
         })
     }
 

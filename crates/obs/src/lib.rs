@@ -23,9 +23,10 @@
 //!   missing probes, outlier residuals) as counters plus trace-tagged
 //!   anomaly events; [`monitor::QualityMonitor`] turns a link's SNR-loss
 //!   and misselection streams into drift epochs.
-//! - **Profiling** ([`Profiler`]) — a sampling profiler over the live span
-//!   stacks, folded into the same stacks `talon report --flame` emits;
-//!   `talon profile <trace>` runs it over a trace's replayed decisions.
+//! - **Profiling** — `talon profile <trace>` replays a trace's decisions
+//!   under a [`MemorySink`] and folds the replay's own span events with
+//!   [`tree::folded_stacks`], the same exact self-time stacks
+//!   `talon report --flame` prints.
 //!
 //! Everything is built on atomics and `parking_lot` locks; there are no
 //! tracing/metrics framework dependencies. The no-sink fast path is one
@@ -42,11 +43,9 @@ pub mod health;
 pub mod labels;
 pub mod metrics;
 pub mod monitor;
-pub mod prof;
 pub mod registry;
 pub mod sink;
 pub mod span;
-pub mod sync;
 pub mod trace;
 pub mod tree;
 
@@ -56,11 +55,9 @@ pub use event::Event;
 pub use labels::LabelSet;
 pub use metrics::{Bucket, Counter, Gauge, Histogram, HistogramSnapshot};
 pub use monitor::{DriftConfig, DriftDetector, QualityMonitor, QualitySummary};
-pub use prof::Profiler;
 pub use registry::{Registry, Snapshot};
 pub use sink::{clear_sink, set_sink, sink_active, EventSink, MemorySink, NoopSink};
 pub use span::{span, Span};
-pub use sync::{TimedMutex, TimedMutexGuard};
 pub use trace::{
     current_context, current_ids, open_trace, reserve_trace_ids, with_context, Captured, Trace,
     TraceContext,

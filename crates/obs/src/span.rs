@@ -2,7 +2,6 @@
 
 use crate::event::Event;
 use crate::metrics::Histogram;
-use crate::prof;
 use crate::sink;
 use crate::trace::{self, SpanIds};
 use parking_lot::Mutex;
@@ -42,11 +41,6 @@ pub struct Span {
     start_us: u64,
     ids: Option<SpanIds>,
     fields: Option<BTreeMap<String, f64>>,
-    /// The stack index of the profiler frame this span published, if it
-    /// published one (see [`crate::prof`]); only then does the drop pop,
-    /// and it pops exactly that frame, so spans straddling profiler
-    /// start/stop or dropped out of LIFO order stay balanced.
-    profiled: Option<usize>,
 }
 
 impl Span {
@@ -61,7 +55,6 @@ impl Span {
             start_us: if recording { crate::now_us() } else { 0 },
             ids: recording.then(trace::begin_span),
             fields: recording.then(BTreeMap::new),
-            profiled: prof::handle_push(stage),
         }
     }
 
@@ -86,9 +79,6 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(index) = self.profiled {
-            prof::handle_pop(index);
-        }
         let dur_us = self.start.elapsed().as_micros() as u64;
         stage_histogram(self.stage).record(dur_us);
         if let Some(ids) = self.ids.take() {

@@ -3,8 +3,9 @@
 //! Span events carry `trace_id`/`span_id`/`parent_id` (see
 //! [`crate::event::Event`]); this module links them back into per-trace
 //! trees for `talon report --tree`, flattens them to folded-stack lines for
-//! `talon report --flame` (the format `inferno` / `flamegraph.pl` consume),
-//! and aggregates anomaly events into per-trace health summaries.
+//! `talon report --flame` and `talon profile` (the format `inferno` /
+//! `flamegraph.pl` consume), and aggregates anomaly events into per-trace
+//! health summaries.
 //!
 //! Spans are emitted on drop, so a file lists children *before* their
 //! parents; reconstruction is therefore a full two-pass link, not a stream.
@@ -126,21 +127,67 @@ pub fn build_trees(events: &[Event]) -> Vec<TraceTree> {
 /// `inferno-flamegraph` / `flamegraph.pl`. Lines are sorted by path and
 /// zero-self-time frames with no samples are kept only if aggregated
 /// self time is non-zero somewhere.
+///
+/// A span carrying `trace_base` and `units` fields (`eval.par_map`) ran
+/// its work units as traces `trace_base..trace_base + units`. Those
+/// traces fold under that span rather than as roots of their own, and
+/// their root durations leave its self time (saturating: units on
+/// parallel workers can sum past its wall time), so each unit's time is
+/// counted once. A trace is adopted by the first span that claims it.
 pub fn folded_stacks(events: &[Event]) -> Vec<(String, u64)> {
-    let mut agg: BTreeMap<String, u64> = BTreeMap::new();
-    for tree in build_trees(events) {
-        let mut stack: Vec<(usize, String)> = tree
-            .roots
-            .iter()
-            .map(|&r| (r, tree.nodes[r].stage.clone()))
-            .collect();
-        stack.reverse();
-        while let Some((i, path)) = stack.pop() {
-            *agg.entry(path.clone()).or_insert(0) += tree.nodes[i].self_us;
-            for &c in tree.nodes[i].children.iter().rev() {
-                stack.push((c, format!("{path};{}", tree.nodes[c].stage)));
-            }
+    let trees = build_trees(events);
+    let by_id: BTreeMap<u64, usize> = trees
+        .iter()
+        .enumerate()
+        .map(|(t, tree)| (tree.trace_id, t))
+        .collect();
+    // Each trace's summed root durations: what it takes out of an adopter.
+    let root_us: Vec<u64> = trees
+        .iter()
+        .map(|tree| tree.roots.iter().map(|&r| tree.nodes[r].dur_us).sum())
+        .collect();
+    let mut adopted: Vec<bool> = vec![false; trees.len()];
+    let mut units_of: BTreeMap<(u64, u64), Vec<usize>> = BTreeMap::new();
+    for e in events {
+        if e.kind != "span" || e.trace_id == 0 {
+            continue;
         }
+        let (Some(base), Some(units)) = (e.field("trace_base"), e.field("units")) else {
+            continue;
+        };
+        let (base, units) = (base as u64, units as u64);
+        let claimed: Vec<usize> = (base..base.saturating_add(units))
+            .filter_map(|id| by_id.get(&id).copied())
+            .filter(|&t| !std::mem::replace(&mut adopted[t], true))
+            .collect();
+        units_of.insert((e.trace_id, e.span_id), claimed);
+    }
+    let mut agg: BTreeMap<String, u64> = BTreeMap::new();
+    // (tree, node, folded path) still to visit.
+    let mut stack: Vec<(usize, usize, String)> = Vec::new();
+    for (t, tree) in trees.iter().enumerate() {
+        if !adopted[t] {
+            stack.extend(
+                tree.roots
+                    .iter()
+                    .map(|&r| (t, r, tree.nodes[r].stage.clone())),
+            );
+        }
+    }
+    while let Some((t, i, path)) = stack.pop() {
+        let tree = &trees[t];
+        let node = &tree.nodes[i];
+        let units = units_of
+            .get(&(tree.trace_id, node.span_id))
+            .map_or(&[][..], Vec::as_slice);
+        let unit_us: u64 = units.iter().map(|&u| root_us[u]).sum();
+        *agg.entry(path.clone()).or_insert(0) += node.self_us.saturating_sub(unit_us);
+        let below = node.children.iter().map(|&c| (t, c)).chain(
+            units
+                .iter()
+                .flat_map(|&u| trees[u].roots.iter().map(move |&r| (u, r))),
+        );
+        stack.extend(below.map(|(t, i)| (t, i, format!("{path};{}", trees[t].nodes[i].stage))));
     }
     agg.into_iter().collect()
 }
@@ -413,6 +460,50 @@ mod tests {
             .find(|(p, _)| p == "css.session;sls.run;css.estimate")
             .unwrap();
         assert_eq!(leaf.1, 80);
+    }
+
+    /// An `eval.par_map` span (trace 1) that ran `units` work units as
+    /// traces `base..base + units`, each one `css.estimate` root of
+    /// `unit_us`.
+    fn par_map(dur: u64, base: u64, units: u64, unit_us: u64) -> Vec<Event> {
+        let mut events: Vec<Event> = (0..units)
+            .map(|u| span(1, "css.estimate", unit_us, (base + u, 1, 0)))
+            .collect();
+        let fields = Map::from([
+            ("units".to_string(), units as f64),
+            ("trace_base".to_string(), base as f64),
+        ]);
+        events.push(Event::span(0, "eval.par_map", dur, fields).with_ids(1, 1, 0));
+        events
+    }
+
+    #[test]
+    fn par_map_units_fold_under_their_span_once() {
+        let mut events = par_map(100, 10, 2, 40);
+        // A trace outside the span's block stays a root of its own.
+        events.push(span(0, "css.estimate", 7, (12, 1, 0)));
+        let folded = folded_stacks(&events);
+        assert_eq!(
+            folded,
+            [
+                ("css.estimate".to_string(), 7),
+                ("eval.par_map".to_string(), 20), // 100 - 2 * 40
+                ("eval.par_map;css.estimate".to_string(), 80),
+            ]
+        );
+    }
+
+    #[test]
+    fn par_map_self_time_saturates_when_units_overlap() {
+        // Two workers: 3 units of 60 us inside 100 us of wall time.
+        let folded = folded_stacks(&par_map(100, 20, 3, 60));
+        assert_eq!(
+            folded,
+            [
+                ("eval.par_map".to_string(), 0),
+                ("eval.par_map;css.estimate".to_string(), 180),
+            ]
+        );
     }
 
     #[test]

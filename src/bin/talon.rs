@@ -12,7 +12,7 @@
 //! talon brd       --out codebook.brd [--seed N] | --check codebook.brd
 //! talon report    trace.bin [--tree | --flame | --quality | --json]
 //! talon replay    trace.bin [--threads N] [--perturb DB] [--patterns <file>]
-//! talon profile   trace.bin [--hz N] [--threads N] [--repeat N]
+//! talon profile   trace.bin [--threads N]
 //! talon trace     convert <in.bin> <out.jsonl>
 //! talon soak      [--smoke] [--out BENCH_trace.json] [--check <baseline>]
 //! ```
@@ -25,12 +25,17 @@
 //! critical path (`--critical-path`), a per-session link-quality table
 //! (`--quality`), or one machine-readable JSON object (`--json`); `replay`
 //! re-executes the trace's recorded decisions and exits non-zero unless
-//! every one reproduces bit-exactly; `profile` replays them under the
-//! sampling profiler and prints folded stacks; `trace convert` exports a
+//! every one reproduces bit-exactly (and fails when none is replayable);
+//! `profile` replays them and prints the replay's own spans as exact
+//! self-time folded stacks; `trace convert` exports a
 //! trace as JSON Lines (one-way); `soak` runs the record → account →
 //! replay trace soak and emits/gates `BENCH_trace.json`. Output goes
 //! through one locked stdout writer, so a reader that closes the pipe
 //! early (`| head -1`) ends the command cleanly.
+//!
+//! Each command accepts exactly the options its USAGE line lists: an
+//! unknown option, a stray argument, an unparsable `--seed` or a
+//! `--probes` count outside 2..=34 exits 2 with one `error:` line.
 
 use chamber::{Campaign, CampaignConfig, SectorPatterns};
 use css::selection::{CompressiveSelection, CssConfig, DecisionOracle};
@@ -50,21 +55,15 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let (opts, positional) = parse_opts(&args[1..]);
+    if let Err(e) = check_args(cmd, &opts, &positional) {
+        eprintln!("error: {e}");
+        return ExitCode::from(2);
+    }
     // `--trace <file>`: stream obs events to a binary trace file while the
-    // command runs, and append a registry snapshot at the end.
+    // command runs, and append a registry snapshot at the end. Only the
+    // commands that produce traces accept it (see `OPTIONS`), so a sink is
+    // never opened — truncating the file — on a command's input.
     let trace_sink: Option<std::sync::Arc<dyn obs::EventSink>> = match opts.get("trace") {
-        // `report`, `replay`, `trace`, `soak`, and `profile` read (or
-        // manage) existing trace files; never open a sink (which truncates
-        // the file) on what is these commands' input.
-        Some(_)
-            if cmd == "report"
-                || cmd == "replay"
-                || cmd == "trace"
-                || cmd == "soak"
-                || cmd == "profile" =>
-        {
-            None
-        }
         // A bare `--trace` parses as the value "true"; require a path
         // instead of silently writing a file named `true`.
         Some(path) if path == "true" => {
@@ -124,15 +123,71 @@ const USAGE: &str = "talon — compressive sector selection toolkit
 
 commands:
   campaign  --out <file> [--scan azimuth|3d|coarse] [--seed N]
-  record    --scenario lab|conference --out <file> [--seed N] [--paper] [--trace <file>]
+  record    --scenario lab|conference --out <file> [--patterns-out <file>] [--seed N] [--paper] [--trace <file>]
   analyze   --dataset <file> --patterns <file> [--probes 14,20] [--seed N] [--trace <file>]
-  sls       --scenario lab|conference --policy ssw|css [--probes 14] [--yaw DEG] [--seed N] [--trace <file>]
+  sls       --scenario lab|conference --policy ssw|css [--probes 14] [--yaw DEG] [--seed N] [--paper] [--trace <file>]
   brd       --out <file> [--seed N]  |  --check <file>
   report    <trace.bin> [--tree | --flame | --critical-path [--top K] | --quality | --json]
-  replay    <trace.bin> [--threads N] [--perturb DB] [--patterns <file>]
-  profile   <trace.bin> [--hz N] [--threads N] [--repeat N]
+  replay    <trace.bin> [--threads N] [--perturb DB] [--patterns <file>] [--json]
+  profile   <trace.bin> [--threads N]
   trace     convert <in.bin> <out.jsonl>   (one-way JSON Lines export)
-  soak      [--decisions N] [--smoke] [--threads 1,2,8] [--keep <trace.bin>] [--out <bench.json>] [--check <baseline.json>] [--seed N]";
+  soak      [--decisions N] [--smoke] [--threads 1,2,8] [--keep <trace.bin>] [--out <bench.json>] [--check <baseline.json>] [--seed N]
+
+--probes counts are 2..=34 (sls takes one); --seed is a non-negative integer (default 42).";
+
+/// The options each command reads and how many positional arguments it
+/// takes. Anything else is a usage error: a typo such as `--polcy css`
+/// must fail, not run the default policy.
+const OPTIONS: &[(&str, usize, &str)] = &[
+    ("campaign", 0, "out scan seed"),
+    ("record", 0, "scenario out patterns-out seed paper trace"),
+    ("analyze", 0, "dataset patterns probes seed trace"),
+    ("sls", 0, "scenario policy probes yaw seed paper trace"),
+    ("brd", 0, "out seed check"),
+    ("report", 1, "tree flame critical-path top quality json"),
+    ("replay", 1, "threads perturb patterns json"),
+    ("profile", 1, "threads"),
+    ("trace", 3, ""),
+    ("soak", 0, "decisions smoke threads keep out check seed"),
+];
+
+/// Rejects what `cmd` would otherwise ignore or silently default: an
+/// option it does not read, a stray argument, an unparsable `--seed`, or a
+/// `--probes` count outside 2..=34. Unknown commands pass through to the
+/// dispatcher's own error.
+fn check_args(
+    cmd: &str,
+    opts: &HashMap<String, String>,
+    positional: &[String],
+) -> Result<(), String> {
+    let Some(&(_, max_positional, known)) = OPTIONS.iter().find(|(name, ..)| *name == cmd) else {
+        return Ok(());
+    };
+    let mut keys: Vec<&String> = opts.keys().collect();
+    keys.sort();
+    if let Some(key) = keys
+        .into_iter()
+        .find(|k| !known.split_whitespace().any(|o| o == *k))
+    {
+        let accepted: String = known
+            .split_whitespace()
+            .map(|o| format!(" --{o}"))
+            .collect();
+        return Err(format!(
+            "{cmd}: unknown option `--{key}` (accepted:{accepted})"
+        ));
+    }
+    if let Some(extra) = positional.get(max_positional) {
+        return Err(format!("{cmd}: unexpected argument `{extra}`"));
+    }
+    seed_of(opts)?;
+    if let Some(spec) = opts.get("probes") {
+        if probe_counts(spec)?.len() > 1 && cmd == "sls" {
+            return Err(format!("sls takes one --probes count, not `{spec}`"));
+        }
+    }
+    Ok(())
+}
 
 /// Options that never take a value: `--json t.bin` is a switch followed
 /// by a positional trace path, not `json = "t.bin"`.
@@ -176,13 +231,29 @@ fn parse_opts(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
     (out, positional)
 }
 
-fn seed_of(opts: &HashMap<String, String>) -> u64 {
-    opts.get("seed").and_then(|s| s.parse().ok()).unwrap_or(42)
+fn seed_of(opts: &HashMap<String, String>) -> Result<u64, String> {
+    opts.get("seed").map_or(Ok(42), |s| {
+        s.parse()
+            .map_err(|_| format!("bad --seed `{s}`: expected a non-negative integer"))
+    })
+}
+
+/// Parses `--probes`: a comma list of counts, each in 2..=34 — at least
+/// two sectors to correlate, at most the Talon's 34 transmit sectors.
+fn probe_counts(spec: &str) -> Result<Vec<usize>, String> {
+    spec.split(',')
+        .map(|t| match t.trim().parse() {
+            Ok(m) if (2..=34).contains(&m) => Ok(m),
+            _ => Err(format!(
+                "bad --probes count `{t}`: expected an integer in 2..=34"
+            )),
+        })
+        .collect()
 }
 
 fn cmd_campaign(opts: &HashMap<String, String>) -> Result<(), String> {
     let out = opts.get("out").ok_or("campaign needs --out <file>")?;
-    let seed = seed_of(opts);
+    let seed = seed_of(opts)?;
     let cfg = match opts.get("scan").map(String::as_str) {
         Some("azimuth") => CampaignConfig::paper_azimuth_scan(),
         Some("3d") | None => CampaignConfig::paper_3d_scan(),
@@ -223,7 +294,7 @@ fn scenario_of(opts: &HashMap<String, String>, seed: u64) -> Result<EvalScenario
 
 fn cmd_record(opts: &HashMap<String, String>) -> Result<(), String> {
     let out = opts.get("out").ok_or("record needs --out <file>")?;
-    let seed = seed_of(opts);
+    let seed = seed_of(opts)?;
     let mut scenario = scenario_of(opts, seed)?;
     eprintln!(
         "recording {} positions x {} sweeps in {}…",
@@ -254,22 +325,15 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
     let patterns_path = opts
         .get("patterns")
         .ok_or("analyze needs --patterns <file>")?;
-    let seed = seed_of(opts);
+    let seed = seed_of(opts)?;
     let data = eval::dataset_io::load(Path::new(dataset_path))
         .map_err(|e| format!("reading {dataset_path}: {e}"))?
         .map_err(|e| format!("parsing {dataset_path}: {e}"))?;
     let patterns = SectorPatterns::load(Path::new(patterns_path))
         .map_err(|e| format!("reading {patterns_path}: {e}"))?
         .map_err(|e| format!("parsing {patterns_path}: {e}"))?;
-    let probes: Vec<usize> = match opts.get("probes") {
-        Some(spec) => spec
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse()
-                    .map_err(|_| format!("bad probe count `{t}`"))
-            })
-            .collect::<Result<_, _>>()?,
+    let probes = match opts.get("probes") {
+        Some(spec) => probe_counts(spec)?,
         None => vec![6, 10, 14, 20, 34],
     };
     let stab = eval::stability::selection_stability(&data, &patterns, &probes, seed);
@@ -301,7 +365,7 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_sls(opts: &HashMap<String, String>) -> Result<(), String> {
-    print_line(run_sls_session(opts, seed_of(opts))?)
+    print_line(run_sls_session(opts, seed_of(opts)?)?)
 }
 
 /// Runs one full training session (the trace root `css.session`: probe
@@ -316,11 +380,10 @@ fn run_sls_session(opts: &HashMap<String, String>, seed: u64) -> Result<String, 
         .map(|s| s.parse().map_err(|_| "bad --yaw"))
         .transpose()?
         .unwrap_or(-25.0);
-    let probes: usize = opts
-        .get("probes")
-        .map(|s| s.parse().map_err(|_| "bad --probes"))
-        .transpose()?
-        .unwrap_or(14);
+    let probes = match opts.get("probes") {
+        Some(spec) => probe_counts(spec)?[0],
+        None => 14,
+    };
     let scenario = scenario_of(opts, seed)?;
     // Stamp decision records with the reconstruction context so `talon
     // replay` can rebuild this scenario's pattern database from the
@@ -485,7 +548,6 @@ fn run_sls_session(opts: &HashMap<String, String>, seed: u64) -> Result<String, 
 fn cmd_report(positional: &[String], opts: &HashMap<String, String>) -> Result<(), String> {
     let path = positional
         .first()
-        .or_else(|| opts.get("trace"))
         .ok_or("report needs a trace file: talon report <trace.bin>")?;
     let trace = obs::open_trace(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
     if trace.skipped > 0 {
@@ -869,7 +931,6 @@ fn report_json(trace: &obs::Trace) -> Value {
 fn cmd_replay(positional: &[String], opts: &HashMap<String, String>) -> Result<(), String> {
     let path = positional
         .first()
-        .or_else(|| opts.get("trace"))
         .ok_or("replay needs a trace file: talon replay <trace.bin>")?;
     let trace = obs::open_trace(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
     if trace.skipped > 0 {
@@ -898,6 +959,9 @@ fn cmd_replay(positional: &[String], opts: &HashMap<String, String>) -> Result<(
         config.patterns_override = Some(patterns);
     }
     let report = eval::replay::replay_trace(&trace, &config);
+    if report.is_clean() && report.replayed == 0 {
+        return Err(nothing_replayable(path, &report));
+    }
     write_stdout(|out| {
         if opts.contains_key("json") {
             return writeln!(out, "{}", Serialize::serialize(&report).to_json());
@@ -938,11 +1002,22 @@ fn cmd_replay(positional: &[String], opts: &HashMap<String, String>) -> Result<(
     }
 }
 
-/// `talon profile <trace.bin>`: folded flame stacks from the sampling
-/// profiler. The trace's decisions are replayed under a local profiler
-/// (the trace provides the workload, the profiler watches the real
-/// estimator/replay code run it). Folded stacks go to stdout in the exact
-/// format `talon report --flame` emits, ready for inferno-flamegraph /
+/// The error of a replay or profile that re-executed no decision: a
+/// pass over nothing verifies nothing (an SSW trace's records are all
+/// non-replayable).
+fn nothing_replayable(path: &str, report: &eval::replay::ReplayReport) -> String {
+    format!(
+        "no decision in {path} is replayable ({}); record a CSS session, e.g. \
+         `talon sls --policy css --trace <file>`",
+        report.summary()
+    )
+}
+
+/// `talon profile <trace.bin>`: where the trace's decisions spend their
+/// time. The decisions are replayed under a memory sink, each pass's span
+/// events are folded with `obs::tree::folded_stacks` and summed, and the
+/// stacks go to stdout as `path;to;span self_us` lines — the format
+/// `talon report --flame` prints, ready for inferno-flamegraph /
 /// flamegraph.pl.
 fn cmd_profile(positional: &[String], opts: &HashMap<String, String>) -> Result<(), String> {
     let path = positional
@@ -955,56 +1030,47 @@ fn cmd_profile(positional: &[String], opts: &HashMap<String, String>) -> Result<
              `talon sls --policy css --trace {path}`"
         ));
     }
-    let hz: u64 = opts
-        .get("hz")
-        .map(|s| s.parse().map_err(|_| "bad --hz"))
-        .transpose()?
-        .unwrap_or(1000);
-    let repeat: usize = opts
-        .get("repeat")
-        .map(|s| s.parse().map_err(|_| "bad --repeat"))
-        .transpose()?
-        .unwrap_or(0);
     let mut config = eval::replay::ReplayConfig::default();
     if let Some(t) = opts.get("threads") {
         config.threads = t.parse().map_err(|_| "bad --threads")?;
     }
-    let profiler = obs::Profiler::start_hz(hz.max(1));
-    // Gated call sites only construct their spans while a sink is
-    // recording — without one the replay would publish no frames at all.
-    // A memory sink (drained each pass so it never grows) flips that gate.
+    // Gated call sites only open their spans while a sink records. A
+    // memory sink flips that gate and is drained after every pass.
     let mem = std::sync::Arc::new(obs::MemorySink::new());
     obs::set_sink(mem.clone());
-    // Replay provides the workload. One session serves every pass, so the
-    // pattern databases are rebuilt once and the passes profile decisions,
-    // not set-up. With an explicit --repeat, run exactly that many passes;
-    // otherwise repeat until the sampler had a fair chance (~250 ms of
-    // wall time), so short traces still yield stacks.
+    // One session serves every pass, so the pattern databases are rebuilt
+    // once and the passes time decisions, not set-up. Passes repeat for
+    // ~250 ms of wall time so a short trace still sums to a stable profile.
     let mut session = eval::replay::ReplaySession::new(config);
+    let mut self_us: std::collections::BTreeMap<String, u64> = Default::default();
     let started = std::time::Instant::now();
-    let mut runs = 0usize;
+    let mut passes = 0usize;
     loop {
         session.replay_chunk(&trace.decisions);
-        drop(mem.take());
-        runs += 1;
-        if repeat > 0 {
-            if runs >= repeat {
-                break;
-            }
-        } else if started.elapsed() >= std::time::Duration::from_millis(250) {
+        for (stack, us) in obs::tree::folded_stacks(&mem.take()) {
+            *self_us.entry(stack).or_insert(0) += us;
+        }
+        passes += 1;
+        if session.report().replayed == 0
+            || started.elapsed() >= std::time::Duration::from_millis(250)
+        {
             break;
         }
     }
     obs::clear_sink();
-    let folded = profiler.folded_text();
+    if session.report().replayed == 0 {
+        return Err(nothing_replayable(path, session.report()));
+    }
     eprintln!(
-        "profiled {} replay pass(es) of {} decision(s) at {} Hz: {} sample pass(es)",
-        runs,
-        trace.decisions.len(),
-        hz.max(1),
-        profiler.passes()
+        "profiled {passes} replay pass(es) of {} decision(s); self time in µs",
+        trace.decisions.len()
     );
-    write_stdout(|out| out.write_all(folded.as_bytes()))
+    write_stdout(|out| {
+        for (stack, us) in &self_us {
+            writeln!(out, "{stack} {us}")?;
+        }
+        Ok(())
+    })
 }
 
 fn cmd_trace(positional: &[String]) -> Result<(), String> {
@@ -1111,7 +1177,7 @@ fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), String> {
     let config = eval::SoakConfig {
         decisions,
         threads,
-        seed: seed_of(opts),
+        seed: seed_of(opts)?,
         keep: opts.get("keep").map(std::path::PathBuf::from),
     };
     // Progress lines stop at the first write error; the soak still runs
@@ -1255,7 +1321,7 @@ fn cmd_brd(opts: &HashMap<String, String>) -> Result<(), String> {
     let out = opts
         .get("out")
         .ok_or("brd needs --out <file> or --check <file>")?;
-    let seed = seed_of(opts);
+    let seed = seed_of(opts)?;
     let device = Device::talon(seed);
     let bytes = talon_array::brd::to_brd(&device.codebook);
     std::fs::write(out, &bytes).map_err(|e| format!("writing {out}: {e}"))?;
@@ -1268,7 +1334,26 @@ fn cmd_brd(opts: &HashMap<String, String>) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_opts;
+    use super::{parse_opts, OPTIONS, USAGE};
+
+    #[test]
+    fn usage_lists_exactly_the_options_each_command_accepts() {
+        for &(cmd, _, known) in OPTIONS {
+            let line = USAGE
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(cmd))
+                .unwrap_or_else(|| panic!("no USAGE line for {cmd}"));
+            let mut listed: Vec<&str> = line
+                .split(|c: char| c.is_whitespace() || "[]|".contains(c))
+                .filter_map(|w| w.strip_prefix("--"))
+                .collect();
+            listed.sort_unstable();
+            listed.dedup();
+            let mut known: Vec<&str> = known.split_whitespace().collect();
+            known.sort_unstable();
+            assert_eq!(listed, known, "USAGE line for {cmd}: {line}");
+        }
+    }
 
     fn parse(args: &[&str]) -> (std::collections::HashMap<String, String>, Vec<String>) {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();

@@ -336,3 +336,128 @@ fn replay_exits_cleanly_when_its_reader_closes_the_pipe() {
     let fixture = fixture();
     assert_exits_cleanly_when_its_reader_closes_the_pipe(&["replay", fixture.to_str().unwrap()]);
 }
+
+/// Runs talon with `args` and asserts it fails with exit `code` and one
+/// `error:` line on stderr; returns that line.
+fn run_fails(args: &[&str], code: i32) -> String {
+    let out = talon().args(args).output().expect("run talon");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(code), "talon {args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "talon {args:?}: {stderr}");
+    assert!(stderr.starts_with("error: "), "talon {args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "talon {args:?} printed to stdout");
+    stderr
+}
+
+#[test]
+fn bad_arguments_exit_2_with_one_error_line() {
+    let fixture = fixture();
+    let fixture = fixture.to_str().unwrap();
+    let stderr = run_fails(&["sls", "--polcy", "css"], 2);
+    assert!(stderr.contains("`--polcy`"), "{stderr}");
+    let stderr = run_fails(&["replay", fixture, "--thread", "2"], 2);
+    assert!(stderr.contains("`--thread`"), "{stderr}");
+    let stderr = run_fails(&["sls", "--scenario", "lab", "--seed", "x"], 2);
+    assert!(stderr.contains("--seed"), "{stderr}");
+    for probes in ["0", "1", "35", "14,20"] {
+        let stderr = run_fails(&["sls", "--policy", "css", "--probes", probes], 2);
+        assert!(stderr.contains("--probes"), "{stderr}");
+    }
+    run_fails(
+        &[
+            "analyze",
+            "--dataset",
+            "d",
+            "--patterns",
+            "p",
+            "--probes",
+            "8,0",
+        ],
+        2,
+    );
+    // `profile` reads `--threads` and nothing else.
+    let stderr = run_fails(&["profile", fixture, "--rate", "2000"], 2);
+    assert!(stderr.contains("--threads"), "{stderr}");
+    // A stray argument, and `--trace` on a command that reads traces: the
+    // input is never opened as a sink, so it is not truncated.
+    run_fails(&["report", fixture, fixture], 2);
+    let before = std::fs::metadata(fixture).unwrap().len();
+    run_fails(&["report", "--trace", fixture], 2);
+    assert_eq!(std::fs::metadata(fixture).unwrap().len(), before);
+}
+
+#[test]
+fn replay_and_profile_fail_when_nothing_is_replayable() {
+    // An SSW session records its decisions as non-replayable: a replay
+    // that re-executes none of them has verified nothing.
+    let dir = workdir("replay_and_profile_fail_when_nothing_is_replayable");
+    let trace = dir.join("ssw.bin");
+    let trace = trace.to_str().unwrap();
+    run_ok(&[
+        "sls",
+        "--scenario",
+        "lab",
+        "--policy",
+        "ssw",
+        "--trace",
+        trace,
+    ]);
+    for cmd in ["replay", "profile"] {
+        let stderr = run_fails(&[cmd, trace], 1);
+        assert!(stderr.contains("is replayable"), "{cmd}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn flame_folds_each_eval_unit_under_its_par_map_once() {
+    // `analyze` runs each work unit as a trace of its own under an
+    // `eval.par_map` span: the flame graph folds the units under that
+    // span instead of printing them as extra roots and leaving their
+    // time in its self time as well.
+    let dir = workdir("flame_folds_each_eval_unit_under_its_par_map_once");
+    let (dataset, patterns, trace) = (dir.join("ds.txt"), dir.join("pat.txt"), dir.join("an.bin"));
+    let (dataset, patterns, trace) = (
+        dataset.to_str().unwrap(),
+        patterns.to_str().unwrap(),
+        trace.to_str().unwrap(),
+    );
+    run_ok(&[
+        "record",
+        "--scenario",
+        "lab",
+        "--seed",
+        "3",
+        "--out",
+        dataset,
+        "--patterns-out",
+        patterns,
+    ]);
+    run_ok(&[
+        "analyze",
+        "--dataset",
+        dataset,
+        "--patterns",
+        patterns,
+        "--probes",
+        "14",
+        "--seed",
+        "3",
+        "--trace",
+        trace,
+    ]);
+    let folded = run_ok(&["report", trace, "--flame"]);
+    assert!(
+        folded
+            .lines()
+            .all(|line| line.starts_with("eval.par_map ") || line.starts_with("eval.par_map;")),
+        "every unit folds under eval.par_map:\n{folded}"
+    );
+    assert!(
+        folded
+            .lines()
+            .any(|line| line.starts_with("eval.par_map;css.estimate ")),
+        "{folded}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
