@@ -20,7 +20,7 @@
 //! | [`extensions`] | §7 claims quantified: `ext-dense`, `ext-tracking` |
 //! | [`dataset_io`] | archive/reload recorded sweeps for offline re-analysis |
 //! | [`replay`]     | trace-driven re-execution of recorded decisions |
-//! | [`soak`]       | million-decision record/replay soak with trace-cost metrics |
+//! | [`soak`]       | process peak RSS (`decision_bench`'s `peak_rss_mb`) |
 //! | [`ascii`]      | plain-text table/series rendering for all binaries |
 //!
 //! Every experiment takes an explicit seed and a fidelity knob
@@ -45,6 +45,7 @@ pub mod stability;
 pub mod table1;
 pub mod throughput;
 
-pub use replay::{replay_trace, Divergence, ReplayConfig, ReplayReport, ReplaySession};
+pub use replay::{
+    replay_file, replay_trace, Divergence, ReplayConfig, ReplayReport, ReplaySession,
+};
 pub use scenario::{EvalScenario, Fidelity, RecordedDataset, RecordedPosition};
-pub use soak::{run_soak, SoakConfig, SoakReport};

@@ -20,7 +20,9 @@
 //! Replay fans out over [`crate::engine::par_map`], and because the
 //! kernel is deterministic the report is identical at any thread count —
 //! the CI `replay-determinism` job runs the same trace at 1, 2, and 8
-//! threads.
+//! threads. [`replay_file`] is the file driver `talon replay` runs: it
+//! streams a binary trace through one [`ReplaySession`] in [`CHUNK`]-sized
+//! chunks, so a trace of any length replays in bounded memory.
 
 use crate::engine::{default_threads, par_map};
 use crate::scenario::{EvalScenario, Fidelity};
@@ -28,9 +30,11 @@ use chamber::SectorPatterns;
 use css::estimator::EstimatorOptions;
 use css::{patterns_digest, CompressiveEstimator, CorrelationMode, KernelClosure};
 use mac80211ad::sls::{FeedbackPolicy, MaxSnrPolicy};
-use obs::{DecisionRecord, Trace};
+use obs::binfmt::FileBinReader;
+use obs::{DecisionRecord, Trace, TraceRecord};
 use serde::Serialize;
 use std::collections::BTreeMap;
+use std::path::Path;
 use talon_array::SectorId;
 use talon_channel::{Measurement, SweepReading};
 
@@ -39,6 +43,10 @@ use talon_channel::{Measurement, SweepReading};
 /// bit-identical unless the kernel itself changed, and a faithful replay
 /// reports `max_abs_err` 0.
 pub const TOLERANCE: f64 = 1e-12;
+
+/// Decisions per chunk [`replay_file`] feeds its session: bounds replay
+/// memory at a few MB while keeping the parallel fan-out fed.
+pub const CHUNK: usize = 8 * 1024;
 
 /// How a replay run executes.
 #[derive(Debug, Clone)]
@@ -81,7 +89,7 @@ pub struct Divergence {
 }
 
 /// Outcome of replaying one trace.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ReplayReport {
     /// Decision records in the trace.
     pub total_decisions: usize,
@@ -182,9 +190,9 @@ struct Worker {
 /// Incremental replay over a stream of decision records.
 ///
 /// [`replay_trace`] feeds a whole in-memory [`Trace`] through one of
-/// these; the soak harness (`crate::soak`) instead feeds bounded chunks
-/// straight off a streaming binary reader, so a million-decision trace
-/// replays without ever materializing in memory. Reconstructed pattern
+/// these; [`replay_file`] instead feeds bounded chunks straight off a
+/// streaming binary reader, so a large trace replays without ever
+/// materializing in memory. Reconstructed pattern
 /// databases and estimators are cached across chunks (decisions from one
 /// run share a context, so the cache stays tiny), and reports merge in
 /// decision order regardless of chunking or thread count.
@@ -336,6 +344,33 @@ pub fn replay_trace(trace: &Trace, config: &ReplayConfig) -> ReplayReport {
     let mut session = ReplaySession::new(config.clone());
     session.replay_chunk(&trace.decisions);
     session.finish()
+}
+
+/// Streams the binary trace at `path` through one [`ReplaySession`] in
+/// [`CHUNK`]-decision chunks and returns the report with the number of
+/// damaged frames the reader skipped (also counted as
+/// `health.trace_corrupt`, as [`obs::open_trace`] counts them). Memory
+/// stays bounded by one chunk whatever the trace's length; the report
+/// equals [`replay_trace`]'s on the same file.
+pub fn replay_file(path: &Path, config: &ReplayConfig) -> Result<(ReplayReport, usize), String> {
+    let mut reader = FileBinReader::open(path)?;
+    let mut session = ReplaySession::new(config.clone());
+    let mut chunk = Vec::with_capacity(CHUNK);
+    while let Some(record) = reader.next_record()? {
+        if let TraceRecord::Decision(d) = record {
+            chunk.push(*d);
+            if chunk.len() == CHUNK {
+                session.replay_chunk(&chunk);
+                chunk.clear();
+            }
+        }
+    }
+    session.replay_chunk(&chunk);
+    let skipped = reader.skipped();
+    if skipped > 0 {
+        obs::health::anomaly_n("trace_corrupt", skipped as u64, &[]);
+    }
+    Ok((session.finish(), skipped))
 }
 
 /// Accumulates field comparisons for one replayed decision.
@@ -556,6 +591,32 @@ mod tests {
                 assert_eq!(report.max_abs_err, r.max_abs_err);
             }
             reference = Some(report);
+        }
+    }
+
+    #[test]
+    fn chunking_never_changes_the_report() {
+        let _guard = obs::testing::lock();
+        // Perturbed, so the report carries divergences whose global
+        // indices must survive chunk boundaries.
+        let (trace, patterns) = recorded_trace(9);
+        let config = ReplayConfig {
+            threads: 2,
+            perturb_snr_db: 0.25,
+            patterns_override: Some(patterns),
+        };
+        let whole = replay_trace(&trace, &config);
+        assert!(
+            whole.divergent.iter().any(|d| d.index >= 4),
+            "divergences past the first chunk of 4: {}",
+            whole.summary()
+        );
+        for size in [1, 4] {
+            let mut session = ReplaySession::new(config.clone());
+            for chunk in trace.decisions.chunks(size) {
+                session.replay_chunk(chunk);
+            }
+            assert_eq!(session.finish(), whole, "chunks of {size}");
         }
     }
 

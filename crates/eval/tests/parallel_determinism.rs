@@ -109,15 +109,36 @@ fn eval_traces_are_structurally_thread_count_invariant() {
 fn eval_units_root_their_own_traces() {
     let _guard = obs::testing::lock();
     let events = capture_eval_trace(4);
-    let trees = obs::tree::build_trees(&events);
-    assert!(!trees.is_empty());
-    // Every per-unit trace is a single rooted tree (one top-level span per
-    // work unit), and ids are unique within each trace.
-    for tree in &trees {
+    // Without the `eval.par_map` spans nothing adopts the units: every
+    // per-unit trace is a single rooted tree (one top-level span per work
+    // unit), and ids are unique within each trace.
+    let units: Vec<obs::Event> = events
+        .iter()
+        .filter(|e| e.stage != "eval.par_map")
+        .cloned()
+        .collect();
+    let unit_trees = obs::tree::build_trees(&units);
+    assert!(!unit_trees.is_empty());
+    for tree in &unit_trees {
         assert_eq!(tree.roots.len(), 1, "trace {} roots", tree.trace_id);
         let mut ids: Vec<u64> = tree.nodes.iter().map(|n| n.span_id).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), tree.nodes.len(), "duplicate span ids");
     }
+    // With them, each `eval.par_map` span adopts its units: one tree per
+    // call, rooted at the span, with every unit's root as its child.
+    let par_maps = events.iter().filter(|e| e.stage == "eval.par_map").count();
+    let trees = obs::tree::build_trees(&events);
+    assert_eq!(trees.len(), par_maps);
+    let adopted: usize = trees
+        .iter()
+        .map(|tree| {
+            assert_eq!(tree.roots.len(), 1, "trace {} roots", tree.trace_id);
+            let root = &tree.nodes[tree.roots[0]];
+            assert_eq!(root.stage, "eval.par_map");
+            root.children.len()
+        })
+        .sum();
+    assert_eq!(adopted, unit_trees.len());
 }

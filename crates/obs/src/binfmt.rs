@@ -1,6 +1,6 @@
 //! `obs::binfmt` — the trace format.
 //!
-//! Every trace talon writes (`--trace`, the soak harness) and reads
+//! Every trace talon writes (`--trace`) and reads
 //! (`report`, `replay`, `profile`) is in this format.
 //! JSON Lines exists only as a one-way export (`talon trace convert`,
 //! rendered by [`crate::sink::record_line`]): greppable and
@@ -78,9 +78,8 @@
 //! [`BinReader`] parses frames in place in one byte window it refills
 //! with large reads off any `Read`, and never buffers more than one record
 //! (≤ [`MAX_RECORD_LEN`]) plus one read chunk plus the capped string
-//! table, so a multi-GB trace replays in constant memory — the contract
-//! the soak harness (`eval::soak`) asserts with an RSS ceiling over a
-//! million-decision replay.
+//! table, so a multi-GB trace replays in constant memory, as `talon
+//! replay` streams it (`eval::replay::replay_file`).
 
 use crate::decision::{DecisionRecord, SCHEMA_VERSION};
 use crate::event::Event;
@@ -1563,7 +1562,7 @@ mod tests {
         d.set_oracle(&[(21, 18.620_452_248_893_272)], 21);
         let jsonl = d.to_line().to_json().len() + 1;
         // Steady-state size: strings already interned (their one-time
-        // strdef cost amortizes to nothing over a soak trace).
+        // strdef cost amortizes to nothing over a long trace).
         let mut intern = Interner::default();
         let mut warm = Enc::interned(&mut intern, Vec::new(), Vec::new());
         encode_decision(&d, &mut warm);

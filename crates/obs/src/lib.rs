@@ -11,7 +11,7 @@
 //! - **Sinks** ([`EventSink`]) — no-op by default, [`MemorySink`] for tests,
 //!   [`BinSink`] for `talon --trace <file>` capture in the CRC-framed
 //!   [`binfmt`] format, the only format talon writes or reads;
-//!   [`open_trace`] reads a file back for `talon report` / `replay`, and
+//!   [`open_trace`] reads a file back for `talon report` / `profile`, and
 //!   [`sink::record_line`] renders records as JSON Lines for the one-way
 //!   `talon trace convert` export.
 //! - **Traces** ([`trace`]) — recording spans carry

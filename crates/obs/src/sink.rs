@@ -117,9 +117,9 @@ impl EventSink for MemorySink {
 /// line leads with the `schema_version` it was written under; decision
 /// lines carry it as a struct field (see [`DecisionRecord::to_line`]).
 ///
-/// The soak harness prices its compression-ratio metric with the same
-/// function, so the JSONL it reports is byte for byte the JSONL users
-/// get. `snapshot_ts_us` stamps a snapshot record's line (binary traces
+/// The trace-cost test (`tests/trace_cost.rs`) prices its JSONL ratio
+/// with the same function, so the JSONL it measures is byte for byte the
+/// JSONL users get. `snapshot_ts_us` stamps a snapshot record's line (binary traces
 /// do not store one).
 pub fn record_line(record: &crate::binfmt::TraceRecord, snapshot_ts_us: u64) -> Value {
     use crate::binfmt::TraceRecord;

@@ -315,10 +315,9 @@ impl Trace {
 /// Reads a whole binary trace file into a [`Trace`]. Skips-and-counts
 /// damaged frames (bumping `health.trace_corrupt` by the skip count);
 /// errors on unreadable files and newer-schema traces. `talon report`,
-/// `talon replay`, `talon profile` and `quality_from_trace` all read
-/// through this one front door; stream with
-/// [`crate::binfmt::FileBinReader`] when the trace may not fit in memory
-/// (see `eval::soak`).
+/// `talon profile` and `quality_from_trace` read through this front door;
+/// stream with [`crate::binfmt::FileBinReader`] when the trace may not fit
+/// in memory, as `talon replay` does (`eval::replay::replay_file`).
 pub fn open_trace(path: impl AsRef<std::path::Path>) -> Result<Trace, String> {
     let mut reader = crate::binfmt::FileBinReader::open(path)?;
     let mut trace = Trace::default();

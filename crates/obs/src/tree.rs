@@ -11,7 +11,7 @@
 //! parents; reconstruction is therefore a full two-pass link, not a stream.
 
 use crate::event::Event;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One span in a reconstructed trace tree.
 #[derive(Debug, Clone)]
@@ -32,12 +32,13 @@ pub struct Node {
 }
 
 /// All spans of one trace, linked into a forest (one root per top-level
-/// span; a well-formed CSS session has exactly one).
+/// span; a well-formed CSS session has exactly one), with the spans of
+/// every trace it adopted (see [`build_trees`]).
 #[derive(Debug, Clone)]
 pub struct TraceTree {
     /// The trace these spans belong to.
     pub trace_id: u64,
-    /// Every span of the trace.
+    /// Every span of the trace and of the traces it adopted.
     pub nodes: Vec<Node>,
     /// Indices of root spans (parent 0 or missing), in start order.
     pub roots: Vec<usize>,
@@ -52,6 +53,14 @@ impl TraceTree {
 /// Links span events into per-trace trees. Traces appear in order of their
 /// first event; marks, anomalies, and untraced spans (`trace_id` 0) are
 /// ignored here.
+///
+/// A span carrying `trace_base` and `units` fields (`eval.par_map`) ran
+/// its work units as traces `trace_base..trace_base + units`. Those traces
+/// are adopted: their roots become children of that span instead of trees
+/// of their own, so their time leaves its self time (saturating: units on
+/// parallel workers can sum past its wall time) and is counted once. A
+/// trace is adopted by the first span that claims it, in event order.
+/// `--tree`, `--critical-path` and `--flame` all see this one shape.
 pub fn build_trees(events: &[Event]) -> Vec<TraceTree> {
     let mut order: Vec<u64> = Vec::new();
     let mut by_trace: BTreeMap<u64, Vec<&Event>> = BTreeMap::new();
@@ -68,39 +77,63 @@ pub fn build_trees(events: &[Event]) -> Vec<TraceTree> {
             .expect("just inserted")
             .push(e);
     }
+    // (trace, span) -> the traces that span adopts.
+    let mut adopted: BTreeSet<u64> = BTreeSet::new();
+    let mut units_of: BTreeMap<(u64, u64), Vec<u64>> = BTreeMap::new();
+    for e in events {
+        if e.kind != "span" || e.trace_id == 0 {
+            continue;
+        }
+        let (Some(base), Some(units)) = (e.field("trace_base"), e.field("units")) else {
+            continue;
+        };
+        let (base, units) = (base as u64, units as u64);
+        let claimed: Vec<u64> = (base..base.saturating_add(units))
+            .filter(|id| *id != e.trace_id && by_trace.contains_key(id))
+            .filter(|&id| adopted.insert(id))
+            .collect();
+        units_of.insert((e.trace_id, e.span_id), claimed);
+    }
     order
         .into_iter()
+        .filter(|id| !adopted.contains(id))
         .map(|trace_id| {
-            let spans = &by_trace[&trace_id];
             let mut tree = TraceTree {
                 trace_id,
-                nodes: spans
-                    .iter()
-                    .map(|e| Node {
-                        stage: e.stage.clone(),
-                        span_id: e.span_id,
-                        ts_us: e.ts_us,
-                        dur_us: e.dur_us,
-                        self_us: e.dur_us,
-                        children: Vec::new(),
-                    })
-                    .collect(),
+                nodes: Vec::new(),
                 roots: Vec::new(),
             };
-            let index: BTreeMap<u64, usize> = tree
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (n.span_id, i))
-                .collect();
-            for (i, span) in spans.iter().enumerate() {
-                let parent = span.parent_id;
-                match index.get(&parent) {
-                    Some(&p) if parent != 0 => tree.nodes[p].children.push(i),
-                    // Parent 0 is the trace root; a missing parent id means
-                    // the parent span never closed (crash) — promote to root
-                    // rather than dropping the subtree.
-                    _ => tree.roots.push(i),
+            // (trace to graft, the node its roots hang under).
+            let mut graft: Vec<(u64, Option<usize>)> = vec![(trace_id, None)];
+            while let Some((id, adopter)) = graft.pop() {
+                let spans = &by_trace[&id];
+                let offset = tree.nodes.len();
+                tree.nodes.extend(spans.iter().map(|e| Node {
+                    stage: e.stage.clone(),
+                    span_id: e.span_id,
+                    ts_us: e.ts_us,
+                    dur_us: e.dur_us,
+                    self_us: e.dur_us,
+                    children: Vec::new(),
+                }));
+                let index: BTreeMap<u64, usize> = spans
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| (e.span_id, offset + i))
+                    .collect();
+                for (i, span) in spans.iter().enumerate() {
+                    let parent = span.parent_id;
+                    match (index.get(&parent), adopter) {
+                        (Some(&p), _) if parent != 0 => tree.nodes[p].children.push(offset + i),
+                        // Parent 0 is the trace root; a missing parent id
+                        // means the parent span never closed (crash) —
+                        // promote to root rather than dropping the subtree.
+                        (_, Some(a)) => tree.nodes[a].children.push(offset + i),
+                        (_, None) => tree.roots.push(offset + i),
+                    }
+                    if let Some(units) = units_of.get(&(id, span.span_id)) {
+                        graft.extend(units.iter().map(|&u| (u, Some(offset + i))));
+                    }
                 }
             }
             for i in 0..tree.nodes.len() {
@@ -123,71 +156,26 @@ pub fn build_trees(events: &[Event]) -> Vec<TraceTree> {
 }
 
 /// Flattens span trees to folded-stack lines (`path;to;span self_us`),
-/// aggregated over every trace in `events` — the input format of
-/// `inferno-flamegraph` / `flamegraph.pl`. Lines are sorted by path and
-/// zero-self-time frames with no samples are kept only if aggregated
-/// self time is non-zero somewhere.
-///
-/// A span carrying `trace_base` and `units` fields (`eval.par_map`) ran
-/// its work units as traces `trace_base..trace_base + units`. Those
-/// traces fold under that span rather than as roots of their own, and
-/// their root durations leave its self time (saturating: units on
-/// parallel workers can sum past its wall time), so each unit's time is
-/// counted once. A trace is adopted by the first span that claims it.
+/// aggregated over every tree [`build_trees`] links from `events` — the
+/// input format of `inferno-flamegraph` / `flamegraph.pl`. Lines are
+/// sorted by path.
 pub fn folded_stacks(events: &[Event]) -> Vec<(String, u64)> {
-    let trees = build_trees(events);
-    let by_id: BTreeMap<u64, usize> = trees
-        .iter()
-        .enumerate()
-        .map(|(t, tree)| (tree.trace_id, t))
-        .collect();
-    // Each trace's summed root durations: what it takes out of an adopter.
-    let root_us: Vec<u64> = trees
-        .iter()
-        .map(|tree| tree.roots.iter().map(|&r| tree.nodes[r].dur_us).sum())
-        .collect();
-    let mut adopted: Vec<bool> = vec![false; trees.len()];
-    let mut units_of: BTreeMap<(u64, u64), Vec<usize>> = BTreeMap::new();
-    for e in events {
-        if e.kind != "span" || e.trace_id == 0 {
-            continue;
-        }
-        let (Some(base), Some(units)) = (e.field("trace_base"), e.field("units")) else {
-            continue;
-        };
-        let (base, units) = (base as u64, units as u64);
-        let claimed: Vec<usize> = (base..base.saturating_add(units))
-            .filter_map(|id| by_id.get(&id).copied())
-            .filter(|&t| !std::mem::replace(&mut adopted[t], true))
-            .collect();
-        units_of.insert((e.trace_id, e.span_id), claimed);
-    }
     let mut agg: BTreeMap<String, u64> = BTreeMap::new();
-    // (tree, node, folded path) still to visit.
-    let mut stack: Vec<(usize, usize, String)> = Vec::new();
-    for (t, tree) in trees.iter().enumerate() {
-        if !adopted[t] {
+    for tree in build_trees(events) {
+        let mut stack: Vec<(usize, String)> = tree
+            .roots
+            .iter()
+            .map(|&r| (r, tree.nodes[r].stage.clone()))
+            .collect();
+        while let Some((i, path)) = stack.pop() {
+            let node = &tree.nodes[i];
+            *agg.entry(path.clone()).or_insert(0) += node.self_us;
             stack.extend(
-                tree.roots
+                node.children
                     .iter()
-                    .map(|&r| (t, r, tree.nodes[r].stage.clone())),
+                    .map(|&c| (c, format!("{path};{}", tree.nodes[c].stage))),
             );
         }
-    }
-    while let Some((t, i, path)) = stack.pop() {
-        let tree = &trees[t];
-        let node = &tree.nodes[i];
-        let units = units_of
-            .get(&(tree.trace_id, node.span_id))
-            .map_or(&[][..], Vec::as_slice);
-        let unit_us: u64 = units.iter().map(|&u| root_us[u]).sum();
-        *agg.entry(path.clone()).or_insert(0) += node.self_us.saturating_sub(unit_us);
-        let below = node.children.iter().map(|&c| (t, c)).chain(
-            units
-                .iter()
-                .flat_map(|&u| trees[u].roots.iter().map(move |&r| (u, r))),
-        );
-        stack.extend(below.map(|(t, i)| (t, i, format!("{path};{}", trees[t].nodes[i].stage))));
     }
     agg.into_iter().collect()
 }
@@ -494,9 +482,30 @@ mod tests {
     }
 
     #[test]
+    fn par_map_units_are_one_tree_for_every_view() {
+        let mut events = par_map(100, 10, 2, 40);
+        events.push(span(0, "css.estimate", 7, (12, 1, 0)));
+        // `--tree`: the units hang under the span, not as traces of their own.
+        let text = render_trees(&build_trees(&events));
+        assert_eq!(
+            text,
+            "trace 1\n  eval.par_map 100 us (self 20 us)\n    css.estimate 40 us (self 40 us)\n    \
+             css.estimate 40 us (self 40 us)\ntrace 12\n  css.estimate 7 us (self 7 us)\n"
+        );
+        // `--critical-path`: one par_map trace through its heaviest unit.
+        let summaries = critical_paths(&events, 8);
+        assert_eq!(summaries.len(), 2);
+        assert_eq!(summaries[0].path, ["eval.par_map", "css.estimate"]);
+        assert_eq!((summaries[0].traces, summaries[0].total_us), (1, 60));
+        assert_eq!(summaries[1].path, ["css.estimate"]);
+        assert_eq!((summaries[1].traces, summaries[1].total_us), (1, 7));
+    }
+
+    #[test]
     fn par_map_self_time_saturates_when_units_overlap() {
         // Two workers: 3 units of 60 us inside 100 us of wall time.
-        let folded = folded_stacks(&par_map(100, 20, 3, 60));
+        let events = par_map(100, 20, 3, 60);
+        let folded = folded_stacks(&events);
         assert_eq!(
             folded,
             [
@@ -504,6 +513,46 @@ mod tests {
                 ("eval.par_map;css.estimate".to_string(), 180),
             ]
         );
+        let trees = build_trees(&events);
+        assert_eq!(trees.len(), 1);
+        assert_eq!(trees[0].nodes[trees[0].roots[0]].children.len(), 3);
+        let path = critical_path(&trees[0]);
+        assert_eq!(
+            path,
+            [
+                Hop {
+                    stage: "eval.par_map".into(),
+                    self_us: 0
+                },
+                Hop {
+                    stage: "css.estimate".into(),
+                    self_us: 60
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn nested_par_maps_adopt_through_their_units() {
+        // Unit trace 10 runs a par_map of its own over traces 20..22.
+        let mut events = par_map(100, 10, 1, 90);
+        events.retain(|e| e.trace_id != 10);
+        events.extend(par_map(90, 20, 2, 30).into_iter().map(|mut e| {
+            if e.trace_id == 1 {
+                e.trace_id = 10;
+            }
+            e
+        }));
+        let folded = folded_stacks(&events);
+        assert_eq!(
+            folded,
+            [
+                ("eval.par_map".to_string(), 10),
+                ("eval.par_map;eval.par_map".to_string(), 30),
+                ("eval.par_map;eval.par_map;css.estimate".to_string(), 60),
+            ]
+        );
+        assert_eq!(build_trees(&events).len(), 1);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! talon replay    trace.bin [--threads N] [--perturb DB] [--patterns <file>]
 //! talon profile   trace.bin [--threads N]
 //! talon trace     convert <in.bin> <out.jsonl>
-//! talon soak      [--smoke] [--out BENCH_trace.json] [--check <baseline>]
 //! ```
 //!
 //! `record`, `analyze` and `sls` accept `--trace <file>` to stream obs
@@ -25,17 +24,17 @@
 //! critical path (`--critical-path`), a per-session link-quality table
 //! (`--quality`), or one machine-readable JSON object (`--json`); `replay`
 //! re-executes the trace's recorded decisions and exits non-zero unless
-//! every one reproduces bit-exactly (and fails when none is replayable);
-//! `profile` replays them and prints the replay's own spans as exact
-//! self-time folded stacks; `trace convert` exports a
-//! trace as JSON Lines (one-way); `soak` runs the record → account →
-//! replay trace soak and emits/gates `BENCH_trace.json`. Output goes
+//! every one reproduces bit-exactly (and fails when none is replayable),
+//! streaming the file in bounded memory; `profile` replays them and
+//! prints the replay's own spans as exact self-time folded stacks;
+//! `trace convert` exports a trace as JSON Lines (one-way). Output goes
 //! through one locked stdout writer, so a reader that closes the pipe
 //! early (`| head -1`) ends the command cleanly.
 //!
 //! Each command accepts exactly the options its USAGE line lists: an
-//! unknown option, a stray argument, an unparsable `--seed` or a
-//! `--probes` count outside 2..=34 exits 2 with one `error:` line.
+//! unknown option, a stray argument, an unparsable numeric option
+//! (`--seed`, `--yaw`, `--threads`, `--perturb`, `--top`) or a `--probes`
+//! count outside 2..=34 exits 2 with one `error:` line.
 
 use chamber::{Campaign, CampaignConfig, SectorPatterns};
 use css::selection::{CompressiveSelection, CssConfig, DecisionOracle};
@@ -102,7 +101,6 @@ fn main() -> ExitCode {
         "replay" => cmd_replay(&positional, &opts),
         "profile" => cmd_profile(&positional, &opts),
         "trace" => cmd_trace(&positional),
-        "soak" => cmd_soak(&opts),
         "help" | "--help" | "-h" => print_line(USAGE),
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
     };
@@ -131,7 +129,6 @@ commands:
   replay    <trace.bin> [--threads N] [--perturb DB] [--patterns <file>] [--json]
   profile   <trace.bin> [--threads N]
   trace     convert <in.bin> <out.jsonl>   (one-way JSON Lines export)
-  soak      [--decisions N] [--smoke] [--threads 1,2,8] [--keep <trace.bin>] [--out <bench.json>] [--check <baseline.json>] [--seed N]
 
 --probes counts are 2..=34 (sls takes one); --seed is a non-negative integer (default 42).";
 
@@ -148,13 +145,12 @@ const OPTIONS: &[(&str, usize, &str)] = &[
     ("replay", 1, "threads perturb patterns json"),
     ("profile", 1, "threads"),
     ("trace", 3, ""),
-    ("soak", 0, "decisions smoke threads keep out check seed"),
 ];
 
 /// Rejects what `cmd` would otherwise ignore or silently default: an
-/// option it does not read, a stray argument, an unparsable `--seed`, or a
-/// `--probes` count outside 2..=34. Unknown commands pass through to the
-/// dispatcher's own error.
+/// option it does not read, a stray argument, an unparsable numeric
+/// option, or a `--probes` count outside 2..=34. Unknown commands pass
+/// through to the dispatcher's own error.
 fn check_args(
     cmd: &str,
     opts: &HashMap<String, String>,
@@ -181,6 +177,10 @@ fn check_args(
         return Err(format!("{cmd}: unexpected argument `{extra}`"));
     }
     seed_of(opts)?;
+    yaw_of(opts)?;
+    threads_of(opts)?;
+    perturb_of(opts)?;
+    top_of(opts)?;
     if let Some(spec) = opts.get("probes") {
         if probe_counts(spec)?.len() > 1 && cmd == "sls" {
             return Err(format!("sls takes one --probes count, not `{spec}`"));
@@ -191,15 +191,7 @@ fn check_args(
 
 /// Options that never take a value: `--json t.bin` is a switch followed
 /// by a positional trace path, not `json = "t.bin"`.
-const SWITCHES: &[&str] = &[
-    "json",
-    "tree",
-    "flame",
-    "quality",
-    "critical-path",
-    "paper",
-    "smoke",
-];
+const SWITCHES: &[&str] = &["json", "tree", "flame", "quality", "critical-path", "paper"];
 
 /// Parses `--key value` and bare `--flag` options, returning them with the
 /// positional arguments no option consumed, in order. A [`SWITCHES`] entry
@@ -231,11 +223,39 @@ fn parse_opts(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
     (out, positional)
 }
 
+/// Option `--key` parsed as a `T`, or `None` when absent; `form` names a
+/// valid value in the error.
+fn num<T: std::str::FromStr>(
+    opts: &HashMap<String, String>,
+    key: &str,
+    form: &str,
+) -> Result<Option<T>, String> {
+    opts.get(key)
+        .map(|s| {
+            s.parse()
+                .map_err(|_| format!("bad --{key} `{s}`: expected {form}"))
+        })
+        .transpose()
+}
+
 fn seed_of(opts: &HashMap<String, String>) -> Result<u64, String> {
-    opts.get("seed").map_or(Ok(42), |s| {
-        s.parse()
-            .map_err(|_| format!("bad --seed `{s}`: expected a non-negative integer"))
-    })
+    Ok(num(opts, "seed", "a non-negative integer")?.unwrap_or(42))
+}
+
+fn yaw_of(opts: &HashMap<String, String>) -> Result<f64, String> {
+    Ok(num(opts, "yaw", "a number of degrees")?.unwrap_or(-25.0))
+}
+
+fn threads_of(opts: &HashMap<String, String>) -> Result<Option<usize>, String> {
+    num(opts, "threads", "a non-negative integer")
+}
+
+fn perturb_of(opts: &HashMap<String, String>) -> Result<Option<f64>, String> {
+    num(opts, "perturb", "a number of dB")
+}
+
+fn top_of(opts: &HashMap<String, String>) -> Result<usize, String> {
+    Ok(num(opts, "top", "a non-negative integer")?.unwrap_or(5))
 }
 
 /// Parses `--probes`: a comma list of counts, each in 2..=34 — at least
@@ -375,11 +395,7 @@ fn run_sls_session(opts: &HashMap<String, String>, seed: u64) -> Result<String, 
     // While tracing, the whole session forms one rooted span tree: every
     // sls.run / wil.sweep / css.estimate below nests under this span.
     let mut session = obs::sink_active().then(|| obs::span("css.session"));
-    let yaw: f64 = opts
-        .get("yaw")
-        .map(|s| s.parse().map_err(|_| "bad --yaw"))
-        .transpose()?
-        .unwrap_or(-25.0);
+    let yaw = yaw_of(opts)?;
     let probes = match opts.get("probes") {
         Some(spec) => probe_counts(spec)?[0],
         None => 14,
@@ -556,11 +572,7 @@ fn cmd_report(positional: &[String], opts: &HashMap<String, String>) -> Result<(
             trace.skipped
         );
     }
-    let top_k: usize = opts
-        .get("top")
-        .map(|k| k.parse().map_err(|_| "bad --top"))
-        .transpose()?
-        .unwrap_or(5);
+    let top_k = top_of(opts)?;
     write_stdout(|out| write_report(out, path, &trace, opts, top_k))
 }
 
@@ -932,25 +944,12 @@ fn cmd_replay(positional: &[String], opts: &HashMap<String, String>) -> Result<(
     let path = positional
         .first()
         .ok_or("replay needs a trace file: talon replay <trace.bin>")?;
-    let trace = obs::open_trace(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
-    if trace.skipped > 0 {
-        eprintln!(
-            "warning: skipped {} malformed record(s) in {path}",
-            trace.skipped
-        );
-    }
-    if trace.decisions.is_empty() {
-        return Err(format!(
-            "no decision records in {path}; record one with e.g. \
-             `talon sls --policy css --trace {path}`"
-        ));
-    }
     let mut config = eval::replay::ReplayConfig::default();
-    if let Some(t) = opts.get("threads") {
-        config.threads = t.parse().map_err(|_| "bad --threads")?;
+    if let Some(threads) = threads_of(opts)? {
+        config.threads = threads;
     }
-    if let Some(p) = opts.get("perturb") {
-        config.perturb_snr_db = p.parse().map_err(|_| "bad --perturb")?;
+    if let Some(perturb) = perturb_of(opts)? {
+        config.perturb_snr_db = perturb;
     }
     if let Some(pat) = opts.get("patterns") {
         let patterns = SectorPatterns::load(Path::new(pat))
@@ -958,7 +957,14 @@ fn cmd_replay(positional: &[String], opts: &HashMap<String, String>) -> Result<(
             .map_err(|e| format!("parsing {pat}: {e}"))?;
         config.patterns_override = Some(patterns);
     }
-    let report = eval::replay::replay_trace(&trace, &config);
+    let (report, skipped) = eval::replay::replay_file(Path::new(path), &config)
+        .map_err(|e| format!("reading {path}: {e}"))?;
+    if skipped > 0 {
+        eprintln!("warning: skipped {skipped} malformed record(s) in {path}");
+    }
+    if report.total_decisions == 0 {
+        return Err(no_decisions(path));
+    }
     if report.is_clean() && report.replayed == 0 {
         return Err(nothing_replayable(path, &report));
     }
@@ -1002,6 +1008,14 @@ fn cmd_replay(positional: &[String], opts: &HashMap<String, String>) -> Result<(
     }
 }
 
+/// The error of a replay or profile over a trace with no decision record.
+fn no_decisions(path: &str) -> String {
+    format!(
+        "no decision records in {path}; record one with e.g. \
+         `talon sls --policy css --trace {path}`"
+    )
+}
+
 /// The error of a replay or profile that re-executed no decision: a
 /// pass over nothing verifies nothing (an SSW trace's records are all
 /// non-replayable).
@@ -1025,14 +1039,11 @@ fn cmd_profile(positional: &[String], opts: &HashMap<String, String>) -> Result<
         .ok_or("profile needs a trace file: talon profile <trace.bin>")?;
     let trace = obs::open_trace(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
     if trace.decisions.is_empty() {
-        return Err(format!(
-            "no decision records in {path}; record one with e.g. \
-             `talon sls --policy css --trace {path}`"
-        ));
+        return Err(no_decisions(path));
     }
     let mut config = eval::replay::ReplayConfig::default();
-    if let Some(t) = opts.get("threads") {
-        config.threads = t.parse().map_err(|_| "bad --threads")?;
+    if let Some(threads) = threads_of(opts)? {
+        config.threads = threads;
     }
     // Gated call sites only open their spans while a sink records. A
     // memory sink flips that gate and is drained after every pass.
@@ -1123,159 +1134,6 @@ fn convert_trace(input: &str, output: &str) -> Result<(), String> {
         events + decisions + snapshots,
         out_bytes as f64 / in_bytes.max(1) as f64,
     ))
-}
-
-/// Keys every `BENCH_trace.json` must carry (the `--check` contract).
-const SOAK_REQUIRED_KEYS: &[&str] = &[
-    "decisions",
-    "trace_bytes",
-    "bytes_per_decision",
-    "jsonl_bytes_per_decision",
-    "compression_ratio",
-    "record_per_s",
-    "replay_inline_1t_per_s",
-    "replay_1t_per_s",
-    "replay_nt_per_s",
-    "replay_nt_threads",
-    "rss_peak_mb",
-    "max_abs_err",
-];
-
-/// The ≥5× compression floor `BENCH_trace.json` is gated on.
-const SOAK_MIN_COMPRESSION: f64 = 5.0;
-
-/// Extracts a numeric value from a flat JSON object without a parser
-/// (the serde shim has no `from_str`; the files are machine-written).
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\"");
-    let at = text.find(&pat)?;
-    let rest = text[at + pat.len()..].trim_start().strip_prefix(':')?;
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), String> {
-    let smoke = opts.get("smoke").is_some();
-    let decisions = match opts.get("decisions") {
-        Some(d) => d.parse().map_err(|_| format!("bad --decisions {d}"))?,
-        None if smoke => eval::soak::SMOKE_DECISIONS,
-        None => eval::soak::FULL_DECISIONS,
-    };
-    let threads: Vec<usize> = match opts.get("threads") {
-        Some(t) => t
-            .split(',')
-            .map(|p| p.trim().parse().map_err(|_| format!("bad --threads {t}")))
-            .collect::<Result<_, _>>()?,
-        None => vec![1, 2, 8],
-    };
-    if threads.is_empty() {
-        return Err("soak needs at least one --threads entry".into());
-    }
-    let config = eval::SoakConfig {
-        decisions,
-        threads,
-        seed: seed_of(opts)?,
-        keep: opts.get("keep").map(std::path::PathBuf::from),
-    };
-    // Progress lines stop at the first write error; the soak still runs
-    // to the end and writes its --out file.
-    let mut progress = Ok(());
-    let report = eval::run_soak(&config, |line| {
-        if progress.is_ok() {
-            progress = print_line(line);
-        }
-    })?;
-    progress?;
-
-    let replay_1t = report
-        .replay
-        .iter()
-        .find(|r| r.threads == 1)
-        .or(report.replay.first())
-        .expect("at least one replay pass");
-    let replay_nt = report
-        .replay
-        .iter()
-        .max_by_key(|r| r.threads)
-        .expect("at least one replay pass");
-    let json = format!(
-        "{{\n  \"decisions\": {},\n  \
-         \"trace_bytes\": {},\n  \
-         \"bytes_per_decision\": {:.2},\n  \
-         \"jsonl_bytes_per_decision\": {:.2},\n  \
-         \"compression_ratio\": {:.2},\n  \
-         \"record_per_s\": {:.0},\n  \
-         \"replay_inline_1t_per_s\": {:.0},\n  \
-         \"replay_1t_per_s\": {:.0},\n  \
-         \"replay_nt_per_s\": {:.0},\n  \
-         \"replay_nt_threads\": {},\n  \
-         \"rss_peak_mb\": {:.1},\n  \
-         \"max_abs_err\": {:.1},\n  \
-         \"smoke\": {smoke}\n}}\n",
-        report.decisions,
-        report.trace_bytes,
-        report.bytes_per_decision,
-        report.jsonl_bytes_per_decision,
-        report.compression_ratio,
-        report.record_per_s,
-        report.replay_inline_1t_per_s,
-        replay_1t.per_s,
-        replay_nt.per_s,
-        replay_nt.threads,
-        report.rss_peak_mb,
-        report.max_abs_err,
-    );
-    let out = opts
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_trace.json".into());
-    std::fs::write(&out, &json).map_err(|e| format!("writing {out}: {e}"))?;
-    write_stdout(|o| writeln!(o, "{json}\nwrote {out}"))?;
-
-    if let Some(baseline_path) = opts.get("check") {
-        let baseline = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("--check: cannot read {baseline_path}: {e}"))?;
-        let mut failures = Vec::new();
-        for key in SOAK_REQUIRED_KEYS {
-            if json_f64(&json, key).is_none() {
-                failures.push(format!("fresh measurement is missing key {key:?}"));
-            }
-            if json_f64(&baseline, key).is_none() {
-                failures.push(format!("baseline {baseline_path} is missing key {key:?}"));
-            }
-        }
-        if report.compression_ratio < SOAK_MIN_COMPRESSION {
-            failures.push(format!(
-                "compression ratio {:.2}× is below the {SOAK_MIN_COMPRESSION}× floor",
-                report.compression_ratio
-            ));
-        }
-        // Size is deterministic for a fixed workload, so a fatter record
-        // is a codec regression, not noise (unlike throughput, which is
-        // host-dependent and not compared).
-        if let Some(base_bpd) = json_f64(&baseline, "bytes_per_decision") {
-            let limit = base_bpd * 1.15;
-            if report.bytes_per_decision > limit {
-                failures.push(format!(
-                    "bytes/decision regressed >15%: {:.1} vs baseline {base_bpd:.1} \
-                     (limit {limit:.1})",
-                    report.bytes_per_decision
-                ));
-            }
-        }
-        if !failures.is_empty() {
-            let mut message = String::from("BENCH_trace check FAILED:");
-            for f in &failures {
-                message.push_str(&format!("\n  - {f}"));
-            }
-            return Err(message);
-        }
-        print_line(format_args!("check against {baseline_path}: OK"))?;
-    }
-    Ok(())
 }
 
 /// Prints per-session (per-trace) link-health anomaly counts, when any

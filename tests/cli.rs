@@ -232,8 +232,8 @@ fn trace_flag_rejects_a_jsonl_path_with_one_line() {
 }
 
 #[test]
-fn exported_jsonl_is_exactly_what_the_soak_prices() {
-    let dir = workdir("exported_jsonl_is_exactly_what_the_soak_prices");
+fn exported_jsonl_size_equals_the_record_line_price() {
+    let dir = workdir("exported_jsonl_size_equals_the_record_line_price");
     let bin = dir.join("t.bin");
     let jsonl = dir.join("t.jsonl");
     run_ok(&[
@@ -258,7 +258,8 @@ fn exported_jsonl_is_exactly_what_the_soak_prices() {
         "convert prints the line count: {stdout}"
     );
 
-    // Price the binary trace the way `eval::soak::account_phase` does.
+    // Price the binary trace record by record with `record_line`, as
+    // `tests/trace_cost.rs` does for its JSONL ratio.
     // The export stamps its snapshot line with the converter's clock, so
     // read that one timestamp back from the file.
     let mut snapshot_ts = None;
@@ -284,7 +285,7 @@ fn exported_jsonl_is_exactly_what_the_soak_prices() {
     assert_eq!(
         std::fs::metadata(&jsonl).unwrap().len(),
         priced,
-        "export size equals the soak's JSONL price"
+        "export size equals the record_line price"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -357,8 +358,36 @@ fn bad_arguments_exit_2_with_one_error_line() {
     assert!(stderr.contains("`--polcy`"), "{stderr}");
     let stderr = run_fails(&["replay", fixture, "--thread", "2"], 2);
     assert!(stderr.contains("`--thread`"), "{stderr}");
-    let stderr = run_fails(&["sls", "--scenario", "lab", "--seed", "x"], 2);
-    assert!(stderr.contains("--seed"), "{stderr}");
+    // Every numeric option names the form it expects.
+    for (args, form) in [
+        (
+            &["sls", "--scenario", "lab", "--seed", "x"][..],
+            "--seed `x`: expected a non-negative integer",
+        ),
+        (
+            &["sls", "--yaw", "x"][..],
+            "--yaw `x`: expected a number of degrees",
+        ),
+        (
+            &["replay", fixture, "--threads", "x"][..],
+            "--threads `x`: expected a non-negative integer",
+        ),
+        (
+            &["replay", fixture, "--perturb", "y"][..],
+            "--perturb `y`: expected a number of dB",
+        ),
+        (
+            &["report", fixture, "--top", "x"][..],
+            "--top `x`: expected a non-negative integer",
+        ),
+        (
+            &["profile", fixture, "--threads", "-1"][..],
+            "--threads `-1`: expected a non-negative integer",
+        ),
+    ] {
+        let stderr = run_fails(args, 2);
+        assert!(stderr.contains(form), "{stderr}");
+    }
     for probes in ["0", "1", "35", "14,20"] {
         let stderr = run_fails(&["sls", "--policy", "css", "--probes", probes], 2);
         assert!(stderr.contains("--probes"), "{stderr}");

@@ -14,14 +14,17 @@
 //! path, which live decisions no longer run; replay must skip them as
 //! non-replayable and reproduce the other 60.
 
-use eval::replay::{replay_trace, ReplayConfig};
-use std::path::Path;
+use eval::replay::{replay_file, replay_trace, ReplayConfig};
+use std::path::{Path, PathBuf};
 
 const FIXTURE: &str = "tests/fixtures/replay_lab_fast_seed7.bin";
 
+fn fixture_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(FIXTURE)
+}
+
 fn fixture() -> obs::Trace {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(FIXTURE);
-    obs::open_trace(&path).expect("fixture trace opens")
+    obs::open_trace(fixture_path()).expect("fixture trace opens")
 }
 
 #[test]
@@ -56,6 +59,25 @@ fn committed_trace_replays_bit_exactly_at_1_2_and_8_threads() {
         assert_eq!(report.skipped_no_patterns, 0);
         assert_eq!(report.max_abs_err, 0.0, "threads={threads}: bit-exact");
     }
+}
+
+#[test]
+fn streamed_file_replay_matches_the_in_memory_replay() {
+    // `talon replay` streams the file through `replay_file`; it must
+    // report exactly what replaying the whole in-memory trace reports.
+    let trace = fixture();
+    let config = ReplayConfig {
+        threads: 2,
+        ..ReplayConfig::default()
+    };
+    let (streamed, skipped) = replay_file(&fixture_path(), &config).expect("fixture replays");
+    assert_eq!(skipped, 0);
+    assert_eq!(streamed, replay_trace(&trace, &config));
+    assert!(
+        streamed.summary().starts_with("replayed 60/64 "),
+        "{}",
+        streamed.summary()
+    );
 }
 
 /// FNV-1a over `bytes`.
