@@ -29,9 +29,25 @@
 //! read it afterwards. What is left per probe is
 //! [`MeasurementModel::report`], the RNG draws that make each reading
 //! differ. [`ProbePlan::rx_power_dbm`] prices arbitrary weights and is not
-//! memoized. The table, the plan and the memo give the same bits as
-//! evaluating [`talon_array::PhasedArray::gain_dbi`] per ray: they only
-//! move work, they do not reorder any arithmetic or RNG draw.
+//! memoized.
+//!
+//! A geometry usually outlives one plan: a closed loop re-trains a link
+//! that has not moved, one `SlsRunner` per decision. So a [`Link`]
+//! remembers the last 16 geometries [`Link::plan`] built (a fixed bound,
+//! so a link that keeps moving holds no more), keyed on each device's
+//! identity (stamped by [`Device::new`], kept by `Clone`) and the bit
+//! patterns of both orientations. A plan of a remembered geometry shares
+//! the rays and the per-sector prices of every earlier plan of it; moving
+//! a device changes the key, and past the capacity the oldest geometry is
+//! forgotten. The memo's inputs, the link's environment and budget, are
+//! private, so they cannot change under it; the measurement model is
+//! applied per probe and stays public. A cloned link starts with an empty
+//! memo. [`Link::plan_with_rx`] serves arbitrary receive weights and is
+//! never remembered.
+//!
+//! The table, the plan and both memos give the same bits as evaluating
+//! [`talon_array::PhasedArray::gain_dbi`] per ray: they only move work,
+//! they do not reorder any arithmetic or RNG draw.
 //!
 //! [`Link::sweep`] produces one full sector sweep transcript: for each
 //! requested transmit sector, the reading the responder's firmware would
@@ -44,15 +60,26 @@ use crate::orientation::Orientation;
 use geom::db::{db_to_linear, linear_to_db};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::cell::OnceCell;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use talon_array::{Codebook, DirectionTerms, Excitation, PhasedArray, SectorId, WeightVector};
+
+/// How many geometries a [`Link`] remembers: both sweep halves of eight
+/// geometries.
+const PLAN_MEMO_CAPACITY: usize = 16;
+
+/// The identity [`Device::new`] stamps on the next device.
+static NEXT_DEVICE_ID: AtomicU64 = AtomicU64::new(0);
 
 /// One physical device: its antenna, its predefined codebook and how it is
 /// currently mounted.
 ///
 /// [`Device::new`] is the only constructor: it builds the device's sector
 /// table from `array` and `codebook`, so neither may change afterwards
-/// (the table would go stale). Only `orientation` is meant to be mutated.
+/// (the table and every plan a [`Link`] remembers for the device would go
+/// stale). Only `orientation` is meant to be mutated. Each device gets an
+/// identity of its own, which a clone keeps.
 #[derive(Debug, Clone)]
 pub struct Device {
     /// The phased array with frozen imperfections. Must not change after
@@ -66,6 +93,8 @@ pub struct Device {
     /// Each codebook sector's excitation on `array`, indexed by raw sector
     /// ID (the first sector with an ID wins, as in [`Codebook::get`]).
     sectors: Vec<Option<Excitation>>,
+    /// Which device this is, for [`Link::plan`]'s memo.
+    id: u64,
 }
 
 impl Device {
@@ -87,6 +116,8 @@ impl Device {
             codebook,
             orientation: Orientation::NEUTRAL,
             sectors,
+            // Only uniqueness matters; the counter publishes no other data.
+            id: NEXT_DEVICE_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -132,14 +163,19 @@ pub struct SweepReading {
 
 /// A directional link between an initiator (transmitter of SSW frames) and
 /// a responder (receiver), through an environment.
+///
+/// The budget and the environment are fixed at construction: the plans
+/// the link remembers were built from them (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Link {
     /// Static link-budget parameters.
-    pub budget: LinkBudget,
+    budget: LinkBudget,
     /// The propagation environment.
-    pub environment: Environment,
+    environment: Environment,
     /// The firmware measurement chain at the receiver.
     pub model: MeasurementModel,
+    /// The geometries [`Link::plan`] built last.
+    plans: PlanMemo,
 }
 
 impl Link {
@@ -149,32 +185,55 @@ impl Link {
             budget: LinkBudget::default(),
             environment,
             model: MeasurementModel::default(),
+            plans: PlanMemo::default(),
         }
+    }
+
+    /// Static link-budget parameters.
+    pub fn budget(&self) -> &LinkBudget {
+        &self.budget
+    }
+
+    /// The propagation environment.
+    pub fn environment(&self) -> &Environment {
+        &self.environment
     }
 
     /// Plans probes from `tx` to `rx` at the devices' current orientations,
     /// with `rx` listening on its quasi-omni receive sector (as every SSW
-    /// probe is received).
+    /// probe is received). A geometry the link remembers is not planned
+    /// again: the plan shares its rays and prices.
     pub fn plan<'a>(&'a self, tx: &'a Device, rx: &Device) -> ProbePlan<'a> {
-        self.plan_with_excitation(tx, rx, rx.sector_excitation(SectorId::RX))
+        let key = PlanKey::new(tx, rx);
+        let planned = self.plans.get(&key).unwrap_or_else(|| {
+            self.plans.insert(
+                key,
+                self.planned(tx, rx, rx.sector_excitation(SectorId::RX)),
+            )
+        });
+        ProbePlan {
+            link: self,
+            tx,
+            planned,
+        }
     }
 
     /// Plans probes from `tx` to `rx`, with `rx` listening on `rx_weights`.
+    /// Never remembered.
     pub fn plan_with_rx<'a>(
         &'a self,
         tx: &'a Device,
         rx: &Device,
         rx_weights: &WeightVector,
     ) -> ProbePlan<'a> {
-        self.plan_with_excitation(tx, rx, &rx.array.excitation(rx_weights))
+        ProbePlan {
+            link: self,
+            tx,
+            planned: self.planned(tx, rx, &rx.array.excitation(rx_weights)),
+        }
     }
 
-    fn plan_with_excitation<'a>(
-        &'a self,
-        tx: &'a Device,
-        rx: &Device,
-        rx_excitation: &Excitation,
-    ) -> ProbePlan<'a> {
+    fn planned(&self, tx: &Device, rx: &Device, rx_excitation: &Excitation) -> Arc<Planned> {
         let rays = self
             .environment
             .rays
@@ -190,12 +249,10 @@ impl Link {
                 loss_db: ray.total_loss_db(&self.budget),
             })
             .collect();
-        ProbePlan {
-            link: self,
-            tx,
+        Arc::new(Planned {
             rays,
-            priced: vec![OnceCell::new(); tx.sectors.len()],
-        }
+            priced: tx.sectors.iter().map(|_| OnceLock::new()).collect(),
+        })
     }
 
     /// True received power in dBm at `rx` when `tx` transmits with
@@ -247,6 +304,81 @@ impl Link {
     }
 }
 
+/// Which geometry a plan of [`Link::plan`] serves: the devices'
+/// identities and the bit patterns of their orientations (yaw, tilt).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PlanKey {
+    tx: u64,
+    tx_orientation: [u64; 2],
+    rx: u64,
+    rx_orientation: [u64; 2],
+}
+
+impl PlanKey {
+    fn new(tx: &Device, rx: &Device) -> Self {
+        let bits = |o: Orientation| [o.yaw_deg.to_bits(), o.tilt_deg.to_bits()];
+        PlanKey {
+            tx: tx.id,
+            tx_orientation: bits(tx.orientation),
+            rx: rx.id,
+            rx_orientation: bits(rx.orientation),
+        }
+    }
+}
+
+/// The last [`PLAN_MEMO_CAPACITY`] geometries [`Link::plan`] built, oldest
+/// first. A clone starts empty.
+#[derive(Debug, Default)]
+struct PlanMemo(Mutex<VecDeque<(PlanKey, Arc<Planned>)>>);
+
+impl Clone for PlanMemo {
+    fn clone(&self) -> Self {
+        PlanMemo::default()
+    }
+}
+
+impl PlanMemo {
+    fn entries(&self) -> MutexGuard<'_, VecDeque<(PlanKey, Arc<Planned>)>> {
+        // Every update leaves the deque whole, so a panic elsewhere while
+        // the lock was held cannot have left it half-changed.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, key: &PlanKey) -> Option<Arc<Planned>> {
+        let entries = self.entries();
+        entries
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, p)| Arc::clone(p))
+    }
+
+    /// Remembers `planned` for `key`, forgetting the oldest geometry past
+    /// the capacity. If another thread remembered `key` first, returns its
+    /// plan instead, so both share one set of prices.
+    fn insert(&self, key: PlanKey, planned: Arc<Planned>) -> Arc<Planned> {
+        let mut entries = self.entries();
+        if let Some((_, p)) = entries.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(p);
+        }
+        if entries.len() == PLAN_MEMO_CAPACITY {
+            entries.pop_front();
+        }
+        entries.push_back((key, Arc::clone(&planned)));
+        planned
+    }
+}
+
+/// One planned geometry, shared by every [`ProbePlan`] of it.
+#[derive(Debug)]
+struct Planned {
+    rays: Vec<PlannedRay>,
+    /// Received power in dBm per raw sector ID, filled on first use. Sized
+    /// like the transmitter's sector table. A `Vec` rather than an
+    /// `Arc<[_]>`: the 1 KiB table behind an `Arc` header measured ~0.4 µs
+    /// slower per miss.
+    priced: Vec<OnceLock<f64>>,
+}
+
 /// The sector-independent part of the received power for one (link, tx,
 /// rx) geometry, plus the received power of each transmit sector priced so
 /// far; see the module docs. Built by [`Link::plan`]; valid while neither
@@ -255,10 +387,7 @@ impl Link {
 pub struct ProbePlan<'a> {
     link: &'a Link,
     tx: &'a Device,
-    rays: Vec<PlannedRay>,
-    /// Received power in dBm per raw sector ID, filled on first use. Sized
-    /// like the transmitter's sector table.
-    priced: Vec<OnceCell<f64>>,
+    planned: Arc<Planned>,
 }
 
 /// One environment ray, as seen by a planned geometry.
@@ -278,7 +407,7 @@ impl ProbePlan<'_> {
 
     fn excitation_power_dbm(&self, x: &Excitation) -> f64 {
         let mut total_mw = 0.0;
-        for ray in &self.rays {
+        for ray in &self.planned.rays {
             let g_tx = ray.tx.gain_dbi(x);
             let p = self
                 .link
@@ -300,7 +429,7 @@ impl ProbePlan<'_> {
     /// Panics if the transmitter's codebook has no such sector.
     fn sector_power_dbm(&self, id: SectorId) -> f64 {
         let x = self.tx.sector_excitation(id);
-        *self.priced[usize::from(id.raw())].get_or_init(|| self.excitation_power_dbm(x))
+        *self.planned.priced[usize::from(id.raw())].get_or_init(|| self.excitation_power_dbm(x))
     }
 
     /// True SNR in dB of transmit sector `tx_sector` (no measurement noise).
@@ -428,7 +557,7 @@ mod tests {
         let conf = Link::new(Environment::conference_room());
         let anech = Link::new(Environment::anechoic(6.0));
         // Steer at the strongest reflection's departure azimuth (~-26.6°).
-        let refl_dir = conf.environment.rays[1].depart_world;
+        let refl_dir = conf.environment().rays[1].depart_world;
         let w = tx.array.quantize(
             &tx.array
                 .steering_weights(&Direction::new(refl_dir.az_deg, refl_dir.el_deg)),
@@ -511,6 +640,30 @@ mod tests {
                 .count();
             assert_eq!(dev.sector_excitation(sector.id).active_elements(), alive);
         }
+    }
+
+    #[test]
+    fn the_plan_memo_stays_within_its_capacity() {
+        let (link, mut tx, rx) = setup();
+        for i in 0..1000 {
+            tx.orientation = Orientation::new(-90.0 + f64::from(i) * 0.18, 0.0);
+            link.plan(&tx, &rx).true_snr_db(SectorId(63));
+            let remembered = link.plans.entries().len();
+            assert!(remembered <= PLAN_MEMO_CAPACITY, "{remembered} after {i}");
+        }
+        assert_eq!(link.plans.entries().len(), PLAN_MEMO_CAPACITY);
+    }
+
+    #[test]
+    fn a_clone_is_the_same_device_and_a_twin_is_not() {
+        let (link, tx, rx) = setup();
+        let twin = Device::talon(1);
+        let clone = tx.clone();
+        for dev in [&tx, &twin, &clone] {
+            link.plan(dev, &rx);
+        }
+        assert_eq!(link.plans.entries().len(), 2);
+        assert!(link.clone().plans.entries().is_empty());
     }
 
     #[test]

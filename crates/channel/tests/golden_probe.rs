@@ -7,7 +7,9 @@
 //! under a fixed RNG. Any change in rounding (the order of the per-element
 //! products, the dB sums, the floors) or in the RNG draw order fails here.
 //! A plan swept several times must read the same bits as a fresh plan per
-//! sweep, so the per-sector memo cannot hand out a stale or shifted price.
+//! sweep, each built on a memo-less link, so neither the per-sector memo
+//! nor the link's memo of geometries can hand out a stale or shifted
+//! price.
 
 use geom::rng::sub_rng;
 use talon_array::{Codebook, PhasedArray};
@@ -171,10 +173,12 @@ fn one_plan_swept_repeatedly_equals_a_fresh_plan_per_sweep() {
         let reused: Vec<Vec<SweepReading>> =
             sweeps.iter().map(|s| plan.sweep(&mut rng, s)).collect();
 
+        // A clone of the link remembers no geometry: each plan is built
+        // and priced cold.
         let mut rng = sub_rng(gi as u64, "golden-probe");
         let fresh: Vec<Vec<SweepReading>> = sweeps
             .iter()
-            .map(|s| link.plan(&dut, &fixed).sweep(&mut rng, s))
+            .map(|s| link.clone().plan(&dut, &fixed).sweep(&mut rng, s))
             .collect();
 
         assert_eq!(digest(&reused[0]), SWEEP_DIGESTS[gi], "geometry {gi}");

@@ -14,14 +14,18 @@
 //! Nexmon firmware hooks modelled in the `wil6210` crate.
 //!
 //! Nothing moves while an [`SlsRunner`] exists: it borrows both devices
-//! and the link for its whole life. So the first [`SlsRunner::run`] builds
+//! and the link for its whole life. So the first [`SlsRunner::run`] takes
 //! the two probe plans (ISS: initiator → responder, RSS: responder →
-//! initiator) and both codebook sweep orders, and every later run on the
-//! same runner reuses them, including each plan's memo of the sectors
-//! already priced (see [`talon_channel::ProbePlan`]). The plans live as
-//! long as the runner; a new geometry needs a new runner. The RNG draws
-//! and the arithmetic are the same either way, so K runs on one runner
-//! give the same bits as K fresh runners sharing one RNG.
+//! initiator) from [`Link::plan`] and builds both codebook sweep orders,
+//! and every later run on the same runner reuses them, including each
+//! plan's memo of the sectors already priced (see
+//! [`talon_channel::ProbePlan`]). The link remembers the plans of its
+//! last few geometries, so a new runner at an unchanged geometry (one
+//! runner per decision, as in a closed loop) shares the plans and prices
+//! of the runners before it; moving a device makes its next runner plan
+//! afresh. The RNG draws and the arithmetic are the same either way, so K
+//! runs on one runner give the same bits as K fresh runners on a
+//! memo-less link sharing one RNG.
 
 use crate::addr::MacAddr;
 use crate::fields::{encode_snr, SswFeedbackField, SswField, SweepDirection};
@@ -112,7 +116,7 @@ pub struct SlsOutcome {
 /// Drives one or more SLS trainings between two devices over a link.
 ///
 /// The devices and the link are fixed for the runner's life, so its plans
-/// and sweep orders are built once, by the first [`SlsRunner::run`] (see
+/// and sweep orders are taken once, by the first [`SlsRunner::run`] (see
 /// the module docs).
 pub struct SlsRunner<'a> {
     /// The propagation link (initiator → responder direction; the model is
@@ -124,15 +128,15 @@ pub struct SlsRunner<'a> {
     responder: &'a Device,
     /// Addressing.
     pub config: SlsConfig,
-    /// The per-geometry work, built by the first run.
+    /// The per-geometry work, taken by the first run.
     geometry: OnceCell<Geometry<'a>>,
     /// Metric handles, resolved once.
     runs: std::sync::Arc<obs::Counter>,
     ssw_frames: std::sync::Arc<obs::Counter>,
 }
 
-/// What every run of one runner shares: both probe plans and both
-/// codebook sweep orders.
+/// What every run of one runner shares: both probe plans (handles on the
+/// link's remembered geometries) and both codebook sweep orders.
 struct Geometry<'a> {
     /// Initiator → responder: the ISS probes.
     iss_plan: ProbePlan<'a>,

@@ -1,6 +1,7 @@
-//! An `SlsRunner` builds its probe plans and sweep orders on the first
-//! run and reuses them afterwards. K runs on one runner must produce the
-//! same outcomes, bit for bit, as K runs that each use a fresh runner and
+//! An `SlsRunner` takes its probe plans and builds its sweep orders on
+//! the first run and reuses them afterwards. K runs on one runner must
+//! produce the same outcomes, bit for bit, as K runs that each use a fresh
+//! runner on a memo-less link (so every plan is built and priced cold) and
 //! share one RNG: every frame, every reading, both selected sectors and
 //! the duration.
 
@@ -130,7 +131,8 @@ fn runs_on_one_runner_equal_runs_on_fresh_runners() {
             let mut rng = sub_rng(seed, "runner-reuse");
             let fresh: Vec<SlsOutcome> = (0..RUNS)
                 .map(|_| {
-                    SlsRunner::new(link, &initiator, &responder).run(&mut rng, &mut *pi, &mut *pr)
+                    let cold = link.clone();
+                    SlsRunner::new(&cold, &initiator, &responder).run(&mut rng, &mut *pi, &mut *pr)
                 })
                 .collect();
 

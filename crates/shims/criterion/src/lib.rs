@@ -1,10 +1,11 @@
 //! Offline stand-in for `criterion`.
 //!
 //! Provides the harness surface the workspace's benches use (`Criterion`,
-//! `benchmark_group`, `bench_with_input`, `BenchmarkId`, `Throughput`,
-//! `criterion_group!` / `criterion_main!`) with a simple wall-clock runner:
-//! each benchmark is warmed up briefly, then timed in batches until a fixed
-//! measurement budget elapses, and the mean ns/iter is printed.
+//! `benchmark_group`, `bench_with_input`, `iter_batched`, `BenchmarkId`,
+//! `Throughput`, `criterion_group!` / `criterion_main!`) with a simple
+//! wall-clock runner: each benchmark is warmed up briefly, then timed in
+//! batches until a fixed measurement budget elapses, and the mean ns/iter
+//! is printed.
 //!
 //! There is no statistical analysis, no HTML report, and no saved baseline.
 //! `CRITERION_QUICK=1` shrinks the budgets for smoke runs.
@@ -57,6 +58,51 @@ impl Bencher {
         self.total = start.elapsed();
         self.iters = iters;
     }
+
+    /// Times `routine` on inputs made by `setup`. Inputs are made 16 at a
+    /// time before the batch is timed, and outputs are dropped after it, so
+    /// neither `setup` nor the drops count.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let (warm, measure) = budget();
+        let mut timed_batch = || {
+            let inputs: Vec<I> = (0..INPUT_BATCH).map(|_| setup()).collect();
+            let mut outputs = Vec::with_capacity(inputs.len());
+            let start = Instant::now();
+            for input in inputs {
+                outputs.push(black_box(routine(input)));
+            }
+            start.elapsed()
+        };
+
+        let mut warm_time = Duration::ZERO;
+        while warm_time < warm {
+            warm_time += timed_batch();
+        }
+        let mut total = Duration::ZERO;
+        let mut iters: u64 = 0;
+        while total < measure {
+            total += timed_batch();
+            iters += INPUT_BATCH;
+        }
+        self.total = total;
+        self.iters = iters;
+    }
+}
+
+/// Inputs [`Bencher::iter_batched`] sets up per timed batch: few, so they
+/// stay small in memory next to what the routine touches.
+const INPUT_BATCH: u64 = 16;
+
+/// How [`Bencher::iter_batched`] batches its inputs. The shim always sets
+/// up 16 at a time, so the choice is accepted for compatibility.
+#[derive(Debug, Clone, Copy)]
+pub enum BatchSize {
+    /// Inputs are cheap to hold many of at once.
+    SmallInput,
 }
 
 /// Identifies a parameterised benchmark within a group.
