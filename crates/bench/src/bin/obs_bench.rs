@@ -33,7 +33,6 @@ const REQUIRED_KEYS: &[&str] = &[
     "counter_inc_ns",
     "gauge_set_ns",
     "histogram_record_ns",
-    "labeled_counter_ns",
     "span_no_sink_ns",
     "span_memory_sink_ns",
     "estimate_m14_ns",
@@ -92,14 +91,6 @@ fn main() {
     let gauge_set_ns = time_ns(prim_iters, || black_box(&gauge).set(black_box(0)));
     let hist = obs::histogram("bench.obs.hist");
     let histogram_record_ns = time_ns(prim_iters, || black_box(&hist).record(black_box(1234)));
-    // A labeled counter through the dimensional lookup path: qualify the
-    // name with the label set, registry lookup, bump. This is the
-    // uncached per-call cost; hot paths cache the Arc and pay
-    // `counter_inc_ns` instead.
-    let labels = obs::LabelSet::link(7);
-    let labeled_counter_ns = time_ns(prim_iters / 10, || {
-        obs::counter_with("bench.obs.labeled", black_box(&labels)).inc();
-    });
     let span_no_sink_ns = time_ns(span_iters, || {
         let mut s = obs::span("bench.obs.span");
         s.field("x", black_box(1.0));
@@ -138,7 +129,6 @@ fn main() {
         "{{\n  \"counter_inc_ns\": {counter_inc_ns:.2},\n  \
          \"gauge_set_ns\": {gauge_set_ns:.2},\n  \
          \"histogram_record_ns\": {histogram_record_ns:.2},\n  \
-         \"labeled_counter_ns\": {labeled_counter_ns:.2},\n  \
          \"span_no_sink_ns\": {span_no_sink_ns:.2},\n  \
          \"span_memory_sink_ns\": {span_memory_sink_ns:.2},\n  \
          \"estimate_m14_ns\": {estimate_m14_ns:.2},\n  \

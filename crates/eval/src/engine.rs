@@ -25,33 +25,26 @@
 //! from workers, and the merge replays them in unit-index order — the
 //! emitted trace stream is structurally identical at any thread count.
 //!
-//! Workers also report scheduler telemetry — per-worker busy/idle time,
-//! units processed, and remaining-queue depth as `worker="k"` labeled
-//! series, plus an `eval.worker_imbalance_ppm` rollup. The telemetry is
-//! metrics-only (atomic counters, never the trace stream), so it cannot
-//! perturb the bit-identical-traces guarantee above.
+//! Each call also publishes scheduler telemetry: the workers' summed
+//! busy and idle time as the plain counters `worker.busy_ns` and
+//! `worker.idle_ns`, and the call's busy-time spread as the
+//! `eval.worker_imbalance_ppm` gauge. The handles are resolved once per
+//! process, so a call formats no name and takes no registry lock. The
+//! telemetry is metrics-only (atomic counters, never the trace stream),
+//! so it cannot perturb the bit-identical-traces guarantee above.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Chunks processed per thread (on average) per grab. More chunks smooth
 /// load imbalance; fewer amortize the cursor contention better.
 const CHUNKS_PER_THREAD: usize = 16;
 
-/// The thread count used by the experiment entry points: the
-/// `TALON_EVAL_THREADS` environment variable if set (clamped to ≥ 1),
-/// otherwise the machine's available parallelism.
+/// The thread count used by the experiment entry points: the machine's
+/// available parallelism (at least 1).
 pub fn default_threads() -> usize {
-    if let Some(n) = std::env::var("TALON_EVAL_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        return n.max(1);
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Maps `f` over the unit indices `0..n_units` on `threads` threads and
@@ -84,7 +77,6 @@ where
     if let (Some(span), Some(base)) = (&mut span, trace_base) {
         span.field("units", n_units as f64);
         span.field("trace_base", base as f64);
-        span.field("threads", threads as f64);
     }
     let run_unit = |w: &mut W, i: usize, captured: &mut Vec<obs::Captured>| -> T {
         match trace_base {
@@ -107,9 +99,7 @@ where
         for item in &captured {
             item.forward_to_sink();
         }
-        let busy = started.elapsed().as_nanos() as u64;
-        publish_worker(0, busy, 0, n_units as u64);
-        publish_imbalance(&[busy]);
+        telemetry().publish(&[(started.elapsed().as_nanos() as u64, 0)]);
         return out;
     }
     // One finished chunk: (first unit index, results, captured trace
@@ -118,7 +108,8 @@ where
     let chunk = (n_units / (threads * CHUNKS_PER_THREAD)).max(1);
     let cursor = AtomicUsize::new(0);
     let parts: Mutex<Vec<Chunk<T>>> = Mutex::new(Vec::new());
-    let busy_by_worker: Mutex<Vec<u64>> = Mutex::new(vec![0; threads]);
+    // (busy, idle) ns per worker, for the telemetry published after the join.
+    let time_by_worker: Mutex<Vec<(u64, u64)>> = Mutex::new(vec![(0, 0); threads]);
     crossbeam::thread::scope(|s| {
         // `move` below is only for `k`; everything else crosses by shared
         // reference.
@@ -126,42 +117,36 @@ where
         let run_unit = &run_unit;
         let cursor = &cursor;
         let parts = &parts;
+        let time_by_worker = &time_by_worker;
         for k in 0..threads {
-            let busy_by_worker = &busy_by_worker;
             s.spawn(move || {
                 let wall = Instant::now();
-                let queue_depth = worker_queue_gauge(k);
                 let mut w = make_worker();
                 let mut busy_ns = 0u64;
-                let mut units = 0u64;
                 loop {
                     let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                     if start >= n_units {
-                        queue_depth.set(0);
                         break;
                     }
                     let end = (start + chunk).min(n_units);
-                    queue_depth.set(n_units.saturating_sub(end) as i64);
                     let grabbed = Instant::now();
                     let mut captured = Vec::new();
                     let out: Vec<T> = (start..end)
                         .map(|i| run_unit(&mut w, i, &mut captured))
                         .collect();
                     busy_ns += grabbed.elapsed().as_nanos() as u64;
-                    units += (end - start) as u64;
                     parts
                         .lock()
                         .expect("no poisoned workers")
                         .push((start, out, captured));
                 }
-                let wall_ns = wall.elapsed().as_nanos() as u64;
-                publish_worker(k, busy_ns, wall_ns.saturating_sub(busy_ns), units);
-                busy_by_worker.lock().expect("no poisoned workers")[k] = busy_ns;
+                let idle_ns = (wall.elapsed().as_nanos() as u64).saturating_sub(busy_ns);
+                time_by_worker.lock().expect("no poisoned workers")[k] = (busy_ns, idle_ns);
             });
         }
     })
     .expect("scoped eval workers join cleanly");
-    publish_imbalance(&busy_by_worker.into_inner().expect("workers done"));
+    telemetry().publish(&time_by_worker.into_inner().expect("workers done"));
     let mut parts = parts.into_inner().expect("workers done");
     parts.sort_unstable_by_key(|&(start, ..)| start);
     let mut merged = Vec::with_capacity(n_units);
@@ -177,39 +162,46 @@ where
     merged
 }
 
-/// The `worker.queue_remaining{worker="k"}` gauge: units still unclaimed
-/// by any worker the last time worker `k` grabbed from the cursor.
-fn worker_queue_gauge(k: usize) -> std::sync::Arc<obs::Gauge> {
-    let label = k.to_string();
-    obs::gauge_with(
-        "worker.queue_remaining",
-        &obs::LabelSet::from_pairs(&[("worker", &label)]),
-    )
+/// The series every [`par_map`] call publishes, resolved once per process.
+struct Telemetry {
+    /// `worker.busy_ns`: time workers spent running units, summed.
+    busy_ns: Arc<obs::Counter>,
+    /// `worker.idle_ns`: time workers spent waiting for the cursor or
+    /// spawning, summed.
+    idle_ns: Arc<obs::Counter>,
+    /// `eval.worker_imbalance_ppm`: the last call's busy-time spread.
+    imbalance_ppm: Arc<obs::Gauge>,
 }
 
-/// Publishes one worker's scheduler telemetry as `worker="k"` labeled
-/// counters. Metrics only — never the trace stream — so telemetry cannot
-/// perturb trace determinism.
-fn publish_worker(k: usize, busy_ns: u64, idle_ns: u64, units: u64) {
-    let label = k.to_string();
-    let labels = obs::LabelSet::from_pairs(&[("worker", &label)]);
-    obs::counter_with("worker.busy_ns", &labels).add(busy_ns);
-    obs::counter_with("worker.idle_ns", &labels).add(idle_ns);
-    obs::counter_with("worker.units", &labels).add(units);
+fn telemetry() -> &'static Telemetry {
+    static TELEMETRY: OnceLock<Telemetry> = OnceLock::new();
+    TELEMETRY.get_or_init(|| Telemetry {
+        busy_ns: obs::counter("worker.busy_ns"),
+        idle_ns: obs::counter("worker.idle_ns"),
+        imbalance_ppm: obs::gauge("eval.worker_imbalance_ppm"),
+    })
 }
 
-/// Publishes the busy-time imbalance of one `par_map` call:
-/// `(max - min) / max` across workers, in ppm. 0 means perfectly even;
-/// 1_000_000 means at least one worker sat fully idle.
-fn publish_imbalance(busy_ns: &[u64]) {
-    let max = busy_ns.iter().copied().max().unwrap_or(0);
-    let min = busy_ns.iter().copied().min().unwrap_or(0);
-    let ppm = if max == 0 {
-        0
-    } else {
-        ((max - min) as u128 * 1_000_000 / max as u128) as i64
-    };
-    obs::gauge("eval.worker_imbalance_ppm").set(ppm);
+impl Telemetry {
+    /// Publishes one call's `(busy, idle)` ns per worker. The imbalance is
+    /// `(max - min) / max` of busy time across workers, in ppm: 0 means
+    /// perfectly even; 1_000_000 means at least one worker sat fully idle.
+    /// Metrics only — never the trace stream — so telemetry cannot perturb
+    /// trace determinism.
+    fn publish(&self, time_by_worker: &[(u64, u64)]) {
+        let busy = time_by_worker.iter().map(|&(busy, _)| busy);
+        let max = busy.clone().max().unwrap_or(0);
+        let min = busy.clone().min().unwrap_or(0);
+        self.busy_ns.add(busy.sum());
+        self.idle_ns
+            .add(time_by_worker.iter().map(|&(_, idle)| idle).sum());
+        let ppm = if max == 0 {
+            0
+        } else {
+            ((max - min) as u128 * 1_000_000 / max as u128) as i64
+        };
+        self.imbalance_ppm.set(ppm);
+    }
 }
 
 /// Maps `f` over fixed-size *batches* of the unit range `0..n_units` and
@@ -343,37 +335,14 @@ mod tests {
     #[test]
     fn workers_publish_scheduler_telemetry() {
         let _guard = obs::testing::lock();
+        let worker_ns = || {
+            let snap = obs::global().snapshot();
+            snap.counter("worker.busy_ns") + snap.counter("worker.idle_ns")
+        };
+        let before = worker_ns();
         par_map(64, 2, || (), |_, i| i);
+        assert!(worker_ns() > before, "busy + idle time published");
         let snap = obs::global().snapshot();
-        for k in ["0", "1"] {
-            let labels = obs::LabelSet::from_pairs(&[("worker", k)]);
-            assert!(
-                snap.counters
-                    .contains_key(&labels.qualify("worker.busy_ns")),
-                "worker {k} busy series missing"
-            );
-            assert!(
-                snap.counters.contains_key(&labels.qualify("worker.units")),
-                "worker {k} units series missing"
-            );
-            assert_eq!(
-                snap.gauges[&labels.qualify("worker.queue_remaining")],
-                0,
-                "queue drained at exit"
-            );
-        }
-        let units: u64 = ["0", "1"]
-            .iter()
-            .map(|k| {
-                let labels = obs::LabelSet::from_pairs(&[("worker", k)]);
-                snap.counter(&labels.qualify("worker.units"))
-            })
-            .sum();
-        assert!(units >= 64, "every unit counted (other tests may add more)");
-        assert!(
-            snap.gauges.contains_key("eval.worker_imbalance_ppm"),
-            "imbalance rollup published"
-        );
         let ppm = snap.gauges["eval.worker_imbalance_ppm"];
         assert!((0..=1_000_000).contains(&ppm), "ppm in range: {ppm}");
     }
@@ -386,10 +355,8 @@ mod tests {
     }
 
     #[test]
-    fn env_override_clamps_to_one() {
+    fn zero_threads_clamps_to_one() {
         let _guard = obs::testing::lock();
-        // Can't set the env var safely in-process (tests run threaded), but
-        // the clamp logic is exercised through par_map's threads argument.
         let out = par_map(5, 0, || (), |_, i| i);
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
     }

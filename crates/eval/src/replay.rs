@@ -51,7 +51,7 @@ pub const CHUNK: usize = 8 * 1024;
 /// How a replay run executes.
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
-    /// Worker threads for the fan-out (`TALON_EVAL_THREADS` default).
+    /// Worker threads for the fan-out ([`default_threads`] by default).
     pub threads: usize,
     /// Perturbation added to every unmasked SNR input, dB. Zero for a
     /// faithful replay; non-zero exists to prove the comparator catches

@@ -1,14 +1,18 @@
-//! Replay's allocation budget, measured with a counting global allocator
-//! (the idiom of `crates/obs/tests/no_alloc.rs`): once warm, a
-//! [`ReplaySession::replay_chunk`] allocates per chunk, never per
-//! decision. Worker buffers (the rebuilt readings and the kernel closure)
-//! are reused, and patterns and estimators are looked up without cloning
-//! their keys.
+//! Allocation budgets in `eval`, measured with a counting global allocator
+//! (the idiom of `crates/obs/tests/no_alloc.rs`):
 //!
-//! Allocations are counted per thread; at one replay thread the whole
-//! chunk runs on the calling thread.
+//! - once warm, a [`ReplaySession::replay_chunk`] allocates per chunk,
+//!   never per decision. Worker buffers (the rebuilt readings and the
+//!   kernel closure) are reused, and patterns and estimators are looked up
+//!   without cloning their keys;
+//! - a warm one-thread [`par_map`] call with no sink allocates only its
+//!   output: its scheduler telemetry goes through handles resolved once.
+//!
+//! Allocations are counted per thread; at one thread the whole call runs
+//! on the calling thread.
 
 use css::{CompressiveSelection, CssConfig, DecisionOracle};
+use eval::engine::par_map;
 use eval::replay::{ReplayConfig, ReplaySession};
 use eval::scenario::{EvalScenario, Fidelity};
 use geom::rng::sub_rng;
@@ -116,4 +120,21 @@ fn a_warm_replay_chunk_allocates_per_chunk_not_per_decision() {
     assert_eq!(report.replayed, 256 + 256 + 4096);
     assert!(report.is_clean(), "{}", report.summary());
     assert_eq!(report.max_abs_err, 0.0);
+}
+
+#[test]
+fn a_warm_one_thread_par_map_allocates_only_its_output() {
+    let _guard = obs::testing::lock();
+    obs::clear_sink();
+    // Warm-up: resolves the telemetry handles.
+    par_map(1, 1, || (), |_, i| i);
+    for n in [1, 4] {
+        let allocations = allocations_during(|| {
+            std::hint::black_box(par_map(n, 1, || (), |_, i| i));
+        });
+        assert_eq!(
+            allocations, 1,
+            "par_map({n}, 1, …) allocated {allocations} times"
+        );
+    }
 }

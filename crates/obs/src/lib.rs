@@ -40,7 +40,6 @@ pub mod binfmt;
 pub mod decision;
 pub mod event;
 pub mod health;
-pub mod labels;
 pub mod metrics;
 pub mod monitor;
 pub mod registry;
@@ -52,7 +51,6 @@ pub mod tree;
 pub use binfmt::{BinReader, BinSink, TraceRecord};
 pub use decision::DecisionRecord;
 pub use event::Event;
-pub use labels::LabelSet;
 pub use metrics::{Bucket, Counter, Gauge, Histogram, HistogramSnapshot};
 pub use monitor::{DriftConfig, DriftDetector, QualityMonitor, QualitySummary};
 pub use registry::{Registry, Snapshot};
@@ -91,21 +89,6 @@ pub fn gauge(name: &str) -> std::sync::Arc<Gauge> {
 /// Shortcut: the global histogram `name`.
 pub fn histogram(name: &str) -> std::sync::Arc<Histogram> {
     global().histogram(name)
-}
-
-/// Shortcut: the global counter `name` qualified with `labels`.
-pub fn counter_with(name: &str, labels: &LabelSet) -> std::sync::Arc<Counter> {
-    global().counter_with(name, labels)
-}
-
-/// Shortcut: the global gauge `name` qualified with `labels`.
-pub fn gauge_with(name: &str, labels: &LabelSet) -> std::sync::Arc<Gauge> {
-    global().gauge_with(name, labels)
-}
-
-/// Shortcut: the global histogram `name` qualified with `labels`.
-pub fn histogram_with(name: &str, labels: &LabelSet) -> std::sync::Arc<Histogram> {
-    global().histogram_with(name, labels)
 }
 
 /// Test support for code that installs global sinks.

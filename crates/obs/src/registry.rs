@@ -1,6 +1,5 @@
 //! The metric registry: named counters/gauges/histograms plus snapshots.
 
-use crate::labels::LabelSet;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -50,32 +49,6 @@ impl Registry {
             return h.clone();
         }
         map.entry(name.to_string()).or_default().clone()
-    }
-
-    /// The counter `name` qualified with `labels` (`name{k="v"}`), created
-    /// on first use. An empty label set routes through the zero-label fast
-    /// path ([`Registry::counter`]) without allocating a qualified name.
-    pub fn counter_with(&self, name: &str, labels: &LabelSet) -> Arc<Counter> {
-        if labels.is_empty() {
-            return self.counter(name);
-        }
-        self.counter(&labels.qualify(name))
-    }
-
-    /// The gauge `name` qualified with `labels`, created on first use.
-    pub fn gauge_with(&self, name: &str, labels: &LabelSet) -> Arc<Gauge> {
-        if labels.is_empty() {
-            return self.gauge(name);
-        }
-        self.gauge(&labels.qualify(name))
-    }
-
-    /// The histogram `name` qualified with `labels`, created on first use.
-    pub fn histogram_with(&self, name: &str, labels: &LabelSet) -> Arc<Histogram> {
-        if labels.is_empty() {
-            return self.histogram(name);
-        }
-        self.histogram(&labels.qualify(name))
     }
 
     /// A serializable point-in-time copy of every metric.
@@ -159,25 +132,6 @@ mod tests {
         let back: Snapshot =
             serde::Deserialize::deserialize(&serde::Value::from_json(&json).unwrap()).unwrap();
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn labeled_metrics_are_distinct_series() {
-        let reg = Registry::new();
-        let l3 = LabelSet::link(3);
-        let l7 = LabelSet::link(7);
-        reg.counter_with("drift", &l3).add(2);
-        reg.counter_with("drift", &l7).inc();
-        reg.counter_with("drift", &LabelSet::empty()).add(10);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("drift{link=\"3\"}"), 2);
-        assert_eq!(snap.counter("drift{link=\"7\"}"), 1);
-        assert_eq!(snap.counter("drift"), 10);
-        // The empty-label path is the same metric object as the plain one.
-        assert!(Arc::ptr_eq(
-            &reg.counter("drift"),
-            &reg.counter_with("drift", &LabelSet::empty())
-        ));
     }
 
     #[test]
