@@ -74,14 +74,6 @@ fn bench_experiments(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("ext_dense", |b| {
-        let cfg = netsim::dense::DenseConfig {
-            pair_counts: vec![4, 16],
-            ..netsim::dense::DenseConfig::default()
-        };
-        b.iter(|| black_box(eval::extensions::dense_comparison(&cfg, &patterns, 14, 1)))
-    });
-
     group.bench_function("ext_tracking", |b| {
         let cfg = netsim::tracking::TrackingConfig {
             horizon_s: 2.0,

@@ -144,20 +144,22 @@ fn exp_ext_dense(out: &mut dyn Write, args: &Args) -> io::Result<()> {
         out,
         "== ext-dense: dense deployments (§7) — training airtime vs pairs =="
     )?;
-    let scenario = EvalScenario::conference_room(args.fidelity, args.seed);
-    let cfg = netsim::dense::DenseConfig::default();
-    let (ssw, css) = eval::extensions::dense_comparison(&cfg, &scenario.patterns, 14, args.seed);
-    let rows: Vec<Vec<String>> = ssw
+    let (scenario, data) = fig11_recording(args);
+    let res = eval::extensions::dense_table(&data, &scenario.patterns, 14, args.seed);
+    let range = |s: &eval::extensions::PolicyShare| format!("{:.2}–{:.2}", s.min_gbps, s.max_gbps);
+    let rows: Vec<Vec<String>> = res
         .rows
         .iter()
-        .zip(&css.rows)
-        .map(|(a, b)| {
+        .map(|r| {
             vec![
-                a.pairs.to_string(),
-                format!("{:.1}%", 100.0 * a.training_airtime),
-                format!("{:.2}", a.aggregate_gbps),
-                format!("{:.1}%", 100.0 * b.training_airtime),
-                format!("{:.2}", b.aggregate_gbps),
+                r.pairs.to_string(),
+                format!("{:.1}%", 100.0 * r.ssw.training_airtime),
+                format!("{:.2}", r.ssw.aggregate_gbps),
+                range(&r.ssw),
+                format!("{:.1}%", 100.0 * r.css.training_airtime),
+                format!("{:.2}", r.css.aggregate_gbps),
+                range(&r.css),
+                format!("{}/{}", r.css_above, res.positions),
             ]
         })
         .collect();
@@ -169,16 +171,23 @@ fn exp_ext_dense(out: &mut dyn Write, args: &Args) -> io::Result<()> {
                 "pairs",
                 "SSW airtime",
                 "SSW Gbps",
+                "SSW range",
                 "CSS airtime",
-                "CSS Gbps"
+                "CSS Gbps",
+                "CSS range",
+                "CSS above SSW"
             ],
             &rows
         )
     )?;
     writeln!(
         out,
-        "(tracking at {} Hz per pair; sweeps occupy the shared channel exclusively)\n",
-        cfg.tracking_hz
+        "(tracking at {} Hz per pair; sweeps occupy the shared channel exclusively; \
+         Gbps = mean over {} paired trainings at {} positions × the data share; \
+         range = per-position min–max)\n",
+        eval::extensions::TRACKING_HZ,
+        res.trainings,
+        res.positions
     )?;
     Ok(())
 }
@@ -557,17 +566,24 @@ fn exp_fig10(out: &mut dyn Write, args: &Args) -> io::Result<()> {
     Ok(())
 }
 
-fn exp_fig11(out: &mut dyn Write, args: &Args) -> io::Result<()> {
-    writeln!(
-        out,
-        "== Fig. 11: throughput at -45/0/+45 deg (conference room) =="
-    )?;
+/// The conference-room recording Fig. 11 and `ext-dense` score: 20 sweeps
+/// per position at paper fidelity, 10 at Fast.
+fn fig11_recording(args: &Args) -> (EvalScenario, eval::RecordedDataset) {
     let mut scenario = EvalScenario::conference_room(args.fidelity, args.seed);
     scenario.sweeps_per_position = match args.fidelity {
         Fidelity::Paper => 20,
         Fidelity::Fast => 10,
     };
     let data = scenario.record(args.seed);
+    (scenario, data)
+}
+
+fn exp_fig11(out: &mut dyn Write, args: &Args) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Fig. 11: throughput at -45/0/+45 deg (conference room) =="
+    )?;
+    let (scenario, data) = fig11_recording(args);
     let res = throughput(
         &data,
         &scenario.patterns,

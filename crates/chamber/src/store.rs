@@ -149,9 +149,13 @@ impl SectorPatterns {
             if parts.len() != 4 || parts[0] != tag {
                 return Err(StoreError::Malformed(n + 1));
             }
-            let vals: Result<Vec<f64>, _> = parts[1..].iter().map(|s| s.parse()).collect();
-            let vals = vals.map_err(|_| StoreError::Malformed(n + 1))?;
-            Ok(GridSpec::new(vals[0], vals[1], vals[2]))
+            let vals: Option<Vec<f64>> = parts[1..].iter().map(|s| finite(s)).collect();
+            match vals.as_deref() {
+                Some(&[start, end, step]) if step > 0.0 && end >= start => {
+                    Ok(GridSpec::new(start, end, step))
+                }
+                _ => Err(StoreError::Malformed(n + 1)),
+            }
         };
         let az = parse_axis(lines.next(), "az")?;
         let el = parse_axis(lines.next(), "el")?;
@@ -170,8 +174,8 @@ impl SectorPatterns {
                 .next()
                 .and_then(|s| s.parse().ok())
                 .ok_or(StoreError::Malformed(n + 1))?;
-            let gains: Result<Vec<f64>, _> = parts.map(|s| s.parse()).collect();
-            let gains = gains.map_err(|_| StoreError::Malformed(n + 1))?;
+            let gains: Option<Vec<f64>> = parts.map(finite).collect();
+            let gains = gains.ok_or(StoreError::Malformed(n + 1))?;
             if gains.len() != grid.len() {
                 return Err(StoreError::WrongLength(id));
             }
@@ -189,6 +193,12 @@ impl SectorPatterns {
     pub fn load(path: &std::path::Path) -> std::io::Result<Result<SectorPatterns, StoreError>> {
         Ok(Self::from_text(&std::fs::read_to_string(path)?))
     }
+}
+
+/// Parses a finite number: NaN and ±inf are malformed in every field (a
+/// measured gain is finite, and a grid bound or step must be).
+fn finite(s: &str) -> Option<f64> {
+    s.parse().ok().filter(|v: &f64| v.is_finite())
 }
 
 #[cfg(test)]
@@ -255,6 +265,23 @@ mod tests {
             SectorPatterns::from_text(text),
             Err(StoreError::Malformed(2))
         );
+        // Non-finite numbers, a step ≤ 0 and an end below the start.
+        for (text, line) in [
+            ("talon-patterns-v1\naz 0 10 5\nel NaN 32.4 3.6\n", 3),
+            ("talon-patterns-v1\naz -90 90 0\nel 0 0 1\n", 2),
+            ("talon-patterns-v1\naz 0 10 -5\nel 0 0 1\n", 2),
+            ("talon-patterns-v1\naz 10 0 5\nel 0 0 1\n", 2),
+            ("talon-patterns-v1\naz 0 inf 5\nel 0 0 1\n", 2),
+            (
+                "talon-patterns-v1\naz 0 10 5\nel 0 0 1\nsector 5 1 NaN 3\n",
+                4,
+            ),
+        ] {
+            assert_eq!(
+                SectorPatterns::from_text(text),
+                Err(StoreError::Malformed(line))
+            );
+        }
     }
 
     #[test]

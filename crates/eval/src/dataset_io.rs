@@ -98,8 +98,8 @@ pub fn from_text(text: &str) -> Result<RecordedDataset, DatasetError> {
                 if idx != positions.len() {
                     return Err(DatasetError::Malformed(n + 1));
                 }
-                let az: f64 = parts.next().and_then(|s| s.parse().ok()).ok_or_else(err)?;
-                let el: f64 = parts.next().and_then(|s| s.parse().ok()).ok_or_else(err)?;
+                let az = parts.next().and_then(finite).ok_or_else(err)?;
+                let el = parts.next().and_then(finite).ok_or_else(err)?;
                 positions.push(RecordedPosition {
                     truth: Direction::new(az, el),
                     true_snr: Vec::new(),
@@ -114,7 +114,7 @@ pub fn from_text(text: &str) -> Result<RecordedDataset, DatasetError> {
                 for tok in parts {
                     let (sec, snr) = tok.split_once(':').ok_or_else(err)?;
                     let sector: u8 = sec.parse().map_err(|_| err())?;
-                    let snr: f64 = snr.parse().map_err(|_| err())?;
+                    let snr = finite(snr).ok_or_else(err)?;
                     pos.true_snr.push((SectorId(sector), snr));
                 }
             }
@@ -132,9 +132,8 @@ pub fn from_text(text: &str) -> Result<RecordedDataset, DatasetError> {
                     let measurement = if second == "-" {
                         None
                     } else {
-                        let snr: f64 = second.parse().map_err(|_| err())?;
-                        let rssi: f64 =
-                            fields.next().and_then(|s| s.parse().ok()).ok_or_else(err)?;
+                        let snr = finite(second).ok_or_else(err)?;
+                        let rssi = fields.next().and_then(finite).ok_or_else(err)?;
                         Some(Measurement {
                             snr_db: snr,
                             rssi_dbm: rssi,
@@ -154,6 +153,12 @@ pub fn from_text(text: &str) -> Result<RecordedDataset, DatasetError> {
         scenario,
         positions,
     })
+}
+
+/// Parses a finite number: NaN and ±inf are malformed in every field (the
+/// recorder never writes them, and the analyses assume finite values).
+fn finite(s: &str) -> Option<f64> {
+    s.parse().ok().filter(|v: &f64| v.is_finite())
 }
 
 /// Saves a dataset to a file.
@@ -222,6 +227,18 @@ mod tests {
             from_text("talon-dataset-v1\nposition 0 0 0\nsweep 0 0 1:x:y\n").unwrap_err(),
             DatasetError::Malformed(3)
         );
+        // Non-finite numbers are malformed in every field.
+        for body in [
+            "position 0 NaN 0\n",
+            "position 0 0 0\ntruesnr 0 1:3.5 2:NaN\n",
+            "position 0 0 0\ntruesnr 0 1:3.5 2:inf\n",
+            "position 0 0 0\nsweep 0 0 1:-inf:-60\n",
+            "position 0 0 0\nsweep 0 0 2:- 1:4.0:NaN\n",
+        ] {
+            let line = body.lines().count() + 1;
+            let text = format!("talon-dataset-v1\n{body}");
+            assert_eq!(from_text(&text).unwrap_err(), DatasetError::Malformed(line));
+        }
     }
 
     #[test]

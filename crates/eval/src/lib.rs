@@ -16,7 +16,7 @@
 //! | [`stability`]  | Fig. 8 (selection stability vs number of probes) |
 //! | [`snr_loss`]   | Fig. 9 (SNR loss vs number of probes) |
 //! | [`overhead`]   | Fig. 10 (training time vs number of probes) |
-//! | [`throughput`] | Fig. 11 (TCP throughput at −45°/0°/45°) |
+//! | [`throughput`] | Fig. 11 (TCP throughput at −45°/0°/45°); the per-sweep rates `ext-dense` shares |
 //! | [`extensions`] | §7 claims quantified: `ext-dense`, `ext-tracking` |
 //! | [`dataset_io`] | archive/reload recorded sweeps for offline re-analysis |
 //! | [`replay`]     | trace-driven re-execution of recorded decisions |

@@ -13,15 +13,19 @@
 //! SNR maps to an 802.11ad single-carrier MCS, and the PHY rate to TCP
 //! goodput with the MAC efficiency observed on Talon hardware (≈ 1/3 of
 //! the PHY rate).
+//!
+//! [`sweep_rates`] is the one per-sweep loop: Fig. 11 runs it on the three
+//! positions nearest its directions, `ext-dense`
+//! ([`crate::extensions::dense_table`]) on every recorded position.
 
 use crate::scenario::{random_subset, RecordedDataset, RecordedPosition};
 use chamber::SectorPatterns;
-use css::estimator::CorrelationMode;
 use css::selection::{CompressiveSelection, CssConfig};
-use css::strategy::ProbeStrategy;
 use geom::rng::sub_rng;
 use mac80211ad::sls::{FeedbackPolicy, MaxSnrPolicy};
+use rand::Rng;
 use serde::Serialize;
+use talon_array::SectorId;
 pub use talon_channel::rate::{DataLinkModel, McsEntry, MCS_TABLE};
 
 /// Throughput at one evaluated path direction.
@@ -56,47 +60,74 @@ pub fn throughput(
     seed: u64,
 ) -> ThroughputResult {
     let mut rng = sub_rng(seed, "fig11-subsets");
-    let mut css = CompressiveSelection::new(
-        patterns.clone(),
-        CssConfig {
-            num_probes: probes,
-            mode: CorrelationMode::JointSnrRssi,
-            strategy: ProbeStrategy::UniformRandom,
-        },
-        seed,
-    );
-    let mut rows = Vec::with_capacity(azimuths_deg.len());
-    for &az in azimuths_deg {
-        // The recorded position closest to the requested azimuth.
-        let pos = nearest_position(data, az);
-        let mut ssw_rates = Vec::new();
-        let mut css_rates = Vec::new();
-        // Each sweep is one training event of the 10 s transfer; the rate
-        // until the next training is set by the selected sector.
-        for sweep in &pos.sweeps {
-            if let Some(sel) = MaxSnrPolicy.select(sweep) {
-                if let Some(snr) = pos.true_snr_of(sel) {
-                    ssw_rates.push(model.tcp_gbps(snr));
-                }
+    let mut css = css_selection(patterns, probes, seed);
+    let rows = azimuths_deg
+        .iter()
+        .map(|&az| {
+            // The recorded position closest to the requested azimuth.
+            let rates = sweep_rates(nearest_position(data, az), &mut css, &mut rng, &model);
+            let ssw: Vec<f64> = rates.iter().filter_map(|r| r.ssw_gbps).collect();
+            let css: Vec<f64> = rates.iter().filter_map(|r| r.css_gbps).collect();
+            ThroughputRow {
+                azimuth_deg: az,
+                ssw_gbps: geom::stats::mean(&ssw).unwrap_or(0.0),
+                css_gbps: geom::stats::mean(&css).unwrap_or(0.0),
             }
-            let subset = random_subset(&mut rng, sweep, probes);
-            if let Some(sel) = css.select_from_readings(&subset) {
-                if let Some(snr) = pos.true_snr_of(sel) {
-                    css_rates.push(model.tcp_gbps(snr));
-                }
-            }
-        }
-        rows.push(ThroughputRow {
-            azimuth_deg: az,
-            ssw_gbps: geom::stats::mean(&ssw_rates).unwrap_or(0.0),
-            css_gbps: geom::stats::mean(&css_rates).unwrap_or(0.0),
-        });
-    }
+        })
+        .collect();
     ThroughputResult {
         scenario: data.scenario.clone(),
         probes,
         rows,
     }
+}
+
+/// The data rates one recorded sweep yields under both policies: `None`
+/// where a policy selected no sector.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SweepRates {
+    /// TCP goodput of the stock sweep's selection, Gbps.
+    pub ssw_gbps: Option<f64>,
+    /// TCP goodput of the CSS selection, Gbps.
+    pub css_gbps: Option<f64>,
+}
+
+/// The CSS policy Fig. 11 and `ext-dense` score: the paper's protocol
+/// (uniformly random probes, joint SNR·RSSI correlation) at `probes`.
+pub fn css_selection(patterns: &SectorPatterns, probes: usize, seed: u64) -> CompressiveSelection {
+    let config = CssConfig {
+        num_probes: probes,
+        ..CssConfig::paper_default()
+    };
+    CompressiveSelection::new(patterns.clone(), config, seed)
+}
+
+/// Scores both policies on the same recorded sweeps of one position. Each
+/// sweep is one training: the stock sweep takes the argmax over the full
+/// sweep, CSS selects from a random `css.num_probes()`-subset of that same
+/// sweep, and each selection's noise-free SNR sets its rate until the next
+/// training.
+pub fn sweep_rates<R: Rng>(
+    pos: &RecordedPosition,
+    css: &mut CompressiveSelection,
+    rng: &mut R,
+    model: &DataLinkModel,
+) -> Vec<SweepRates> {
+    let rate = |sel: Option<SectorId>| {
+        sel.and_then(|s| pos.true_snr_of(s))
+            .map(|snr| model.tcp_gbps(snr))
+    };
+    pos.sweeps
+        .iter()
+        .map(|sweep| {
+            let ssw_gbps = rate(MaxSnrPolicy.select(sweep));
+            let subset = random_subset(rng, sweep, css.num_probes());
+            SweepRates {
+                ssw_gbps,
+                css_gbps: rate(css.select_from_readings(&subset)),
+            }
+        })
+        .collect()
 }
 
 fn nearest_position(data: &RecordedDataset, az_deg: f64) -> &RecordedPosition {
@@ -113,7 +144,6 @@ fn nearest_position(data: &RecordedDataset, az_deg: f64) -> &RecordedPosition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{EvalScenario, Fidelity};
 
     #[test]
     fn mcs_mapping_is_monotone() {
@@ -137,58 +167,5 @@ mod tests {
         let m = DataLinkModel::default();
         let r = m.tcp_gbps(18.8);
         assert!((1.2..=1.6).contains(&r), "rate {r} Gbps");
-    }
-
-    #[test]
-    fn throughput_rows_cover_requested_azimuths() {
-        let _guard = obs::testing::lock();
-        let mut s = EvalScenario::conference_room(Fidelity::Fast, 401);
-        let data = s.record(401);
-        let res = throughput(
-            &data,
-            &s.patterns,
-            &[-45.0, 0.0, 45.0],
-            14,
-            DataLinkModel::default(),
-            401,
-        );
-        assert_eq!(res.rows.len(), 3);
-        for row in &res.rows {
-            assert!(
-                row.ssw_gbps > 0.5,
-                "SSW usable at {}°: {}",
-                row.azimuth_deg,
-                row.ssw_gbps
-            );
-            assert!(
-                row.css_gbps > 0.5,
-                "CSS usable at {}°: {}",
-                row.azimuth_deg,
-                row.css_gbps
-            );
-        }
-    }
-
-    #[test]
-    fn css_throughput_is_competitive_with_ssw() {
-        let _guard = obs::testing::lock();
-        let mut s = EvalScenario::conference_room(Fidelity::Fast, 402);
-        s.sweeps_per_position = 10;
-        let data = s.record(402);
-        let res = throughput(
-            &data,
-            &s.patterns,
-            &[0.0],
-            14,
-            DataLinkModel::default(),
-            402,
-        );
-        let row = &res.rows[0];
-        assert!(
-            row.css_gbps >= row.ssw_gbps - 0.25,
-            "CSS {} vs SSW {}",
-            row.css_gbps,
-            row.ssw_gbps
-        );
     }
 }

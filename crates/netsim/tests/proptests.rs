@@ -1,7 +1,6 @@
-//! Property-based tests for the network-scale simulations.
+//! Property-based tests for the training policies.
 
 use geom::rng::sub_rng;
-use netsim::dense::{dense_deployment, DenseConfig};
 use netsim::policy::TrainingPolicy;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -22,23 +21,6 @@ fn patterns() -> &'static chamber::SectorPatterns {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn dense_airtime_is_monotone_in_pairs_and_bounded(
-        hz in 1.0f64..30.0,
-        seed in 0u64..16,
-    ) {
-        let config = DenseConfig {
-            pair_counts: vec![1, 4, 16],
-            tracking_hz: hz,
-            ..DenseConfig::default()
-        };
-        let res = dense_deployment(&config, patterns(), |_, _| TrainingPolicy::ssw(), seed);
-        let airtimes: Vec<f64> = res.rows.iter().map(|r| r.training_airtime).collect();
-        prop_assert!(airtimes.windows(2).all(|w| w[0] <= w[1] + 1e-12));
-        prop_assert!(airtimes.iter().all(|&a| (0.0..=1.0).contains(&a)));
-        prop_assert!(res.rows.iter().all(|r| r.aggregate_gbps >= 0.0));
-    }
 
     #[test]
     fn css_airtime_is_always_cheaper(m in 2usize..34, seed in 0u64..8) {

@@ -193,7 +193,12 @@ impl QualityMonitor {
     /// time `t_s`. Fires `health.link_drift` on a new drift epoch and keeps
     /// the `quality.snr_loss_mdb` gauge live (milli-dB, for the integer
     /// gauge).
+    ///
+    /// A non-finite loss carries no oracle and is ignored.
     pub fn record_loss(&mut self, t_s: f64, loss_db: f64) {
+        if !loss_db.is_finite() {
+            return;
+        }
         self.losses.push(loss_db);
         self.gauge_loss.set((loss_db * 1000.0) as i64);
         if self.loss_detector.update(loss_db) {
@@ -240,7 +245,7 @@ impl QualityMonitor {
     /// The monitored-stream summary.
     pub fn summary(&self) -> QualitySummary {
         let mut sorted = self.losses.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("losses are finite"));
+        sorted.sort_by(f64::total_cmp);
         QualitySummary {
             samples: sorted.len(),
             median_snr_loss_db: quantile(&sorted, 0.5),
@@ -315,14 +320,16 @@ pub fn quality_from_trace(trace: &Trace) -> Vec<SessionQuality> {
             let mut misselections = 0usize;
             for d in trace.decisions.iter().filter(|d| d.trace_id == trace_id) {
                 decisions += 1;
-                if d.has_oracle {
+                // A non-finite loss (from a damaged or foreign trace) says
+                // nothing about the selection: the decision has no oracle.
+                if d.has_oracle && d.snr_loss_db.is_finite() {
                     losses.push(d.snr_loss_db);
                     if d.misselected(MISSELECTION_THRESHOLD_DB) {
                         misselections += 1;
                     }
                 }
             }
-            losses.sort_by(|a, b| a.partial_cmp(b).expect("losses are finite"));
+            losses.sort_by(f64::total_cmp);
             SessionQuality {
                 trace_id,
                 decisions,
@@ -426,6 +433,9 @@ mod tests {
         for i in 0..30 {
             m.record_loss(2.0 + i as f64 * 0.02, 22.0);
         }
+        // A non-finite loss carries no oracle: no sample, no alarm.
+        m.record_loss(2.7, f64::NAN);
+        m.record_loss(2.8, f64::INFINITY);
         m.record_selection(2.5, true);
         m.record_selection(2.6, false);
         let s = m.summary();
@@ -446,7 +456,15 @@ mod tests {
     #[test]
     fn quality_table_groups_by_session() {
         let mut trace = Trace::default();
-        for (tid, loss) in [(7u64, 0.2), (7, 2.5), (9, 0.0)] {
+        // A CRC-valid trace can carry any f64 bits: a non-finite loss
+        // counts as no oracle.
+        for (tid, loss) in [
+            (7u64, 0.2),
+            (7, 2.5),
+            (9, 0.0),
+            (9, f64::NAN),
+            (9, f64::INFINITY),
+        ] {
             let mut d = DecisionRecord::new("css.select");
             d.trace_id = tid;
             d.has_oracle = true;
@@ -464,6 +482,8 @@ mod tests {
         assert_eq!(rows[0].misselections, 1);
         assert!((rows[0].misselection_rate - 0.5).abs() < 1e-12);
         assert_eq!(rows[1].trace_id, 9);
+        assert_eq!(rows[1].decisions, 3);
+        assert_eq!(rows[1].with_oracle, 1);
         assert_eq!(rows[1].misselections, 0);
     }
 

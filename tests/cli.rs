@@ -490,3 +490,92 @@ fn flame_folds_each_eval_unit_under_its_par_map_once() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn report_quality_and_json_read_a_non_finite_loss_as_no_oracle() {
+    // A CRC-valid trace from outside can carry any f64 bits: here the
+    // first of three decisions claims an oracle with a NaN loss.
+    use obs::EventSink;
+    let dir = workdir("report_quality_non_finite_loss");
+    let trace = dir.join("nan-loss.bin");
+    let sink = obs::BinSink::create(&trace).expect("create trace");
+    for loss in [f64::NAN, 0.5, 2.5] {
+        let mut d = obs::DecisionRecord::new("css.select");
+        d.trace_id = 3;
+        d.has_oracle = true;
+        d.snr_loss_db = loss;
+        sink.emit_decision(&d);
+    }
+    sink.flush();
+    drop(sink);
+    let trace = trace.to_str().unwrap();
+    let stdout = run_ok(&["report", trace, "--quality"]);
+    assert!(
+        stdout.contains("0.500"),
+        "one misselection in two: {stdout}"
+    );
+    let json = serde::Value::from_json(&run_ok(&["report", trace, "--json"])).expect("JSON");
+    let quality = json.get("quality").expect("quality rows");
+    let row = match quality {
+        serde::Value::Seq(rows) => &rows[0],
+        other => panic!("quality is not a list: {other:?}"),
+    };
+    assert_eq!(
+        row.get("with_oracle").and_then(serde::Value::as_u64),
+        Some(2)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn analyze_rejects_non_finite_numbers_and_bad_axes_with_one_error_line() {
+    let dir = workdir("analyze_rejects_non_finite_numbers");
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write input");
+        path.to_str().unwrap().to_string()
+    };
+    let dataset = write(
+        "dataset.txt",
+        "talon-dataset-v1\nscenario s\nposition 0 0 0\ntruesnr 0 1:3.0\nsweep 0 0 1:3.0:-60\n",
+    );
+    let patterns = write(
+        "patterns.txt",
+        "talon-patterns-v1\naz -10 10 10\nel 0 0 1\nsector 1 0 1 2\n",
+    );
+    let cases = [
+        (
+            write(
+                "nan.txt",
+                "talon-dataset-v1\nscenario s\nposition 0 0 0\ntruesnr 0 1:3.0 2:NaN\n",
+            ),
+            patterns.clone(),
+        ),
+        (
+            write(
+                "inf.txt",
+                "talon-dataset-v1\nscenario s\nposition 0 0 0\ntruesnr 0 1:3.0 2:inf\n",
+            ),
+            patterns.clone(),
+        ),
+        (
+            dataset.clone(),
+            write(
+                "el.txt",
+                "talon-patterns-v1\naz -10 10 10\nel NaN 32.4 3.6\n",
+            ),
+        ),
+        (
+            dataset.clone(),
+            write("az.txt", "talon-patterns-v1\naz -90 90 0\nel 0 0 1\n"),
+        ),
+    ];
+    for (dataset, patterns) in &cases {
+        let stderr = run_fails(
+            &["analyze", "--dataset", dataset, "--patterns", patterns],
+            1,
+        );
+        assert!(stderr.contains("malformed line"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

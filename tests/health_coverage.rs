@@ -14,7 +14,7 @@ use css::estimator::{CompressiveEstimator, CorrelationMode};
 use geom::db::DbQuantizer;
 use geom::rng::sub_rng;
 use mac80211ad::sls::{FeedbackPolicy, MaxSnrPolicy, SlsRunner};
-use netsim::{dense_deployment, tracking_run, DenseConfig, TrackingConfig, TrainingPolicy};
+use netsim::{tracking_run, TrackingConfig, TrainingPolicy};
 use talon_array::SectorId;
 use talon_channel::{
     BlockageModel, Device, Environment, Link, Measurement, Orientation, SweepReading,
@@ -194,24 +194,6 @@ fn link_outage_fires_under_heavy_blockage() {
 }
 
 #[test]
-fn airtime_saturated_fires_when_training_eats_the_channel() {
-    // 64 pairs re-training at 200 Hz with full sweeps: training airtime
-    // alone exceeds the channel, leaving nothing for data.
-    let (patterns, _) = measured_patterns(46);
-    let config = DenseConfig {
-        pair_counts: vec![64],
-        tracking_hz: 200.0,
-        ..DenseConfig::default()
-    };
-    let before = counter("health.airtime_saturated");
-    let _ = dense_deployment(&config, &patterns, |_, _| TrainingPolicy::ssw(), 5);
-    assert!(
-        counter("health.airtime_saturated") > before,
-        "64 pairs at 200 Hz saturate the channel"
-    );
-}
-
-#[test]
 fn trace_corrupt_fires_on_malformed_trace_lines() {
     let dir = std::env::temp_dir().join(format!("talon-health-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -335,7 +317,7 @@ fn known_kinds_cover_every_emitter_exercised_here() {
     let this_file = include_str!("health_coverage.rs");
     let kinds = emitted_kinds();
     assert!(
-        kinds.len() >= 11,
+        kinds.len() >= 10,
         "source scan found the emitters: {kinds:?}"
     );
     for kind in &kinds {

@@ -15,10 +15,11 @@
 //! the figure, update the value here and the row there in one change.
 
 use eval::estimation::estimation_error;
-use eval::extensions::tracking_comparison;
+use eval::extensions::{dense_table, tracking_comparison};
 use eval::overhead::training_time;
 use eval::scenario::{EvalScenario, Fidelity};
 use eval::snr_loss::snr_loss;
+use eval::throughput::{throughput, DataLinkModel};
 use netsim::tracking::TrackingConfig;
 
 /// Tolerance on a Fig. 7 azimuth median, degrees.
@@ -26,6 +27,10 @@ const AZ_MEDIAN_TOL_DEG: f64 = 0.2;
 
 /// Tolerance on a Fig. 9 SNR loss, dB.
 const SNR_LOSS_TOL_DB: f64 = 0.1;
+
+/// Tolerance on a Fig. 11 goodput, Gbps. One of the 10 sweeps selecting
+/// another sector moves a mean by at least 0.0026 Gbps (one MCS step).
+const GOODPUT_TOL_GBPS: f64 = 1e-9;
 
 fn assert_anchor(what: &str, measured: f64, anchor: f64, tol: f64) {
     assert!(
@@ -89,6 +94,69 @@ fn fig10_training_airtime_and_speedup() {
     let expected = [(14, 0.5531), (34, 1.2731)];
     assert_eq!(res.model, expected, "analytic model");
     assert_eq!(res.simulated, expected, "simulated protocol");
+}
+
+/// Fig. 11, conference room with 10 sweeps per position (the `tables`
+/// Fast setting): mean TCP goodput of the stock sweep and of CSS(14) at
+/// −45°, 0° and +45°. Guards EXPERIMENTS.md "Fig. 11 — throughput".
+#[test]
+fn fig11_ssw_and_css14_goodput() {
+    let mut s = EvalScenario::conference_room(Fidelity::Fast, 1005);
+    s.sweeps_per_position = 10;
+    let data = s.record(1005);
+    let res = throughput(
+        &data,
+        &s.patterns,
+        &[-45.0, 0.0, 45.0],
+        14,
+        DataLinkModel::default(),
+        1005,
+    );
+    let anchors = [
+        (-45.0, 1.514333333333333, 1.4373333333333331),
+        (0.0, 1.5399999999999998, 1.5399999999999998),
+        (45.0, 1.514333333333333, 1.5399999999999998),
+    ];
+    assert_eq!(res.rows.len(), anchors.len());
+    for (row, (az, ssw, css)) in res.rows.iter().zip(anchors) {
+        assert_eq!(row.azimuth_deg, az);
+        let what = |policy: &str| format!("Fig. 11 {policy} at {az}° (Gbps)");
+        assert_anchor(&what("SSW"), row.ssw_gbps, ssw, GOODPUT_TOL_GBPS);
+        assert_anchor(&what("CSS(14)"), row.css_gbps, css, GOODPUT_TOL_GBPS);
+    }
+}
+
+/// §7 dense deployments, conference room at the Fig. 11 setting: the
+/// training airtime of one pair re-training at 10 Hz is exact arithmetic
+/// on Fig. 10 (1.3 % SSW, 0.6 % CSS(14); 81.5 % / 35.4 % at 64 pairs), and
+/// CSS(14)'s aggregate goodput is above the stock sweep's at 32 and 64
+/// pairs. Guards EXPERIMENTS.md "Extensions", dense table.
+#[test]
+fn dense_css14_beats_ssw_aggregate_at_32_and_64_pairs() {
+    for device in [1, 2, 42] {
+        let mut s = EvalScenario::conference_room(Fidelity::Fast, device);
+        s.sweeps_per_position = 10;
+        let data = s.record(device);
+        let res = dense_table(&data, &s.patterns, 14, device);
+        let airtime = |pairs: usize| {
+            let row = res.rows.iter().find(|r| r.pairs == pairs).expect("row");
+            (
+                format!("{:.1}%", 100.0 * row.ssw.training_airtime),
+                format!("{:.1}%", 100.0 * row.css.training_airtime),
+            )
+        };
+        assert_eq!(airtime(1), ("1.3%".into(), "0.6%".into()));
+        assert_eq!(airtime(64), ("81.5%".into(), "35.4%".into()));
+        for row in res.rows.iter().filter(|r| r.pairs >= 32) {
+            assert!(
+                row.css.aggregate_gbps > row.ssw.aggregate_gbps,
+                "device {device}, {} pairs: CSS(14) {:.3} Gbps vs SSW {:.3} Gbps",
+                row.pairs,
+                row.css.aggregate_gbps,
+                row.ssw.aggregate_gbps
+            );
+        }
+    }
 }
 
 /// §7 tracking at equal training airtime, conference room: CSS(14)
