@@ -3,7 +3,7 @@
 //! timings of the analysis pipelines (the `tables` binary runs the same
 //! code at paper fidelity).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eval::scenario::{EvalScenario, Fidelity};
 use std::hint::black_box;
 
@@ -30,17 +30,30 @@ fn bench_experiments(c: &mut Criterion) {
     let data = scenario.record(1);
     let patterns = scenario.patterns.clone();
 
-    group.bench_function("fig7_estimation_error", |b| {
-        b.iter(|| {
-            black_box(eval::estimation::estimation_error(
-                &data,
-                &patterns,
-                &[6, 14, 34],
-                1,
-                1,
-            ))
-        })
-    });
+    // The Fig. 7 engine on one thread and on every core: its result is
+    // bit-identical either way (`crates/eval/tests/parallel_determinism.rs`),
+    // so the two inputs differ only in how the work is spread.
+    for (label, threads) in [
+        ("1_thread", 1),
+        ("all_cores", eval::engine::default_threads()),
+    ] {
+        group.bench_with_input(
+            BenchmarkId::new("fig7_estimation_error", label),
+            &threads,
+            |b, &threads| {
+                b.iter(|| {
+                    black_box(eval::estimation::estimation_error_par(
+                        &data,
+                        &patterns,
+                        &[6, 14, 34],
+                        1,
+                        1,
+                        threads,
+                    ))
+                })
+            },
+        );
+    }
 
     group.bench_function("fig8_selection_stability", |b| {
         b.iter(|| {

@@ -11,7 +11,7 @@
 use chamber::SectorPatterns;
 use chamber::{Campaign, CampaignConfig};
 use geom::rng::sub_rng;
-use talon_channel::{Device, Environment, Link};
+use talon_channel::{Device, Environment, Link, SweepReading};
 
 /// Measures a coarse pattern database for benchmarking (shared setup).
 pub fn bench_patterns(seed: u64) -> (SectorPatterns, Device, Device) {
@@ -23,4 +23,15 @@ pub fn bench_patterns(seed: u64) -> (SectorPatterns, Device, Device) {
     let patterns = campaign.measure_tx_patterns(&mut rng, &link, &mut dut, &fixed);
     dut.orientation = talon_channel::Orientation::NEUTRAL;
     (patterns, dut, fixed)
+}
+
+/// The [`bench_patterns`] database and one full lab sweep of its device:
+/// the readings every estimator bench takes its first `m` from, so two
+/// ids that time the same estimate differ only in what they add.
+pub fn bench_sweep(seed: u64) -> (SectorPatterns, Vec<SweepReading>) {
+    let (patterns, dut, fixed) = bench_patterns(seed);
+    let link = Link::new(Environment::lab());
+    let mut rng = sub_rng(seed, "bench-estimation");
+    let sweep = link.sweep(&mut rng, &dut, &dut.codebook.sweep_order(), &fixed);
+    (patterns, sweep)
 }

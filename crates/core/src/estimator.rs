@@ -803,7 +803,7 @@ pub(crate) fn parabolic_offset(l: f64, c: f64, r: f64) -> f64 {
 
 /// The pre-optimization estimator, retained as the golden model for the
 /// fused kernel (see `crates/core/tests/golden_kernel.rs`) and as the
-/// baseline of `crates/bench/src/bin/estimation_bench.rs`.
+/// baseline of the Criterion id `estimate_kernel/reference_m14`.
 ///
 /// This is the original shipped implementation, verbatim minus the obs
 /// instrumentation: per-sector `Vec<Vec<f64>>` gain tables, an O(N) sector

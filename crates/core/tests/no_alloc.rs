@@ -9,6 +9,10 @@
 //!   `top_cells`, `top_weights`), sized by the probe count and `k`, never
 //!   by the grid; a warm one allocates nothing.
 //!
+//! The same file pins down the no-sink obs bill of a warm estimate: one
+//! `css.estimates` bump and one `css.estimate_allocs` set, and no
+//! `css.estimate` span.
+//!
 //! Allocations are counted per thread, so one made by the test harness
 //! or another test's thread never lands in a measured window.
 
@@ -93,13 +97,8 @@ fn store() -> SectorPatterns {
     store
 }
 
-#[test]
-fn estimate_is_allocation_free_and_the_closure_allocates_only_its_outputs() {
-    let _guard = obs::testing::lock();
-    obs::clear_sink();
-    let store = store();
-    let n_grid = store.grid().len();
-    let est = CompressiveEstimator::new(&store, CorrelationMode::JointSnrRssi);
+/// 14 measured probes peaking at sector 13, then one masked probe.
+fn readings() -> Vec<SweepReading> {
     let mut readings: Vec<SweepReading> = (0..14u8)
         .map(|i| SweepReading {
             sector: SectorId(2 * i + 1),
@@ -113,6 +112,17 @@ fn estimate_is_allocation_free_and_the_closure_allocates_only_its_outputs() {
         sector: SectorId(30),
         measurement: None,
     });
+    readings
+}
+
+#[test]
+fn estimate_is_allocation_free_and_the_closure_allocates_only_its_outputs() {
+    let _guard = obs::testing::lock();
+    obs::clear_sink();
+    let store = store();
+    let n_grid = store.grid().len();
+    let est = CompressiveEstimator::new(&store, CorrelationMode::JointSnrRssi);
+    let readings = readings();
     let usable = 14;
     const K: usize = 8;
 
@@ -151,4 +161,34 @@ fn estimate_is_allocation_free_and_the_closure_allocates_only_its_outputs() {
     let (allocs, _, (_, closure)) = allocations_during(|| fresh(0));
     assert!(closure.top_cells.is_empty());
     assert_eq!(allocs, 2, "k = 0 keeps only the probe vectors");
+}
+
+/// With no sink installed, a warm estimate's whole obs bill is one
+/// counter bump and one gauge set (≈ 12 ns, under 2 % of an estimate).
+/// The `css.estimate` span is never built, so its `css.estimate.dur_us`
+/// histogram records nothing: a span would add ≈ 190 ns, about 5 % of an
+/// estimate. Counts, not timings, so the check holds on any host.
+#[test]
+fn a_no_sink_estimate_bumps_one_counter_and_builds_no_span() {
+    let _guard = obs::testing::lock();
+    obs::clear_sink();
+    let store = store();
+    let est = CompressiveEstimator::new(&store, CorrelationMode::JointSnrRssi);
+    let readings = readings();
+    assert!(est.estimate(&readings).is_some(), "warm-up");
+
+    let estimates = obs::counter("css.estimates");
+    let spans = obs::histogram("css.estimate.dur_us");
+    let (estimates_before, spans_before) = (estimates.get(), spans.count());
+    const N: u64 = 25;
+    for _ in 0..N {
+        assert!(est.estimate(black_box(&readings)).is_some());
+    }
+    assert_eq!(estimates.get() - estimates_before, N, "one bump per call");
+    assert_eq!(spans.count(), spans_before, "no span without a sink");
+    assert_eq!(
+        obs::gauge("css.estimate_allocs").get(),
+        0,
+        "a warm scratch reports no growth"
+    );
 }

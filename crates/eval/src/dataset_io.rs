@@ -29,6 +29,14 @@ pub enum DatasetError {
     Malformed(usize),
     /// A record referenced a position that was never declared.
     UnknownPosition(usize),
+    /// The file declares no position.
+    NoPositions,
+    /// A position has no `truesnr` entry, so it has no optimal sector
+    /// (0-based position index).
+    NoTrueSnr(usize),
+    /// A position has no `sweep` line, so there is nothing to analyse
+    /// (0-based position index).
+    NoSweeps(usize),
 }
 
 impl std::fmt::Display for DatasetError {
@@ -37,6 +45,9 @@ impl std::fmt::Display for DatasetError {
             DatasetError::BadMagic => write!(f, "not a talon-dataset-v1 file"),
             DatasetError::Malformed(n) => write!(f, "malformed line {n}"),
             DatasetError::UnknownPosition(p) => write!(f, "unknown position index {p}"),
+            DatasetError::NoPositions => write!(f, "no position recorded"),
+            DatasetError::NoTrueSnr(p) => write!(f, "position {p} has no truesnr entry"),
+            DatasetError::NoSweeps(p) => write!(f, "position {p} has no sweep"),
         }
     }
 }
@@ -73,7 +84,9 @@ pub fn to_text(data: &RecordedDataset) -> String {
     out
 }
 
-/// Parses a dataset back.
+/// Parses a dataset back. Every analysis needs at least one position, and
+/// each position needs its noise-free SNRs and at least one sweep, so a
+/// dataset missing any of them is an error rather than a table of `NaN`s.
 pub fn from_text(text: &str) -> Result<RecordedDataset, DatasetError> {
     let mut lines = text.lines().enumerate();
     let (_, magic) = lines.next().ok_or(DatasetError::BadMagic)?;
@@ -147,6 +160,17 @@ pub fn from_text(text: &str) -> Result<RecordedDataset, DatasetError> {
                 pos.sweeps.push(readings);
             }
             _ => return Err(err()),
+        }
+    }
+    if positions.is_empty() {
+        return Err(DatasetError::NoPositions);
+    }
+    for (i, pos) in positions.iter().enumerate() {
+        if pos.true_snr.is_empty() {
+            return Err(DatasetError::NoTrueSnr(i));
+        }
+        if pos.sweeps.is_empty() {
+            return Err(DatasetError::NoSweeps(i));
         }
     }
     Ok(RecordedDataset {
@@ -239,6 +263,31 @@ mod tests {
             let text = format!("talon-dataset-v1\n{body}");
             assert_eq!(from_text(&text).unwrap_err(), DatasetError::Malformed(line));
         }
+        // Every line parses, but an analysis would have nothing to read.
+        let complete = "position 0 0 0\ntruesnr 0 1:3.0\nsweep 0 0 1:3.0:-60\n";
+        for (body, error) in [
+            ("scenario s\n", DatasetError::NoPositions),
+            (
+                "position 0 0 0\nsweep 0 0 1:3.0:-60\n",
+                DatasetError::NoTrueSnr(0),
+            ),
+            (
+                "position 0 0 0\ntruesnr 0\nsweep 0 0 1:3.0:-60\n",
+                DatasetError::NoTrueSnr(0),
+            ),
+            (
+                "position 0 0 0\ntruesnr 0 1:3.0\n",
+                DatasetError::NoSweeps(0),
+            ),
+            (
+                &format!("{complete}position 1 0 0\nsweep 1 0 1:3.0:-60\n"),
+                DatasetError::NoTrueSnr(1),
+            ),
+        ] {
+            let text = format!("talon-dataset-v1\n{body}");
+            assert_eq!(from_text(&text).unwrap_err(), error, "{body}");
+        }
+        assert!(from_text(&format!("talon-dataset-v1\n{complete}")).is_ok());
     }
 
     #[test]

@@ -242,8 +242,17 @@ fn seed_of(opts: &HashMap<String, String>) -> Result<u64, String> {
     Ok(num(opts, "seed", "a non-negative integer")?.unwrap_or(42))
 }
 
+/// [`num`] for an `f64` option that must be finite: `nan` and `±inf`
+/// parse as `f64` but are no angle or offset.
+fn finite(opts: &HashMap<String, String>, key: &str, form: &str) -> Result<Option<f64>, String> {
+    match num::<f64>(opts, key, form)? {
+        Some(v) if !v.is_finite() => Err(format!("bad --{key} `{}`: expected {form}", opts[key])),
+        v => Ok(v),
+    }
+}
+
 fn yaw_of(opts: &HashMap<String, String>) -> Result<f64, String> {
-    Ok(num(opts, "yaw", "a number of degrees")?.unwrap_or(-25.0))
+    Ok(finite(opts, "yaw", "a number of degrees")?.unwrap_or(-25.0))
 }
 
 fn threads_of(opts: &HashMap<String, String>) -> Result<Option<usize>, String> {
@@ -251,7 +260,7 @@ fn threads_of(opts: &HashMap<String, String>) -> Result<Option<usize>, String> {
 }
 
 fn perturb_of(opts: &HashMap<String, String>) -> Result<Option<f64>, String> {
-    num(opts, "perturb", "a number of dB")
+    finite(opts, "perturb", "a number of dB")
 }
 
 fn top_of(opts: &HashMap<String, String>) -> Result<usize, String> {

@@ -388,6 +388,19 @@ fn bad_arguments_exit_2_with_one_error_line() {
         let stderr = run_fails(args, 2);
         assert!(stderr.contains(form), "{stderr}");
     }
+    // `nan` and `±inf` parse as f64 but are no angle or offset.
+    for value in ["nan", "inf", "-inf"] {
+        let stderr = run_fails(&["sls", "--policy", "ssw", "--yaw", value], 2);
+        assert!(
+            stderr.contains(&format!("--yaw `{value}`: expected a number of degrees")),
+            "{stderr}"
+        );
+        let stderr = run_fails(&["replay", fixture, "--perturb", value], 2);
+        assert!(
+            stderr.contains(&format!("--perturb `{value}`: expected a number of dB")),
+            "{stderr}"
+        );
+    }
     for probes in ["0", "1", "35", "14,20"] {
         let stderr = run_fails(&["sls", "--policy", "css", "--probes", probes], 2);
         assert!(stderr.contains("--probes"), "{stderr}");
@@ -576,6 +589,45 @@ fn analyze_rejects_non_finite_numbers_and_bad_axes_with_one_error_line() {
             1,
         );
         assert!(stderr.contains("malformed line"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn analyze_rejects_an_incomplete_dataset_with_one_error_line() {
+    let dir = workdir("analyze_rejects_an_incomplete_dataset");
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write input");
+        path.to_str().unwrap().to_string()
+    };
+    let patterns = write(
+        "patterns.txt",
+        "talon-patterns-v1\naz -10 10 10\nel 0 0 1\nsector 1 0 1 2\n",
+    );
+    for (name, text, error) in [
+        (
+            "no_positions.txt",
+            "talon-dataset-v1\nscenario s\n",
+            "no position recorded",
+        ),
+        (
+            "no_truesnr.txt",
+            "talon-dataset-v1\nscenario s\nposition 0 0 0\nsweep 0 0 1:3.0:-60\n",
+            "position 0 has no truesnr entry",
+        ),
+        (
+            "no_sweep.txt",
+            "talon-dataset-v1\nscenario s\nposition 0 0 0\ntruesnr 0 1:3.0\n",
+            "position 0 has no sweep",
+        ),
+    ] {
+        let dataset = write(name, text);
+        let stderr = run_fails(
+            &["analyze", "--dataset", &dataset, "--patterns", &patterns],
+            1,
+        );
+        assert!(stderr.contains(error), "{stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
