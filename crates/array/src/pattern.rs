@@ -14,7 +14,6 @@
 
 use crate::steering::PhasedArray;
 use crate::weights::WeightVector;
-use geom::interp::bilinear;
 use geom::sphere::{Direction, SphericalGrid};
 use serde::{Deserialize, Serialize};
 
@@ -61,11 +60,7 @@ impl GainPattern {
     /// Bilinearly interpolated gain at an arbitrary direction (clamped to
     /// the grid's angular extent).
     pub fn gain_interp(&self, dir: &Direction) -> f64 {
-        let rows = self.grid.el.len();
-        let cols = self.grid.az.len();
-        let r = (dir.el_deg - self.grid.el.start_deg) / self.grid.el.step_deg;
-        let c = (dir.az_deg - self.grid.az.start_deg) / self.grid.az.step_deg;
-        bilinear(&self.gain_db, rows, cols, r, c)
+        self.grid.stencil(dir).apply(&self.gain_db)
     }
 
     /// Peak gain and its direction.

@@ -45,13 +45,13 @@ fn bench_primitives(c: &mut Criterion) {
     group.bench_function("span_no_sink", |b| {
         obs::clear_sink();
         b.iter(|| {
-            let mut s = obs::span("bench.obs.span");
+            let mut s = obs::span!("bench.obs.span");
             s.field("x", black_box(1.0));
         });
     });
     group.bench_function("span_memory_sink", |b| {
         with_memory_sink(b, || {
-            let mut s = obs::span("bench.obs.span");
+            let mut s = obs::span!("bench.obs.span");
             s.field("x", black_box(1.0));
         })
     });

@@ -93,11 +93,17 @@ impl SectorPatterns {
     }
 
     /// The sector with the highest measured gain towards `dir` — Eq. 4's
-    /// `argmax_n x_n(φ̂, θ̂)`.
+    /// `argmax_n x_n(φ̂, θ̂)`; the last of equal maxima wins.
+    ///
+    /// Every pattern shares the database grid ([`Self::insert`] asserts
+    /// it), so the bilinear stencil of `dir` is computed once and applied
+    /// to each sector's table: the gains equal
+    /// [`GainPattern::gain_interp`]'s bit for bit.
     pub fn best_sector_at(&self, dir: &Direction) -> Option<SectorId> {
+        let stencil = self.grid.stencil(dir);
         self.patterns
             .iter()
-            .map(|(id, p)| (*id, p.gain_interp(dir)))
+            .map(|(id, p)| (*id, stencil.apply(&p.gain_db)))
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("gains are never NaN"))
             .map(|(id, _)| id)
     }

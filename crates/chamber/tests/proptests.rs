@@ -77,6 +77,37 @@ proptest! {
     }
 
     #[test]
+    fn best_sector_at_is_the_per_pattern_interpolated_argmax(
+        grid in arb_grid(),
+        ids in prop::collection::btree_set(1u8..64, 1..8),
+        levels in prop::collection::vec(0u8..4, 1..64),
+        // Reaches past the grid on every side, where the lookup clamps.
+        az in -80.0f64..40.0,
+        el in -15.0f64..40.0,
+    ) {
+        // Few distinct gain levels, so equal maxima (ties) are common.
+        let mut store = SectorPatterns::new(grid.clone());
+        for (k, id) in ids.iter().enumerate() {
+            let gains: Vec<f64> = (0..grid.len())
+                .map(|i| f64::from(levels[(i + 3 * k) % levels.len()]) * 2.5 - 4.0)
+                .collect();
+            store.insert(SectorId(*id), GainPattern::from_table(grid.clone(), gains));
+        }
+        let dir = geom::Direction::new(az, el);
+        // The reference: each pattern read on its own, last max wins.
+        let mut expected = None;
+        let mut best = f64::NEG_INFINITY;
+        for id in store.sector_ids() {
+            let g = store.get(id).unwrap().gain_interp(&dir);
+            if g >= best {
+                best = g;
+                expected = Some(id);
+            }
+        }
+        prop_assert_eq!(store.best_sector_at(&dir), expected);
+    }
+
+    #[test]
     fn pattern_peak_is_max_of_table(
         grid in arb_grid(),
         gains_seed in any::<u64>(),

@@ -355,7 +355,7 @@ impl BatchEstimator {
         }
         self.ctr_sweeps.inc();
         self.ctr_links.add(bt as u64);
-        let mut span = obs::sink_active().then(|| obs::span("css.estimate_batch"));
+        let mut span = obs::sink_active().then(|| obs::span!("css.estimate_batch"));
         if let Some(sp) = &mut span {
             sp.field("batch", bt as f64);
         }

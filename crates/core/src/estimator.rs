@@ -507,7 +507,7 @@ impl CompressiveEstimator {
         self.ctr_estimates.inc();
         // A full span (two clock reads + histogram) only while tracing; the
         // no-sink bill is the counter above and the allocation gauge below.
-        let mut span = obs::sink_active().then(|| obs::span("css.estimate"));
+        let mut span = obs::sink_active().then(|| obs::span!("css.estimate"));
         if let Some(sp) = &mut span {
             sp.field("probes", readings.len() as f64);
             let masked = readings.iter().filter(|r| r.measurement.is_none()).count();
@@ -658,29 +658,34 @@ fn refill(dst: &mut Vec<f64>, src: &[f64]) {
 /// Fills `cells` and `weights` with the `k` best cells of `map`, best
 /// first: weight descending, ties to the lower index — the order of a full
 /// sort by that comparator, taken in one pass that keeps at most `k`
-/// candidates.
+/// candidates. A cell that makes the cut is moved into place by shifting
+/// the lighter kept cells down one, in place.
 fn top_k(map: &[f64], k: usize, cells: &mut Vec<u64>, weights: &mut Vec<f64>) {
     let k = k.min(map.len());
     cells.clear();
     weights.clear();
     cells.reserve_exact(k);
     weights.reserve_exact(k);
-    if k == 0 {
-        return;
-    }
     for (i, &w) in map.iter().enumerate() {
-        if weights.len() == k {
+        let mut at = weights.len();
+        if at == k {
             // A tie with the last kept cell loses: that cell's index is lower.
-            if w <= weights[k - 1] {
+            if k == 0 || w <= weights[k - 1] {
                 continue;
             }
-            weights.pop();
-            cells.pop();
+            at -= 1;
+        } else {
+            weights.push(w);
+            cells.push(i as u64);
         }
         // Kept cells of equal weight were seen first, so they stay ahead.
-        let at = weights.partition_point(|&kept| kept >= w);
-        weights.insert(at, w);
-        cells.insert(at, i as u64);
+        while at > 0 && weights[at - 1] < w {
+            weights[at] = weights[at - 1];
+            cells[at] = cells[at - 1];
+            at -= 1;
+        }
+        weights[at] = w;
+        cells[at] = i as u64;
     }
 }
 

@@ -66,12 +66,17 @@ pub struct DecisionOracle {
 /// How many top correlation cells a decision record keeps.
 const DECISION_TOP_K: usize = 8;
 
+/// The `source` stamped on this policy's decision records.
+const DECISION_SOURCE: &str = "css.select";
+
 /// The compressive sector selection policy.
 pub struct CompressiveSelection {
     estimator: CompressiveEstimator,
     /// All sector IDs with measured patterns (the full `N`-sector set),
     /// sorted ascending (the pattern store's map keys).
     available: Vec<SectorId>,
+    /// `has_pattern[id]`: whether sector `id` is in `available`.
+    has_pattern: [bool; 256],
     patterns: SectorPatterns,
     config: CssConfig,
     rng: StdRng,
@@ -86,6 +91,12 @@ pub struct CompressiveSelection {
     /// Metric handles, resolved once.
     selections: std::sync::Arc<obs::Counter>,
     fallbacks: std::sync::Arc<obs::Counter>,
+    /// The recording path's buffers, refilled in place every recorded
+    /// selection so a warm one allocates nothing: the kernel closure, the
+    /// decision record, and the record's oracle table.
+    closure: KernelClosure,
+    record: obs::DecisionRecord,
+    oracle_table: Vec<(u64, f64)>,
 }
 
 impl CompressiveSelection {
@@ -95,10 +106,15 @@ impl CompressiveSelection {
     pub fn new(patterns: SectorPatterns, config: CssConfig, seed: u64) -> Self {
         let estimator = CompressiveEstimator::new(&patterns, config.mode);
         let available = patterns.sector_ids();
+        let mut has_pattern = [false; 256];
+        for id in &available {
+            has_pattern[usize::from(id.raw())] = true;
+        }
         let digest = patterns_digest(&patterns);
         CompressiveSelection {
             estimator,
             available,
+            has_pattern,
             patterns,
             config,
             rng: StdRng::seed_from_u64(seed),
@@ -107,6 +123,9 @@ impl CompressiveSelection {
             last_estimate: None,
             selections: obs::counter("css.selections"),
             fallbacks: obs::counter("css.fallbacks"),
+            closure: KernelClosure::default(),
+            record: obs::DecisionRecord::new(DECISION_SOURCE),
+            oracle_table: Vec::new(),
         }
     }
 
@@ -157,14 +176,12 @@ impl CompressiveSelection {
         let oracle = self.pending_oracle.take();
         // While a sink records, the decision's provenance closure comes
         // out of the same kernel pass as the estimate.
-        let (estimate, closure) = if obs::sink_active() {
-            let mut closure = KernelClosure::default();
-            let estimate =
-                self.estimator
-                    .estimate_with_closure(readings, DECISION_TOP_K, &mut closure);
-            (estimate, Some(closure))
+        let recording = obs::sink_active();
+        let estimate = if recording {
+            self.estimator
+                .estimate_with_closure(readings, DECISION_TOP_K, &mut self.closure)
         } else {
-            (self.estimator.estimate(readings), None)
+            self.estimator.estimate(readings)
         };
         self.last_estimate = estimate;
         let (chosen, fallback) = match estimate {
@@ -177,36 +194,29 @@ impl CompressiveSelection {
                 (MaxSnrPolicy.select(readings), true)
             }
         };
-        if let Some(closure) = closure {
-            self.emit_decision(
-                readings,
-                estimate,
-                closure,
-                chosen,
-                fallback,
-                oracle.as_ref(),
-            );
+        if recording {
+            self.emit_decision(readings, estimate, chosen, fallback, oracle.as_ref());
         }
         chosen
     }
 
-    /// Builds and emits the provenance record of one selection. Only
-    /// called while a sink records (the no-sink path never allocates).
+    /// Refills and emits the provenance record of one selection from the
+    /// kernel closure the estimate just filled. Only called while a sink
+    /// records.
     fn emit_decision(
-        &self,
+        &mut self,
         readings: &[SweepReading],
         estimate: Option<(Direction, f64)>,
-        closure: KernelClosure,
         chosen: Option<SectorId>,
         fallback: bool,
         oracle: Option<&DecisionOracle>,
     ) {
-        let mut rec = obs::DecisionRecord::new("css.select");
-        rec.mode = match self.config.mode {
+        let rec = &mut self.record;
+        rec.reset(DECISION_SOURCE);
+        rec.mode.push_str(match self.config.mode {
             CorrelationMode::SnrOnly => "snr",
             CorrelationMode::JointSnrRssi => "joint",
-        }
-        .to_string();
+        });
         let opts = self.estimator.options;
         rec.energy_prior = opts.energy_prior;
         rec.smoothing = opts.smoothing;
@@ -219,10 +229,11 @@ impl CompressiveSelection {
                 r.measurement.map(|m| (m.snr_db, m.rssi_dbm)),
             );
         }
-        rec.p_snr = closure.p_snr;
-        rec.p_rssi = closure.p_rssi;
-        rec.top_cells = closure.top_cells;
-        rec.top_weights = closure.top_weights;
+        let closure = &self.closure;
+        rec.p_snr.extend_from_slice(&closure.p_snr);
+        rec.p_rssi.extend_from_slice(&closure.p_rssi);
+        rec.top_cells.extend_from_slice(&closure.top_cells);
+        rec.top_weights.extend_from_slice(&closure.top_weights);
         rec.energy_max = closure.energy_max;
         if let Some((dir, score)) = estimate {
             rec.has_estimate = true;
@@ -233,12 +244,14 @@ impl CompressiveSelection {
         rec.chosen_sector = chosen.map_or(obs::decision::NO_SECTOR, |s| i64::from(s.raw()));
         rec.fallback = fallback;
         if let Some(o) = oracle {
-            let table: Vec<(u64, f64)> = o
-                .snr_by_sector
-                .iter()
-                .map(|&(s, snr)| (u64::from(s.raw()), snr))
-                .collect();
-            rec.set_oracle(&table, rec.chosen_sector);
+            let table = &mut self.oracle_table;
+            table.clear();
+            table.extend(
+                o.snr_by_sector
+                    .iter()
+                    .map(|&(s, snr)| (u64::from(s.raw()), snr)),
+            );
+            rec.set_oracle(table, rec.chosen_sector);
         }
         obs::decision::emit(rec);
     }
@@ -258,13 +271,13 @@ impl FeedbackPolicy for CompressiveSelection {
     fn probe_sectors(&mut self, full_sweep: &[SectorId]) -> Vec<SectorId> {
         // Probe only sectors we have patterns for; the draw is a fresh
         // random subset per sweep, as in the paper.
-        let m = self.config.num_probes;
-        let avail: Vec<SectorId> = full_sweep
+        let has_pattern = &self.has_pattern;
+        let probeable = full_sweep
             .iter()
-            .copied()
-            .filter(|id| self.available.binary_search(id).is_ok())
-            .collect();
-        self.config.strategy.pick(&mut self.rng, &avail, m)
+            .filter(|id| has_pattern[usize::from(id.raw())]);
+        self.config
+            .strategy
+            .pick(&mut self.rng, probeable, self.config.num_probes)
     }
 
     fn select(&mut self, readings: &[SweepReading]) -> Option<SectorId> {
@@ -303,6 +316,60 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), 14);
+    }
+
+    /// The probe draw before the membership table: filter the sweep into a
+    /// list by binary search, then draw uniform indices into it.
+    fn filter_then_pick(
+        rng: &mut StdRng,
+        available: &[SectorId],
+        full: &[SectorId],
+        m: usize,
+    ) -> Vec<SectorId> {
+        let avail: Vec<SectorId> = full
+            .iter()
+            .copied()
+            .filter(|id| available.binary_search(id).is_ok())
+            .collect();
+        let idx = geom::rng::sample_indices(rng, avail.len(), m.min(avail.len()));
+        idx.into_iter().map(|i| avail[i]).collect()
+    }
+
+    #[test]
+    fn probe_draws_equal_the_filter_then_pick_draws() {
+        use geom::sphere::{GridSpec, SphericalGrid};
+        use rand::Rng;
+        let grid = SphericalGrid::new(GridSpec::new(-10.0, 10.0, 5.0), GridSpec::fixed(0.0));
+        let mut store = SectorPatterns::new(grid.clone());
+        let known: Vec<u8> = (1..=34).chain([63, 200]).collect();
+        for &id in &known {
+            let gains = (0..grid.len()).map(|i| f64::from(id) + i as f64).collect();
+            store.insert(
+                SectorId(id),
+                talon_array::GainPattern::from_table(grid.clone(), gains),
+            );
+        }
+        let available = store.sector_ids();
+        let seed = 17;
+        let mut css = CompressiveSelection::new(store, CssConfig::paper_default(), seed);
+        let mut reference = StdRng::seed_from_u64(seed);
+        let mut sweeps = sub_rng(18, "probe-draw-sweeps");
+        for trial in 0..300 {
+            // A shuffled sweep of known and unknown sectors, sometimes
+            // holding fewer known sectors than the probe count.
+            let len = sweeps.gen_range(0..64usize);
+            let full: Vec<SectorId> = (0..len)
+                .map(|_| SectorId(sweeps.gen_range(0..=255u8)))
+                .collect();
+            let expected = filter_then_pick(&mut reference, &available, &full, 14);
+            assert_eq!(
+                css.probe_sectors(&full),
+                expected,
+                "sweep {trial}: {full:?}"
+            );
+        }
+        // Both generators consumed the same draws.
+        assert_eq!(css.rng.gen::<u64>(), reference.gen::<u64>());
     }
 
     #[test]

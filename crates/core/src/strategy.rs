@@ -32,27 +32,41 @@ pub enum ProbeStrategy {
 }
 
 impl ProbeStrategy {
-    /// Draws the probing set for one sweep.
-    pub fn pick<R: Rng>(&self, rng: &mut R, available: &[SectorId], m: usize) -> Vec<SectorId> {
-        let m = m.min(available.len());
+    /// Draws the probing set for one sweep from the `available` sectors,
+    /// read in order. The iterator is walked again rather than collected,
+    /// so a caller can pass a filtered view of a sweep without building a
+    /// list per draw.
+    pub fn pick<'a, R, I>(&self, rng: &mut R, available: I, m: usize) -> Vec<SectorId>
+    where
+        R: Rng,
+        I: IntoIterator<Item = &'a SectorId>,
+        I::IntoIter: Clone,
+    {
+        let available = available.into_iter();
+        let n = available.clone().count();
+        let m = m.min(n);
+        let listed = |ids: &[SectorId]| -> Vec<SectorId> {
+            ids.iter()
+                .copied()
+                .filter(|id| available.clone().any(|a| a == id))
+                .take(m)
+                .collect()
+        };
         match self {
             ProbeStrategy::UniformRandom => {
-                let idx = geom::rng::sample_indices(rng, available.len(), m);
-                idx.into_iter().map(|i| available[i]).collect()
+                // Ascending indices: one walk picks them all.
+                let mut idx = geom::rng::sample_indices(rng, n, m).into_iter().peekable();
+                let mut picked = Vec::with_capacity(m);
+                for (i, &id) in available.enumerate() {
+                    if idx.next_if_eq(&i).is_some() {
+                        picked.push(id);
+                    }
+                }
+                picked
             }
-            ProbeStrategy::Fixed(ids) => ids
-                .iter()
-                .copied()
-                .filter(|id| available.contains(id))
-                .take(m)
-                .collect(),
+            ProbeStrategy::Fixed(ids) => listed(ids),
             ProbeStrategy::LowCoherence(ids) => {
-                let picked: Vec<SectorId> = ids
-                    .iter()
-                    .copied()
-                    .filter(|id| available.contains(id))
-                    .take(m)
-                    .collect();
+                let picked = listed(ids);
                 if picked.len() == m {
                     picked
                 } else {

@@ -9,6 +9,12 @@
 //!   `top_cells`, `top_weights`), sized by the probe count and `k`, never
 //!   by the grid; a warm one allocates nothing.
 //!
+//! * A warm [`CompressiveSelection::select_from_readings`] with a `BinSink`
+//!   recording — the `css.estimate` span, an `outlier_residual` anomaly
+//!   under it, and the decision record — allocates nothing per decision:
+//!   the policy refills one kernel closure and one decision record, and
+//!   the span, anomaly and sink reuse their buffers.
+//!
 //! The same file pins down the no-sink obs bill of a warm estimate: one
 //! `css.estimates` bump and one `css.estimate_allocs` set, and no
 //! `css.estimate` span.
@@ -18,6 +24,7 @@
 
 use chamber::SectorPatterns;
 use css::estimator::{CompressiveEstimator, CorrelationMode, KernelClosure};
+use css::{CompressiveSelection, CssConfig};
 use geom::sphere::{GridSpec, SphericalGrid};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -191,4 +198,69 @@ fn a_no_sink_estimate_bumps_one_counter_and_builds_no_span() {
         0,
         "a warm scratch reports no growth"
     );
+}
+
+/// A warm recorded selection allocates nothing, whether or not it raises
+/// an anomaly. No span encloses the selections, so each `css.estimate`
+/// span roots a trace of its own, as in `decision_bench --workload
+/// record`.
+#[test]
+fn a_warm_recorded_selection_allocates_nothing() {
+    let _guard = obs::testing::lock();
+    let path = std::env::temp_dir().join(format!("css-no-alloc-{}.bin", std::process::id()));
+    let store = store();
+    // Every sector reports its exact gain towards az −30° (on the 12 dB
+    // report scale), as in `tests/health_coverage.rs`...
+    let dir = geom::sphere::Direction::new(-30.0, 0.0);
+    let gains: Vec<(SectorId, f64)> = store
+        .sector_ids()
+        .into_iter()
+        .map(|id| (id, store.get(id).expect("stored").gain_interp(&dir)))
+        .collect();
+    let g_max = gains.iter().map(|g| g.1).fold(f64::NEG_INFINITY, f64::max);
+    let clean: Vec<SweepReading> = gains
+        .iter()
+        .map(|&(sector, g)| SweepReading {
+            sector,
+            measurement: Some(Measurement {
+                snr_db: (12.0 + g - g_max).max(-6.0),
+                rssi_dbm: (-40.0 + g - g_max).max(-95.0),
+            }),
+        })
+        .collect();
+    // ...and in the outlier sweep a weak sector's report is corrupted up
+    // to the strongest one's, far off the fit at the estimate.
+    let mut outlier = clean.clone();
+    outlier[0].measurement = Some(Measurement {
+        snr_db: 12.0,
+        rssi_dbm: -40.0,
+    });
+    let mut css = CompressiveSelection::new(store, CssConfig::paper_default(), 3);
+    let outliers = obs::counter("health.outlier_residual");
+    obs::set_sink(std::sync::Arc::new(
+        obs::BinSink::create(&path).expect("create trace"),
+    ));
+    // Warm-up: interns first-seen strings, sizes every buffer.
+    for _ in 0..2 {
+        css.select_from_readings(&clean);
+        css.select_from_readings(&outlier);
+    }
+    const N: usize = 100;
+    let raised_before = outliers.get();
+    let (allocs, _, ()) = allocations_during(|| {
+        for _ in 0..N {
+            black_box(css.select_from_readings(black_box(&clean)));
+            black_box(css.select_from_readings(black_box(&outlier)));
+        }
+    });
+    let raised = outliers.get() - raised_before;
+    obs::clear_sink();
+    let trace = obs::open_trace(&path).expect("readable trace");
+    let _ = std::fs::remove_file(&path);
+    assert!(raised >= N as u64, "the outlier decisions raise an anomaly");
+    assert_eq!(allocs, 0, "{} warm recorded selections allocated", 2 * N);
+    assert_eq!(trace.skipped, 0);
+    assert_eq!(trace.decisions.len(), 2 * N + 4);
+    assert_eq!(trace.stage("css.estimate").len(), 2 * N + 4);
+    assert!(trace.stage("health.outlier_residual").len() as u64 >= raised);
 }

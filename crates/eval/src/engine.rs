@@ -64,7 +64,7 @@ where
 {
     let threads = threads.clamp(1, n_units.max(1));
     let recording = obs::sink_active();
-    let mut span = recording.then(|| obs::span("eval.par_map"));
+    let mut span = recording.then(|| obs::span!("eval.par_map"));
     // While a sink records, every work unit becomes its own trace. The id
     // block is reserved here, on the coordinating thread, so unit i always
     // gets `trace_base + i` no matter which worker runs it; unit events are

@@ -247,7 +247,7 @@ impl ReplaySession {
                 // Rebuilding a context's patterns re-runs its measurement
                 // campaign, which dominates a short trace's replay; the
                 // span lets `talon profile` attribute that time.
-                let _span = obs::sink_active().then(|| obs::span("eval.replay_patterns"));
+                let _span = obs::sink_active().then(|| obs::span!("eval.replay_patterns"));
                 let p = match &self.config.patterns_override {
                     Some(p) => Some(p.clone()),
                     None => patterns_for_context(&rec.context),

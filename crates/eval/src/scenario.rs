@@ -120,7 +120,7 @@ impl EvalScenario {
 
     /// Records full sector sweeps at every orientation of the eval grid.
     pub fn record(&mut self, seed: u64) -> RecordedDataset {
-        let mut span = obs::sink_active().then(|| obs::span("eval.record"));
+        let mut span = obs::sink_active().then(|| obs::span!("eval.record"));
         obs::counter("eval.records").inc();
         if let Some(span) = &mut span {
             span.field("positions", self.eval_grid.len() as f64);

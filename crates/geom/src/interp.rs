@@ -8,7 +8,8 @@
 //! * [`fill_gaps_circular`] / [`fill_gaps_linear`] — 1-D gap filling over a
 //!   circular (azimuth) or bounded (elevation) axis;
 //! * [`lerp`] — plain linear interpolation;
-//! * [`bilinear`] — gain lookup between grid points of a 2-D pattern table.
+//! * [`bilinear`] — gain lookup between grid points of a 2-D pattern table,
+//!   and [`Stencil`], the same lookup prepared once for many tables.
 
 /// Linear interpolation between `a` and `b` with parameter `t ∈ [0, 1]`.
 pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
@@ -82,18 +83,55 @@ fn fill_gaps_impl(samples: &[Option<f64>], fallback: f64, circular: bool) -> Vec
 /// direction that falls between measured grid points.
 pub fn bilinear(table: &[f64], rows: usize, cols: usize, r: f64, c: f64) -> f64 {
     assert_eq!(table.len(), rows * cols, "bilinear: table size mismatch");
-    assert!(rows > 0 && cols > 0, "bilinear: empty table");
-    let r = r.clamp(0.0, (rows - 1) as f64);
-    let c = c.clamp(0.0, (cols - 1) as f64);
-    let r0 = r.floor() as usize;
-    let c0 = c.floor() as usize;
-    let r1 = (r0 + 1).min(rows - 1);
-    let c1 = (c0 + 1).min(cols - 1);
-    let tr = r - r0 as f64;
-    let tc = c - c0 as f64;
-    let top = lerp(table[r0 * cols + c0], table[r0 * cols + c1], tc);
-    let bottom = lerp(table[r1 * cols + c0], table[r1 * cols + c1], tc);
-    lerp(top, bottom, tr)
+    Stencil::new(rows, cols, r, c).apply(table)
+}
+
+/// The four table cells and two weights of one [`bilinear`] lookup,
+/// computed once so the same point can be read from many tables that
+/// share a shape (every sector pattern of one grid): [`Stencil::apply`]
+/// returns exactly what [`bilinear`] would for each table.
+#[derive(Debug, Clone, Copy)]
+pub struct Stencil {
+    /// Flat indices of the top-left, top-right, bottom-left and
+    /// bottom-right cells.
+    cells: [usize; 4],
+    /// Fractional row offset.
+    tr: f64,
+    /// Fractional column offset.
+    tc: f64,
+}
+
+impl Stencil {
+    /// The stencil of fractional position `(r, c)` on a `rows × cols`
+    /// row-major table, clamped to the valid range.
+    pub fn new(rows: usize, cols: usize, r: f64, c: f64) -> Self {
+        assert!(rows > 0 && cols > 0, "bilinear: empty table");
+        let r = r.clamp(0.0, (rows - 1) as f64);
+        let c = c.clamp(0.0, (cols - 1) as f64);
+        let r0 = r.floor() as usize;
+        let c0 = c.floor() as usize;
+        let r1 = (r0 + 1).min(rows - 1);
+        let c1 = (c0 + 1).min(cols - 1);
+        Stencil {
+            cells: [
+                r0 * cols + c0,
+                r0 * cols + c1,
+                r1 * cols + c0,
+                r1 * cols + c1,
+            ],
+            tr: r - r0 as f64,
+            tc: c - c0 as f64,
+        }
+    }
+
+    /// The interpolated value of `table` (which must have the shape the
+    /// stencil was built for).
+    pub fn apply(&self, table: &[f64]) -> f64 {
+        let [i00, i01, i10, i11] = self.cells;
+        let top = lerp(table[i00], table[i01], self.tc);
+        let bottom = lerp(table[i10], table[i11], self.tc);
+        lerp(top, bottom, self.tr)
+    }
 }
 
 #[cfg(test)]

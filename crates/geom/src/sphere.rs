@@ -10,6 +10,7 @@
 //!   up (the paper tilts the rotation head from 0° to 32.4°).
 
 use crate::angle::{angular_dist, wrap_180};
+use crate::interp::Stencil;
 use serde::{Deserialize, Serialize};
 
 /// A direction on the unit sphere in antenna coordinates.
@@ -199,6 +200,15 @@ impl SphericalGrid {
         let az_i = self.az.nearest(dir.az_deg);
         let el_i = self.el.nearest(dir.el_deg);
         el_i * self.az.len() + az_i
+    }
+
+    /// The bilinear lookup of `dir` on any table laid out on this grid
+    /// (clamped to the grid's angular extent): one [`Stencil`] reads the
+    /// same direction from every pattern of the grid.
+    pub fn stencil(&self, dir: &Direction) -> Stencil {
+        let r = (dir.el_deg - self.el.start_deg) / self.el.step_deg;
+        let c = (dir.az_deg - self.az.start_deg) / self.az.step_deg;
+        Stencil::new(self.el.len(), self.az.len(), r, c)
     }
 
     /// Iterates over `(flat_index, Direction)` pairs in layout order.

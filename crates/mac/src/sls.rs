@@ -188,7 +188,7 @@ impl<'a> SlsRunner<'a> {
         PI: FeedbackPolicy + ?Sized,
         PR: FeedbackPolicy + ?Sized,
     {
-        let mut span = obs::sink_active().then(|| obs::span("sls.run"));
+        let mut span = obs::sink_active().then(|| obs::span!("sls.run"));
         self.runs.inc();
         let geometry = self.geometry();
         let mut now = SimTime::ZERO;
@@ -327,7 +327,7 @@ fn emit_sweep_decision(source: &str, readings: &[SweepReading], chosen: Option<S
         );
     }
     rec.chosen_sector = chosen.map_or(obs::decision::NO_SECTOR, |s| i64::from(s.raw()));
-    obs::decision::emit(rec);
+    obs::decision::emit(&mut rec);
 }
 
 /// Flags probes that went on the air but produced no measurement (below

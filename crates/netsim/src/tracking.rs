@@ -189,7 +189,7 @@ pub fn tracking_run(
         quality: quality.summary(),
     };
     // Per-run rollup for the trace (one span per tracking experiment).
-    if let Some(mut span) = obs::sink_active().then(|| obs::span("netsim.tracking")) {
+    if let Some(mut span) = obs::sink_active().then(|| obs::span!("netsim.tracking")) {
         span.field("trainings", result.trainings as f64);
         span.field("outage_fraction", result.outage_fraction);
         span.field("mean_gbps", result.mean_gbps);

@@ -82,11 +82,12 @@
 //! replay` streams it (`eval::replay::replay_file`).
 
 use crate::decision::{DecisionRecord, SCHEMA_VERSION};
-use crate::event::Event;
+use crate::event::{Event, Fields};
 use crate::registry::Snapshot;
 use crate::sink::{note_write_error, EventSink};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
@@ -239,6 +240,12 @@ impl<'a> Enc<'a> {
 
     /// LEB128 unsigned varint.
     fn varint(&mut self, v: u64) {
+        // Most varints in a record (counts, sector ids, quarter-dB steps)
+        // fit one byte: push it without assembling and copying a buffer.
+        if v < 0x80 {
+            self.buf.push(v as u8);
+            return;
+        }
         let (bytes, n) = varint_bytes(v);
         self.buf.extend_from_slice(&bytes[..n]);
     }
@@ -576,18 +583,18 @@ fn encode_event(e: &Event, enc: &mut Enc) {
     enc.varint(e.span_id);
     enc.varint(e.parent_id);
     enc.varint(e.fields.len() as u64);
-    for (k, v) in &e.fields {
+    for (k, v) in e.fields.iter() {
         enc.istr(k);
-        enc.f64(*v);
+        enc.f64(v);
     }
 }
 
 fn decode_event(dec: &mut Dec) -> DecodeResult<Event> {
     let kind = match dec.u8()? {
-        0 => "span".to_string(),
-        1 => "mark".to_string(),
-        2 => "anomaly".to_string(),
-        EVENT_KIND_OTHER => dec.istr()?,
+        0 => Cow::Borrowed("span"),
+        1 => Cow::Borrowed("mark"),
+        2 => Cow::Borrowed("anomaly"),
+        EVENT_KIND_OTHER => Cow::Owned(dec.istr()?),
         other => return Err(format!("unknown event kind code {other}")),
     };
     let ts_us = dec.varint()?;
@@ -597,15 +604,16 @@ fn decode_event(dec: &mut Dec) -> DecodeResult<Event> {
     let span_id = dec.varint()?;
     let parent_id = dec.varint()?;
     let n = dec.count(2)?;
-    let mut fields = BTreeMap::new();
+    let mut fields = Vec::with_capacity(n);
     for _ in 0..n {
         let key = dec.istr()?;
-        fields.insert(key, dec.f64()?);
+        fields.push((Cow::Owned(key), dec.f64()?));
     }
+    let fields = Fields::from_unsorted(fields);
     Ok(Event {
         ts_us,
         kind,
-        stage,
+        stage: Cow::Owned(stage),
         dur_us,
         trace_id,
         span_id,
@@ -1279,7 +1287,7 @@ mod tests {
     use super::*;
 
     fn sample_event() -> Event {
-        let mut fields = BTreeMap::new();
+        let mut fields = Fields::new();
         fields.insert("probes".to_string(), 14.0);
         fields.insert("margin_db".to_string(), -2.5);
         Event::span(12, "css.estimate", 34, fields).with_ids(7, 3, 1)

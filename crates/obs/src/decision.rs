@@ -136,21 +136,29 @@ pub struct DecisionRecord {
 
 impl DecisionRecord {
     /// An empty record for `source`, stamped with the current schema
-    /// version and the process-wide [`context`]. Producers fill in what
-    /// they know and pass the record to [`emit`].
+    /// version and the process-wide context ([`set_context`]). Producers
+    /// fill in what they know and pass the record to [`emit`].
     pub fn new(source: &str) -> Self {
+        let mut record = DecisionRecord::blank();
+        record.reset(source);
+        record
+    }
+
+    /// Every field at its [`DecisionRecord::new`] value, except that the
+    /// strings are empty; allocates nothing.
+    fn blank() -> Self {
         DecisionRecord {
             schema_version: SCHEMA_VERSION,
             ts_us: 0,
             trace_id: 0,
             parent_id: 0,
-            source: source.to_string(),
-            context: context(),
+            source: String::new(),
+            context: String::new(),
             mode: String::new(),
             energy_prior: false,
             smoothing: false,
             subcell_refinement: false,
-            kernel_path: "f64".to_string(),
+            kernel_path: String::new(),
             patterns_digest: 0,
             replayable: false,
             probed: Vec::new(),
@@ -175,6 +183,38 @@ impl DecisionRecord {
             chosen_snr_db: 0.0,
             snr_loss_db: 0.0,
         }
+    }
+
+    /// Makes this record equal to `DecisionRecord::new(source)` while
+    /// keeping the capacity of its strings and vectors, so a producer that
+    /// refills one record per decision allocates nothing once warm. The
+    /// context is copied only when it changed since the last refill.
+    pub fn reset(&mut self, source: &str) {
+        let old = std::mem::replace(self, DecisionRecord::blank());
+        let refill = |mut s: String, to: &str| {
+            if s != to {
+                s.clear();
+                s.push_str(to);
+            }
+            s
+        };
+        fn cleared<T>(mut v: Vec<T>) -> Vec<T> {
+            v.clear();
+            v
+        }
+        self.source = refill(old.source, source);
+        self.context = refill(old.context, &context_slot().read());
+        self.mode = refill(old.mode, "");
+        self.kernel_path = refill(old.kernel_path, "f64");
+        self.probed = cleared(old.probed);
+        self.snr_db = cleared(old.snr_db);
+        self.rssi_dbm = cleared(old.rssi_dbm);
+        self.masked = cleared(old.masked);
+        self.clamped = cleared(old.clamped);
+        self.p_snr = cleared(old.p_snr);
+        self.p_rssi = cleared(old.p_rssi);
+        self.top_cells = cleared(old.top_cells);
+        self.top_weights = cleared(old.top_weights);
     }
 
     /// Appends one probe reading (`None` measurement = masked).
@@ -260,24 +300,23 @@ pub fn set_context(ctx: &str) {
     *context_slot().write() = ctx.to_string();
 }
 
-/// The current reconstruction context (empty when none was set).
-pub fn context() -> String {
-    context_slot().read().clone()
-}
-
 /// Stamps `record` with the current time and trace identity and sends it
-/// to the installed sink. No-op (and allocation-free for callers that gate
-/// on [`crate::sink_active`]) without a sink.
-pub fn emit(mut record: DecisionRecord) {
+/// to the installed sink, which reads it in place. No-op (and
+/// allocation-free for callers that gate on [`crate::sink_active`])
+/// without a sink.
+pub fn emit(record: &mut DecisionRecord) {
     if !crate::sink::sink_active() {
         return;
     }
-    crate::counter("css.decisions").inc();
+    static DECISIONS: OnceLock<std::sync::Arc<crate::Counter>> = OnceLock::new();
+    DECISIONS
+        .get_or_init(|| crate::counter("css.decisions"))
+        .inc();
     record.ts_us = crate::now_us();
     let (trace_id, parent_id) = crate::trace::current_ids();
     record.trace_id = trace_id;
     record.parent_id = parent_id;
-    crate::sink::emit_decision(&record);
+    crate::sink::emit_decision(record);
 }
 
 #[cfg(test)]
@@ -338,7 +377,27 @@ mod tests {
     }
 
     #[test]
+    fn reset_equals_a_fresh_record() {
+        let _guard = crate::testing::lock();
+        let mut rec = DecisionRecord::new("css.select");
+        rec.mode = "joint".into();
+        rec.kernel_path = "q15".into();
+        rec.replayable = true;
+        rec.push_probe(3, Some((12.5, -55.0)));
+        rec.p_snr = vec![1.0, 2.0];
+        rec.top_cells = vec![4];
+        rec.has_estimate = true;
+        rec.chosen_sector = 3;
+        rec.set_oracle(&[(3, 18.0)], 3);
+        rec.ts_us = 9;
+        rec.reset("sls.iss");
+        assert_eq!(rec, DecisionRecord::new("sls.iss"));
+        assert!(rec.probed.capacity() > 0, "buffers kept for reuse");
+    }
+
+    #[test]
     fn context_is_process_wide() {
+        let _guard = crate::testing::lock();
         set_context("scenario=lab,seed=1");
         assert_eq!(DecisionRecord::new("x").context, "scenario=lab,seed=1");
         set_context("");
@@ -349,7 +408,7 @@ mod tests {
     fn emit_without_sink_is_a_no_op() {
         let _guard = crate::testing::lock();
         crate::clear_sink();
-        emit(DecisionRecord::new("css.select")); // must not panic or emit
+        emit(&mut DecisionRecord::new("css.select")); // must not panic or emit
     }
 
     #[test]
@@ -358,8 +417,8 @@ mod tests {
         let mem = std::sync::Arc::new(crate::MemorySink::new());
         crate::set_sink(mem.clone());
         let span_ids = {
-            let s = crate::span("decision.test.session");
-            emit(DecisionRecord::new("css.select"));
+            let s = crate::span!("decision.test.session");
+            emit(&mut DecisionRecord::new("css.select"));
             s.ids().expect("recording")
         };
         crate::clear_sink();

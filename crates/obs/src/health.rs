@@ -15,22 +15,33 @@
 //! The no-sink cost is one cached counter bump — the event, its fields and
 //! the trace lookup only happen while tracing.
 
-use crate::event::Event;
+use crate::event::{Event, Fields};
 use crate::metrics::Counter;
 use crate::{sink, trace};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-/// Per-kind cache of the `health.<kind>` counter handles (kinds are
-/// `&'static str` literals; the lookup allocates only on first use).
-fn health_counter(kind: &'static str) -> Arc<Counter> {
-    static CACHE: OnceLock<Mutex<BTreeMap<&'static str, Arc<Counter>>>> = OnceLock::new();
+/// What one anomaly kind needs on every report: its `health.<kind>`
+/// counter and stage name.
+struct Handles {
+    counter: Arc<Counter>,
+    stage: &'static str,
+}
+
+/// The per-kind handles, built on a kind's first report. Kinds are
+/// `&'static str` literals, a fixed set, so each entry and its stage name
+/// are allocated once and live for the rest of the process.
+fn handles(kind: &'static str) -> &'static Handles {
+    static CACHE: OnceLock<Mutex<BTreeMap<&'static str, &'static Handles>>> = OnceLock::new();
     let mut cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new())).lock();
-    cache
-        .entry(kind)
-        .or_insert_with(|| crate::global().counter(&format!("health.{kind}")))
-        .clone()
+    cache.entry(kind).or_insert_with(|| {
+        let stage = format!("{STAGE_PREFIX}{kind}");
+        Box::leak(Box::new(Handles {
+            counter: crate::global().counter(&stage),
+            stage: Box::leak(stage.into_boxed_str()),
+        }))
+    })
 }
 
 /// Reports one link-health anomaly of `kind` (e.g. `"snr_clamped"`,
@@ -39,7 +50,7 @@ fn health_counter(kind: &'static str) -> Arc<Counter> {
 /// Always bumps the `health.<kind>` counter; while a sink records, also
 /// emits an `"anomaly"` event at stage `health.<kind>`, tagged with the
 /// current trace and enclosing span.
-pub fn anomaly(kind: &'static str, fields: &[(&str, f64)]) {
+pub fn anomaly(kind: &'static str, fields: &[(&'static str, f64)]) {
     anomaly_n(kind, 1, fields);
 }
 
@@ -49,36 +60,33 @@ pub fn anomaly(kind: &'static str, fields: &[(&str, f64)]) {
 /// routing an event through a sink that is failing to write would recurse.
 pub fn tally(kind: &'static str, n: u64) {
     if n > 0 {
-        health_counter(kind).add(n);
+        handles(kind).counter.add(n);
     }
 }
 
 /// Like [`anomaly`], but accounts for `n` occurrences at once (e.g. the
 /// malformed-line tally from one trace file). Bumps the counter by `n` and
 /// emits a single event carrying `count` alongside `fields`.
-pub fn anomaly_n(kind: &'static str, n: u64, fields: &[(&str, f64)]) {
+pub fn anomaly_n(kind: &'static str, n: u64, fields: &[(&'static str, f64)]) {
     if n == 0 {
         return;
     }
-    health_counter(kind).add(n);
+    let handles = handles(kind);
+    handles.counter.add(n);
     if !sink::sink_active() {
         return;
     }
     let (trace_id, parent_id) = trace::current_ids();
-    let mut fields: BTreeMap<String, f64> = fields
-        .iter()
-        .map(|&(name, value)| (name.to_string(), value))
-        .collect();
-    if n > 1 {
-        fields.insert("count".to_string(), n as f64);
+    let mut set = Fields::spare();
+    for &(name, value) in fields {
+        set.insert(name, value);
     }
-    sink::emit(&Event::anomaly(
-        crate::now_us(),
-        &format!("health.{kind}"),
-        trace_id,
-        parent_id,
-        fields,
-    ));
+    if n > 1 {
+        set.insert("count", n as f64);
+    }
+    let event = Event::anomaly(crate::now_us(), handles.stage, trace_id, parent_id, set);
+    sink::emit(&event);
+    event.fields.recycle();
 }
 
 /// Stage-name prefix of anomaly events (`health.<kind>`).
@@ -88,7 +96,6 @@ pub const STAGE_PREFIX: &str = "health.";
 mod tests {
     use super::*;
     use crate::sink::MemorySink;
-    use crate::span;
 
     #[test]
     fn anomaly_bumps_counter_and_tags_the_trace() {
@@ -97,7 +104,7 @@ mod tests {
         sink::set_sink(mem.clone());
         let before = crate::global().snapshot().counter("health.test_kind");
         let span_ids = {
-            let s = span("health.test.session");
+            let s = crate::span!("health.test.session");
             anomaly("test_kind", &[("snr_db", -8.0)]);
             s.ids().expect("recording")
         };

@@ -5,9 +5,9 @@
 //! - **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) registered by name
 //!   in the process-wide [`Registry`] (`obs::global()`), snapshottable to a
 //!   serde-serializable [`Snapshot`].
-//! - **Spans** ([`span`]) — RAII stage timers feeding `<stage>.dur_us`
-//!   histograms and, when a sink is installed, emitting [`Event`]s with
-//!   attached numeric fields.
+//! - **Spans** ([`span!`]) — RAII stage timers feeding `<stage>.dur_us`
+//!   histograms through a handle each call site resolves once and, when a
+//!   sink is installed, emitting [`Event`]s with attached numeric fields.
 //! - **Sinks** ([`EventSink`]) — no-op by default, [`MemorySink`] for tests,
 //!   [`BinSink`] for `talon --trace <file>` capture in the CRC-framed
 //!   [`binfmt`] format, the only format talon writes or reads;
@@ -50,12 +50,12 @@ pub mod tree;
 
 pub use binfmt::{BinReader, BinSink, TraceRecord};
 pub use decision::DecisionRecord;
-pub use event::Event;
+pub use event::{Event, Fields};
 pub use metrics::{Bucket, Counter, Gauge, Histogram, HistogramSnapshot};
 pub use monitor::{DriftConfig, DriftDetector, QualityMonitor, QualitySummary};
 pub use registry::{Registry, Snapshot};
 pub use sink::{clear_sink, set_sink, sink_active, EventSink, MemorySink, NoopSink};
-pub use span::{span, Span};
+pub use span::{Span, Stage};
 pub use trace::{
     current_context, current_ids, open_trace, reserve_trace_ids, with_context, Captured, Trace,
     TraceContext,
@@ -132,7 +132,7 @@ mod tests {
         let sink = std::sync::Arc::new(BinSink::create(&path).unwrap());
         set_sink(sink.clone());
         {
-            let mut s = span("obs.lib.trace");
+            let mut s = span!("obs.lib.trace");
             s.field("x", 1.5);
         }
         sink.write_snapshot(&global().snapshot());

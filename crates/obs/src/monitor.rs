@@ -489,7 +489,7 @@ mod tests {
 
     #[test]
     fn drift_epochs_read_back_from_events() {
-        let mut fields = std::collections::BTreeMap::new();
+        let mut fields = crate::event::Fields::new();
         fields.insert("t_s".to_string(), 3.25);
         let ev = Event::anomaly(1, "health.link_drift", 4, 2, fields);
         let other = Event::anomaly(2, "health.link_outage", 4, 2, Default::default());

@@ -210,16 +210,16 @@ pub fn flush() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use crate::event::Fields;
 
     #[test]
     fn memory_sink_captures_emitted_events() {
         let _guard = crate::testing::lock();
         let sink = Arc::new(MemorySink::new());
         set_sink(sink.clone());
-        emit(&Event::mark(1, "test.stage", BTreeMap::new()));
+        emit(&Event::mark(1, "test.stage", Fields::new()));
         clear_sink();
-        emit(&Event::mark(2, "test.after", BTreeMap::new()));
+        emit(&Event::mark(2, "test.after", Fields::new()));
         let events = sink.take();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].stage, "test.stage");
@@ -236,7 +236,7 @@ mod tests {
         assert_eq!(sink.len(), 1);
         assert_eq!(sink.events_len(), 0);
         assert_eq!(sink.decisions_len(), 1);
-        sink.emit(&Event::mark(3, "test.mark", BTreeMap::new()));
+        sink.emit(&Event::mark(3, "test.mark", Fields::new()));
         assert_eq!(sink.len(), 2);
         assert_eq!(sink.events_len(), 1);
         sink.take_decisions();
@@ -249,6 +249,6 @@ mod tests {
         let _guard = crate::testing::lock();
         clear_sink();
         assert!(!sink_active());
-        emit(&Event::mark(0, "dropped", BTreeMap::new()));
+        emit(&Event::mark(0, "dropped", Fields::new()));
     }
 }

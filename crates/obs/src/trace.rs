@@ -28,7 +28,7 @@
 
 use crate::decision::DecisionRecord;
 use crate::event::Event;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -91,11 +91,6 @@ pub struct TraceContext {
 }
 
 impl TraceContext {
-    /// Starts a brand-new trace with a freshly allocated id.
-    pub fn fresh() -> Self {
-        Self::for_trace_id(reserve_trace_ids(1))
-    }
-
     /// A root-level context for an explicit trace id (see
     /// [`reserve_trace_ids`] for how parallel engines pick ids).
     pub fn for_trace_id(trace_id: u64) -> Self {
@@ -134,6 +129,32 @@ struct ActiveTrace {
 thread_local! {
     static ACTIVE: RefCell<Option<ActiveTrace>> = const { RefCell::new(None) };
     static CAPTURE: RefCell<Option<Vec<Captured>>> = const { RefCell::new(None) };
+    /// The span stack and span-id allocator of the thread's last
+    /// auto-rooted trace, kept for the next one, so a span that roots a
+    /// trace allocates nothing once warm.
+    static SPARE: Cell<Option<(Vec<u64>, Arc<AtomicU64>)>> = const { Cell::new(None) };
+}
+
+/// A fresh trace auto-rooted by a span, on the thread's spare buffers
+/// when it has them.
+fn auto_rooted() -> ActiveTrace {
+    let trace_id = reserve_trace_ids(1);
+    let (stack, next_span) = match SPARE.with(Cell::take) {
+        Some((stack, next_span)) => {
+            next_span.store(1, Ordering::Relaxed);
+            (stack, next_span)
+        }
+        None => (Vec::new(), Arc::new(AtomicU64::new(1))),
+    };
+    ActiveTrace {
+        ctx: TraceContext {
+            trace_id,
+            parent_span: 0,
+            next_span,
+        },
+        stack,
+        ambient: false,
+    }
 }
 
 /// Identity assigned to one recording span.
@@ -154,11 +175,7 @@ pub struct SpanIds {
 pub(crate) fn begin_span() -> SpanIds {
     ACTIVE.with(|a| {
         let mut slot = a.borrow_mut();
-        let tt = slot.get_or_insert_with(|| ActiveTrace {
-            ctx: TraceContext::fresh(),
-            stack: Vec::new(),
-            ambient: false,
-        });
+        let tt = slot.get_or_insert_with(auto_rooted);
         let parent_id = tt.stack.last().copied().unwrap_or(tt.ctx.parent_span);
         let span_id = tt.ctx.alloc_span();
         tt.stack.push(span_id);
@@ -188,7 +205,12 @@ pub(crate) fn end_span(span_id: u64) {
             }
         }
         if tt.stack.is_empty() && !tt.ambient {
-            *slot = None;
+            let done = slot.take().expect("checked above");
+            // A context handed out by `current_context` still shares the
+            // span-id allocator; only an unshared one is reused.
+            if Arc::strong_count(&done.ctx.next_span) == 1 {
+                SPARE.with(|spare| spare.set(Some((done.stack, done.ctx.next_span))));
+            }
         }
     })
 }
@@ -294,8 +316,8 @@ impl Trace {
     pub fn stages(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
         for e in &self.events {
-            if !out.contains(&e.stage) {
-                out.push(e.stage.clone());
+            if !out.iter().any(|s| *s == e.stage) {
+                out.push(e.stage.to_string());
             }
         }
         out
@@ -335,7 +357,6 @@ pub fn open_trace(path: impl AsRef<std::path::Path>) -> Result<Trace, String> {
 mod tests {
     use super::*;
     use crate::sink::{self, MemorySink};
-    use crate::span;
 
     #[test]
     fn nested_spans_share_a_trace_and_parent_correctly() {
@@ -343,8 +364,8 @@ mod tests {
         let mem = std::sync::Arc::new(MemorySink::new());
         sink::set_sink(mem.clone());
         {
-            let _outer = span("trace.test.outer");
-            let _inner = span("trace.test.inner");
+            let _outer = crate::span!("trace.test.outer");
+            let _inner = crate::span!("trace.test.inner");
         }
         sink::clear_sink();
         let events = mem.take();
@@ -365,8 +386,8 @@ mod tests {
         let _guard = crate::testing::lock();
         let mem = std::sync::Arc::new(MemorySink::new());
         sink::set_sink(mem.clone());
-        drop(span("trace.test.a"));
-        drop(span("trace.test.b"));
+        drop(crate::span!("trace.test.a"));
+        drop(crate::span!("trace.test.b"));
         sink::clear_sink();
         let events = mem.take();
         assert_eq!(events.len(), 2);
@@ -382,7 +403,7 @@ mod tests {
         sink::set_sink(mem.clone());
         let ctx = TraceContext::for_trace_id(777);
         let ((), captured) = with_context(&ctx, || {
-            let _s = span("trace.test.unit");
+            let _s = crate::span!("trace.test.unit");
         });
         sink::clear_sink();
         assert!(mem.take().is_empty(), "captured events bypass the sink");
@@ -400,8 +421,8 @@ mod tests {
         sink::set_sink(mem.clone());
         let ctx = TraceContext::for_trace_id(31);
         let ((), captured) = with_context(&ctx, || {
-            let _s = span("trace.test.decide");
-            crate::decision::emit(crate::decision::DecisionRecord::new("css.select"));
+            let _s = crate::span!("trace.test.decide");
+            crate::decision::emit(&mut crate::decision::DecisionRecord::new("css.select"));
         });
         sink::clear_sink();
         assert!(
@@ -436,8 +457,8 @@ mod tests {
         let events = std::thread::scope(|s| {
             s.spawn(|| {
                 let ((), ev) = with_context(&ctx, || {
-                    let _root = span("trace.test.worker");
-                    let _leaf = span("trace.test.leaf");
+                    let _root = crate::span!("trace.test.worker");
+                    let _leaf = crate::span!("trace.test.leaf");
                 });
                 ev
             })
@@ -460,7 +481,7 @@ mod tests {
         sink::set_sink(mem.clone());
         assert_eq!(current_ids(), (0, 0));
         {
-            let _s = span("trace.test.current");
+            let _s = crate::span!("trace.test.current");
             let (trace_id, parent) = current_ids();
             assert_ne!(trace_id, 0);
             assert_ne!(parent, 0);

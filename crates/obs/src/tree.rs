@@ -109,7 +109,7 @@ pub fn build_trees(events: &[Event]) -> Vec<TraceTree> {
                 let spans = &by_trace[&id];
                 let offset = tree.nodes.len();
                 tree.nodes.extend(spans.iter().map(|e| Node {
-                    stage: e.stage.clone(),
+                    stage: e.stage.to_string(),
                     span_id: e.span_id,
                     ts_us: e.ts_us,
                     dur_us: e.dur_us,
@@ -364,7 +364,7 @@ pub fn health_by_trace(events: &[Event]) -> BTreeMap<u64, BTreeMap<String, u64>>
         }
         *out.entry(e.trace_id)
             .or_default()
-            .entry(e.stage.clone())
+            .entry(e.stage.to_string())
             .or_insert(0) += 1;
     }
     out
@@ -396,10 +396,10 @@ pub fn normalize_structural(events: &[Event]) -> Vec<Event> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap as Map;
+    use crate::event::Fields;
 
-    fn span(ts: u64, stage: &str, dur: u64, ids: (u64, u64, u64)) -> Event {
-        Event::span(ts, stage, dur, Map::new()).with_ids(ids.0, ids.1, ids.2)
+    fn span(ts: u64, stage: &'static str, dur: u64, ids: (u64, u64, u64)) -> Event {
+        Event::span(ts, stage, dur, Fields::new()).with_ids(ids.0, ids.1, ids.2)
     }
 
     /// A session trace as it appears on disk: children emitted (dropped)
@@ -457,7 +457,7 @@ mod tests {
         let mut events: Vec<Event> = (0..units)
             .map(|u| span(1, "css.estimate", unit_us, (base + u, 1, 0)))
             .collect();
-        let fields = Map::from([
+        let fields = Fields::from_iter([
             ("units".to_string(), units as f64),
             ("trace_base".to_string(), base as f64),
         ]);
@@ -567,9 +567,9 @@ mod tests {
     #[test]
     fn health_groups_anomalies_by_trace() {
         let events = vec![
-            Event::anomaly(1, "health.snr_clamped", 4, 2, Map::new()),
-            Event::anomaly(2, "health.snr_clamped", 4, 2, Map::new()),
-            Event::anomaly(3, "health.missing_probe", 6, 1, Map::new()),
+            Event::anomaly(1, "health.snr_clamped", 4, 2, Fields::new()),
+            Event::anomaly(2, "health.snr_clamped", 4, 2, Fields::new()),
+            Event::anomaly(3, "health.missing_probe", 6, 1, Fields::new()),
         ];
         let health = health_by_trace(&events);
         assert_eq!(health[&4]["health.snr_clamped"], 2);

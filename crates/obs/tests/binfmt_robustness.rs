@@ -10,8 +10,7 @@
 
 use obs::binfmt::{self, frame_with, BinSink, FileBinReader, KIND_EVENT, KIND_STRDEF, MARKER};
 use obs::decision::SCHEMA_VERSION;
-use obs::{BinReader, DecisionRecord, Event, EventSink, Trace, TraceRecord};
-use std::collections::BTreeMap;
+use obs::{BinReader, DecisionRecord, Event, EventSink, Fields, Trace, TraceRecord};
 use std::io::Read;
 use std::sync::Arc;
 
@@ -83,12 +82,12 @@ fn assert_chunking_invariant(path: &std::path::Path) {
 /// An event exercising unicode strings, a custom kind, and f64 extremes
 /// in fields.
 fn fancy_event() -> Event {
-    let mut fields = BTreeMap::new();
+    let mut fields = Fields::new();
     fields.insert("μ-extreme".to_string(), f64::MAX);
     fields.insert("tiny".to_string(), f64::MIN_POSITIVE);
     fields.insert("neg-zero".to_string(), -0.0);
     let mut e = Event::span(7, "сектор.🛰.sweep", 123, fields).with_ids(42, 9, 3);
-    e.kind = "задержка".to_string();
+    e.kind = "задержка".into();
     e
 }
 
@@ -123,7 +122,7 @@ fn fancy_decision() -> DecisionRecord {
 /// (events, decision) so reads can be compared field-for-field.
 fn write_trace(path: &std::path::Path) -> (Vec<Event>, DecisionRecord) {
     let sink = BinSink::create(path).expect("create trace");
-    let events = vec![fancy_event(), Event::mark(8, "plain.mark", BTreeMap::new())];
+    let events = vec![fancy_event(), Event::mark(8, "plain.mark", Fields::new())];
     let decision = fancy_decision();
     for e in &events {
         sink.emit(e);
@@ -180,9 +179,9 @@ fn truncated_tail_loses_only_the_last_record() {
 #[test]
 fn corrupt_crc_skips_one_frame_not_the_file() {
     // Hand-built standalone frames (no interning) so boundaries are known.
-    let e1 = TraceRecord::Event(Event::mark(1, "first", BTreeMap::new()));
+    let e1 = TraceRecord::Event(Event::mark(1, "first", Fields::new()));
     let d = TraceRecord::Decision(Box::new(fancy_decision()));
-    let e2 = TraceRecord::Event(Event::mark(2, "last", BTreeMap::new()));
+    let e2 = TraceRecord::Event(Event::mark(2, "last", Fields::new()));
     let mut middle = binfmt::encode_frame(&d);
     let n = middle.len();
     middle[n - 6] ^= 0xFF; // inside the payload, ahead of the 4-byte CRC
@@ -204,8 +203,8 @@ fn corrupt_crc_skips_one_frame_not_the_file() {
 
 #[test]
 fn garbage_between_frames_resyncs_on_the_marker() {
-    let e1 = TraceRecord::Event(Event::mark(1, "before", BTreeMap::new()));
-    let e2 = TraceRecord::Event(Event::mark(2, "after", BTreeMap::new()));
+    let e1 = TraceRecord::Event(Event::mark(1, "before", Fields::new()));
+    let e2 = TraceRecord::Event(Event::mark(2, "after", Fields::new()));
     let mut bytes = binfmt::file_header();
     bytes.extend_from_slice(&binfmt::encode_frame(&e1));
     // Overwritten region with no marker byte: resync lands exactly on the
@@ -220,7 +219,7 @@ fn garbage_between_frames_resyncs_on_the_marker() {
         trace
             .events
             .iter()
-            .map(|e| e.stage.as_str())
+            .map(|e| e.stage.as_ref())
             .collect::<Vec<_>>(),
         vec!["before", "after"],
         "both real frames survive"
@@ -235,9 +234,9 @@ fn a_fake_marker_in_garbage_may_cost_a_neighbor_but_recovery_holds() {
     // frame head from it and consume into the following real frame. The
     // guarantee is recovery and honest accounting, not zero collateral:
     // the reader must find the next intact frame and count every loss.
-    let e1 = TraceRecord::Event(Event::mark(1, "before", BTreeMap::new()));
-    let e2 = TraceRecord::Event(Event::mark(2, "victim", BTreeMap::new()));
-    let e3 = TraceRecord::Event(Event::mark(3, "final", BTreeMap::new()));
+    let e1 = TraceRecord::Event(Event::mark(1, "before", Fields::new()));
+    let e2 = TraceRecord::Event(Event::mark(2, "victim", Fields::new()));
+    let e3 = TraceRecord::Event(Event::mark(3, "final", Fields::new()));
     let mut bytes = binfmt::file_header();
     bytes.extend_from_slice(&binfmt::encode_frame(&e1));
     bytes.extend_from_slice(&[0x00, MARKER, 0xFF, 0xFE, 0x00]);
@@ -246,7 +245,7 @@ fn a_fake_marker_in_garbage_may_cost_a_neighbor_but_recovery_holds() {
     let path = scratch("fakemarker");
     std::fs::write(&path, &bytes).unwrap();
     let trace = read(&path).expect("still readable");
-    let stages: Vec<&str> = trace.events.iter().map(|e| e.stage.as_str()).collect();
+    let stages: Vec<&str> = trace.events.iter().map(|e| e.stage.as_ref()).collect();
     assert_eq!(stages.first(), Some(&"before"));
     assert_eq!(
         stages.last(),
@@ -269,7 +268,7 @@ fn an_oversized_length_costs_one_skip_and_no_neighbor() {
     let stages = ["first", "middle", "last"];
     let frames: Vec<Vec<u8>> = stages
         .iter()
-        .map(|s| binfmt::encode_frame(&TraceRecord::Event(Event::mark(1, s, BTreeMap::new()))))
+        .map(|s| binfmt::encode_frame(&TraceRecord::Event(Event::mark(1, *s, Fields::new()))))
         .collect();
     let version = SCHEMA_VERSION as u8;
     let mut bytes = binfmt::file_header();
@@ -282,7 +281,7 @@ fn an_oversized_length_costs_one_skip_and_no_neighbor() {
     std::fs::write(&path, &bytes).unwrap();
     let trace = read(&path).expect("still readable");
     assert_eq!(trace.skipped, 2, "one skip per oversized head");
-    let read_stages: Vec<&str> = trace.events.iter().map(|e| e.stage.as_str()).collect();
+    let read_stages: Vec<&str> = trace.events.iter().map(|e| e.stage.as_ref()).collect();
     assert_eq!(read_stages, stages);
     assert_chunking_invariant(&path);
     let _ = std::fs::remove_file(&path);
@@ -385,9 +384,9 @@ fn concurrent_writers_through_one_sink_keep_every_frame_whole() {
             let sink = Arc::clone(&sink);
             s.spawn(move || {
                 for i in 0..PER_THREAD {
-                    let mut fields = BTreeMap::new();
+                    let mut fields = Fields::new();
                     fields.insert(format!("field.t{t}"), i as f64);
-                    sink.emit(&Event::mark(i as u64, &format!("writer.t{t}.mark"), fields));
+                    sink.emit(&Event::mark(i as u64, format!("writer.t{t}.mark"), fields));
                     let mut d = DecisionRecord::new(&format!("writer.t{t}.decision"));
                     d.context = format!("thread={t}");
                     d.chosen_sector = i as i64;
@@ -477,7 +476,7 @@ fn writer_output_is_pinned_byte_for_byte() {
     let path = scratch("golden");
     let sink = BinSink::create(&path).expect("create trace");
     sink.emit(&fancy_event());
-    sink.emit(&Event::mark(8, "plain.mark", BTreeMap::new()));
+    sink.emit(&Event::mark(8, "plain.mark", Fields::new()));
     sink.emit_decision(&fancy_decision());
     sink.emit_decision(&quantized_decision(100));
     sink.emit(&fancy_event());

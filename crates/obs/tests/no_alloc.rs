@@ -16,10 +16,9 @@
 
 use obs::binfmt::{self, frame_with, BinReader, KIND_STRDEF};
 use obs::decision::SCHEMA_VERSION;
-use obs::{DecisionRecord, Event, TraceRecord};
+use obs::{DecisionRecord, Event, Fields, TraceRecord};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::hint::black_box;
 
 struct CountingAlloc;
@@ -65,20 +64,34 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     ALLOCATIONS.with(Cell::get) - before
 }
 
+/// The gated-span idiom every pipeline stage uses: with no sink,
+/// sink_active() is false and no Span is even constructed.
+fn gated_span() {
+    let mut span = obs::sink_active().then(|| obs::span!("noalloc.span"));
+    if let Some(span) = &mut span {
+        span.field("x", 1.0);
+    }
+}
+
+/// An unconditional span (ungated call sites).
+fn bare_span() {
+    let mut s = obs::span!("noalloc.span");
+    s.field("x", black_box(1.0));
+}
+
 #[test]
 fn no_sink_hot_paths_are_allocation_free() {
     let _guard = obs::testing::lock();
     obs::clear_sink();
 
-    // Warm-up: first use of each name allocates its registry entry and
-    // per-stage cache slot — that cost is paid once per process.
+    // Warm-up: first use of each name allocates its registry entry, and
+    // first use of each span call site resolves its stage's histogram —
+    // that cost is paid once per process.
     let counter = obs::counter("noalloc.counter");
     let gauge = obs::gauge("noalloc.gauge");
     let hist = obs::histogram("noalloc.hist");
-    {
-        let mut s = obs::span("noalloc.span");
-        s.field("x", 1.0);
-    }
+    gated_span();
+    bare_span();
     obs::health::anomaly("noalloc_kind", &[("x", 1.0)]);
 
     // Cached metric handles: pure atomics.
@@ -91,24 +104,18 @@ fn no_sink_hot_paths_are_allocation_free() {
     });
     assert_eq!(n, 0, "metric handle ops allocated {n} times");
 
-    // The gated-span idiom every pipeline stage uses: with no sink,
-    // sink_active() is false and no Span is even constructed.
     let n = allocations_during(|| {
         for _ in 0..1_000 {
-            let mut span = obs::sink_active().then(|| obs::span("noalloc.span"));
-            if let Some(span) = &mut span {
-                span.field("x", 1.0);
-            }
+            gated_span();
         }
     });
     assert_eq!(n, 0, "gated no-sink span path allocated {n} times");
 
-    // An unconditional span (ungated call sites): still allocation-free
-    // without a sink — fields and trace ids are only built while recording.
+    // Still allocation-free without a sink — fields and trace ids are only
+    // built while recording.
     let n = allocations_during(|| {
         for _ in 0..1_000 {
-            let mut s = obs::span("noalloc.span");
-            s.field("x", black_box(1.0));
+            bare_span();
         }
     });
     assert_eq!(n, 0, "bare no-sink span allocated {n} times");
@@ -121,17 +128,73 @@ fn no_sink_hot_paths_are_allocation_free() {
     });
     assert_eq!(n, 0, "no-sink anomaly path allocated {n} times");
 
-    // Sanity: the harness itself does count — a recording span allocates.
+    // Sanity: the harness itself does count — a span recorded into a
+    // MemorySink allocates (the sink keeps a copy).
     obs::set_sink(std::sync::Arc::new(obs::MemorySink::default()));
-    let n = allocations_during(|| {
-        let mut s = obs::span("noalloc.span");
-        s.field("x", 1.0);
-    });
+    let n = allocations_during(bare_span);
     obs::clear_sink();
     assert!(
         n > 0,
         "counting allocator failed to observe recording-path allocations"
     );
+}
+
+/// One recorded decision as the CSS pipeline makes it: an auto-rooted
+/// span with six fields, an anomaly under it, and a decision record
+/// refilled in place and emitted after the span closed.
+fn recorded_decision(record: &mut DecisionRecord, i: u64) {
+    {
+        let mut span = obs::span!("noalloc.recorded");
+        for (name, v) in [
+            ("probes", 14.0),
+            ("masked", 1.0),
+            ("score", 0.25),
+            ("argmax_margin", 0.01),
+            ("refine_daz_deg", -0.4),
+            ("refine_del_deg", 0.2),
+        ] {
+            span.field(name, black_box(v));
+        }
+        obs::health::anomaly("noalloc_recorded", &[("worst", 1.5), ("outliers", 1.0)]);
+    }
+    record.reset("css.select");
+    record.mode.push_str("joint");
+    for s in 0..14 {
+        record.push_probe(s, (s != 3).then_some((i as f64 * 0.25, -60.0)));
+    }
+    record.top_cells.extend([16, 41, 15]);
+    obs::decision::emit(record);
+}
+
+#[test]
+fn warm_recording_into_a_bin_sink_allocates_nothing() {
+    let _guard = obs::testing::lock();
+    let path = std::env::temp_dir().join(format!("obs-no-alloc-rec-{}.bin", std::process::id()));
+    let sink = std::sync::Arc::new(binfmt::BinSink::create(&path).expect("create trace"));
+    obs::set_sink(sink.clone());
+    let mut record = DecisionRecord::new("css.select");
+    // Warm-up: first-seen strings are interned, buffers reach size.
+    for i in 0..4 {
+        recorded_decision(&mut record, i);
+    }
+    let n = allocations_during(|| {
+        for i in 0..1_000 {
+            recorded_decision(&mut record, i);
+        }
+    });
+    obs::clear_sink();
+    let trace = obs::open_trace(&path).expect("readable trace");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(n, 0, "1000 warm recorded decisions allocated {n} times");
+    assert_eq!(trace.decisions.len(), 1_004);
+    assert_eq!(trace.stage("noalloc.recorded").len(), 1_004);
+    let anomaly = trace.stage("health.noalloc_recorded")[0];
+    let span = trace.stage("noalloc.recorded")[0];
+    assert_eq!(
+        (anomaly.trace_id, anomaly.parent_id),
+        (span.trace_id, span.span_id)
+    );
+    assert_eq!(span.fields.len(), 6);
 }
 
 /// A decision with every owned field non-empty, shaped like a recorded
@@ -176,10 +239,11 @@ fn decision_budget(rec: &DecisionRecord) -> usize {
     1 + strings.iter().filter(|s| !s.is_empty()).count() + lens.iter().filter(|&&n| n > 0).count()
 }
 
-/// The allocation budget of decoding `e`: its kind, its stage, one block
-/// per field key and the field map's node.
+/// The allocation budget of decoding `e`: its stage, one block per field
+/// key and the field list. A span, mark or anomaly kind is a borrowed
+/// name and allocates nothing.
 fn event_budget(e: &Event) -> usize {
-    2 + e.fields.len() + usize::from(!e.fields.is_empty())
+    1 + e.fields.len() + usize::from(!e.fields.is_empty())
 }
 
 #[test]
@@ -188,7 +252,7 @@ fn warm_trace_decode_allocates_only_the_records_own_fields() {
     // long enough that the measured records span several window refills.
     let path = std::env::temp_dir().join(format!("obs-no-alloc-{}.bin", std::process::id()));
     let sink = binfmt::BinSink::create(&path).expect("create trace");
-    let mut fields = BTreeMap::new();
+    let mut fields = Fields::new();
     fields.insert("probes".to_string(), 14.0);
     fields.insert("margin_db".to_string(), -2.5);
     let event = Event::span(12, "css.estimate", 34, fields).with_ids(7, 3, 1);
@@ -241,7 +305,7 @@ fn framing_and_crc_allocate_nothing() {
     // reader must frame, checksum and skip: bad CRCs, strdef re-sends
     // (CRC-valid, decoded only as far as the table check) and garbage
     // regions it resyncs over.
-    let event = TraceRecord::Event(Event::mark(1, "stage.a", BTreeMap::new()));
+    let event = TraceRecord::Event(Event::mark(1, "stage.a", Fields::new()));
     let good = binfmt::encode_frame(&event);
     let mut bad_crc = good.clone();
     let last = bad_crc.len() - 5;

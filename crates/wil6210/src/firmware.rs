@@ -174,7 +174,7 @@ impl FeedbackPolicy for &Qca9500Firmware {
     }
 
     fn select(&mut self, readings: &[SweepReading]) -> Option<SectorId> {
-        let mut span = obs::sink_active().then(|| obs::span("wil.sweep"));
+        let mut span = obs::sink_active().then(|| obs::span!("wil.sweep"));
         self.sweeps.inc();
         let sweep_id = self.sweep_counter.fetch_add(1, Ordering::SeqCst) + 1;
         // Export hook (white box "Access Sector Information" of Fig. 2).

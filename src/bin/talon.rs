@@ -403,7 +403,7 @@ fn cmd_sls(opts: &HashMap<String, String>) -> Result<(), String> {
 fn run_sls_session(opts: &HashMap<String, String>, seed: u64) -> Result<String, String> {
     // While tracing, the whole session forms one rooted span tree: every
     // sls.run / wil.sweep / css.estimate below nests under this span.
-    let mut session = obs::sink_active().then(|| obs::span("css.session"));
+    let mut session = obs::sink_active().then(|| obs::span!("css.session"));
     let yaw = yaw_of(opts)?;
     let probes = match opts.get("probes") {
         Some(spec) => probe_counts(spec)?[0],
