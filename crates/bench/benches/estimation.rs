@@ -1,14 +1,15 @@
 //! Angle-of-arrival estimation cost vs probe count (the online cost of
 //! Eqs. 2/3/5, which a firmware implementation would pay once per sweep),
-//! plus grid-size scaling of the fused kernel and the retained
+//! plus grid-size scaling of the fused kernel, the retained
 //! pre-optimization reference at the paper's operating point (compare it
 //! with `estimate/JointSnrRssi/14`, which times the fused kernel on the
-//! same readings).
+//! same readings), and the batched kernel at one and sixteen links.
 
 use bench::bench_sweep;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use css::estimator::reference::ReferenceEstimator;
-use css::estimator::{CompressiveEstimator, CorrelationMode};
+use css::estimator::{CompressiveEstimator, CorrelationMode, EstimatorOptions};
+use css::{BatchEstimator, BatchScratch};
 use geom::sphere::{GridSpec, SphericalGrid};
 use std::hint::black_box;
 
@@ -54,6 +55,37 @@ fn bench_estimation(c: &mut Criterion) {
         let est = CompressiveEstimator::new(&fine, CorrelationMode::JointSnrRssi);
         group.bench_with_input(BenchmarkId::new("m14", label), &readings14, |b, r| {
             b.iter(|| black_box(est.estimate(black_box(r))))
+        });
+    }
+    group.finish();
+
+    // The batched kernel on the same M=14 joint estimate: `b1` is the
+    // readings of `estimate/JointSnrRssi/14` alone, `b16` sixteen links
+    // probing different 14-sector windows of the sweep. ns/iter is per
+    // batch; the elem/s rate counts links, so ns per link = 1e9 / rate.
+    let batch = BatchEstimator::new(
+        &patterns,
+        CorrelationMode::JointSnrRssi,
+        EstimatorOptions::default(),
+    );
+    let windows: Vec<Vec<_>> = (0..16)
+        .map(|k| {
+            full_sweep
+                .iter()
+                .cycle()
+                .skip(k)
+                .take(14)
+                .copied()
+                .collect()
+        })
+        .collect();
+    let mut group = c.benchmark_group("estimate_batch");
+    for b in [1usize, 16] {
+        let links: Vec<&[_]> = windows[..b].iter().map(Vec::as_slice).collect();
+        let mut scratch = BatchScratch::new();
+        group.throughput(Throughput::Elements(b as u64));
+        group.bench_with_input(BenchmarkId::new("m14", format!("b{b}")), &links, |bn, l| {
+            bn.iter(|| black_box(batch.estimate_batch(&mut scratch, black_box(l))))
         });
     }
     group.finish();

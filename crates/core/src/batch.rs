@@ -1,10 +1,10 @@
 //! GEMM-shaped batched estimation: B concurrent links against one sweep
-//! of the grid-major gains matrix.
+//! of a sparse, grid-major copy of the scalar estimator's gains.
 //!
-//! The fused scalar kernel ([`crate::estimator`]) streams the whole
-//! `grid × sectors` gain matrix once **per link**. A multi-link daemon
-//! serving thousands of stations re-reads the same matrix thousands of
-//! times per scheduling epoch — pure memory traffic. This module amortizes
+//! The fused scalar kernel ([`crate::estimator`]) streams the probed rows
+//! of its sector-major `sectors × grid` gain matrix once **per link**. A
+//! multi-link daemon serving thousands of stations re-reads the same
+//! matrix thousands of times per scheduling epoch — pure memory traffic. This module amortizes
 //! the traversal: the probe vectors of `B` links are packed into
 //! sector-major **panels** (`panel[s * B + b]` = link `b`'s reading for
 //! sector row `s`), and one sweep over the grid computes, per grid point
@@ -12,8 +12,8 @@
 //! `(grid × sectors) · (sectors × B)` GEMM shape:
 //!
 //! ```text
-//! uv[g][b] = Σ_s gains[g·S + s] · panel[s·B + b]        (probe·pattern)
-//! vv[g][b] = Σ_s gains[g·S + s]² · mask[s·B + b]        (pattern energy)
+//! uv[g][b] = Σ_s x[s][g] · panel[s·B + b]        (probe·pattern)
+//! vv[g][b] = Σ_s x[s][g]² · mask[s·B + b]        (pattern energy)
 //! ```
 //!
 //! The gain matrix is stored **sparsely**: the −7 dB report-floor clip
@@ -270,13 +270,13 @@ impl BatchScratch {
     }
 }
 
-/// The batched multi-link estimator: the scalar estimator's grid-major
-/// pattern matrix, pre-expanded once into sparse form.
+/// The batched multi-link estimator: the scalar estimator's pattern
+/// matrix, re-packed once into grid-major sparse form.
 pub struct BatchEstimator {
     /// Sector rows of the lit `(gain, row)` pairs per grid point, CSR
     /// concatenated in ascending row order (the report-floor clip makes
-    /// the scalar kernel's grid-major matrix sparse; zeros contribute
-    /// nothing, so they are dropped at build time — see the module docs).
+    /// the scalar kernel's gains matrix sparse; zeros contribute nothing,
+    /// so they are dropped at build time — see the module docs).
     nz_rows: Vec<u16>,
     /// `n_grid + 1` prefix offsets into the `nz_*` arrays.
     nz_off: Vec<u32>,
@@ -313,7 +313,8 @@ impl BatchEstimator {
         let mut nz_off = Vec::with_capacity(n_grid + 1);
         nz_off.push(0u32);
         for g in 0..n_grid {
-            for (s, &x) in est.gains[g * n_s..(g + 1) * n_s].iter().enumerate() {
+            for s in 0..n_s {
+                let x = est.gains[s * est.n_pad + g];
                 if x != 0.0 {
                     nz_rows.push(s as u16);
                     nz_vals.push(x);

@@ -18,7 +18,7 @@
 //! * [`baselines`] — a Rasekh-style random-beam device, for the §2.1
 //!   firmware-vs-random-beams ablation.
 //! * [`batch`] — the GEMM-shaped multi-link kernel: B concurrent links'
-//!   probe panels swept against the grid-major gains matrix in one pass,
+//!   probe panels swept against a sparse grid-major gains matrix in one pass,
 //!   in exact f64, sharing the scalar kernel's gather, argmax and
 //!   refinement.
 

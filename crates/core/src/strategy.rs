@@ -54,11 +54,11 @@ impl ProbeStrategy {
         };
         match self {
             ProbeStrategy::UniformRandom => {
-                // Ascending indices: one walk picks them all.
-                let mut idx = geom::rng::sample_indices(rng, n, m).into_iter().peekable();
+                // One walk of the sweep against the drawn bitset.
+                let drawn = geom::rng::sample_index_set(rng, n, m);
                 let mut picked = Vec::with_capacity(m);
                 for (i, &id) in available.enumerate() {
-                    if idx.next_if_eq(&i).is_some() {
+                    if drawn.contains(i) {
                         picked.push(id);
                     }
                 }

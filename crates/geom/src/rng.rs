@@ -74,19 +74,99 @@ pub fn sub_rng_indexed(master: u64, label: &str, index: u64) -> StdRng {
     StdRng::seed_from_u64(derive_seed_indexed(master, label, index))
 }
 
+/// A set of distinct indices out of `0..n`, as drawn by
+/// [`sample_index_set`]: one bit per index, inline for `n ≤ 256` (the
+/// Talon's 34-sector sweep needs one word), read back in ascending order.
+#[derive(Debug, Clone)]
+pub struct IndexSet {
+    inline: [u64; 4],
+    /// The bit words when `n > 256`; empty otherwise.
+    spill: Vec<u64>,
+}
+
+impl IndexSet {
+    /// An empty set over `0..n`.
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        IndexSet {
+            inline: [0; 4],
+            spill: if words > 4 {
+                vec![0; words]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    fn words(&self) -> &[u64] {
+        if self.spill.is_empty() {
+            &self.inline
+        } else {
+            &self.spill
+        }
+    }
+
+    /// Whether `i` was drawn.
+    pub fn contains(&self, i: usize) -> bool {
+        self.words()
+            .get(i / 64)
+            .is_some_and(|w| (w >> (i % 64)) & 1 == 1)
+    }
+
+    fn insert(&mut self, i: usize) {
+        let words = if self.spill.is_empty() {
+            &mut self.inline[..]
+        } else {
+            &mut self.spill[..]
+        };
+        words[i / 64] |= 1 << (i % 64);
+    }
+
+    /// The drawn indices, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words().iter().enumerate().flat_map(|(k, &w)| {
+            let mut w = w;
+            std::iter::from_fn(move || {
+                (w != 0).then(|| {
+                    let bit = w.trailing_zeros() as usize;
+                    w &= w - 1;
+                    k * 64 + bit
+                })
+            })
+        })
+    }
+}
+
+/// Draws `m` distinct indices out of `0..n` with Floyd's algorithm: for
+/// each `j` in `n − m .. n`, one `gen_range(0..=j)` draw `t`, keeping `t`
+/// unless it is already in the set, else `j`. The set is a bitset, so
+/// reading it back in ascending order needs no sort.
+///
+/// # Panics
+/// Panics if `m > n`.
+pub fn sample_index_set<R: Rng>(rng: &mut R, n: usize, m: usize) -> IndexSet {
+    assert!(m <= n, "cannot sample {m} of {n} indices");
+    let mut set = IndexSet::new(n);
+    for j in (n - m)..n {
+        let t = rng.gen_range(0..=j);
+        set.insert(if set.contains(t) { j } else { t });
+    }
+    set
+}
+
 /// Samples `m` distinct indices out of `0..n`, in ascending order.
 ///
 /// This is the probe-subset draw of the compressive selection: "we take a
 /// random subset of M out of N sectors" (§2.2). Ascending order makes the
 /// probing order deterministic given the draw, which keeps sweep transcripts
-/// reproducible.
+/// reproducible. See [`sample_index_set`] for the draw itself.
 ///
 /// # Panics
 /// Panics if `m > n`.
 pub fn sample_indices<R: Rng>(rng: &mut R, n: usize, m: usize) -> Vec<usize> {
-    assert!(m <= n, "cannot sample {m} of {n} indices");
-    let mut idx = rand::seq::index::sample(rng, n, m).into_vec();
-    idx.sort_unstable();
+    let set = sample_index_set(rng, n, m);
+    let mut idx = Vec::with_capacity(m);
+    idx.extend(set.iter());
     idx
 }
 
@@ -144,6 +224,36 @@ mod tests {
         let mut rng = sub_rng(3, "sample");
         let s = sample_indices(&mut rng, 5, 5);
         assert_eq!(s, vec![0, 1, 2, 3, 4]);
+    }
+
+    /// Floyd's draw as it read before the bitset: the chosen indices in
+    /// draw order, then sorted.
+    fn floyd_then_sort<R: Rng>(rng: &mut R, n: usize, m: usize) -> Vec<usize> {
+        let mut chosen: Vec<usize> = Vec::with_capacity(m);
+        for j in (n - m)..n {
+            let t = rng.gen_range(0..=j);
+            chosen.push(if chosen.contains(&t) { j } else { t });
+        }
+        chosen.sort_unstable();
+        chosen
+    }
+
+    #[test]
+    fn bitset_draw_equals_floyd_then_sort() {
+        for n in [1usize, 34, 64, 65, 300] {
+            for m in [0, 1, n / 2, n] {
+                let mut a = sub_rng(n as u64, "floyd");
+                let mut b = sub_rng(n as u64, "floyd");
+                for draw in 0..50 {
+                    let set = sample_index_set(&mut a, n, m);
+                    let want = floyd_then_sort(&mut b, n, m);
+                    assert_eq!(set.iter().collect::<Vec<_>>(), want, "n={n} m={m} #{draw}");
+                    assert!((0..n + 70).all(|i| set.contains(i) == want.contains(&i)));
+                }
+                assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "n={n} m={m}: streams agree");
+                assert_eq!(sample_indices(&mut a, n, m), floyd_then_sort(&mut b, n, m));
+            }
+        }
     }
 
     #[test]

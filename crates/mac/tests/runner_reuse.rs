@@ -5,10 +5,9 @@
 //! share one RNG: every frame, every reading, both selected sectors and
 //! the duration.
 
-use geom::rng::sub_rng;
+use geom::rng::{sample_indices, sub_rng};
 use mac80211ad::sls::{FeedbackPolicy, MaxSnrPolicy, SlsOutcome, SlsRunner};
 use rand::rngs::StdRng;
-use rand::seq::index::sample;
 use rand::SeedableRng;
 use talon_array::SectorId;
 use talon_channel::{Device, Environment, Link, Orientation, SweepReading};
@@ -34,8 +33,7 @@ impl RandomSubset {
 
 impl FeedbackPolicy for RandomSubset {
     fn probe_sectors(&mut self, full: &[SectorId]) -> Vec<SectorId> {
-        sample(&mut self.rng, full.len(), self.m.min(full.len()))
-            .into_vec()
+        sample_indices(&mut self.rng, full.len(), self.m.min(full.len()))
             .into_iter()
             .map(|i| full[i])
             .collect()

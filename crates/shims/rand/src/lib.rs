@@ -3,10 +3,11 @@
 //! The build environment for this workspace has no access to crates.io, so
 //! every external dependency is replaced by a local shim that implements the
 //! exact API surface the workspace uses (see `crates/shims/README.md`). This
-//! one covers `rand` 0.8: the [`Rng`] / [`SeedableRng`] traits, [`rngs::StdRng`]
-//! and [`seq::index::sample`], backed by a xoshiro256++ generator seeded with
-//! SplitMix64. Determinism contract: the same seed always produces the same
-//! stream (the workspace's reproducibility relies on it), but streams are NOT
+//! one covers `rand` 0.8: the [`Rng`] / [`SeedableRng`] traits and
+//! [`rngs::StdRng`], backed by a xoshiro256++ generator seeded with
+//! SplitMix64 (the probe-subset draw is `geom::rng::sample_indices`).
+//! Determinism contract: the same seed always produces the same stream (the
+//! workspace's reproducibility relies on it), but streams are NOT
 //! bit-compatible with upstream `rand`.
 
 #![forbid(unsafe_code)]
@@ -233,47 +234,6 @@ pub mod rngs {
     }
 }
 
-/// Sequence-related helpers.
-pub mod seq {
-    /// Index sampling (the probe-subset draw).
-    pub mod index {
-        use crate::{Rng, RngCore};
-
-        /// The result of [`sample`]: a set of distinct indices.
-        #[derive(Debug, Clone)]
-        pub struct IndexVec(Vec<usize>);
-
-        impl IndexVec {
-            /// Consumes into a plain vector.
-            pub fn into_vec(self) -> Vec<usize> {
-                self.0
-            }
-        }
-
-        /// Samples `amount` distinct indices from `0..length` (Floyd's
-        /// algorithm). Order is unspecified, matching upstream.
-        ///
-        /// # Panics
-        /// Panics if `amount > length`.
-        pub fn sample<R: RngCore>(rng: &mut R, length: usize, amount: usize) -> IndexVec {
-            assert!(
-                amount <= length,
-                "cannot sample {amount} of {length} indices"
-            );
-            let mut chosen: Vec<usize> = Vec::with_capacity(amount);
-            for j in (length - amount)..length {
-                let t = rng.gen_range(0..=j);
-                if chosen.contains(&t) {
-                    chosen.push(j);
-                } else {
-                    chosen.push(t);
-                }
-            }
-            IndexVec(chosen)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
@@ -328,19 +288,6 @@ mod tests {
         let mut r = StdRng::seed_from_u64(4);
         let hits = (0..100_000).filter(|_| r.gen_bool(0.25)).count();
         assert!((20_000..30_000).contains(&hits), "got {hits}");
-    }
-
-    #[test]
-    fn index_sample_is_distinct_and_bounded() {
-        let mut r = StdRng::seed_from_u64(5);
-        for _ in 0..100 {
-            let mut v = seq::index::sample(&mut r, 34, 14).into_vec();
-            v.sort_unstable();
-            assert_eq!(v.len(), 14);
-            assert!(v.windows(2).all(|w| w[0] < w[1]));
-            assert!(v.iter().all(|&i| i < 34));
-        }
-        assert_eq!(seq::index::sample(&mut r, 5, 5).into_vec().len(), 5);
     }
 
     #[test]
