@@ -244,6 +244,50 @@ mod tests {
         assert!(!sink.is_empty());
     }
 
+    /// The JSONL export of a closing snapshot, byte for byte: the field
+    /// names, their order and the nesting of counters, gauges and
+    /// histogram buckets.
+    #[test]
+    fn snapshot_line_is_pinned() {
+        use crate::metrics::{Bucket, HistogramSnapshot};
+        use crate::registry::Snapshot;
+        let snapshot = Snapshot {
+            counters: [("css.select".to_string(), 3)].into(),
+            gauges: [("health.state".to_string(), -2)].into(),
+            histograms: [(
+                "css.estimate_ns".to_string(),
+                HistogramSnapshot {
+                    count: 3,
+                    sum: 90,
+                    max: 40,
+                    buckets: vec![
+                        Bucket {
+                            lo: 8,
+                            hi: 16,
+                            count: 1,
+                        },
+                        Bucket {
+                            lo: 32,
+                            hi: 48,
+                            count: 2,
+                        },
+                    ],
+                },
+            )]
+            .into(),
+        };
+        let line = record_line(&crate::binfmt::TraceRecord::Snapshot(snapshot), 17).to_json();
+        assert_eq!(
+            line,
+            concat!(
+                r#"{"schema_version":3,"kind":"snapshot","ts_us":17,"snapshot":{"#,
+                r#""counters":{"css.select":3},"gauges":{"health.state":-2},"#,
+                r#""histograms":{"css.estimate_ns":{"count":3,"sum":90,"max":40,"#,
+                r#""buckets":[{"lo":8,"hi":16,"count":1},{"lo":32,"hi":48,"count":2}]}}}}"#,
+            )
+        );
+    }
+
     #[test]
     fn no_sink_is_silent() {
         let _guard = crate::testing::lock();

@@ -290,6 +290,70 @@ fn exported_jsonl_size_equals_the_record_line_price() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Folds `bytes` into a 64-bit FNV-1a digest.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Every JSON document the CLI writes about the committed fixture, pinned
+/// by byte length and FNV-1a digest: a change to a field name, field
+/// order, number format or nesting of `report --json`, `replay --json`
+/// (agreeing and diverging) or the `trace convert` export moves a pin.
+#[test]
+fn json_outputs_of_the_fixture_are_pinned() {
+    let fixture = fixture();
+    let fixture = fixture.to_str().unwrap();
+    let pins: [(&[&str], i32, usize, u64); 3] = [
+        (
+            &["report", fixture, "--json"],
+            0,
+            984,
+            0xa37c_b1dc_c93f_d5e9,
+        ),
+        (
+            &["replay", fixture, "--json", "--threads", "2"],
+            0,
+            143,
+            0x4c08_8805_16af_570f,
+        ),
+        (
+            &[
+                "replay",
+                fixture,
+                "--json",
+                "--perturb",
+                "0.5",
+                "--threads",
+                "1",
+            ],
+            1,
+            148_435,
+            0xc25d_3322_6536_895f,
+        ),
+    ];
+    for (args, code, len, digest) in pins {
+        let out = talon().args(args).output().expect("run talon");
+        assert_eq!(out.status.code(), Some(code), "talon {args:?}");
+        assert_eq!(
+            (out.stdout.len(), fnv1a(&out.stdout)),
+            (len, digest),
+            "talon {args:?}"
+        );
+    }
+
+    let dir = workdir("json_outputs_of_the_fixture_are_pinned");
+    let jsonl = dir.join("fixture.jsonl");
+    run_ok(&["trace", "convert", fixture, jsonl.to_str().unwrap()]);
+    let export = std::fs::read(&jsonl).expect("export written");
+    assert_eq!(
+        (export.len(), fnv1a(&export)),
+        (101_985, 0x58b4_b1a2_be92_7954)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Runs `talon <args>` under two readers that close the pipe early: one
 /// that takes one line and leaves (`| head -n 1`), and one that is gone
 /// before the first write (`| grep -q` on a fast match), which makes the
