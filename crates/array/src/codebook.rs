@@ -24,10 +24,9 @@ use crate::weights::WeightVector;
 use geom::rng::sub_rng;
 use geom::sphere::Direction;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a sector as carried in 802.11ad SSW fields (6 bits, 0–63).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SectorId(pub u8);
 
 impl SectorId {
@@ -58,7 +57,7 @@ impl std::fmt::Display for SectorId {
 }
 
 /// One predefined beam pattern: an ID plus the excitation that realizes it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sector {
     /// Sector ID as used in SSW frames.
     pub id: SectorId,
@@ -70,7 +69,7 @@ pub struct Sector {
 }
 
 /// The full set of predefined sectors of one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Codebook {
     sectors: Vec<Sector>,
 }

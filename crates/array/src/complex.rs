@@ -5,10 +5,8 @@
 //! `Complex` type. Operations are implemented directly (no trait gymnastics)
 //! and tested against hand-computed values.
 
-use serde::{Deserialize, Serialize};
-
 /// A complex number with `f64` components.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

@@ -14,10 +14,9 @@
 //! per-element errors are applied.
 
 use geom::sphere::Direction;
-use serde::{Deserialize, Serialize};
 
 /// Radiation model of one array element.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElementModel {
     /// Peak (broadside) element gain in dBi.
     pub peak_gain_dbi: f64,

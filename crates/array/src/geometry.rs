@@ -9,11 +9,10 @@
 
 use crate::wavelength_m;
 use geom::sphere::Direction;
-use serde::{Deserialize, Serialize};
 
 /// Positions of all array elements, in meters, in antenna coordinates
 /// (x broadside, y towards azimuth +90°, z up).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayGeometry {
     /// Element positions `[x, y, z]` in meters.
     pub positions: Vec<[f64; 3]>,

@@ -19,10 +19,9 @@
 use geom::rng::sub_rng;
 use geom::sphere::Direction;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the imperfection model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HardwareProfile {
     /// Std-dev of static per-element gain error, in dB.
     pub element_gain_err_db: f64,
@@ -104,7 +103,7 @@ fn gaussian<R: Rng>(rng: &mut R) -> f64 {
 }
 
 /// The per-device realization of a [`HardwareProfile`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrozenImperfections {
     /// The generating profile.
     pub profile: HardwareProfile,

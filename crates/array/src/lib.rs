@@ -21,8 +21,6 @@
 //!   receive sector), plus pseudo-random beams for the Rasekh-style
 //!   baseline.
 //! * [`pattern`] — sampled gain patterns over a [`geom::SphericalGrid`].
-//! * [`brd`] — board-file (de)serialization of codebooks, mirroring the
-//!   `wil6210.brd` artifact the real driver loads.
 //!
 //! Ground truth produced by this crate feeds the channel simulator; the
 //! *measured* patterns that the compressive algorithm actually uses are
@@ -32,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod brd;
 pub mod codebook;
 pub mod complex;
 pub mod element;

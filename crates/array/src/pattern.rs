@@ -15,13 +15,12 @@
 use crate::steering::PhasedArray;
 use crate::weights::WeightVector;
 use geom::sphere::{Direction, SphericalGrid};
-use serde::{Deserialize, Serialize};
 
 /// A gain table over a spherical grid, elevation-major (matching
 /// [`SphericalGrid`] flat indexing). Values are in dB (dBi for ground
 /// truth, measured SNR in dB for chamber output — the estimator only uses
 /// relative shape, see Eq. 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GainPattern {
     /// The sampling grid.
     pub grid: SphericalGrid,

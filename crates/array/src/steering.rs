@@ -33,10 +33,9 @@ use crate::geometry::ArrayGeometry;
 use crate::imperfections::{FrozenImperfections, HardwareProfile};
 use crate::weights::{WeightQuantizer, WeightVector};
 use geom::sphere::Direction;
-use serde::{Deserialize, Serialize};
 
 /// A complete physical antenna: geometry + element model + imperfections.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhasedArray {
     /// Element placement.
     pub geometry: ArrayGeometry,

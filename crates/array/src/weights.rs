@@ -8,11 +8,10 @@
 //! multi-lobe sectors visible in the measured patterns.
 
 use crate::complex::Complex;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::TAU;
 
 /// Quantization rule for element weights.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightQuantizer {
     /// Number of phase bits (2 → phases {0°, 90°, 180°, 270°}).
     pub phase_bits: u8,
@@ -66,7 +65,7 @@ impl WeightQuantizer {
 }
 
 /// A complete excitation vector for the array, already quantized.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightVector {
     weights: Vec<Complex>,
 }

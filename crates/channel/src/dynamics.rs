@@ -16,10 +16,9 @@
 
 use crate::environment::Environment;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One blockage episode affecting one ray.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Blockage {
     /// Index of the affected ray in the environment's ray list
     /// (0 = line of sight).
@@ -40,7 +39,7 @@ impl Blockage {
 }
 
 /// Parameters of the blockage process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockageModel {
     /// Mean episodes per second (Poisson arrival rate).
     pub rate_per_s: f64,
@@ -96,7 +95,7 @@ impl BlockageModel {
 }
 
 /// An environment whose rays can be blocked over time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicEnvironment {
     /// The unblocked base environment.
     pub base: Environment,

@@ -16,10 +16,9 @@
 
 use crate::linkbudget::LinkBudget;
 use geom::sphere::Direction;
-use serde::{Deserialize, Serialize};
 
 /// One propagation path between transmitter and receiver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ray {
     /// Departure direction at the transmitter, world coordinates.
     pub depart_world: Direction,
@@ -43,7 +42,7 @@ impl Ray {
 /// World-coordinate convention: the receiver sits at world azimuth 0 as seen
 /// from the transmitter, and vice versa (the devices face each other, as in
 /// Fig. 3). Rotating a device changes its *orientation*, not the rays.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Environment {
     /// Human-readable name for reports.
     pub name: String,

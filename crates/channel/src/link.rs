@@ -59,7 +59,6 @@ use crate::measurement::{Measurement, MeasurementModel};
 use crate::orientation::Orientation;
 use geom::db::{db_to_linear, linear_to_db};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -153,7 +152,7 @@ impl Device {
 }
 
 /// The reading for one probed sector within a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepReading {
     /// Which transmit sector was probed.
     pub sector: SectorId,

@@ -14,11 +14,10 @@
 //! the best 3 m sector *reports* ≈ 11 dB, right below the clamp, matching
 //! the dynamic range visible in Fig. 5/6.
 
-use serde::{Deserialize, Serialize};
 use talon_array::wavelength_m;
 
 /// Static link-budget parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkBudget {
     /// Effective probe transmit power, dBm (includes implementation loss).
     pub tx_power_dbm: f64,

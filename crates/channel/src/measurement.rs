@@ -19,10 +19,9 @@
 
 use geom::db::DbQuantizer;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One reported measurement of a received SSW frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measurement {
     /// Reported SNR in dB (quantized, clamped).
     pub snr_db: f64,
@@ -31,7 +30,7 @@ pub struct Measurement {
 }
 
 /// Parameters of the measurement process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasurementModel {
     /// Std-dev of per-frame fading on the true SNR, dB.
     pub fading_std_db: f64,

@@ -13,10 +13,9 @@
 //! setup's own error floor.
 
 use geom::sphere::Direction;
-use serde::{Deserialize, Serialize};
 
 /// Yaw/tilt of a device in world coordinates, degrees.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Orientation {
     /// Rotation about the vertical axis (positive turns the broadside
     /// towards world azimuth +yaw).

@@ -9,10 +9,8 @@
 //! of the probes' quasi-omni pattern; [`DataLinkModel::data_boost_db`] is
 //! the small net difference between the two budgets.
 
-use serde::{Deserialize, Serialize};
-
 /// One 802.11ad single-carrier MCS entry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McsEntry {
     /// MCS index (1–12; MCS 0 is the control PHY).
     pub index: u8,
@@ -87,7 +85,7 @@ pub const MCS_TABLE: [McsEntry; 12] = [
 ];
 
 /// Data-plane link model relative to probe frames.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DataLinkModel {
     /// Net SNR difference of data frames vs probe frames, dB (beamformed
     /// receive sector minus the probes' control-PHY spreading gain).

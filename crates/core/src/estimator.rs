@@ -70,12 +70,11 @@
 
 use chamber::SectorPatterns;
 use geom::sphere::Direction;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use talon_channel::{Measurement, SweepReading};
 
 /// Which measurements enter the correlation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorrelationMode {
     /// Eq. 3: correlate SNR readings only.
     SnrOnly,
@@ -224,7 +223,7 @@ pub(crate) fn smooth_map_into(map: &[f64], n_az: usize, n_el: usize, out: &mut V
 
 /// Numerical options of the Eq. 3 argmax (all on by default; exposed so
 /// the DESIGN.md ablations are reproducible).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EstimatorOptions {
     /// Weight `W` by the probing set's relative expected energy
     /// (suppresses spurious maxima in directions no probe illuminates).

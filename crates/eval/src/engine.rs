@@ -2,8 +2,8 @@
 //!
 //! Every experiment in this crate is a loop over independent work units
 //! (position × sweep × draw cells). [`par_map`] shards such a loop across
-//! scoped threads (via the workspace `crossbeam` shim) with two invariants
-//! that make parallelism invisible to the results:
+//! `std::thread::scope` threads with two invariants that make parallelism
+//! invisible to the results:
 //!
 //! 1. **Unit-keyed randomness.** Workers never share an RNG; each unit
 //!    derives its own stream from `(seed, label, unit index)` via
@@ -110,7 +110,7 @@ where
     let parts: Mutex<Vec<Chunk<T>>> = Mutex::new(Vec::new());
     // (busy, idle) ns per worker, for the telemetry published after the join.
     let time_by_worker: Mutex<Vec<(u64, u64)>> = Mutex::new(vec![(0, 0); threads]);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         // `move` below is only for `k`; everything else crosses by shared
         // reference.
         let make_worker = &make_worker;
@@ -144,8 +144,7 @@ where
                 time_by_worker.lock().expect("no poisoned workers")[k] = (busy_ns, idle_ns);
             });
         }
-    })
-    .expect("scoped eval workers join cleanly");
+    });
     telemetry().publish(&time_by_worker.into_inner().expect("workers done"));
     let mut parts = parts.into_inner().expect("workers done");
     parts.sort_unstable_by_key(|&(start, ..)| start);

@@ -21,7 +21,6 @@ use css::estimator::{CorrelationMode, EstimatorOptions};
 use css::{BatchEstimator, BatchScratch};
 use geom::rng::sub_rng_indexed;
 use geom::stats::BoxStats;
-use serde::Serialize;
 use talon_channel::SweepReading;
 
 /// Links per batched kernel sweep in the Fig. 7 fan-out. Amortizes the
@@ -30,7 +29,7 @@ use talon_channel::SweepReading;
 pub const EVAL_BATCH: usize = 16;
 
 /// The Fig. 7 series for one scenario.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EstimationErrorResult {
     /// Scenario name.
     pub scenario: String,
@@ -39,7 +38,7 @@ pub struct EstimationErrorResult {
 }
 
 /// Error statistics at one probe count.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EstimationErrorRow {
     /// Number of probing sectors `M`.
     pub probes: usize,

@@ -16,7 +16,6 @@ use geom::rng::sub_rng;
 use mac80211ad::timing::mutual_training_time;
 use netsim::policy::TrainingPolicy;
 use netsim::tracking::{tracking_run, TrackingConfig, TrackingResult};
-use serde::Serialize;
 
 /// Node-pair counts of the `ext-dense` table.
 pub const PAIR_COUNTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
@@ -26,7 +25,7 @@ pub const PAIR_COUNTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 pub const TRACKING_HZ: f64 = 10.0;
 
 /// One policy at one pair count.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyShare {
     /// Fraction of channel airtime consumed by training (capped at 1).
     pub training_airtime: f64,
@@ -39,7 +38,7 @@ pub struct PolicyShare {
 }
 
 /// One row of the `ext-dense` table: a pair count under both policies.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PairRow {
     /// Number of concurrently active pairs.
     pub pairs: usize,
@@ -52,7 +51,7 @@ pub struct PairRow {
 }
 
 /// The `ext-dense` result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DenseTable {
     /// Recorded positions scored (each sweep at each is one training).
     pub positions: usize,

@@ -8,12 +8,11 @@
 use geom::rng::sub_rng;
 use mac80211ad::sls::{FeedbackPolicy, MaxSnrPolicy, SlsRunner};
 use mac80211ad::timing::mutual_training_time;
-use serde::Serialize;
 use talon_array::SectorId;
 use talon_channel::{Device, Environment, Link, SweepReading};
 
 /// The Fig. 10 series.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct OverheadResult {
     /// `(probes, training time ms)` from the timing model.
     pub model: Vec<(usize, f64)>,

@@ -9,7 +9,6 @@
 use chamber::{Campaign, CampaignConfig, SectorPatterns};
 use geom::rng::sub_rng;
 use geom::sphere::Direction;
-use serde::Serialize;
 use talon_array::{GainPattern, SectorId};
 use talon_channel::{Device, Environment, Link};
 
@@ -40,7 +39,7 @@ pub fn measure_patterns(config: CampaignConfig, seed: u64) -> PatternCampaignRes
 }
 
 /// §4.4's qualitative classification of one sector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SectorTrait {
     /// One dominant lobe well above the rest of the pattern.
     StrongSingleLobe,
@@ -53,7 +52,7 @@ pub enum SectorTrait {
 }
 
 /// Summary row for one sector.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SectorSummary {
     /// Sector ID.
     pub id: u8,

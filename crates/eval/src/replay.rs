@@ -32,7 +32,7 @@ use css::{patterns_digest, CompressiveEstimator, CorrelationMode, KernelClosure}
 use mac80211ad::sls::{FeedbackPolicy, MaxSnrPolicy};
 use obs::binfmt::FileBinReader;
 use obs::{DecisionRecord, Trace, TraceRecord};
-use serde::Serialize;
+use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::path::Path;
 use talon_array::SectorId;
@@ -74,7 +74,7 @@ impl Default for ReplayConfig {
 }
 
 /// One recorded-vs-recomputed mismatch.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Divergence {
     /// Index of the decision within the trace's decision stream.
     pub index: usize,
@@ -89,7 +89,7 @@ pub struct Divergence {
 }
 
 /// Outcome of replaying one trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplayReport {
     /// Decision records in the trace.
     pub total_decisions: usize,
@@ -111,6 +111,42 @@ pub struct ReplayReport {
     /// Largest absolute error observed across all compared f64 outputs
     /// (0.0 on a bit-exact replay).
     pub max_abs_err: f64,
+}
+
+impl Serialize for Divergence {
+    fn serialize(&self) -> Value {
+        Value::Map(vec![
+            ("index".into(), self.index.serialize()),
+            ("trace_id".into(), self.trace_id.serialize()),
+            ("field".into(), self.field.serialize()),
+            ("expected".into(), self.expected.serialize()),
+            ("actual".into(), self.actual.serialize()),
+        ])
+    }
+}
+
+/// `talon replay --json`: one object, fields in declaration order.
+impl Serialize for ReplayReport {
+    fn serialize(&self) -> Value {
+        Value::Map(vec![
+            ("total_decisions".into(), self.total_decisions.serialize()),
+            ("replayed".into(), self.replayed.serialize()),
+            (
+                "skipped_non_replayable".into(),
+                self.skipped_non_replayable.serialize(),
+            ),
+            (
+                "skipped_no_patterns".into(),
+                self.skipped_no_patterns.serialize(),
+            ),
+            (
+                "digest_mismatches".into(),
+                self.digest_mismatches.serialize(),
+            ),
+            ("divergent".into(), self.divergent.serialize()),
+            ("max_abs_err".into(), self.max_abs_err.serialize()),
+        ])
+    }
 }
 
 impl ReplayReport {

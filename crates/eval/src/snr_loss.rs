@@ -20,10 +20,9 @@ use css::selection::{CompressiveSelection, CssConfig};
 use css::strategy::ProbeStrategy;
 use geom::rng::sub_rng_indexed;
 use mac80211ad::sls::{FeedbackPolicy, MaxSnrPolicy};
-use serde::Serialize;
 
 /// The Fig. 9 series.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SnrLossResult {
     /// Scenario name.
     pub scenario: String,

@@ -21,11 +21,10 @@ use css::strategy::ProbeStrategy;
 use geom::rng::sub_rng_indexed;
 use geom::stats::modal_fraction;
 use mac80211ad::sls::{FeedbackPolicy, MaxSnrPolicy};
-use serde::Serialize;
 use talon_array::SectorId;
 
 /// The Fig. 8 series.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StabilityResult {
     /// Scenario name.
     pub scenario: String,

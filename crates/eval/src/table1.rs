@@ -10,12 +10,11 @@ use geom::rng::sub_rng;
 use mac80211ad::capture::MonitorCapture;
 use mac80211ad::schedule::BurstSchedule;
 use mac80211ad::timing::{mutual_training_time, BEACON_INTERVAL, SLS_OVERHEAD, SSW_FRAME_TIME};
-use serde::Serialize;
 use talon_array::SectorId;
 use talon_channel::{Device, Environment, Link};
 
 /// The reconstructed Table 1.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Result {
     /// Observed beacon row: CDOWN 34 → 0.
     pub beacon: Vec<Option<SectorId>>,
@@ -54,7 +53,7 @@ pub fn capture_table1(bursts: usize, seed: u64) -> Table1Result {
 }
 
 /// The §4.1 timing facts, as reported by the timing model.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TimingAudit {
     /// Beacon interval, ms (paper: 102.4).
     pub beacon_interval_ms: f64,

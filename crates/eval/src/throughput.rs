@@ -24,12 +24,11 @@ use css::selection::{CompressiveSelection, CssConfig};
 use geom::rng::sub_rng;
 use mac80211ad::sls::{FeedbackPolicy, MaxSnrPolicy};
 use rand::Rng;
-use serde::Serialize;
 use talon_array::SectorId;
 pub use talon_channel::rate::{DataLinkModel, McsEntry, MCS_TABLE};
 
 /// Throughput at one evaluated path direction.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ThroughputRow {
     /// Path direction azimuth (degrees).
     pub azimuth_deg: f64,
@@ -40,7 +39,7 @@ pub struct ThroughputRow {
 }
 
 /// The Fig. 11 result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ThroughputResult {
     /// Scenario name.
     pub scenario: String,

@@ -5,8 +5,6 @@
 //! `340°`. Getting this wrong silently corrupts angle-of-arrival error
 //! statistics (Fig. 7), so all angle handling funnels through this module.
 
-use serde::{Deserialize, Serialize};
-
 /// Wraps an angle in degrees into the half-open interval `(-180, 180]`.
 ///
 /// This is the canonical representation for azimuth angles throughout the
@@ -60,7 +58,7 @@ pub fn angular_dist(a: f64, b: f64) -> f64 {
 /// `AngleDeg` is a thin newtype used where mixing up degrees and radians or
 /// forgetting to wrap would be costly. Plain `f64` degrees remain acceptable
 /// in local computations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AngleDeg(f64);
 
 impl AngleDeg {

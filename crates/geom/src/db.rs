@@ -5,8 +5,6 @@
 //! representation so the rest of the pipeline sees the same granularity and
 //! clipping the paper's algorithm had to cope with.
 
-use serde::{Deserialize, Serialize};
-
 /// Converts a power ratio in dB to linear scale.
 ///
 /// ```
@@ -40,14 +38,14 @@ pub fn db_power_sum(a_db: f64, b_db: f64) -> f64 {
 /// The default parameters ([`QuantizedDb::TALON_SNR`]) match the paper:
 /// quarter-dB steps, clamped to `[-7, 12]` dB. Values are stored as an
 /// integer number of steps so equality and hashing are exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QuantizedDb {
     /// Number of quantization steps from zero (may be negative).
     steps: i32,
 }
 
 /// Quantization rule: step size and clamp range.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DbQuantizer {
     /// Quantization step in dB.
     pub step_db: f64,

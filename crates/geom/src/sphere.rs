@@ -11,10 +11,9 @@
 
 use crate::angle::{angular_dist, wrap_180};
 use crate::interp::Stencil;
-use serde::{Deserialize, Serialize};
 
 /// A direction on the unit sphere in antenna coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Direction {
     /// Azimuth in degrees, wrapped to `(-180, 180]`.
     pub az_deg: f64,
@@ -82,7 +81,7 @@ impl std::fmt::Display for Direction {
 
 /// Specification of one angular axis of a grid: inclusive start/end with a
 /// fixed step (all degrees).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridSpec {
     /// First sample in degrees.
     pub start_deg: f64,
@@ -148,7 +147,7 @@ impl GridSpec {
 ///
 /// Iteration order is elevation-major (all azimuths of the first elevation,
 /// then the next elevation), matching the storage order of pattern tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SphericalGrid {
     /// Azimuth axis.
     pub az: GridSpec,

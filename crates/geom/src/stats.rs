@@ -5,8 +5,6 @@
 //! computes exactly that summary; the rest of the module provides the usual
 //! mean/median/quantile helpers used across the evaluation harness.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean. Returns `None` for an empty slice.
 pub fn mean(xs: &[f64]) -> Option<f64> {
     if xs.is_empty() {
@@ -62,7 +60,7 @@ pub fn median(xs: &[f64]) -> Option<f64> {
 /// The five-number summary used by the paper's Fig. 7 box plots:
 /// median, central 50 % box (25th/75th percentile) and central 99 %
 /// whiskers (0.5th/99.5th percentile).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoxStats {
     /// 0.5th percentile (lower 99 % whisker).
     pub p005: f64,

@@ -1,9 +1,7 @@
 //! MAC addresses.
 
-use serde::{Deserialize, Serialize};
-
 /// A 48-bit IEEE MAC address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {

@@ -21,11 +21,10 @@ use crate::frames::DmgBeacon;
 use crate::schedule::BurstSchedule;
 use crate::timing::{SimDuration, SimTime, BEACON_INTERVAL, SSW_FRAME_TIME};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A-BFT parameters advertised in the beacon (simplified to the fields the
 /// sweep cares about).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AbftConfig {
     /// Number of responder slots per A-BFT (the standard allows up to 8).
     pub slots: u8,

@@ -9,11 +9,10 @@
 //! Layouts follow IEEE 802.11-2016 (Figs. 9-462/9-464). Bits are packed
 //! LSB-first into little-endian octets, as on the air.
 
-use serde::{Deserialize, Serialize};
 use talon_array::SectorId;
 
 /// Who is transmitting this SSW frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepDirection {
     /// Transmitted by the beamforming initiator (ISS).
     Initiator,
@@ -30,7 +29,7 @@ pub enum SweepDirection {
 /// | B10–15| Sector ID      |
 /// | B16–17| DMG Antenna ID |
 /// | B18–23| RXSS Length    |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SswField {
     /// Sweep direction.
     pub direction: SweepDirection,
@@ -93,7 +92,7 @@ impl SswField {
 /// | B8–15 | SNR Report         |
 /// | B16   | Poll Required      |
 /// | B17–23| Reserved           |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SswFeedbackField {
     /// The sector the peer should use towards us — the field the paper's
     /// WMI hook overwrites.

@@ -10,22 +10,20 @@
 //! interval and the SSW field carrying sector ID + CDOWN); the full
 //! beacon's DMG-parameter soup is irrelevant to sector selection.
 //!
-//! Everything encodes to/from [`bytes::Bytes`], and decoding verifies the
-//! FCS — a corrupted frame is indistinguishable from a missed frame, just
+//! Frames encode to a `Vec<u8>` and decode from a `&[u8]`; decoding
+//! verifies the FCS — a corrupted frame is indistinguishable from a missed frame, just
 //! like on real hardware.
 
 use crate::addr::MacAddr;
 use crate::crc::{append_fcs, check_and_strip_fcs};
 use crate::fields::{SswFeedbackField, SswField};
-use bytes::{Buf, Bytes};
-use serde::{Deserialize, Serialize};
 
 /// Frame Control values for the frames we model.
 ///
 /// 802.11ad carries SSW/SSW-Feedback/SSW-ACK as control-frame extensions
 /// (type 01, subtype 0110, extension selector in B8–B11); the DMG Beacon is
 /// an extension-type frame (type 11, subtype 0000).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(clippy::enum_variant_names)]
 enum FrameKind {
     DmgBeacon,
@@ -60,7 +58,7 @@ impl FrameKind {
 }
 
 /// A DMG Beacon (simplified to the experiment-relevant fields).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DmgBeacon {
     /// BSSID of the transmitting AP.
     pub bssid: MacAddr,
@@ -73,7 +71,7 @@ pub struct DmgBeacon {
 }
 
 /// An SSW probe frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SswFrame {
     /// Receiver address.
     pub ra: MacAddr,
@@ -87,7 +85,7 @@ pub struct SswFrame {
 }
 
 /// An SSW-Feedback frame (initiator → responder, ends the RSS).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SswFeedbackFrame {
     /// Receiver address.
     pub ra: MacAddr,
@@ -98,7 +96,7 @@ pub struct SswFeedbackFrame {
 }
 
 /// An SSW-ACK frame (responder → initiator, closes the SLS phase).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SswAckFrame {
     /// Receiver address.
     pub ra: MacAddr,
@@ -109,7 +107,7 @@ pub struct SswAckFrame {
 }
 
 /// Any frame the simulator can put on the air.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Frame {
     /// A DMG beacon.
     Beacon(DmgBeacon),
@@ -123,7 +121,7 @@ pub enum Frame {
 
 impl Frame {
     /// Serializes the frame, appending the FCS.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let mut out: Vec<u8> = Vec::with_capacity(32);
         match self {
             Frame::Beacon(b) => {
@@ -158,58 +156,49 @@ impl Frame {
             }
         }
         append_fcs(&mut out);
-        Bytes::from(out)
+        out
     }
 
     /// Parses a frame, verifying the FCS. Returns `None` on bad checksum,
     /// truncation or unknown frame control.
     pub fn decode(raw: &[u8]) -> Option<Frame> {
-        let body = check_and_strip_fcs(raw)?;
-        let mut buf = body;
-        if buf.remaining() < 4 {
+        let mut buf = check_and_strip_fcs(raw)?;
+        if buf.len() < 4 {
             return None;
         }
-        let fc = buf.get_u16_le();
-        let _duration = buf.get_u16_le();
+        let fc = u16::from_le_bytes(take(&mut buf));
+        let _duration: [u8; 2] = take(&mut buf);
         let kind = FrameKind::from_frame_control(fc)?;
         match kind {
             FrameKind::DmgBeacon => {
-                if buf.remaining() != 6 + 8 + 2 + 3 {
+                if buf.len() != 6 + 8 + 2 + 3 {
                     return None;
                 }
-                let bssid = get_addr(&mut buf);
-                let timestamp_us = buf.get_u64_le();
-                let beacon_interval_tu = buf.get_u16_le();
-                let ssw = get_ssw(&mut buf);
                 Some(Frame::Beacon(DmgBeacon {
-                    bssid,
-                    timestamp_us,
-                    beacon_interval_tu,
-                    ssw,
+                    bssid: MacAddr(take(&mut buf)),
+                    timestamp_us: u64::from_le_bytes(take(&mut buf)),
+                    beacon_interval_tu: u16::from_le_bytes(take(&mut buf)),
+                    ssw: SswField::decode(&take(&mut buf)),
                 }))
             }
             FrameKind::Ssw => {
-                if buf.remaining() != 6 + 6 + 3 + 3 {
+                if buf.len() != 6 + 6 + 3 + 3 {
                     return None;
                 }
-                let ra = get_addr(&mut buf);
-                let ta = get_addr(&mut buf);
-                let ssw = get_ssw(&mut buf);
-                let feedback = get_feedback(&mut buf);
                 Some(Frame::Ssw(SswFrame {
-                    ra,
-                    ta,
-                    ssw,
-                    feedback,
+                    ra: MacAddr(take(&mut buf)),
+                    ta: MacAddr(take(&mut buf)),
+                    ssw: SswField::decode(&take(&mut buf)),
+                    feedback: SswFeedbackField::decode(&take(&mut buf)),
                 }))
             }
             FrameKind::SswFeedback | FrameKind::SswAck => {
-                if buf.remaining() != 6 + 6 + 3 {
+                if buf.len() != 6 + 6 + 3 {
                     return None;
                 }
-                let ra = get_addr(&mut buf);
-                let ta = get_addr(&mut buf);
-                let feedback = get_feedback(&mut buf);
+                let ra = MacAddr(take(&mut buf));
+                let ta = MacAddr(take(&mut buf));
+                let feedback = SswFeedbackField::decode(&take(&mut buf));
                 Some(match kind {
                     FrameKind::SswFeedback => {
                         Frame::SswFeedback(SswFeedbackFrame { ra, ta, feedback })
@@ -221,22 +210,14 @@ impl Frame {
     }
 }
 
-fn get_addr(buf: &mut &[u8]) -> MacAddr {
-    let mut a = [0u8; 6];
-    buf.copy_to_slice(&mut a);
-    MacAddr(a)
-}
-
-fn get_ssw(buf: &mut &[u8]) -> SswField {
-    let mut b = [0u8; 3];
-    buf.copy_to_slice(&mut b);
-    SswField::decode(&b)
-}
-
-fn get_feedback(buf: &mut &[u8]) -> SswFeedbackField {
-    let mut b = [0u8; 3];
-    buf.copy_to_slice(&mut b);
-    SswFeedbackField::decode(&b)
+/// Reads the next `N` bytes off the front of `buf`; the caller has checked
+/// the length.
+fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .expect("frame length checked before reading");
+    *buf = rest;
+    *head
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! * [`fields`] — bit-exact SSW and SSW-Feedback fields (the sector ID and
 //!   CDOWN counters of Table 1 live here).
 //! * [`frames`] — DMG Beacon, SSW, SSW-Feedback and SSW-ACK frames with
-//!   byte-level encode/decode on [`bytes`].
+//!   byte-level encode to `Vec<u8>` and decode from `&[u8]`.
 //! * [`timing`] — the virtual clock and the paper's measured timing
 //!   constants (18.0 µs per sweep frame, 49.1 µs feedback overhead,
 //!   102.4 ms beacon interval, ≥1 sweep per second).

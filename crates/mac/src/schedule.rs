@@ -13,11 +13,10 @@
 //! transmitter walks it top-down, skipping `None` slots (which is why the
 //! monitor never sees frames there).
 
-use serde::{Deserialize, Serialize};
 use talon_array::SectorId;
 
 /// Which burst type a schedule describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BurstKind {
     /// DMG Beacon burst (BTI).
     Beacon,
@@ -27,7 +26,7 @@ pub enum BurstKind {
 
 /// An ordered transmission schedule: CDOWN slots from the maximum down to
 /// zero, each either carrying a sector or unused.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BurstSchedule {
     /// The burst type.
     pub kind: BurstKind,

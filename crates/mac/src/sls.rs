@@ -33,7 +33,6 @@ use crate::frames::{Frame, SswAckFrame, SswFeedbackFrame, SswFrame};
 use crate::schedule::BurstSchedule;
 use crate::timing::{SimDuration, SimTime, SLS_OVERHEAD, SSW_FRAME_TIME};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::cell::OnceCell;
 use talon_array::SectorId;
 use talon_channel::{Device, Link, ProbePlan, SweepReading};
@@ -77,7 +76,7 @@ impl FeedbackPolicy for MaxSnrPolicy {
 }
 
 /// Configuration of one SLS run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlsConfig {
     /// MAC address of the initiator.
     pub initiator_addr: MacAddr,

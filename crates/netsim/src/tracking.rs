@@ -11,7 +11,6 @@
 
 use crate::policy::TrainingPolicy;
 use geom::rng::sub_rng;
-use serde::Serialize;
 use talon_array::SectorId;
 use talon_channel::{
     BlockageModel, DataLinkModel, Device, DynamicEnvironment, Environment, Link, Orientation,
@@ -51,7 +50,7 @@ impl Default for TrackingConfig {
 }
 
 /// Result of one policy's tracking run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TrackingResult {
     /// Policy display name.
     pub policy: String,

@@ -85,12 +85,13 @@ use crate::decision::{DecisionRecord, SCHEMA_VERSION};
 use crate::event::{Event, Fields};
 use crate::registry::Snapshot;
 use crate::sink::{note_write_error, EventSink};
-use parking_lot::Mutex;
+use crate::sync::lock;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
+use std::sync::Mutex;
 
 /// File magic: the first 8 bytes of every binary trace.
 pub const MAGIC: &[u8; 8] = b"TALNTRC\x01";
@@ -950,7 +951,7 @@ impl BinSink {
     /// [`MAX_HEAD_LEN`] reserved bytes, and the head, once the length is
     /// known, is written right-aligned into them.
     fn write_record(&self, what: &str, encode: impl FnOnce(&mut Enc) -> u8) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let BinState {
             out,
             intern,
@@ -1004,7 +1005,7 @@ impl EventSink for BinSink {
     }
 
     fn flush(&self) {
-        if let Err(e) = self.state.lock().out.flush() {
+        if let Err(e) = lock(&self.state).out.flush() {
             note_write_error("BinSink", "buffered trace frames", &e);
         }
     }

@@ -24,9 +24,9 @@
 //! [`emit`] is one relaxed atomic load and the producing layers never
 //! build a record at all.
 
-use parking_lot::RwLock;
-use serde::{Deserialize, Serialize, Value};
-use std::sync::OnceLock;
+use crate::sync::{read, write};
+use serde::{Serialize, Value};
+use std::sync::{OnceLock, RwLock};
 
 /// Version stamped on every trace record: the binary file header, every
 /// frame's version byte, and every line of a JSONL export. Bump when the
@@ -52,7 +52,7 @@ pub const NO_SECTOR: i64 = -1;
 /// probes only, in kernel row order. `top_cells`/`top_weights` are the
 /// highest-weight cells of the final Eq. 5 map (post prior and smoothing),
 /// ranked by weight with index as the deterministic tie-break.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionRecord {
     /// Trace schema version this record was written under.
     pub schema_version: u64,
@@ -203,7 +203,7 @@ impl DecisionRecord {
             v
         }
         self.source = refill(old.source, source);
-        self.context = refill(old.context, &context_slot().read());
+        self.context = refill(old.context, &read(context_slot()));
         self.mode = refill(old.mode, "");
         self.kernel_path = refill(old.kernel_path, "f64");
         self.probed = cleared(old.probed);
@@ -269,14 +269,49 @@ impl DecisionRecord {
         }
     }
 
-    /// The record as a JSONL export line value (`"kind":"decision"` plus
-    /// every field).
+    /// The record as a JSONL export line value: `"kind":"decision"`, then
+    /// every field in declaration order.
     pub fn to_line(&self) -> Value {
-        let mut v = Serialize::serialize(self);
-        if let Value::Map(entries) = &mut v {
-            entries.insert(0, ("kind".to_string(), Value::Str("decision".into())));
-        }
-        v
+        Value::Map(vec![
+            ("kind".into(), Value::Str("decision".into())),
+            ("schema_version".into(), self.schema_version.serialize()),
+            ("ts_us".into(), self.ts_us.serialize()),
+            ("trace_id".into(), self.trace_id.serialize()),
+            ("parent_id".into(), self.parent_id.serialize()),
+            ("source".into(), self.source.serialize()),
+            ("context".into(), self.context.serialize()),
+            ("mode".into(), self.mode.serialize()),
+            ("energy_prior".into(), self.energy_prior.serialize()),
+            ("smoothing".into(), self.smoothing.serialize()),
+            (
+                "subcell_refinement".into(),
+                self.subcell_refinement.serialize(),
+            ),
+            ("kernel_path".into(), self.kernel_path.serialize()),
+            ("patterns_digest".into(), self.patterns_digest.serialize()),
+            ("replayable".into(), self.replayable.serialize()),
+            ("probed".into(), self.probed.serialize()),
+            ("snr_db".into(), self.snr_db.serialize()),
+            ("rssi_dbm".into(), self.rssi_dbm.serialize()),
+            ("masked".into(), self.masked.serialize()),
+            ("clamped".into(), self.clamped.serialize()),
+            ("p_snr".into(), self.p_snr.serialize()),
+            ("p_rssi".into(), self.p_rssi.serialize()),
+            ("top_cells".into(), self.top_cells.serialize()),
+            ("top_weights".into(), self.top_weights.serialize()),
+            ("energy_max".into(), self.energy_max.serialize()),
+            ("has_estimate".into(), self.has_estimate.serialize()),
+            ("est_az_deg".into(), self.est_az_deg.serialize()),
+            ("est_el_deg".into(), self.est_el_deg.serialize()),
+            ("score".into(), self.score.serialize()),
+            ("chosen_sector".into(), self.chosen_sector.serialize()),
+            ("fallback".into(), self.fallback.serialize()),
+            ("has_oracle".into(), self.has_oracle.serialize()),
+            ("oracle_sector".into(), self.oracle_sector.serialize()),
+            ("oracle_snr_db".into(), self.oracle_snr_db.serialize()),
+            ("chosen_snr_db".into(), self.chosen_snr_db.serialize()),
+            ("snr_loss_db".into(), self.snr_loss_db.serialize()),
+        ])
     }
 
     /// Whether this record misselected materially: an oracle was present
@@ -297,7 +332,7 @@ fn context_slot() -> &'static RwLock<String> {
 /// running a named scenario so `talon replay` can rebuild the pattern
 /// database from the trace alone.
 pub fn set_context(ctx: &str) {
-    *context_slot().write() = ctx.to_string();
+    *write(context_slot()) = ctx.to_string();
 }
 
 /// Stamps `record` with the current time and trace identity and sends it
@@ -322,36 +357,6 @@ pub fn emit(record: &mut DecisionRecord) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_round_trips_through_json() {
-        let mut rec = DecisionRecord::new("css.select");
-        rec.mode = "joint".into();
-        rec.replayable = true;
-        rec.patterns_digest = 0xDEADBEEF;
-        rec.push_probe(3, Some((12.5, -55.0)));
-        rec.push_probe(7, None);
-        rec.push_probe(9, Some((60.0, -30.0))); // clamped
-        rec.p_snr = vec![19.5, 67.0];
-        rec.top_cells = vec![42, 41];
-        rec.top_weights = vec![0.93, 0.91];
-        rec.has_estimate = true;
-        rec.est_az_deg = -24.371;
-        rec.est_el_deg = 1.25;
-        rec.score = 0.93;
-        rec.chosen_sector = 9;
-        let json = rec.to_line().to_json();
-        assert!(json.contains("\"kind\":\"decision\""), "{json}");
-        assert!(json.contains("\"schema_version\":3"), "{json}");
-        assert!(json.contains("\"kernel_path\":\"f64\""), "{json}");
-        let back: DecisionRecord =
-            Deserialize::deserialize(&Value::from_json(&json).unwrap()).unwrap();
-        assert_eq!(back, rec);
-        assert_eq!(back.masked, vec![false, true, false]);
-        assert_eq!(back.clamped, vec![false, false, true]);
-        // f64 payloads survive bit-exactly (shortest round-trip printing).
-        assert_eq!(back.est_az_deg.to_bits(), rec.est_az_deg.to_bits());
-    }
 
     #[test]
     fn oracle_fields_compute_the_loss() {

@@ -1,6 +1,6 @@
 //! Trace events: the unit written to sinks and to trace files.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::borrow::Cow;
 use std::cell::Cell;
 
@@ -18,8 +18,7 @@ pub type Name = Cow<'static, str>;
 /// one CSS session (or one eval work unit) share a `trace_id`, spans link
 /// to their enclosing span via `parent_id` (0 = trace root), and marks /
 /// anomalies carry the id of the span they occurred under in `parent_id`
-/// with `span_id` 0. Traces written before the hierarchy existed
-/// deserialize with all three ids 0.
+/// with `span_id` 0.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Microseconds since trace start (process clock origin).
@@ -197,19 +196,6 @@ impl Serialize for Fields {
     }
 }
 
-impl Deserialize for Fields {
-    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error("Fields: expected map".into()))?;
-        let pairs = map
-            .iter()
-            .map(|(k, v)| f64::deserialize(v).map(|v| (Cow::Owned(k.clone()), v)))
-            .collect::<Result<_, _>>()?;
-        Ok(Fields::from_unsorted(pairs))
-    }
-}
-
 impl Serialize for Event {
     fn serialize(&self) -> Value {
         Value::Map(vec![
@@ -225,55 +211,9 @@ impl Serialize for Event {
     }
 }
 
-// Hand-written so trace files from before the causal hierarchy (no id
-// fields) still deserialize, with ids defaulting to 0.
-impl Deserialize for Event {
-    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error("Event: expected map".into()))?;
-        let opt_u64 = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
-        let name = |key: &str| -> Result<Name, serde::Error> {
-            String::deserialize(serde::get_field(map, key, "Event")?).map(Cow::Owned)
-        };
-        Ok(Event {
-            ts_us: Deserialize::deserialize(serde::get_field(map, "ts_us", "Event")?)?,
-            kind: name("kind")?,
-            stage: name("stage")?,
-            dur_us: Deserialize::deserialize(serde::get_field(map, "dur_us", "Event")?)?,
-            trace_id: opt_u64("trace_id"),
-            span_id: opt_u64("span_id"),
-            parent_id: opt_u64("parent_id"),
-            fields: Deserialize::deserialize(serde::get_field(map, "fields", "Event")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn event_json_round_trip() {
-        let fields = [("probes", 14.0), ("margin_db", 2.5)].into_iter().collect();
-        let ev = Event::span(12, "css.estimate", 34, fields).with_ids(7, 3, 1);
-        let json = serde::Serialize::serialize(&ev).to_json();
-        assert!(json.contains("\"kind\":\"span\""), "{json}");
-        assert!(json.contains("\"trace_id\":7"), "{json}");
-        let back: Event =
-            serde::Deserialize::deserialize(&serde::Value::from_json(&json).unwrap()).unwrap();
-        assert_eq!(back, ev);
-        assert_eq!(back.field("probes"), Some(14.0));
-    }
-
-    #[test]
-    fn pre_hierarchy_events_deserialize_with_zero_ids() {
-        let legacy = r#"{"ts_us":5,"kind":"span","stage":"sls.run","dur_us":9,"fields":{}}"#;
-        let ev: Event =
-            serde::Deserialize::deserialize(&serde::Value::from_json(legacy).unwrap()).unwrap();
-        assert_eq!((ev.trace_id, ev.span_id, ev.parent_id), (0, 0, 0));
-        assert_eq!(ev.stage, "sls.run");
-    }
 
     #[test]
     fn anomaly_constructor_tags_the_owning_trace() {

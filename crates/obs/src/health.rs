@@ -17,10 +17,10 @@
 
 use crate::event::{Event, Fields};
 use crate::metrics::Counter;
+use crate::sync::lock;
 use crate::{sink, trace};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// What one anomaly kind needs on every report: its `health.<kind>`
 /// counter and stage name.
@@ -34,7 +34,7 @@ struct Handles {
 /// are allocated once and live for the rest of the process.
 fn handles(kind: &'static str) -> &'static Handles {
     static CACHE: OnceLock<Mutex<BTreeMap<&'static str, &'static Handles>>> = OnceLock::new();
-    let mut cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new())).lock();
+    let mut cache = lock(CACHE.get_or_init(|| Mutex::new(BTreeMap::new())));
     cache.entry(kind).or_insert_with(|| {
         let stage = format!("{STAGE_PREFIX}{kind}");
         Box::leak(Box::new(Handles {

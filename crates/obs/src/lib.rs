@@ -4,7 +4,7 @@
 //!
 //! - **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) registered by name
 //!   in the process-wide [`Registry`] (`obs::global()`), snapshottable to a
-//!   serde-serializable [`Snapshot`].
+//!   [`Snapshot`] that serializes to JSON.
 //! - **Spans** ([`span!`]) — RAII stage timers feeding `<stage>.dur_us`
 //!   histograms through a handle each call site resolves once and, when a
 //!   sink is installed, emitting [`Event`]s with attached numeric fields.
@@ -28,8 +28,9 @@
 //!   [`tree::folded_stacks`], the same exact self-time stacks
 //!   `talon report --flame` prints.
 //!
-//! Everything is built on atomics and `parking_lot` locks; there are no
-//! tracing/metrics framework dependencies. The no-sink fast path is one
+//! Everything is built on atomics and `std::sync` locks taken through
+//! [`sync`], which recovers a poisoned lock; there are no tracing/metrics
+//! framework dependencies. The no-sink fast path is one
 //! relaxed atomic load, keeping instrumentation overhead in the noise
 //! (see `crates/bench/benches/obs.rs`).
 
@@ -45,6 +46,7 @@ pub mod monitor;
 pub mod registry;
 pub mod sink;
 pub mod span;
+pub mod sync;
 pub mod trace;
 pub mod tree;
 
@@ -93,15 +95,14 @@ pub fn histogram(name: &str) -> std::sync::Arc<Histogram> {
 
 /// Test support for code that installs global sinks.
 pub mod testing {
-    use parking_lot::{Mutex, MutexGuard};
-    use std::sync::OnceLock;
+    use std::sync::{Mutex, MutexGuard, OnceLock};
 
     /// Serializes tests that install a global sink, so concurrently running
     /// `#[test]`s don't capture each other's events. Hold the guard for the
     /// whole test.
     pub fn lock() -> MutexGuard<'static, ()> {
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(())).lock()
+        crate::sync::lock(LOCK.get_or_init(|| Mutex::new(())))
     }
 }
 
@@ -120,6 +121,16 @@ mod tests {
         let a = now_us();
         let b = now_us();
         assert!(b >= a);
+    }
+
+    #[test]
+    fn a_test_that_panics_holding_the_testing_lock_does_not_fail_the_next() {
+        let _ = std::thread::spawn(|| {
+            let _guard = testing::lock();
+            panic!("a failing serialized test");
+        })
+        .join();
+        drop(testing::lock());
     }
 
     #[test]

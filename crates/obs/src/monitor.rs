@@ -131,8 +131,8 @@ impl DriftDetector {
     }
 }
 
-/// Summary of one monitored stream, serializable for `talon report --json`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Summary of one monitored stream.
+#[derive(Debug, Clone, PartialEq)]
 pub struct QualitySummary {
     /// SNR-loss samples observed.
     pub samples: usize,
@@ -277,7 +277,7 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 pub const MISSELECTION_THRESHOLD_DB: f64 = 1.0;
 
 /// One row of the per-session quality table.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionQuality {
     /// Trace id of the session (0 = untraced records).
     pub trace_id: u64,
@@ -298,7 +298,21 @@ pub struct SessionQuality {
 impl SessionQuality {
     /// The row as a JSON value (for `talon report --json`).
     pub fn to_value(&self) -> Value {
-        Serialize::serialize(self)
+        Value::Map(vec![
+            ("trace_id".into(), self.trace_id.serialize()),
+            ("decisions".into(), self.decisions.serialize()),
+            ("with_oracle".into(), self.with_oracle.serialize()),
+            ("misselections".into(), self.misselections.serialize()),
+            (
+                "misselection_rate".into(),
+                self.misselection_rate.serialize(),
+            ),
+            (
+                "median_snr_loss_db".into(),
+                self.median_snr_loss_db.serialize(),
+            ),
+            ("p95_snr_loss_db".into(), self.p95_snr_loss_db.serialize()),
+        ])
     }
 }
 

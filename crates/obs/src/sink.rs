@@ -7,10 +7,10 @@
 use crate::decision::{DecisionRecord, SCHEMA_VERSION};
 use crate::event::Event;
 use crate::registry::Snapshot;
-use parking_lot::{Mutex, RwLock};
+use crate::sync::{lock, read, write};
 use serde::{Serialize, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Receives trace events.
 pub trait EventSink: Send + Sync {
@@ -70,45 +70,45 @@ impl MemorySink {
 
     /// Removes and returns every event captured so far.
     pub fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut self.events.lock())
+        std::mem::take(&mut lock(&self.events))
     }
 
     /// Removes and returns every decision record captured so far.
     pub fn take_decisions(&self) -> Vec<DecisionRecord> {
-        std::mem::take(&mut self.decisions.lock())
+        std::mem::take(&mut lock(&self.decisions))
     }
 
     /// Total buffered records: events *and* decision records. (This used
     /// to count events only, so a sink holding nothing but decisions
     /// reported itself empty.)
     pub fn len(&self) -> usize {
-        self.events.lock().len() + self.decisions.lock().len()
+        lock(&self.events).len() + lock(&self.decisions).len()
     }
 
     /// Number of buffered events alone.
     pub fn events_len(&self) -> usize {
-        self.events.lock().len()
+        lock(&self.events).len()
     }
 
     /// Number of buffered decision records alone.
     pub fn decisions_len(&self) -> usize {
-        self.decisions.lock().len()
+        lock(&self.decisions).len()
     }
 
     /// Whether nothing at all — no event, no decision record — has been
     /// captured.
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty() && self.decisions.lock().is_empty()
+        lock(&self.events).is_empty() && lock(&self.decisions).is_empty()
     }
 }
 
 impl EventSink for MemorySink {
     fn emit(&self, event: &Event) {
-        self.events.lock().push(event.clone());
+        lock(&self.events).push(event.clone());
     }
 
     fn emit_decision(&self, record: &DecisionRecord) {
-        self.decisions.lock().push(record.clone());
+        lock(&self.decisions).push(record.clone());
     }
 }
 
@@ -151,14 +151,14 @@ fn sink_slot() -> &'static RwLock<Option<Arc<dyn EventSink>>> {
 
 /// Installs `sink` as the process-wide event sink.
 pub fn set_sink(sink: Arc<dyn EventSink>) {
-    *sink_slot().write() = Some(sink);
+    *write(sink_slot()) = Some(sink);
     SINK_ACTIVE.store(true, Ordering::Release);
 }
 
 /// Flushes and removes the current sink, returning to no-op.
 pub fn clear_sink() {
     SINK_ACTIVE.store(false, Ordering::Release);
-    if let Some(sink) = sink_slot().write().take() {
+    if let Some(sink) = write(sink_slot()).take() {
         sink.flush();
     }
 }
@@ -180,7 +180,7 @@ pub fn emit(event: &Event) {
     if crate::trace::capture_push(event) {
         return;
     }
-    if let Some(sink) = sink_slot().read().as_ref() {
+    if let Some(sink) = read(sink_slot()).as_ref() {
         sink.emit(event);
     }
 }
@@ -195,14 +195,14 @@ pub fn emit_decision(record: &DecisionRecord) {
     if crate::trace::capture_push_decision(record) {
         return;
     }
-    if let Some(sink) = sink_slot().read().as_ref() {
+    if let Some(sink) = read(sink_slot()).as_ref() {
         sink.emit_decision(record);
     }
 }
 
 /// Flushes the installed sink, if any.
 pub fn flush() {
-    if let Some(sink) = sink_slot().read().as_ref() {
+    if let Some(sink) = read(sink_slot()).as_ref() {
         sink.flush();
     }
 }

@@ -13,8 +13,9 @@
 //! * `probe_sectors` is the transmit path; user space may restrict it to a
 //!   probing subset via WMI.
 //!
-//! All hook state sits behind `parking_lot` locks so a user-space agent
-//! thread can drive WMI while the MAC state machine runs.
+//! All hook state sits behind `std::sync` locks, taken through
+//! `obs::sync::lock`, so a user-space agent thread can drive WMI while the
+//! MAC state machine runs.
 
 use crate::memmap::MemoryMap;
 use crate::patch::{flash_paper_patches, Patch};
@@ -22,9 +23,9 @@ use crate::registers::{fw_status, CsrBlock};
 use crate::ringbuf::{RingBuffer, SweepEntry};
 use crate::wmi::{WmiCommand, WmiError, WmiReply, FIRMWARE_VERSION};
 use mac80211ad::sls::{FeedbackPolicy, MaxSnrPolicy};
-use parking_lot::Mutex;
+use obs::sync::lock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use talon_array::SectorId;
 use talon_channel::SweepReading;
 
@@ -79,7 +80,7 @@ impl Qca9500Firmware {
 
     /// Flashes the paper's two patches into chip memory.
     pub fn flash_patches(&self) -> Result<(), crate::memmap::MemError> {
-        flash_paper_patches(&mut self.mem.lock())?;
+        flash_paper_patches(&mut lock(&self.mem))?;
         self.csr.fw_set_status(fw_status::PATCHED);
         Ok(())
     }
@@ -91,12 +92,12 @@ impl Qca9500Firmware {
 
     /// Whether the ring-buffer export patch is active.
     pub fn export_patch_active(&self) -> bool {
-        Patch::sweep_info_export().is_applied(&self.mem.lock())
+        Patch::sweep_info_export().is_applied(&lock(&self.mem))
     }
 
     /// Whether the sector-override patch is active.
     pub fn override_patch_active(&self) -> bool {
-        Patch::sector_override().is_applied(&self.mem.lock())
+        Patch::sector_override().is_applied(&lock(&self.mem))
     }
 
     /// The ring buffer handle (user space drains it through the driver).
@@ -118,14 +119,14 @@ impl Qca9500Firmware {
                 if !id.is_talon_tx() {
                     return Err(WmiError::InvalidSector(id.raw()));
                 }
-                *self.sector_override.lock() = Some(*id);
+                *lock(&self.sector_override) = Some(*id);
                 Ok(WmiReply::Ok)
             }
             WmiCommand::ClearSectorOverride => {
                 if !self.override_patch_active() {
                     return Err(WmiError::PatchNotApplied);
                 }
-                *self.sector_override.lock() = None;
+                *lock(&self.sector_override) = None;
                 Ok(WmiReply::Ok)
             }
             WmiCommand::GetSweepInfoCount => {
@@ -141,14 +142,14 @@ impl Qca9500Firmware {
                 if let Some(bad) = ids.iter().find(|id| !id.is_talon_tx()) {
                     return Err(WmiError::InvalidSector(bad.raw()));
                 }
-                *self.probe_override.lock() = Some(ids.clone());
+                *lock(&self.probe_override) = Some(ids.clone());
                 Ok(WmiReply::Ok)
             }
             WmiCommand::ClearProbeSectors => {
                 if !self.override_patch_active() {
                     return Err(WmiError::PatchNotApplied);
                 }
-                *self.probe_override.lock() = None;
+                *lock(&self.probe_override) = None;
                 Ok(WmiReply::Ok)
             }
         }
@@ -156,7 +157,7 @@ impl Qca9500Firmware {
 
     /// The current override, if armed.
     pub fn sector_override(&self) -> Option<SectorId> {
-        *self.sector_override.lock()
+        *lock(&self.sector_override)
     }
 
     /// ID of the sweep currently being processed.
@@ -167,7 +168,7 @@ impl Qca9500Firmware {
 
 impl FeedbackPolicy for &Qca9500Firmware {
     fn probe_sectors(&mut self, full_sweep: &[SectorId]) -> Vec<SectorId> {
-        match &*self.probe_override.lock() {
+        match &*lock(&self.probe_override) {
             Some(ids) => ids.clone(),
             None => full_sweep.to_vec(),
         }
@@ -217,7 +218,7 @@ impl FeedbackPolicy for &Qca9500Firmware {
         // Override switch (white box "Set Sector ID" / "Enable Sector
         // Selection" of Fig. 2).
         if self.override_patch_active() {
-            if let Some(forced) = *self.sector_override.lock() {
+            if let Some(forced) = *lock(&self.sector_override) {
                 return Some(forced);
             }
         }

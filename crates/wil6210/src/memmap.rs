@@ -18,10 +18,8 @@
 //! window fail with [`MemError::WriteProtected`], the same bytes written
 //! through the high mapping succeed, and both views observe each other.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies one of the four memory regions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Region {
     /// Real-time processor's code partition.
     UcodeCode,

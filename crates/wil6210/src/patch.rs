@@ -12,10 +12,9 @@
 //! verify it has been "flashed" before enabling its hooks.
 
 use crate::memmap::{MemError, MemoryMap, Region};
-use serde::{Deserialize, Serialize};
 
 /// A single patch blob to be written into chip memory.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Patch {
     /// Human-readable name.
     pub name: String,

@@ -19,7 +19,8 @@
 //!
 //! Interrupt bit 0 = "sweep complete", bit 1 = "ring buffer high water".
 
-use parking_lot::Mutex;
+use obs::sync::lock;
+use std::sync::Mutex;
 
 /// Register offsets.
 pub mod offsets {
@@ -104,7 +105,7 @@ impl CsrBlock {
 
     /// Host read of a register.
     pub fn read(&self, offset: u32) -> Result<u32, CsrError> {
-        let s = self.state.lock();
+        let s = lock(&self.state);
         match offset {
             offsets::CHIP_ID => Ok(CHIP_ID_VALUE),
             offsets::FW_STATUS => Ok(s.fw_status),
@@ -119,7 +120,7 @@ impl CsrBlock {
 
     /// Host write to a register.
     pub fn write(&self, offset: u32, value: u32) -> Result<(), CsrError> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         match offset {
             offsets::INT_CAUSE => {
                 // Write-1-to-clear.
@@ -144,7 +145,7 @@ impl CsrBlock {
 
     /// Whether an (unmasked) interrupt is currently asserted.
     pub fn irq_asserted(&self) -> bool {
-        let s = self.state.lock();
+        let s = lock(&self.state);
         s.int_cause & !s.int_mask != 0
     }
 
@@ -152,12 +153,12 @@ impl CsrBlock {
 
     /// Firmware: updates the status register.
     pub fn fw_set_status(&self, status: u32) {
-        self.state.lock().fw_status = status;
+        lock(&self.state).fw_status = status;
     }
 
     /// Firmware: raises interrupt bits and updates the counters.
     pub fn fw_sweep_complete(&self, sweep_count: u64, ring_pending: usize, high_water: bool) {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         s.sweep_count = sweep_count as u32;
         s.ring_pending = ring_pending as u32;
         s.int_cause |= irq::SWEEP_COMPLETE;
@@ -168,7 +169,7 @@ impl CsrBlock {
 
     /// Firmware: refreshes the pending-entry count (after a host drain).
     pub fn fw_set_ring_pending(&self, pending: usize) {
-        self.state.lock().ring_pending = pending as u32;
+        lock(&self.state).ring_pending = pending as u32;
     }
 }
 

@@ -9,14 +9,13 @@
 //! drained from user space. When full, the oldest entries are overwritten
 //! — real firmware cannot block on a slow reader.
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use obs::sync::lock;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use talon_array::SectorId;
 
 /// One exported measurement record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepEntry {
     /// Monotonic sweep counter (which sweep this probe belonged to).
     pub sweep_id: u64,
@@ -71,7 +70,7 @@ impl RingBuffer {
 
     /// Firmware side: pushes an entry, overwriting the oldest when full.
     pub fn push(&self, entry: SweepEntry) {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         self.pushes.inc();
         if g.entries.len() == g.capacity {
             g.entries.pop_front();
@@ -92,14 +91,14 @@ impl RingBuffer {
 
     /// User-space side: drains all pending entries in FIFO order.
     pub fn drain(&self) -> Vec<SweepEntry> {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         self.occupancy.set(0);
         g.entries.drain(..).collect()
     }
 
     /// Number of pending entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        lock(&self.inner).entries.len()
     }
 
     /// Whether no entries are pending.
@@ -109,7 +108,7 @@ impl RingBuffer {
 
     /// How many entries have been lost to overwrites since creation.
     pub fn overwritten(&self) -> u64 {
-        self.inner.lock().overwritten
+        lock(&self.inner).overwritten
     }
 }
 

@@ -7,11 +7,10 @@
 //! experiments need; unknown or malformed commands fail like the real
 //! firmware would.
 
-use serde::{Deserialize, Serialize};
 use talon_array::SectorId;
 
 /// Commands user space can send to the firmware.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WmiCommand {
     /// Stock command: ask for the firmware/chip revision string.
     GetFirmwareVersion,
@@ -32,7 +31,7 @@ pub enum WmiCommand {
 }
 
 /// Replies from the firmware.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WmiReply {
     /// Command accepted, no payload.
     Ok,

@@ -62,14 +62,11 @@ fn main() {
 
     println!("\nsweep 1: stock firmware path (argmax in the firmware)");
     let out = runner.run(&mut rng, &mut MaxSnrPolicy, &mut &*firmware);
-    driver.notify_sweep(&out.iss_readings, out.initiator_tx_sector);
     let stock_choice = out.initiator_tx_sector.expect("firmware selected");
     println!("  firmware fed back sector {stock_choice} for the peer");
 
-    // Agent wakes up on the driver event, drains the ring buffer and
-    // computes the compressive selection from the exported measurements.
-    let event = driver.events().try_recv().expect("sweep event delivered");
-    println!("  driver event: {event:?}");
+    // After the sweep the agent drains the ring buffer and computes the
+    // compressive selection from the exported measurements.
     let exported = driver.read_sweep_info();
     println!("  ring buffer exported {} measurements", exported.len());
     let readings: Vec<SweepReading> = exported

@@ -9,7 +9,6 @@
 //! talon record    --scenario lab|conference --out dataset.txt [--seed N] [--paper]
 //! talon analyze   --dataset dataset.txt --patterns patterns.txt [--probes 14,20]
 //! talon sls       --scenario lab|conference --policy ssw|css [--probes 14] [--yaw DEG]
-//! talon brd       --out codebook.brd [--seed N] | --check codebook.brd
 //! talon report    trace.bin [--tree | --flame | --quality | --json]
 //! talon replay    trace.bin [--threads N] [--perturb DB] [--patterns <file>]
 //! talon profile   trace.bin [--threads N]
@@ -96,7 +95,6 @@ fn main() -> ExitCode {
         "record" => cmd_record(&opts),
         "analyze" => cmd_analyze(&opts),
         "sls" => cmd_sls(&opts),
-        "brd" => cmd_brd(&opts),
         "report" => cmd_report(&positional, &opts),
         "replay" => cmd_replay(&positional, &opts),
         "profile" => cmd_profile(&positional, &opts),
@@ -124,7 +122,6 @@ commands:
   record    --scenario lab|conference --out <file> [--patterns-out <file>] [--seed N] [--paper] [--trace <file>]
   analyze   --dataset <file> --patterns <file> [--probes 14,20] [--seed N] [--trace <file>]
   sls       --scenario lab|conference --policy ssw|css [--probes 14] [--yaw DEG] [--seed N] [--paper] [--trace <file>]
-  brd       --out <file> [--seed N]  |  --check <file>
   report    <trace.bin> [--tree | --flame | --critical-path [--top K] | --quality | --json]
   replay    <trace.bin> [--threads N] [--perturb DB] [--patterns <file>] [--json]
   profile   <trace.bin> [--threads N]
@@ -140,7 +137,6 @@ const OPTIONS: &[(&str, usize, &str)] = &[
     ("record", 0, "scenario out patterns-out seed paper trace"),
     ("analyze", 0, "dataset patterns probes seed trace"),
     ("sls", 0, "scenario policy probes yaw seed paper trace"),
-    ("brd", 0, "out seed check"),
     ("report", 1, "tree flame critical-path top quality json"),
     ("replay", 1, "threads perturb patterns json"),
     ("profile", 1, "threads"),
@@ -1173,30 +1169,6 @@ fn print_health_summary(out: &mut dyn std::io::Write, trace: &obs::Trace) -> std
         "{}",
         eval::ascii::table(&["session", "anomaly", "count"], &rows)
     )
-}
-
-fn cmd_brd(opts: &HashMap<String, String>) -> Result<(), String> {
-    if let Some(path) = opts.get("check") {
-        let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let cb = talon_array::brd::from_brd(&bytes).map_err(|e| format!("parsing {path}: {e}"))?;
-        return print_line(format_args!(
-            "{path}: valid board file, {} sectors ({} transmit)",
-            cb.sectors().len(),
-            cb.num_tx_sectors()
-        ));
-    }
-    let out = opts
-        .get("out")
-        .ok_or("brd needs --out <file> or --check <file>")?;
-    let seed = seed_of(opts)?;
-    let device = Device::talon(seed);
-    let bytes = talon_array::brd::to_brd(&device.codebook);
-    std::fs::write(out, &bytes).map_err(|e| format!("writing {out}: {e}"))?;
-    print_line(format_args!(
-        "wrote {} bytes ({} sectors) to {out}",
-        bytes.len(),
-        device.codebook.sectors().len()
-    ))
 }
 
 #[cfg(test)]

@@ -41,7 +41,6 @@ fn full_cli_workflow() {
     let dir = workdir("full_cli_workflow");
     let patterns = dir.join("patterns.txt");
     let dataset = dir.join("dataset.txt");
-    let brd = dir.join("codebook.brd");
 
     // campaign: measure coarse patterns.
     let out = talon()
@@ -115,29 +114,6 @@ fn full_cli_workflow() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("selected sector"), "{stdout}");
     assert!(stdout.contains("0.553 ms"), "compressive timing: {stdout}");
-
-    // brd: export + verify.
-    let out = talon()
-        .args(["brd", "--out", brd.to_str().unwrap()])
-        .output()
-        .expect("run brd export");
-    assert!(out.status.success());
-    let out = talon()
-        .args(["brd", "--check", brd.to_str().unwrap()])
-        .output()
-        .expect("run brd check");
-    assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("valid board file"));
-
-    // A corrupted board file must fail the check.
-    let mut bytes = std::fs::read(&brd).unwrap();
-    bytes[30] ^= 0xFF;
-    std::fs::write(&brd, bytes).unwrap();
-    let out = talon()
-        .args(["brd", "--check", brd.to_str().unwrap()])
-        .output()
-        .expect("run brd check on corrupt file");
-    assert!(!out.status.success(), "corrupt board file rejected");
 
     // Unknown command exits non-zero with usage.
     let out = talon().args(["bogus"]).output().expect("run bogus");
