@@ -11,8 +11,8 @@
 //! beacon's DMG-parameter soup is irrelevant to sector selection.
 //!
 //! Frames encode to a `Vec<u8>` and decode from a `&[u8]`; decoding
-//! verifies the FCS — a corrupted frame is indistinguishable from a missed frame, just
-//! like on real hardware.
+//! verifies the FCS — a corrupted frame is indistinguishable from a missed
+//! frame, just like on real hardware.
 
 use crate::addr::MacAddr;
 use crate::crc::{append_fcs, check_and_strip_fcs};

@@ -159,11 +159,6 @@ impl Qca9500Firmware {
     pub fn sector_override(&self) -> Option<SectorId> {
         *lock(&self.sector_override)
     }
-
-    /// ID of the sweep currently being processed.
-    pub fn current_sweep_id(&self) -> u64 {
-        self.sweep_counter.load(Ordering::SeqCst)
-    }
 }
 
 impl FeedbackPolicy for &Qca9500Firmware {
@@ -317,10 +312,8 @@ mod tests {
     #[test]
     fn sweep_counter_increments_per_select() {
         let fw = Qca9500Firmware::patched();
-        assert_eq!(fw.current_sweep_id(), 0);
         let _ = (&mut &fw).select(&[reading(1, 1.0)]);
         let _ = (&mut &fw).select(&[reading(1, 1.0)]);
-        assert_eq!(fw.current_sweep_id(), 2);
         let e = fw.ring().drain();
         assert_eq!(e[0].sweep_id, 1);
         assert_eq!(e[1].sweep_id, 2);
